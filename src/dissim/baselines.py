@@ -28,15 +28,7 @@ from .wsolver import DEFAULT_PLANE_BUDGET, WSolverReport, _cccp_loop
 
 def _pointwise_tables(dataset: Dataset, refs: Sequence[int], loss: LossFunction):
     """Per-sample (labels, K) tables of loss(truth, ref, y, k)."""
-    tables = []
-    for sample, ref in zip(dataset, refs):
-        num_labels = sample.psi.shape[0]
-        truth = sample.truth_label
-        table = np.empty((num_labels, sample.num_latents))
-        for y in range(num_labels):
-            table[y, :] = loss.pair_matrix(sample, truth, y)[ref, :]
-        tables.append(table)
-    return tables
+    return [loss.table(sample)[ref] for sample, ref in zip(dataset, refs)]
 
 
 def lsvm_train(
@@ -67,8 +59,7 @@ def ilsvm_latent_estimates(
     refs = []
     for sample in dataset:
         y_hat, k_hat = predict(w, sample)
-        column = loss.pair_matrix(sample, sample.truth_label, y_hat)[:, k_hat]
-        refs.append(int(np.argmin(column)))
+        refs.append(int(np.argmin(loss.table(sample)[:, y_hat, k_hat])))
     return refs
 
 

@@ -27,14 +27,7 @@ from .model import Dataset
 from .gradcheck import run_gradient_checks
 from .synth import TaskSpec, generate
 from .thetasolver import SSDConfig
-from .trainer import (
-    DEFAULT_C_GRID,
-    METHODS,
-    TrainConfig,
-    run_protocol,
-    train,
-)
-from .baselines import ilsvm_train, lsvm_train
+from .trainer import DEFAULT_C_GRID, METHODS, TrainConfig, _fit, run_protocol
 
 
 def _check_loss_compatible(loss_kind: str, dataset: Dataset) -> None:
@@ -91,15 +84,7 @@ def cmd_train(args) -> int:
         inner_tol=args.inner_tol,
         max_outer_rounds=args.max_rounds,
     )
-    if args.method == "dissim":
-        model = train(dataset, loss, config)
-        params, trace, termination = model.params, model.trace, model.termination
-    else:
-        fit = lsvm_train if args.method == "lsvm" else ilsvm_train
-        params, report = fit(
-            dataset, loss, hyper.C, hyper.epsilon, config.inner_tol
-        )
-        trace, termination = report.trace, "tolerance"
+    params, trace, termination = _fit(args.method, dataset, loss, config)
     save_model(
         ModelRecord(
             params=params,
@@ -128,7 +113,10 @@ def cmd_experiment(args) -> int:
         if l not in LOSS_KINDS:
             raise ConfigError(f"--losses: unknown loss {l!r}")
         _check_loss_compatible(l, dataset)
-    c_grid = tuple(float(v) for v in args.C_grid.split(","))
+    try:
+        c_grid = tuple(float(v) for v in args.C_grid.split(","))
+    except ValueError as err:
+        raise ConfigError(f"--C-grid: {err}") from err
     config = TrainConfig(
         hyper=HyperParams(C=c_grid[0], J=args.J, beta=args.beta, epsilon=args.epsilon),
         ssd=SSDConfig(

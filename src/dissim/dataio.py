@@ -66,17 +66,25 @@ class _LineReader:
             )
         return parts[1:]
 
-    def expect_int(self, keyword: str) -> int:
+    def expect_one(self, keyword: str) -> str:
         parts = self.expect(keyword)
         if len(parts) != 1:
             raise InputError(
                 f"{self.path} line {self.pos}: {keyword} takes one value"
             )
+        return parts[0]
+
+    def expect_int(self, keyword: str) -> int:
+        return self.parse([self.expect_one(keyword)], int)[0]
+
+    def parse(self, fields: Sequence[str], kind=float) -> list:
+        """Fields of the current line converted by ``kind``; a field that
+        does not convert is an InputError naming the line."""
         try:
-            return int(parts[0])
+            return [kind(v) for v in fields]
         except ValueError as err:
             raise InputError(
-                f"{self.path} line {self.pos}: bad integer {parts[0]!r}"
+                f"{self.path} line {self.pos}: bad {kind.__name__} field ({err})"
             ) from err
 
 
@@ -136,12 +144,11 @@ def load_dataset(path) -> Dataset:
         K = reader.expect_int("latents")
         latents = []
         for k in range(K):
-            parts = reader.expect("latent")
+            parts = reader.parse(reader.expect("latent"), int)
             if len(parts) == 1:
-                latents.append(LatentValue(index=int(parts[0])))
+                latents.append(LatentValue(index=parts[0]))
             elif len(parts) == 5:
-                idx, x0, y0, x1, y1 = (int(v) for v in parts)
-                latents.append(LatentValue(index=idx, box=(x0, y0, x1, y1)))
+                latents.append(LatentValue(index=parts[0], box=tuple(parts[1:])))
             else:
                 raise InputError(
                     f"{path} line {reader.pos}: latent takes 1 or 5 values"
@@ -155,11 +162,11 @@ def load_dataset(path) -> Dataset:
                         f"{path} line {reader.pos}: psi row needs "
                         f"{2 + d_w} fields, got {len(parts)}"
                     )
-                if int(parts[0]) != y or int(parts[1]) != k:
+                if reader.parse(parts[:2], int) != [y, k]:
                     raise InputError(
                         f"{path} line {reader.pos}: psi rows out of order"
                     )
-                psi[y, k] = [float(v) for v in parts[2:]]
+                psi[y, k] = reader.parse(parts[2:])
         phi = np.empty((K, d_theta))
         for k in range(K):
             parts = reader.expect("phi")
@@ -168,9 +175,9 @@ def load_dataset(path) -> Dataset:
                     f"{path} line {reader.pos}: phi row needs "
                     f"{1 + d_theta} fields, got {len(parts)}"
                 )
-            if int(parts[0]) != k:
+            if reader.parse(parts[:1], int) != [k]:
                 raise InputError(f"{path} line {reader.pos}: phi rows out of order")
-            phi[k] = [float(v) for v in parts[1:]]
+            phi[k] = reader.parse(parts[1:])
         samples.append(
             SampleRecord(
                 id=sample_id,
@@ -224,22 +231,19 @@ def load_model(path) -> ModelRecord:
     magic = reader.next()
     if magic != MODEL_MAGIC:
         raise InputError(f"{path}: not a model file (magic {magic!r})")
-    method = reader.expect("method")[0]
-    loss_kind = reader.expect("loss")[0]
+    method = reader.expect_one("method")
+    loss_kind = reader.expect_one("loss")
     d_w = reader.expect_int("dw")
     d_theta = reader.expect_int("dtheta")
-    termination = reader.expect("termination")[0]
-    w_parts = reader.expect("w")
-    theta_parts = reader.expect("theta")
-    if len(w_parts) != d_w or len(theta_parts) != d_theta:
+    termination = reader.expect_one("termination")
+    w = reader.parse(reader.expect("w"))
+    theta = reader.parse(reader.expect("theta"))
+    if len(w) != d_w or len(theta) != d_theta:
         raise InputError(f"{path}: parameter vector length mismatch")
     trace_len = reader.expect_int("trace")
-    trace = [float(reader.next()) for _ in range(trace_len)]
+    trace = [reader.parse([reader.next()])[0] for _ in range(trace_len)]
     return ModelRecord(
-        params=ModelParams(
-            np.array([float(v) for v in w_parts]),
-            np.array([float(v) for v in theta_parts]),
-        ),
+        params=ModelParams(np.array(w), np.array(theta)),
         method=method,
         loss_kind=loss_kind,
         termination=termination,
@@ -292,15 +296,20 @@ def load_results(path) -> list[ResultRow]:
                 continue
             if len(parts) != len(RESULTS_HEADER):
                 raise InputError(f"{path}: malformed results row {parts}")
-            rows.append(
-                ResultRow(
-                    method=parts[0],
-                    loss_kind=parts[1],
-                    C=float(parts[2]),
-                    fold=int(parts[3]),
-                    test_loss=float(parts[4]),
-                    train_objective=float(parts[5]),
-                    wallclock_seconds=float(parts[6]),
+            try:
+                rows.append(
+                    ResultRow(
+                        method=parts[0],
+                        loss_kind=parts[1],
+                        C=float(parts[2]),
+                        fold=int(parts[3]),
+                        test_loss=float(parts[4]),
+                        train_objective=float(parts[5]),
+                        wallclock_seconds=float(parts[6]),
+                    )
                 )
-            )
+            except ValueError as err:
+                raise InputError(
+                    f"{path} line {reader.line_num}: bad results field ({err})"
+                ) from err
     return rows

@@ -92,6 +92,14 @@ def iou_matrix(boxes: np.ndarray) -> np.ndarray:
 class LossFunction:
     """Pairwise loss over (label, latent) pairs, valued in [0, 1].
 
+    A subclass defines its loss twice over: ``__call__`` for one pair of
+    candidates and ``pair_matrix`` for every latent pair at fixed labels.
+    Training code consumes it only through ``table(sample)``, the
+    per-sample tensor T[j, y, k] = loss(truth, j, y, k) of shape
+    (K, labels, K).  Expected losses, self diversities, their gradients
+    and the pointwise baseline tables are all contractions of T against
+    the latent conditional or a point mass.
+
     ``latent_dependent`` is False when the loss ignores latent indices
     entirely; several evaluators exploit that to shortcut expectations
     (the expectation of a constant is the constant, exactly).
@@ -99,6 +107,9 @@ class LossFunction:
 
     kind: str = ""
     latent_dependent: bool = True
+
+    def __init__(self):
+        self._tables = weakref.WeakKeyDictionary()
 
     def __call__(
         self, y1: int, k1: int, y2: int, k2: int, sample: SampleRecord
@@ -111,6 +122,23 @@ class LossFunction:
         return np.array(
             [[self(y1, k1, y2, k2, sample) for k2 in range(K)] for k1 in range(K)]
         )
+
+    def table(self, sample: SampleRecord) -> np.ndarray:
+        """Read-only T[j, y, k] = loss(truth, j, y, k), shape (K, labels, K).
+
+        Built once per sample from ``pair_matrix`` and kept for as long as
+        the sample lives.
+        """
+        T = self._tables.get(sample)
+        if T is None:
+            truth, num_labels = sample.truth_label, sample.psi.shape[0]
+            T = np.stack(
+                [self.pair_matrix(sample, truth, y) for y in range(num_labels)],
+                axis=1,
+            )
+            T.flags.writeable = False
+            self._tables[sample] = T
+        return T
 
 
 class ZeroOneLoss(LossFunction):
@@ -148,40 +176,33 @@ class LabelOnlyZeroOneLoss(LossFunction):
         return np.full((K, K), 0.0 if y1 == y2 else 1.0)
 
 
+def _require_boxes(sample: SampleRecord) -> None:
+    if not sample.geometric:
+        raise ConfigError(f"overlap loss needs boxes; sample {sample.id} has none")
+
+
 class OverlapLoss(LossFunction):
     """One minus box overlap when labels agree, one otherwise.
 
     Requires geometric samples (every latent value carries a box).
-    Per-sample IoU matrices are memoized on the loss instance.
     """
 
     kind = "overlap"
     latent_dependent = True
 
-    def __init__(self):
-        self._iou_cache = weakref.WeakKeyDictionary()
-
-    def _iou(self, sample: SampleRecord) -> np.ndarray:
-        if not sample.geometric:
-            raise ConfigError(
-                f"overlap loss needs boxes; sample {sample.id} has none"
-            )
-        cached = self._iou_cache.get(sample)
-        if cached is None:
-            cached = iou_matrix(sample.boxes)
-            self._iou_cache[sample] = cached
-        return cached
-
     def __call__(self, y1, k1, y2, k2, sample):
         if y1 != y2:
             return 1.0
-        return 1.0 - float(self._iou(sample)[k1, k2])
+        _require_boxes(sample)
+        boxes = sample.latent_space
+        return 1.0 - overlap_ratio(boxes[k1].box, boxes[k2].box)
 
     def pair_matrix(self, sample, y1, y2):
         K = sample.num_latents
         if y1 != y2:
             return np.ones((K, K))
-        return 1.0 - self._iou(sample)
+        _require_boxes(sample)
+        return 1.0 - iou_matrix(sample.boxes)
 
 
 LOSS_KINDS = ("zero_one", "overlap")
@@ -207,16 +228,14 @@ def expected_loss_table(
     shape (num_labels, K).  For latent-independent losses the expectation
     is the constant itself, returned exactly.
     """
-    num_labels, K = sample.psi.shape[0], sample.num_latents
-    truth = sample.truth_label
-    table = np.empty((num_labels, K))
+    T = loss.table(sample)
     if not loss.latent_dependent:
-        for y in range(num_labels):
-            table[y, :] = loss(truth, 0, y, 0, sample)
-        return table
-    for y in range(num_labels):
-        table[y, :] = probs @ loss.pair_matrix(sample, truth, y)
-    return table
+        return T[0].copy()
+    # Batched over labels, each label's entries round exactly as a product
+    # against that label's (K, K) slice alone.  One flat (K, labels * K)
+    # product would not: BLAS treats trailing rows apart, so entries move
+    # by an ulp whenever K is not a multiple of the kernel width.
+    return probs @ T.transpose(1, 0, 2)
 
 
 def expected_loss(
@@ -227,11 +246,10 @@ def expected_loss(
         raise IndexError(f"label {y} outside [0, {sample.psi.shape[0]})")
     if not (0 <= k < sample.num_latents):
         raise IndexError(f"latent index {k} outside [0, {sample.num_latents})")
+    column = loss.table(sample)[:, y, k]
     if not loss.latent_dependent:
-        return loss(sample.truth_label, 0, y, 0, sample)
-    probs = latent_posterior(theta, sample)
-    column = loss.pair_matrix(sample, sample.truth_label, y)[:, k]
-    return float(probs @ column)
+        return float(column[0])
+    return float(latent_posterior(theta, sample) @ column)
 
 
 def _self_diversity_from_probs(
@@ -239,8 +257,7 @@ def _self_diversity_from_probs(
 ) -> float:
     if not loss.latent_dependent:
         return 0.0
-    truth = sample.truth_label
-    M = loss.pair_matrix(sample, truth, truth)
+    M = loss.table(sample)[:, sample.truth_label, :]
     return float(probs @ M @ probs)
 
 

@@ -168,8 +168,6 @@ class Dataset:
                     "either all samples carry boxes or none do "
                     f"(sample {s.id} disagrees)"
                 )
-        if geometric and self.samples[0].truth_label >= self.num_labels:
-            raise InputError("truth label outside dataset label range")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -280,25 +278,21 @@ def predict(w: np.ndarray, sample: SampleRecord) -> tuple[int, int]:
     return y, k
 
 
-def latent_posterior(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
-    """Log-linear latent distribution as a bare probability vector.
-
-    Computed with a max-shifted log-sum-exp so large activations cannot
-    overflow.
-    """
-    theta = _check_theta(theta, sample)
-    activations = sample.phi @ theta
+def _log_sum_exp(activations: np.ndarray) -> float:
+    """Max-shifted log-sum-exp: large activations cannot overflow."""
     shift = float(activations.max())
-    log_z = shift + math.log(float(np.exp(activations - shift).sum()))
-    return np.exp(activations - log_z)
+    return shift + math.log(float(np.exp(activations - shift).sum()))
+
+
+def latent_posterior(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
+    """Log-linear latent distribution as a bare probability vector."""
+    activations = sample.phi @ _check_theta(theta, sample)
+    return np.exp(activations - _log_sum_exp(activations))
 
 
 def log_partition(theta: np.ndarray, sample: SampleRecord) -> float:
-    """Log normalizer of the latent conditional, via max-shifted LSE."""
-    theta = _check_theta(theta, sample)
-    activations = sample.phi @ theta
-    shift = float(activations.max())
-    return shift + math.log(float(np.exp(activations - shift).sum()))
+    """Log normalizer of the latent conditional."""
+    return _log_sum_exp(sample.phi @ _check_theta(theta, sample))
 
 
 def conditional_distribution(

@@ -81,7 +81,7 @@ def _grad_expected_from_probs(
 ) -> np.ndarray:
     if not loss.latent_dependent:
         return np.zeros(sample.phi.shape[1])
-    column = loss.pair_matrix(sample, sample.truth_label, y)[:, k]
+    column = loss.table(sample)[:, y, k]
     return _weighted_feature_pull(probs, sample.phi, column)
 
 
@@ -90,7 +90,7 @@ def _grad_self_diversity_from_probs(
 ) -> np.ndarray:
     if not loss.latent_dependent:
         return np.zeros(sample.phi.shape[1])
-    M = loss.pair_matrix(sample, sample.truth_label, sample.truth_label)
+    M = loss.table(sample)[:, sample.truth_label, :]
     weights = M @ probs + probs @ M
     return _weighted_feature_pull(probs, sample.phi, weights)
 

@@ -196,22 +196,21 @@ def stratified_split(
 
 
 def _fit(method: str, dataset: Dataset, loss: LossFunction, config: TrainConfig):
-    """Train one model; returns (params, training objective)."""
+    """Train one model by the named method; returns (params, objective
+    trace, termination reason).  The command line and the protocol both
+    dispatch through here."""
     if method == "dissim":
         model = train(dataset, loss, config)
-        return model.params, model.trace[-1]
-    hyper = config.hyper
+        return model.params, model.trace, model.termination
     if method == "lsvm":
-        params, report = lsvm_train(
-            dataset, loss, hyper.C, hyper.epsilon, config.inner_tol
-        )
+        fit = lsvm_train
     elif method == "ilsvm":
-        params, report = ilsvm_train(
-            dataset, loss, hyper.C, hyper.epsilon, config.inner_tol
-        )
+        fit = ilsvm_train
     else:
         raise ConfigError(f"unknown method {method!r}; pick one of {METHODS}")
-    return params, report.final_objective
+    hyper = config.hyper
+    params, report = fit(dataset, loss, hyper.C, hyper.epsilon, config.inner_tol)
+    return params, report.trace, "tolerance"
 
 
 def run_protocol(
@@ -240,14 +239,14 @@ def run_protocol(
         for C in config.C_grid:
             cfg = replace(config, hyper=replace(config.hyper, C=C))
             started = time.perf_counter()
-            params, train_obj = _fit(method, train_ds, loss, cfg)
+            params, trace, _ = _fit(method, train_ds, loss, cfg)
             test_loss = evaluate(params, test_ds, loss)
             rows.append(
                 FoldResult(
                     C=C,
                     fold=fold,
                     test_loss=test_loss,
-                    train_objective=train_obj,
+                    train_objective=trace[-1],
                     wallclock_seconds=time.perf_counter() - started,
                 )
             )

@@ -28,6 +28,7 @@ best value by less than C * epsilon, when a convex subproblem repeats
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -81,90 +82,60 @@ def loss_augmented_argmax(
 
 
 class _InnerData:
-    """Flattened views of the dataset plus augmentation tables and anchors.
+    """Stacked views of the dataset plus augmentation tables and anchors.
 
-    When every sample shares the same (labels, K) shape, candidate scoring
-    is done as one stacked matrix product; otherwise a per-sample loop is
-    used.  Either path breaks ties row-major (smallest label, then latent).
+    Candidate scoring is one matrix product over all samples.  Samples
+    whose latent space is smaller than the largest K are padded to it:
+    zero psi rows, -inf augmentation entries (a padded candidate never
+    wins) and a -inf mask on the padded truth-label columns.  Ties break
+    row-major (smallest label, then latent).
     """
 
     def __init__(self, dataset: Dataset, tables: Sequence[np.ndarray], anchors):
-        self.n = len(dataset)
+        samples = list(dataset)
+        self.n = n = len(samples)
         self.d_w = dataset.d_w
-        self.samples = list(dataset)
-        self.psi_flat = [s.psi.reshape(-1, self.d_w) for s in self.samples]
-        self.aug_flat = [np.ascontiguousarray(t, dtype=np.float64).ravel()
-                         for t in tables]
-        self.anchor_rows = np.array(
-            [s.psi[s.truth_label, a] for s, a in zip(self.samples, anchors)]
+        L, K = dataset.num_labels, max(s.num_latents for s in samples)
+        psi = np.zeros((n, L, K, self.d_w))
+        aug = np.full((n, L, K), -np.inf)
+        self.truth_mask = np.zeros((n, K))
+        for i, (s, table) in enumerate(zip(samples, tables)):
+            psi[i, :, : s.num_latents] = s.psi
+            aug[i, :, : s.num_latents] = table
+            self.truth_mask[i, s.num_latents :] = -np.inf
+        self.psi_stack = psi.reshape(n, L * K, self.d_w)
+        self.aug_stack = aug.reshape(n, L * K)
+        self.truth_cols = np.array(
+            [s.truth_label * K + np.arange(K) for s in samples]
         )
-        shapes = {s.psi.shape for s in self.samples}
-        self.uniform = len(shapes) == 1
-        if self.uniform:
-            self.psi_stack = np.stack(self.psi_flat)
-            self.aug_stack = np.stack(self.aug_flat)
-            K = self.samples[0].num_latents
-            self.truth_cols = np.stack(
-                [s.truth_label * K + np.arange(K) for s in self.samples]
-            )
+        self.anchor_rows = np.array(
+            [s.psi[s.truth_label, a] for s, a in zip(samples, anchors)]
+        )
 
-    def _flat_scores(self, w: np.ndarray):
-        if self.uniform:
-            n, ck, d = self.psi_stack.shape
-            return (self.psi_stack.reshape(n * ck, d) @ w).reshape(n, ck)
-        return [pf @ w for pf in self.psi_flat]
+    def _flat_scores(self, w: np.ndarray) -> np.ndarray:
+        n, ck, d = self.psi_stack.shape
+        return (self.psi_stack.reshape(n * ck, d) @ w).reshape(n, ck)
 
     def most_violated(self, w: np.ndarray):
         """Most violated joint assignment at w: plane direction, offset,
         and a hashable assignment key."""
-        if self.uniform:
-            scores = self._flat_scores(w)
-            picks = np.argmax(scores + self.aug_stack, axis=1)
-            rows = np.arange(self.n)
-            direction = (
-                self.anchor_rows - self.psi_stack[rows, picks]
-            ).mean(axis=0)
-            offset = float(self.aug_stack[rows, picks].mean())
-            return direction, offset, picks.tobytes()
-        direction = np.zeros(self.d_w)
-        offset = 0.0
-        picks = []
-        for i, s in enumerate(self.samples):
-            flat = self.psi_flat[i] @ w + self.aug_flat[i]
-            j = int(np.argmax(flat))
-            picks.append(j)
-            direction += self.anchor_rows[i] - self.psi_flat[i][j]
-            offset += self.aug_flat[i][j]
-        direction /= self.n
-        offset /= self.n
-        return direction, offset, tuple(picks)
-
-    def reconstructed_slack(self, w: np.ndarray) -> float:
-        """Aggregate slack of the convex problem at w, maximal over all
-        joint assignments (decomposes into per-sample maxima)."""
-        direction, offset, _ = self.most_violated(w)
-        return offset - float(direction @ w)
+        scores = self._flat_scores(w)
+        picks = np.argmax(scores + self.aug_stack, axis=1)
+        rows = np.arange(self.n)
+        direction = (self.anchor_rows - self.psi_stack[rows, picks]).mean(axis=0)
+        offset = float(self.aug_stack[rows, picks].mean())
+        return direction, offset, picks.tobytes()
 
     def true_objective(self, w: np.ndarray, C: float) -> float:
         """Value of the unconvexified problem at w with these tables:
         regularizer plus C times the mean of (loss-augmented max minus
         the best truth-label score)."""
         reg = 0.5 * float(w @ w)
-        if self.uniform:
-            scores = self._flat_scores(w)
-            hinge = (scores + self.aug_stack).max(axis=1)
-            rows = np.arange(self.n)
-            ref = scores[rows[:, None], self.truth_cols].max(axis=1)
-            return reg + C * float((hinge - ref).mean())
-        total = 0.0
-        for i, s in enumerate(self.samples):
-            flat = self.psi_flat[i] @ w
-            hinge = float((flat + self.aug_flat[i]).max())
-            K = s.num_latents
-            lo = s.truth_label * K
-            ref = float(flat[lo : lo + K].max())
-            total += hinge - ref
-        return reg + C * total / self.n
+        scores = self._flat_scores(w)
+        hinge = (scores + self.aug_stack).max(axis=1)
+        truth = np.take_along_axis(scores, self.truth_cols, axis=1)
+        ref = (truth + self.truth_mask).max(axis=1)
+        return reg + C * float((hinge - ref).mean())
 
 
 def _qp_coordinate_ascent(
@@ -282,6 +253,15 @@ def solve_inner_convex(
     return w
 
 
+def _problem_key(imputed: Sequence[int], tables: Sequence[np.ndarray]) -> tuple:
+    """Identity of a convex subproblem: the anchors and a SHA-256 digest
+    of the exact bytes of every augmentation table."""
+    digest = hashlib.sha256()
+    for table in tables:
+        digest.update(np.ascontiguousarray(table))
+    return tuple(imputed), digest.digest()
+
+
 def _cccp_loop(
     dataset: Dataset,
     build_tables: Callable[[np.ndarray, list[int]], Sequence[np.ndarray]],
@@ -303,10 +283,6 @@ def _cccp_loop(
     the convex subproblem (anchors plus tables) repeats.
     """
 
-    def problem_key(imputed, tables):
-        blob = b"".join(np.ascontiguousarray(t).tobytes() for t in tables)
-        return tuple(imputed), hash(blob)
-
     w = np.zeros(dataset.d_w) if w_init is None else np.array(w_init, dtype=np.float64)
     imputed = [latent_impute(w, s) for s in dataset]
     tables = build_tables(w, imputed)
@@ -315,7 +291,7 @@ def _cccp_loop(
     best = data.true_objective(w, C)
     trace = [best]
     iterates = [w.copy()]
-    seen = {problem_key(imputed, tables)}
+    seen = {_problem_key(imputed, tables)}
     iterations = 0
     while True:
         if iterations >= max_iterations:
@@ -336,7 +312,7 @@ def _cccp_loop(
         data = data_new
         if 0.0 <= improvement < C * epsilon:
             break
-        key = problem_key(imputed_new, tables_new)
+        key = _problem_key(imputed_new, tables_new)
         if key in seen:
             break
         seen.add(key)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dissim.cli as cli
+import dissim.trainer as trainer
 from dissim import SolverError, load_dataset, load_model, load_results, save_dataset
 
 
@@ -121,7 +122,7 @@ class TestTrain:
         def boom(*args, **kwargs):
             raise SolverError("round budget exhausted")
 
-        monkeypatch.setattr(cli, "train", boom)
+        monkeypatch.setattr(trainer, "train", boom)
         code = cli.main([
             "train", "--data", str(data), "--out", str(tmp_path / "m.model"),
         ])
@@ -208,6 +209,13 @@ class TestExperiment:
         code = cli.main(["experiment", "--data", str(data), "--methods",
                          "svm", "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+    def test_non_numeric_c_grid_exits_2(self, tmp_path, capsys):
+        data = generate_tiny(tmp_path)
+        code = cli.main(["experiment", "--data", str(data), "--C-grid", "1,x",
+                         "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "--C-grid" in capsys.readouterr().err
 
 
 class TestOverlapNeedsBoxes:

@@ -111,11 +111,18 @@ class TestDatasetRoundTrip:
         path = tmp_path / "c.txt"
         save_dataset(dset, path)
         lines = path.read_text().splitlines()
-        idx = next(i for i, l in enumerate(lines) if l.startswith("psi"))
-        lines[idx] = "psi 0 0 1.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InputError, match=rf"line {idx + 1}"):
-            load_dataset(path)
+        for keyword, corrupt in (
+            ("psi", "psi 0 0 1.0"),
+            ("psi", "psi 0 0 1.0 abc 2.0"),
+            ("psi", "psi x 0 1.0 2.0 3.0"),
+            ("phi", "phi x 1.0 2.0"),
+            ("latent", "latent x"),
+        ):
+            idx = next(i for i, l in enumerate(lines) if l.split()[0] == keyword)
+            path.write_text("\n".join(lines[:idx] + [corrupt] + lines[idx + 1 :])
+                            + "\n")
+            with pytest.raises(InputError, match=rf"line {idx + 1}"):
+                load_dataset(path)
 
     def test_bad_integer_reports_line(self, tmp_path):
         path = tmp_path / "b.txt"
@@ -174,6 +181,23 @@ class TestModelRoundTrip:
         with pytest.raises(InputError):
             load_model(tmp_path / "absent.txt")
 
+    @pytest.mark.parametrize("keyword, corrupt", [
+        ("method", "method"),
+        ("termination", "termination"),
+        ("dw", "dw five"),
+        ("w", "w 1.0 nope 3.0 4.0 5.0"),
+        ("2.0", "two"),
+    ])
+    def test_malformed_field_reports_line(self, tmp_path, keyword, corrupt):
+        path = tmp_path / "m.txt"
+        save_model(self.make_record(), path)
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.split()[0] == keyword)
+        lines[idx] = corrupt
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=rf"line {idx + 1}"):
+            load_model(path)
+
 
 class TestResults:
     ROWS = [
@@ -215,6 +239,13 @@ class TestResults:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_results(tmp_path / "absent.csv")
+
+    def test_rejects_non_numeric_field(self, tmp_path):
+        path = tmp_path / "r.csv"
+        save_results(self.ROWS, path)
+        path.write_text(path.read_text() + "dissim,overlap,1.0,x,1.0,1.0,0.0\n")
+        with pytest.raises(InputError, match="line 4"):
+            load_results(path)
 
     def test_magic_strings_are_stable(self):
         assert DATASET_MAGIC == "dissim-dataset 1"

@@ -506,3 +506,99 @@ class TestRegularizedObjective:
         assert regularized_objective(w, theta, dset, loss, hyper) == pytest.approx(
             expect, abs=1e-12
         )
+
+
+def per_label_expected_loss_table(probs, sample, loss):
+    """The expected-loss table as one pair_matrix product per label: the
+    reference the cached loss table must reproduce bit for bit."""
+    num_labels, K = sample.psi.shape[0], sample.num_latents
+    truth = sample.truth_label
+    table = np.empty((num_labels, K))
+    if not loss.latent_dependent:
+        for y in range(num_labels):
+            table[y, :] = loss(truth, 0, y, 0, sample)
+        return table
+    for y in range(num_labels):
+        table[y, :] = probs @ loss.pair_matrix(sample, truth, y)
+    return table
+
+
+def table_cases():
+    """(loss, sample) pairs over every loss on abstract, geometric and
+    ragged-K samples (K from 1 to 9, so not only multiples of 4)."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for K in range(1, 10):
+        for geometric in (False, True):
+            sample = make_sample(rng, f"s{K}", 3, K, 4, 2, geometric=geometric)
+            losses = [ZeroOneLoss(), LabelOnlyZeroOneLoss(), StubZeroLoss()]
+            if geometric:
+                losses.append(OverlapLoss())
+            cases.extend((loss, sample) for loss in losses)
+    return cases
+
+
+class TestLossTable:
+    def test_matches_scalar_loss_everywhere(self):
+        for loss, sample in table_cases():
+            T = loss.table(sample)
+            K, L = sample.num_latents, sample.psi.shape[0]
+            assert T.shape == (K, L, K)
+            for j in range(K):
+                for y in range(L):
+                    for k in range(K):
+                        assert T[j, y, k] == loss(sample.truth_label, j, y, k,
+                                                  sample)
+
+    def test_expected_loss_table_matches_per_label_products_exactly(self):
+        rng = np.random.default_rng(22)
+        for loss, sample in table_cases():
+            for _ in range(20):
+                probs = brute_distribution(rng, sample.num_latents)
+                np.testing.assert_array_equal(
+                    expected_loss_table(probs, sample, loss),
+                    per_label_expected_loss_table(probs, sample, loss),
+                )
+
+    def test_self_diversity_matches_pair_matrix_exactly(self):
+        rng = np.random.default_rng(23)
+        for loss, sample in table_cases():
+            theta = rng.standard_normal(2)
+            probs = latent_posterior(theta, sample)
+            M = loss.pair_matrix(sample, sample.truth_label, sample.truth_label)
+            expect = float(probs @ M @ probs) if loss.latent_dependent else 0.0
+            assert self_diversity(theta, sample, loss) == expect
+
+    def test_read_only(self):
+        rng = np.random.default_rng(24)
+        sample = abstract_sample(rng)
+        T = ZeroOneLoss().table(sample)
+        with pytest.raises(ValueError):
+            T[0, 0, 0] = 5.0
+
+    def test_built_once_per_sample_and_loss_instance(self):
+        rng = np.random.default_rng(25)
+        sample = abstract_sample(rng)
+        a, b = ZeroOneLoss(), ZeroOneLoss()
+        assert a.table(sample) is a.table(sample)
+        assert b.table(sample) is not a.table(sample)
+        other = abstract_sample(rng)
+        assert a.table(other) is not a.table(sample)
+
+    def test_freed_with_its_sample(self):
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(26)
+        sample = make_sample(rng, "g", 3, 4, 3, 2, geometric=True)
+        loss = OverlapLoss()
+        table = weakref.ref(loss.table(sample))
+        assert table() is not None
+        del sample
+        gc.collect()
+        assert table() is None
+
+    def test_overlap_table_rejects_abstract_sample(self):
+        rng = np.random.default_rng(27)
+        with pytest.raises(ConfigError):
+            OverlapLoss().table(abstract_sample(rng))

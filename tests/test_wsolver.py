@@ -21,6 +21,8 @@ from dissim import (
     slack,
     solve_inner_convex,
 )
+import dissim.wsolver as wsolver
+from dissim.wsolver import _InnerData, _problem_key
 from helpers import make_dataset, make_sample
 from test_losses import StubZeroLoss
 
@@ -143,10 +145,16 @@ class TestInnerSolver:
         total = sum(slack(w, np.zeros(1), s, StubZeroLoss()) for s in dset)
         assert total / 2.0 < 1e-6
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_subgradient_oracle(self, seed):
+    @pytest.mark.parametrize("seed, uniform_shapes", [
+        pytest.param(0, True, id="0"),
+        pytest.param(1, True, id="1"),
+        pytest.param(2, True, id="2"),
+        pytest.param(0, False, id="ragged"),
+    ])
+    def test_matches_subgradient_oracle(self, seed, uniform_shapes):
         dset = make_dataset(seed + 100, n=5, num_labels=2, num_latents=3,
-                            d_w=4, d_theta=2)
+                            d_w=4, d_theta=2, uniform_shapes=uniform_shapes)
+        assert len({s.num_latents for s in dset}) == (1 if uniform_shapes else 2)
         rng = np.random.default_rng(seed)
         theta = rng.standard_normal(2)
         imputed = [latent_impute(np.zeros(4), s) for s in dset]
@@ -225,3 +233,42 @@ class TestCCCP:
             _cccp_loop(dset, build, C=1.0, epsilon=1e-3, inner_tol=1e-4,
                        w_init=None, max_iterations=0)
         assert info.value.last_iterate is not None
+
+
+class TestInnerData:
+    def test_padded_ragged_k_matches_per_sample_evaluation(self):
+        dset = make_dataset(7, n=6, num_labels=3, num_latents=5, d_w=4,
+                            d_theta=2, uniform_shapes=False)
+        assert len({s.num_latents for s in dset}) > 1
+        rng = np.random.default_rng(7)
+        tables = [rng.random((3, s.num_latents)) for s in dset]
+        anchors = [int(rng.integers(s.num_latents)) for s in dset]
+        data = _InnerData(dset, tables, anchors)
+        C = 2.0
+        for _ in range(20):
+            w = rng.standard_normal(4)
+            direction, offset, slack_total = np.zeros(4), 0.0, 0.0
+            for s, table, anchor in zip(dset, tables, anchors):
+                flat = s.psi.reshape(-1, 4) @ w
+                j = int(np.argmax(flat + table.ravel()))
+                anchor_row = s.psi[s.truth_label, anchor]
+                direction += anchor_row - s.psi.reshape(-1, 4)[j]
+                offset += table.ravel()[j]
+                best_truth = flat.reshape(3, -1)[s.truth_label].max()
+                slack_total += (flat + table.ravel()).max() - best_truth
+            got_direction, got_offset, _ = data.most_violated(w)
+            np.testing.assert_allclose(got_direction, direction / len(dset),
+                                       rtol=0, atol=1e-12)
+            assert got_offset == pytest.approx(offset / len(dset), abs=1e-12)
+            expect = 0.5 * float(w @ w) + C * slack_total / len(dset)
+            assert data.true_objective(w, C) == pytest.approx(expect, abs=1e-12)
+
+
+class TestProblemKey:
+    def test_keys_on_table_bytes_not_builtin_hash(self, monkeypatch):
+        monkeypatch.setattr(wsolver, "hash", lambda _: 0, raising=False)
+        a = [np.zeros((2, 3)), np.ones((2, 3))]
+        b = [np.zeros((2, 3)), np.full((2, 3), 2.0)]
+        assert _problem_key([0, 1], a) != _problem_key([0, 1], b)
+        assert _problem_key([0, 1], a) == _problem_key([0, 1], [t.copy() for t in a])
+        assert _problem_key([0, 1], a) != _problem_key([1, 0], a)

@@ -16,12 +16,9 @@ from .model import (
     LatentValue,
     ModelParams,
     SampleRecord,
-    conditional_distribution,
-    joint_conditional,
     latent_posterior,
     log_partition,
     predict,
-    score,
     score_table,
 )
 from .losses import (
@@ -45,12 +42,9 @@ from .losses import (
     upper_bound,
 )
 from .wsolver import (
-    CuttingPlane,
     WSolverReport,
     cccp_w,
     latent_impute,
-    loss_augmented_argmax,
-    solve_inner_convex,
 )
 from .thetasolver import (
     SSDConfig,

@@ -91,15 +91,13 @@ def delta_restricted_objective(
     w: np.ndarray,
     placements: Sequence[int],
     loss: LossFunction,
-    beta: float,
 ) -> float:
     """Dissimilarity objective when the latent conditional is restricted
     to point masses at the given placements.
 
-    A point mass has zero self diversity, so beta enters with weight zero;
-    the parameter is kept for symmetry with the unrestricted objective.
+    A point mass has zero self diversity, so the diversity weight beta
+    does not enter.
     """
-    del beta
     total = 0.0
     for sample, placement in zip(dataset, placements):
         if not (0 <= placement < sample.num_latents):

@@ -9,6 +9,7 @@ exactly; loading a saved dataset reproduces the original bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -35,10 +36,21 @@ def _fmt_floats(values: Iterable[float]) -> str:
     return " ".join(repr(float(v)) for v in values)
 
 
+def _read_text(path: Path) -> str:
+    """The file decoded as UTF-8, line endings untranslated; bytes that do
+    not decode are an InputError naming the file and line."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise InputError(f"{path} line {line}: not UTF-8 text ({err})") from err
+
+
 class _LineReader:
     def __init__(self, path: Path):
         self.path = path
-        self.lines = path.read_text().splitlines()
+        self.lines = _read_text(path).splitlines()
         self.pos = 0
 
     def next(self) -> str:
@@ -77,6 +89,15 @@ class _LineReader:
     def expect_int(self, keyword: str) -> int:
         return self.parse([self.expect_one(keyword)], int)[0]
 
+    def expect_count(self, keyword: str) -> int:
+        """A non-negative integer field."""
+        value = self.expect_int(keyword)
+        if value < 0:
+            raise InputError(
+                f"{self.path} line {self.pos}: {keyword} must be >= 0, got {value}"
+            )
+        return value
+
     def parse(self, fields: Sequence[str], kind=float) -> list:
         """Fields of the current line converted by ``kind``; a field that
         does not convert is an InputError naming the line."""
@@ -113,7 +134,7 @@ def save_dataset(dataset: Dataset, path) -> None:
                 out.append(f"psi {y} {k} {_fmt_floats(s.psi[y, k])}")
         for k in range(s.num_latents):
             out.append(f"phi {k} {_fmt_floats(s.phi[k])}")
-    path.write_text("\n".join(out) + "\n")
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def load_dataset(path) -> Dataset:
@@ -124,11 +145,11 @@ def load_dataset(path) -> Dataset:
     magic = reader.next()
     if magic != DATASET_MAGIC:
         raise InputError(f"{path}: not a dataset file (magic {magic!r})")
-    num_labels = reader.expect_int("labels")
-    d_w = reader.expect_int("dw")
-    d_theta = reader.expect_int("dtheta")
+    num_labels = reader.expect_count("labels")
+    d_w = reader.expect_count("dw")
+    d_theta = reader.expect_count("dtheta")
     geometric = reader.expect_int("geometric")
-    n = reader.expect_int("samples")
+    n = reader.expect_count("samples")
     samples = []
     for _ in range(n):
         parts = reader.expect("sample")
@@ -141,7 +162,7 @@ def load_dataset(path) -> Dataset:
             "truth_latent"
         ):
             truth_latent = reader.expect_int("truth_latent")
-        K = reader.expect_int("latents")
+        K = reader.expect_count("latents")
         latents = []
         for k in range(K):
             parts = reader.parse(reader.expect("latent"), int)
@@ -153,7 +174,9 @@ def load_dataset(path) -> Dataset:
                 raise InputError(
                     f"{path} line {reader.pos}: latent takes 1 or 5 values"
                 )
-        psi = np.empty((num_labels, K, d_w))
+        # the arrays are built from the parsed rows, so a corrupt count
+        # never sizes an allocation
+        psi_rows = []
         for y in range(num_labels):
             for k in range(K):
                 parts = reader.expect("psi")
@@ -166,8 +189,8 @@ def load_dataset(path) -> Dataset:
                     raise InputError(
                         f"{path} line {reader.pos}: psi rows out of order"
                     )
-                psi[y, k] = reader.parse(parts[2:])
-        phi = np.empty((K, d_theta))
+                psi_rows.append(np.array(reader.parse(parts[2:])))
+        phi_rows = []
         for k in range(K):
             parts = reader.expect("phi")
             if len(parts) != 1 + d_theta:
@@ -177,14 +200,14 @@ def load_dataset(path) -> Dataset:
                 )
             if reader.parse(parts[:1], int) != [k]:
                 raise InputError(f"{path} line {reader.pos}: phi rows out of order")
-            phi[k] = reader.parse(parts[1:])
+            phi_rows.append(np.array(reader.parse(parts[1:])))
         samples.append(
             SampleRecord(
                 id=sample_id,
                 truth_label=label,
                 latent_space=tuple(latents),
-                psi=psi,
-                phi=phi,
+                psi=np.array(psi_rows).reshape(num_labels, K, d_w),
+                phi=np.array(phi_rows).reshape(K, d_theta),
                 truth_latent=truth_latent,
             )
         )
@@ -220,7 +243,7 @@ def save_model(record: ModelRecord, path) -> None:
     out.append(f"trace {len(record.trace)}")
     for v in record.trace:
         out.append(repr(float(v)))
-    path.write_text("\n".join(out) + "\n")
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> ModelRecord:
@@ -233,14 +256,14 @@ def load_model(path) -> ModelRecord:
         raise InputError(f"{path}: not a model file (magic {magic!r})")
     method = reader.expect_one("method")
     loss_kind = reader.expect_one("loss")
-    d_w = reader.expect_int("dw")
-    d_theta = reader.expect_int("dtheta")
+    d_w = reader.expect_count("dw")
+    d_theta = reader.expect_count("dtheta")
     termination = reader.expect_one("termination")
     w = reader.parse(reader.expect("w"))
     theta = reader.parse(reader.expect("theta"))
     if len(w) != d_w or len(theta) != d_theta:
         raise InputError(f"{path}: parameter vector length mismatch")
-    trace_len = reader.expect_int("trace")
+    trace_len = reader.expect_count("trace")
     trace = [reader.parse([reader.next()])[0] for _ in range(trace_len)]
     return ModelRecord(
         params=ModelParams(np.array(w), np.array(theta)),
@@ -264,7 +287,7 @@ class ResultRow:
 
 def save_results(rows: Sequence[ResultRow], path) -> None:
     path = Path(path)
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(RESULTS_HEADER)
         for r in rows:
@@ -285,7 +308,7 @@ def load_results(path) -> list[ResultRow]:
     path = Path(path)
     if not path.exists():
         raise InputError(f"results file {path} does not exist")
-    with path.open(newline="") as handle:
+    with io.StringIO(_read_text(path), newline="") as handle:
         reader = csv.reader(handle)
         header = tuple(next(reader, ()))
         if header != RESULTS_HEADER:

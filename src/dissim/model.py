@@ -52,6 +52,8 @@ class LatentValue:
             box = tuple(int(v) for v in self.box)
             object.__setattr__(self, "box", box)
             x0, y0, x1, y1 = box
+            if not all(-(2**63) <= v < 2**63 for v in box):
+                raise InputError(f"box {box} has a coordinate outside int64")
             if not (x0 < x1 and y0 < y1):
                 raise InputError(f"degenerate box {box}: need x0 < x1 and y0 < y1")
 
@@ -248,20 +250,6 @@ def _check_theta(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
     return theta
 
 
-def _check_pair(sample: SampleRecord, y: int, k: int) -> None:
-    if not (0 <= y < sample.psi.shape[0]):
-        raise IndexError(f"label {y} outside [0, {sample.psi.shape[0]})")
-    if not (0 <= k < sample.num_latents):
-        raise IndexError(f"latent index {k} outside [0, {sample.num_latents})")
-
-
-def score(w: np.ndarray, sample: SampleRecord, y: int, k: int) -> float:
-    """Linear score of the (label, latent) candidate under w."""
-    w = _check_w(w, sample)
-    _check_pair(sample, y, k)
-    return float(sample.psi[y, k] @ w)
-
-
 def score_table(w: np.ndarray, sample: SampleRecord) -> np.ndarray:
     """All candidate scores at once, shape (num_labels, K)."""
     w = _check_w(w, sample)
@@ -293,20 +281,3 @@ def latent_posterior(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
 def log_partition(theta: np.ndarray, sample: SampleRecord) -> float:
     """Log normalizer of the latent conditional."""
     return _log_sum_exp(sample.phi @ _check_theta(theta, sample))
-
-
-def conditional_distribution(
-    theta: np.ndarray, sample: SampleRecord
-) -> FiniteDistribution:
-    """The latent conditional P_theta(. | sample) as a validated distribution."""
-    return FiniteDistribution(latent_posterior(theta, sample))
-
-
-def joint_conditional(
-    theta: np.ndarray, sample: SampleRecord, y: int, k: int
-) -> float:
-    """Joint conditional over (label, latent): mass only on the truth label."""
-    _check_pair(sample, y, k)
-    if y != sample.truth_label:
-        return 0.0
-    return float(latent_posterior(theta, sample)[k])

@@ -47,14 +47,13 @@ class SSDConfig:
 
     ``steps`` fixes the budget outright; left unset the budget is
     ``steps_per_sample`` times the training set size (default 50 per
-    sample).  ``lam`` is the shrinkage weight; left unset it is J / C
-    from the hyperparameters.
+    sample).  The shrinkage weight is always J / C from the
+    hyperparameters.
     """
 
     steps: Optional[int] = None
     steps_per_sample: int = 50
     seed: int = 0
-    lam: Optional[float] = None
 
     def __post_init__(self):
         if self.steps is not None and self.steps < 1:
@@ -63,8 +62,6 @@ class SSDConfig:
             raise ConfigError(
                 f"steps_per_sample must be >= 1, got {self.steps_per_sample}"
             )
-        if self.lam is not None and not self.lam > 0:
-            raise ConfigError(f"lam must be positive, got {self.lam}")
 
 
 def _weighted_feature_pull(
@@ -147,19 +144,18 @@ def ssd_theta(
     loss: LossFunction,
     hyper: HyperParams,
     config: SSDConfig = SSDConfig(),
-) -> tuple[np.ndarray, list[float]]:
+) -> np.ndarray:
     """Stochastic subgradient descent on the theta subproblem.
 
-    Returns the final iterate and the objective trace, recorded at the
-    start, after every n steps, and at the end.  Fully deterministic
-    given the config seed.
+    Returns the final iterate.  Fully deterministic given the config
+    seed.
     """
     n = len(dataset)
     samples = list(dataset)
     steps = (
         config.steps if config.steps is not None else config.steps_per_sample * n
     )
-    lam = config.lam if config.lam is not None else hyper.J / hyper.C
+    lam = hyper.J / hyper.C
     if not lam > 0:
         raise ConfigError(f"shrinkage weight must be positive, got {lam}")
     theta = np.array(theta_init, dtype=np.float64)
@@ -169,7 +165,6 @@ def ssd_theta(
         )
     rng = np.random.default_rng(config.seed)
     score_tables = [score_table(w, s) for s in samples]
-    trace = [theta_objective(w, theta, dataset, loss, hyper)]
     for t in range(1, steps + 1):
         i = int(rng.integers(n))
         sample = samples[i]
@@ -180,8 +175,4 @@ def ssd_theta(
         g_selfdiv = _grad_self_diversity_from_probs(probs, sample, loss)
         g = lam * theta + g_slack - hyper.beta * g_selfdiv
         theta = theta - g / (lam * t)
-        if t % n == 0:
-            trace.append(theta_objective(w, theta, dataset, loss, hyper))
-    if steps % n != 0:
-        trace.append(theta_objective(w, theta, dataset, loss, hyper))
-    return theta, trace
+    return theta

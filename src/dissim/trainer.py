@@ -120,7 +120,7 @@ def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> TrainedM
             ssd_cfg = replace(
                 config.ssd, seed=_round_seed(config.ssd.seed, round_index)
             )
-            theta, _ = ssd_theta(dataset, w, theta, loss, hyper, ssd_cfg)
+            theta = ssd_theta(dataset, w, theta, loss, hyper, ssd_cfg)
         except SolverError as err:
             raise SolverError(
                 f"round {round_index}: {err}",
@@ -197,8 +197,10 @@ def stratified_split(
 
 def _fit(method: str, dataset: Dataset, loss: LossFunction, config: TrainConfig):
     """Train one model by the named method; returns (params, objective
-    trace, termination reason).  The command line and the protocol both
-    dispatch through here."""
+    trace, termination reason).  The reason is "tolerance" or
+    "round_budget" for dissim and "tolerance" or "repeat" for the
+    baselines.  The command line and the protocol both dispatch through
+    here."""
     if method == "dissim":
         model = train(dataset, loss, config)
         return model.params, model.trace, model.termination
@@ -210,7 +212,7 @@ def _fit(method: str, dataset: Dataset, loss: LossFunction, config: TrainConfig)
         raise ConfigError(f"unknown method {method!r}; pick one of {METHODS}")
     hyper = config.hyper
     params, report = fit(dataset, loss, hyper.C, hyper.epsilon, config.inner_tol)
-    return params, report.trace, "tolerance"
+    return params, report.trace, report.termination
 
 
 def run_protocol(

@@ -42,25 +42,21 @@ DEFAULT_PLANE_BUDGET = 500
 DEFAULT_CCCP_BUDGET = 1000
 
 
-@dataclass(frozen=True)
-class CuttingPlane:
-    """One generated constraint: xi >= offset - w . direction."""
-
-    direction: np.ndarray
-    offset: float
-
-
 @dataclass
 class WSolverReport:
     """Outcome of a CCCP run.
 
-    ``iterations`` counts inner convex solves.  ``trace`` holds the
-    objective at the initial point and after every accepted iterate;
-    ``iterates`` holds the matching parameter vectors.
+    ``iterations`` counts inner convex solves.  ``termination`` is why
+    the loop stopped: ``"tolerance"`` (a round improved the best value
+    by less than C * epsilon) or ``"repeat"`` (a convex subproblem came
+    back).  ``trace`` holds the objective at the initial point and after
+    every accepted iterate; ``iterates`` holds the matching parameter
+    vectors.
     """
 
     iterations: int
     final_objective: float
+    termination: str
     trace: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
 
@@ -68,17 +64,6 @@ class WSolverReport:
 def latent_impute(w: np.ndarray, sample: SampleRecord) -> int:
     """Best-scoring latent index at the truth label; ties break low."""
     return int(np.argmax(score_table(w, sample)[sample.truth_label]))
-
-
-def loss_augmented_argmax(
-    w: np.ndarray, theta: np.ndarray, sample: SampleRecord, loss: LossFunction
-) -> tuple[int, int]:
-    """Maximizer of score plus expected loss over all (label, latent)
-    candidates; ties break to the smallest label, then latent index."""
-    probs = latent_posterior(theta, sample)
-    table = score_table(w, sample) + expected_loss_table(probs, sample, loss)
-    flat = int(np.argmax(table))
-    return divmod(flat, sample.num_latents)
 
 
 class _InnerData:
@@ -152,6 +137,13 @@ def _qp_coordinate_ascent(
     Single-coordinate moves respect the remaining budget; when the budget
     constraint is active, pairwise exchange moves redistribute mass
     between planes so the iteration cannot stall on the budget face.
+
+    The iteration stops once no move in a pass exceeds tol.  On the
+    budget face rounding can keep moves just above a tol near machine
+    precision, so after max_passes passes the Frank-Wolfe duality gap,
+    which bounds how far the objective is below its maximum, decides:
+    alpha is returned if the gap is at most 1e-9 * max(1, C), and
+    SolverError is raised otherwise.
     """
     m = b.size
     q = G @ alpha
@@ -187,8 +179,16 @@ def _qp_coordinate_ascent(
                         q += delta * (G[:, j] - G[:, l])
                         biggest = max(biggest, abs(delta))
         if biggest <= tol:
-            break
-    return alpha
+            return alpha
+    grad = b - G @ alpha
+    gap = max(0.0, C * float(grad.max())) - float(grad @ alpha)
+    if gap <= 1e-9 * max(1.0, C):
+        return alpha
+    raise SolverError(
+        f"dual QP not converged after {max_passes} passes "
+        f"(duality gap {gap:.3e})",
+        last_iterate=alpha,
+    )
 
 
 def _solve_inner(
@@ -199,16 +199,15 @@ def _solve_inner(
 ):
     """Cutting-plane loop for the one-slack convex problem.
 
-    Returns (w, xi, planes).  Every plane in the working set was violated
-    by more than inner_tol when added, and no assignment is added twice.
-    On return the true aggregate slack exceeds the QP slack variable by
-    less than inner_tol.
+    Returns w.  Every plane in the working set was violated by more than
+    inner_tol when added, and no assignment is added twice.  On return
+    the true aggregate slack exceeds the QP slack variable by less than
+    inner_tol.
     """
     w = np.zeros(data.d_w)
     directions = np.empty((0, data.d_w))
     offsets = np.empty(0)
     alpha = np.empty(0)
-    planes: list[CuttingPlane] = []
     seen = set()
     xi = 0.0
     qp_tol = 1e-13 * max(1.0, C)
@@ -216,15 +215,14 @@ def _solve_inner(
         direction, offset, key = data.most_violated(w)
         violation = offset - float(direction @ w)
         if violation <= xi + inner_tol or key in seen:
-            return w, xi, planes
-        if len(planes) >= plane_budget:
+            return w
+        if offsets.size >= plane_budget:
             raise SolverError(
                 f"cutting-plane budget {plane_budget} exhausted "
                 f"(violation still {violation - xi:.3e} above slack)",
                 last_iterate=w,
             )
         seen.add(key)
-        planes.append(CuttingPlane(direction.copy(), offset))
         directions = np.vstack([directions, direction[None, :]])
         offsets = np.append(offsets, offset)
         alpha = np.append(alpha, 0.0)
@@ -232,25 +230,6 @@ def _solve_inner(
         alpha = _qp_coordinate_ascent(gram, offsets, C, alpha, qp_tol)
         w = alpha @ directions
         xi = max(0.0, float((offsets - directions @ w).max()))
-
-
-def solve_inner_convex(
-    dataset: Dataset,
-    theta: np.ndarray,
-    imputed: Sequence[int],
-    loss: LossFunction,
-    C: float,
-    inner_tol: float = 1e-4,
-    plane_budget: int = DEFAULT_PLANE_BUDGET,
-) -> np.ndarray:
-    """Solve the convex subproblem with expected-loss augmentation under
-    theta and the given frozen anchor latents."""
-    tables = [
-        expected_loss_table(latent_posterior(theta, s), s, loss) for s in dataset
-    ]
-    data = _InnerData(dataset, tables, imputed)
-    w, _, _ = _solve_inner(data, C, inner_tol, plane_budget)
-    return w
 
 
 def _problem_key(imputed: Sequence[int], tables: Sequence[np.ndarray]) -> tuple:
@@ -298,7 +277,7 @@ def _cccp_loop(
             raise SolverError(
                 f"CCCP budget {max_iterations} exhausted", last_iterate=best_w
             )
-        w_new, _, _ = _solve_inner(data, C, inner_tol, plane_budget)
+        w_new = _solve_inner(data, C, inner_tol, plane_budget)
         iterations += 1
         imputed_new = [latent_impute(w_new, s) for s in dataset]
         tables_new = build_tables(w_new, imputed_new)
@@ -311,14 +290,17 @@ def _cccp_loop(
             iterates.append(w_new.copy())
         data = data_new
         if 0.0 <= improvement < C * epsilon:
+            termination = "tolerance"
             break
         key = _problem_key(imputed_new, tables_new)
         if key in seen:
+            termination = "repeat"
             break
         seen.add(key)
     report = WSolverReport(
         iterations=iterations,
         final_objective=best,
+        termination=termination,
         trace=trace,
         iterates=iterates,
     )

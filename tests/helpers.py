@@ -1,4 +1,6 @@
-"""Shared builders for randomized test instances.
+"""Shared builders for randomized test instances, plus reference forms
+of scoring, the latent conditional and the w-step's convex subproblem
+that only the tests use.
 
 Instances come in two flavours: abstract (indexed latent values, no
 boxes, suitable for the zero-one losses) and geometric (every latent
@@ -10,7 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from dissim import Dataset, LatentValue, SampleRecord
+import dissim.wsolver as wsolver
+from dissim import (
+    ConfigError,
+    Dataset,
+    FiniteDistribution,
+    LatentValue,
+    LossFunction,
+    SampleRecord,
+    expected_loss_table,
+    latent_posterior,
+    score_table,
+)
 
 
 def make_sample(
@@ -74,3 +87,64 @@ def random_params(rng: np.random.Generator, dataset: Dataset, scale: float = 1.0
 def brute_distribution(rng: np.random.Generator, k: int) -> np.ndarray:
     p = rng.random(k) + 1e-9
     return p / p.sum()
+
+
+def score(w: np.ndarray, sample: SampleRecord, y: int, k: int) -> float:
+    """Linear score of one (label, latent) candidate under w."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (sample.psi.shape[2],):
+        raise ConfigError(f"w has shape {w.shape}, expected psi's last axis")
+    _check_pair(sample, y, k)
+    return float(sample.psi[y, k] @ w)
+
+
+def conditional_distribution(
+    theta: np.ndarray, sample: SampleRecord
+) -> FiniteDistribution:
+    """The latent conditional P_theta(. | sample) as a validated distribution."""
+    return FiniteDistribution(latent_posterior(theta, sample))
+
+
+def joint_conditional(
+    theta: np.ndarray, sample: SampleRecord, y: int, k: int
+) -> float:
+    """Joint conditional over (label, latent): mass only on the truth label."""
+    _check_pair(sample, y, k)
+    if y != sample.truth_label:
+        return 0.0
+    return float(latent_posterior(theta, sample)[k])
+
+
+def loss_augmented_argmax(
+    w: np.ndarray, theta: np.ndarray, sample: SampleRecord, loss: LossFunction
+) -> tuple[int, int]:
+    """Maximizer of score plus expected loss over all (label, latent)
+    candidates; ties break to the smallest label, then latent index."""
+    probs = latent_posterior(theta, sample)
+    table = score_table(w, sample) + expected_loss_table(probs, sample, loss)
+    return divmod(int(np.argmax(table)), sample.num_latents)
+
+
+def solve_inner_convex(
+    dataset: Dataset,
+    theta: np.ndarray,
+    imputed,
+    loss: LossFunction,
+    C: float,
+    inner_tol: float = 1e-4,
+    plane_budget: int = wsolver.DEFAULT_PLANE_BUDGET,
+) -> np.ndarray:
+    """The w-step's convex subproblem with expected-loss augmentation
+    under theta and the given frozen anchor latents."""
+    tables = [
+        expected_loss_table(latent_posterior(theta, s), s, loss) for s in dataset
+    ]
+    data = wsolver._InnerData(dataset, tables, imputed)
+    return wsolver._solve_inner(data, C, inner_tol, plane_budget)
+
+
+def _check_pair(sample: SampleRecord, y: int, k: int) -> None:
+    if not (0 <= y < sample.psi.shape[0]):
+        raise IndexError(f"label {y} outside [0, {sample.psi.shape[0]})")
+    if not (0 <= k < sample.num_latents):
+        raise IndexError(f"latent index {k} outside [0, {sample.num_latents})")

@@ -271,7 +271,7 @@ class TestCriteria:
                         cand = list(refs)
                         cand[j] = k
                         values.append(delta_restricted_objective(
-                            dset, w, cand, loss, 0.1))
+                            dset, w, cand, loss))
                     best = min(range(K), key=lambda k: (values[k], k))
                     assert refs[j] == best
                     checked += 1
@@ -308,10 +308,11 @@ class TestCriteria:
         descents = 0
         finals = []
         for seed in range(100):
-            _, trace = ssd_theta(dset, w, theta0, loss, hyper,
-                                 SSDConfig(steps=600, seed=seed))
-            descents += trace[-1] < initial
-            finals.append(trace[-1])
+            theta = ssd_theta(dset, w, theta0, loss, hyper,
+                              SSDConfig(steps=600, seed=seed))
+            final = theta_objective(w, theta, dset, loss, hyper)
+            descents += final < initial
+            finals.append(final)
         mean_final = float(np.mean(finals))
         rel = abs(mean_final - oracle_best) / abs(oracle_best)
         report(8, "stochastic theta descent",

@@ -14,11 +14,10 @@ from dissim import (
     dissimilarity_objective,
     ilsvm_latent_estimates,
     ilsvm_train,
-    loss_augmented_argmax,
     lsvm_train,
     predict,
 )
-from helpers import make_dataset
+from helpers import loss_augmented_argmax, make_dataset
 
 
 class TestLSVM:
@@ -126,7 +125,7 @@ class TestDeltaRestrictedObjective:
             y_hat, k_hat = predict(w, s)
             placements.append(k_hat)
             perfect = perfect and y_hat == s.truth_label
-        v = delta_restricted_objective(dset, w, placements, loss, beta=0.1)
+        v = delta_restricted_objective(dset, w, placements, loss)
         if perfect:
             assert v == 0.0
 
@@ -142,7 +141,7 @@ class TestDeltaRestrictedObjective:
         )
         dset = Dataset(2, 2, 1, samples)
         v = delta_restricted_objective(dset, np.array([1.0, 0.0]), [1, 0, 1],
-                                       ZeroOneLoss(), beta=0.1)
+                                       ZeroOneLoss())
         assert v == 1.0
 
     def test_matches_injected_delta_dissimilarity(self):
@@ -165,7 +164,7 @@ class TestDeltaRestrictedObjective:
         dset = Dataset(2, 4, 1, tuple(samples))
         w = rng.standard_normal(4)
         loss = ZeroOneLoss()
-        direct = delta_restricted_objective(dset, w, placements, loss, 0.1)
+        direct = delta_restricted_objective(dset, w, placements, loss)
         injected = dissimilarity_objective(w, np.array([1.0]), dset, loss, 0.1)
         assert direct == pytest.approx(injected, abs=1e-12)
 
@@ -173,7 +172,7 @@ class TestDeltaRestrictedObjective:
         dset = make_dataset(36, n=2)
         with pytest.raises(IndexError):
             delta_restricted_objective(dset, np.zeros(5), [0, 99],
-                                       ZeroOneLoss(), 0.1)
+                                       ZeroOneLoss())
 
 
 class TestObservationThree:
@@ -208,10 +207,10 @@ class TestObservationThree:
         loss = ZeroOneLoss()
         refs = ilsvm_latent_estimates(w, dset, loss)
         best_val, best_vec = min(
-            (delta_restricted_objective(dset, w, vec, loss, 0.1), vec)
+            (delta_restricted_objective(dset, w, vec, loss), vec)
             for vec in itertools.product(range(3), repeat=3)
         )
-        assert delta_restricted_objective(dset, w, refs, loss, 0.1) == (
+        assert delta_restricted_objective(dset, w, refs, loss) == (
             pytest.approx(best_val, abs=1e-12)
         )
 

@@ -66,6 +66,20 @@ class TestTrain:
         assert len(rec.trace) >= 1
         assert np.all(np.isfinite(rec.params.w))
 
+    @pytest.mark.parametrize("method", ["lsvm", "ilsvm"])
+    def test_baseline_records_repeat_termination(self, tmp_path, method):
+        # on this task the baselines' CCCP stops on a repeated subproblem
+        data = generate_tiny(tmp_path)
+        out = tmp_path / f"{method}.model"
+        code = cli.main([
+            "train", "--data", str(data), "--method", method,
+            "--loss", "zero_one", "--C", "1.0", "--inner-tol", "1e-2",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert load_model(out).termination == "repeat"
+        assert "termination repeat" in out.read_text().splitlines()
+
     def test_deterministic_model_bytes(self, tmp_path):
         data = generate_tiny(tmp_path)
         outs = []

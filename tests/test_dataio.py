@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dissim import (
+    ConfigError,
     InputError,
     ModelParams,
     ModelRecord,
@@ -117,12 +120,27 @@ class TestDatasetRoundTrip:
             ("psi", "psi x 0 1.0 2.0 3.0"),
             ("phi", "phi x 1.0 2.0"),
             ("latent", "latent x"),
+            ("labels", "labels -1"),
+            ("dw", "dw -1"),
+            ("dtheta", "dtheta -2"),
+            ("latents", "latents -1"),
+            ("phi", "phi 0 1.0 \udcff2.0"),
         ):
             idx = next(i for i, l in enumerate(lines) if l.split()[0] == keyword)
-            path.write_text("\n".join(lines[:idx] + [corrupt] + lines[idx + 1 :])
-                            + "\n")
+            text = "\n".join(lines[:idx] + [corrupt] + lines[idx + 1 :]) + "\n"
+            # a lone surrogate escape writes one byte that is not UTF-8
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
             with pytest.raises(InputError, match=rf"line {idx + 1}"):
                 load_dataset(path)
+
+    def test_huge_count_sizes_no_allocation(self, tmp_path):
+        dset = make_dataset(6, n=1, num_labels=2, num_latents=2, d_w=3,
+                            d_theta=2)
+        path = tmp_path / "h.txt"
+        save_dataset(dset, path)
+        path.write_text(path.read_text().replace("dw 3", "dw 99999999999999"))
+        with pytest.raises(InputError, match="psi row needs"):
+            load_dataset(path)
 
     def test_bad_integer_reports_line(self, tmp_path):
         path = tmp_path / "b.txt"
@@ -187,6 +205,9 @@ class TestModelRoundTrip:
         ("dw", "dw five"),
         ("w", "w 1.0 nope 3.0 4.0 5.0"),
         ("2.0", "two"),
+        ("dw", "dw -5"),
+        ("trace", "trace -1"),
+        ("loss", "loss overl\udcffap"),
     ])
     def test_malformed_field_reports_line(self, tmp_path, keyword, corrupt):
         path = tmp_path / "m.txt"
@@ -194,7 +215,8 @@ class TestModelRoundTrip:
         lines = path.read_text().splitlines()
         idx = next(i for i, l in enumerate(lines) if l.split()[0] == keyword)
         lines[idx] = corrupt
-        path.write_text("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(InputError, match=rf"line {idx + 1}"):
             load_model(path)
 
@@ -243,10 +265,64 @@ class TestResults:
     def test_rejects_non_numeric_field(self, tmp_path):
         path = tmp_path / "r.csv"
         save_results(self.ROWS, path)
-        path.write_text(path.read_text() + "dissim,overlap,1.0,x,1.0,1.0,0.0\n")
-        with pytest.raises(InputError, match="line 4"):
-            load_results(path)
+        valid = path.read_bytes()
+        for row in (b"dissim,overlap,1.0,x,1.0,1.0,0.0\n",
+                    b"dissim,overlap,1.0,0,1\xff,1.0,0.0\n"):
+            path.write_bytes(valid + row)
+            with pytest.raises(InputError, match=r"r\.csv line 4"):
+                load_results(path)
 
     def test_magic_strings_are_stable(self):
         assert DATASET_MAGIC == "dissim-dataset 1"
         assert MODEL_MAGIC == "dissim-model 1"
+
+
+class TestMutatedFiles:
+    """One deleted, duplicated or rewritten line of a valid file either
+    still loads or raises InputError/ConfigError; nothing else escapes."""
+
+    TOKENS = ("", "-1", "0", "1", "2", "x", "nan", "-inf", "1e999",
+              "99999999999999999999999", "\udcff", "\"", ",")
+
+    @staticmethod
+    def valid_files(root):
+        dset = make_dataset(3, n=1, num_labels=2, num_latents=2, d_w=2,
+                            d_theta=2, geometric=True)
+        save_dataset(dset, root / "dataset")
+        save_model(TestModelRoundTrip().make_record(), root / "model")
+        save_results(TestResults.ROWS, root / "results")
+
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["dataset", "model", "results"]),
+           op=st.sampled_from(["delete", "duplicate", "rewrite"]),
+           where=st.integers(0, 10_000),
+           token=st.integers(0, 10_000),
+           replacement=st.sampled_from(TOKENS))
+    def test_load_succeeds_or_raises_input_error(
+        self, tmp_path, kind, op, where, token, replacement
+    ):
+        if not (tmp_path / "dataset").exists():
+            self.valid_files(tmp_path)
+        lines = (tmp_path / kind).read_text().splitlines()
+        i = where % len(lines)
+        if op == "delete":
+            lines[i : i + 1] = []
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            # rewrite one value field (the keyword only on one-field lines)
+            sep = "," if kind == "results" else " "
+            fields = lines[i].split(sep)
+            j = 0 if len(fields) == 1 else 1 + token % (len(fields) - 1)
+            fields[j] = replacement
+            lines[i] = sep.join(fields)
+        path = tmp_path / "mutated"
+        text = "\n".join(lines) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        load = {"dataset": load_dataset, "model": load_model,
+                "results": load_results}[kind]
+        try:
+            load(path)
+        except (InputError, ConfigError):
+            pass

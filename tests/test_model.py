@@ -13,15 +13,18 @@ from dissim import (
     LatentValue,
     ModelParams,
     SampleRecord,
-    conditional_distribution,
-    joint_conditional,
     latent_posterior,
     log_partition,
     predict,
-    score,
     score_table,
 )
-from helpers import make_dataset, make_sample
+from helpers import (
+    conditional_distribution,
+    joint_conditional,
+    make_dataset,
+    make_sample,
+    score,
+)
 
 
 def tiny_sample(num_labels=2, num_latents=2, d_w=2, d_theta=2, psi=None, phi=None):
@@ -64,6 +67,9 @@ class TestValidation:
     def test_degenerate_box_rejected(self):
         with pytest.raises(InputError):
             LatentValue(0, (1, 1, 1, 2))
+        with pytest.raises(InputError, match="int64"):
+            LatentValue(0, (0, 0, 2**63, 1))
+        LatentValue(0, (-(2**63), 0, 2**63 - 1, 1))
 
     def test_nonfinite_features_rejected(self):
         psi = np.zeros((2, 2, 3))

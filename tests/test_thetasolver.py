@@ -170,8 +170,8 @@ class TestSSD:
         w = rng.standard_normal(5)
         theta0 = rng.standard_normal(3)
         hyper = HyperParams(C=1.0, J=0.1)
-        theta, trace = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
-                                 SSDConfig(steps=10, seed=0))
+        theta = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
+                          SSDConfig(steps=10, seed=0))
         # first step multiplies by (1 - 1/1) = 0; later steps keep it at 0
         np.testing.assert_array_equal(theta, np.zeros(3))
 
@@ -185,26 +185,11 @@ class TestSSD:
         start = theta_objective(w, theta0, dset, loss, hyper)
         wins = 0
         for seed in range(40):
-            theta, _ = ssd_theta(dset, w, theta0, loss, hyper,
-                                 SSDConfig(steps=500, seed=seed))
+            theta = ssd_theta(dset, w, theta0, loss, hyper,
+                              SSDConfig(steps=500, seed=seed))
             final = theta_objective(w, theta, dset, loss, hyper)
             wins += final < start
         assert wins >= 38
-
-    def test_trace_endpoints(self):
-        dset = self.fixed_instance()
-        rng = np.random.default_rng(79)
-        w = rng.standard_normal(4)
-        theta0 = rng.standard_normal(3)
-        hyper = HyperParams()
-        theta, trace = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
-                                 SSDConfig(steps=25, seed=1))
-        assert trace[0] == pytest.approx(
-            theta_objective(w, theta0, dset, ZeroOneLoss(), hyper), abs=1e-12
-        )
-        assert trace[-1] == pytest.approx(
-            theta_objective(w, theta, dset, ZeroOneLoss(), hyper), abs=1e-12
-        )
 
     def test_deterministic_for_fixed_seed(self):
         dset = self.fixed_instance()
@@ -212,10 +197,10 @@ class TestSSD:
         w = rng.standard_normal(4)
         theta0 = rng.standard_normal(3)
         hyper = HyperParams()
-        a, _ = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
-                         SSDConfig(steps=200, seed=5))
-        b, _ = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
-                         SSDConfig(steps=200, seed=5))
+        a = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
+                      SSDConfig(steps=200, seed=5))
+        b = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
+                      SSDConfig(steps=200, seed=5))
         np.testing.assert_array_equal(a, b)
 
     def test_lambda_defaults_to_j_over_c(self):
@@ -223,11 +208,10 @@ class TestSSD:
         rng = np.random.default_rng(81)
         w = rng.standard_normal(4)
         theta0 = rng.standard_normal(3)
-        hyper = HyperParams(C=4.0, J=0.2)
-        a, _ = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
-                         SSDConfig(steps=100, seed=2))
-        b, _ = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
-                         SSDConfig(steps=100, seed=2, lam=0.05))
+        a = ssd_theta(dset, w, theta0, ZeroOneLoss(), HyperParams(C=4.0, J=0.2),
+                      SSDConfig(steps=100, seed=2))
+        b = ssd_theta(dset, w, theta0, ZeroOneLoss(), HyperParams(C=2.0, J=0.1),
+                      SSDConfig(steps=100, seed=2))
         np.testing.assert_array_equal(a, b)
 
     def test_steps_per_sample_scaling(self):
@@ -236,8 +220,8 @@ class TestSSD:
         w = rng.standard_normal(4)
         theta0 = rng.standard_normal(3)
         hyper = HyperParams()
-        a, _ = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
-                         SSDConfig(steps_per_sample=4, seed=3))
-        b, _ = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
-                         SSDConfig(steps=4 * len(dset), seed=3))
+        a = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
+                      SSDConfig(steps_per_sample=4, seed=3))
+        b = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
+                      SSDConfig(steps=4 * len(dset), seed=3))
         np.testing.assert_array_equal(a, b)

@@ -1,5 +1,7 @@
 """Block-coordinate trainer, evaluation, splits, and the fold protocol."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from dissim import (
     stratified_split,
     train,
 )
-from dissim.trainer import DEFAULT_C_GRID, METHODS
+from dissim.trainer import DEFAULT_C_GRID, METHODS, _fit
 from helpers import make_dataset, make_sample
 
 
@@ -68,6 +70,15 @@ class TestTrain:
         assert model.termination in ("tolerance", "round_budget")
         squeezed = train(dset, ZeroOneLoss(), quick_config(max_outer_rounds=1))
         assert squeezed.termination == "round_budget"
+        # the baselines report why CCCP stopped: a large C * epsilon ends
+        # the first round on tolerance; at the default epsilon this
+        # instance's subproblem comes back
+        for method in ("lsvm", "ilsvm"):
+            for epsilon, reason in ((1e-3, "repeat"), (1e2, "tolerance")):
+                cfg = replace(quick_config(),
+                              hyper=HyperParams(C=1.0, epsilon=epsilon))
+                _, _, termination = _fit(method, dset, ZeroOneLoss(), cfg)
+                assert termination == reason
 
     def test_single_latent_label_only_closed_form(self):
         # one sample, one latent value, latent-independent loss: the w-step

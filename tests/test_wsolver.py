@@ -16,14 +16,17 @@ from dissim import (
     expected_loss_table,
     latent_impute,
     latent_posterior,
-    loss_augmented_argmax,
     regularized_objective,
     slack,
-    solve_inner_convex,
 )
 import dissim.wsolver as wsolver
 from dissim.wsolver import _InnerData, _problem_key
-from helpers import make_dataset, make_sample
+from helpers import (
+    loss_augmented_argmax,
+    make_dataset,
+    make_sample,
+    solve_inner_convex,
+)
 from test_losses import StubZeroLoss
 
 
@@ -218,6 +221,18 @@ class TestCCCP:
                           epsilon=1e6)
         assert eager.iterations == 1
 
+    def test_termination_names_the_stop(self):
+        dset = make_dataset(10, n=3)
+        theta = np.random.default_rng(10).standard_normal(3)
+        _, eager = cccp_w(dset, theta, None, ZeroOneLoss(), C=1.0,
+                          epsilon=1e6)
+        assert eager.termination == "tolerance"
+        # with epsilon 0 no improvement is small enough: only a repeated
+        # subproblem ends the loop
+        _, patient = cccp_w(dset, theta, None, ZeroOneLoss(), C=1.0,
+                            epsilon=0.0)
+        assert patient.termination == "repeat"
+
     def test_cccp_budget_raises(self):
         dset = make_dataset(11, n=3)
         rng = np.random.default_rng(11)
@@ -233,6 +248,23 @@ class TestCCCP:
             _cccp_loop(dset, build, C=1.0, epsilon=1e-3, inner_tol=1e-4,
                        w_init=None, max_iterations=0)
         assert info.value.last_iterate is not None
+
+
+class TestDualQP:
+    def test_pass_cap_raises_instead_of_returning(self):
+        G = np.array([[2.0, 1.0], [1.0, 2.0]])
+        # one pass moves alpha from 0 to (0.5, 0.25): not converged
+        with pytest.raises(SolverError, match="1 passes") as info:
+            wsolver._qp_coordinate_ascent(G, np.ones(2), 10.0, np.zeros(2),
+                                          1e-13, max_passes=1)
+        assert info.value.last_iterate is not None
+
+    def test_pass_cap_returns_when_gap_certifies_optimum(self):
+        # with G = I one pass lands on the optimum alpha = b, but its moves
+        # exceed tol; the zero duality gap certifies it
+        alpha = wsolver._qp_coordinate_ascent(np.eye(2), np.ones(2), 10.0,
+                                              np.zeros(2), 1e-13, max_passes=1)
+        np.testing.assert_array_equal(alpha, [1.0, 1.0])
 
 
 class TestInnerData:

@@ -13,11 +13,9 @@ from .errors import ConfigError, DissimError, InputError, SolverError
 from .model import (
     Dataset,
     FiniteDistribution,
-    LatentValue,
     ModelParams,
     SampleRecord,
     latent_posterior,
-    log_partition,
     predict,
     score_table,
 )

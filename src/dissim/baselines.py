@@ -17,13 +17,13 @@ iterate sequences from the same start.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .losses import LossFunction
 from .model import Dataset, ModelParams, predict
-from .wsolver import DEFAULT_PLANE_BUDGET, WSolverReport, _cccp_loop
+from .wsolver import WSolverReport, _cccp_loop
 
 
 def _pointwise_tables(dataset: Dataset, refs: Sequence[int], loss: LossFunction):
@@ -37,17 +37,13 @@ def lsvm_train(
     C: float,
     epsilon: float = 1e-3,
     inner_tol: float = 1e-4,
-    w_init: Optional[np.ndarray] = None,
-    plane_budget: int = DEFAULT_PLANE_BUDGET,
 ) -> tuple[ModelParams, WSolverReport]:
     """Latent SVM: impute the latent by score, measure loss against it."""
 
     def build(w, imputed):
         return _pointwise_tables(dataset, imputed, loss)
 
-    w, report = _cccp_loop(
-        dataset, build, C, epsilon, inner_tol, w_init, plane_budget
-    )
+    w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None)
     return ModelParams(w, np.zeros(dataset.d_theta)), report
 
 
@@ -69,8 +65,6 @@ def ilsvm_train(
     C: float,
     epsilon: float = 1e-3,
     inner_tol: float = 1e-4,
-    w_init: Optional[np.ndarray] = None,
-    plane_budget: int = DEFAULT_PLANE_BUDGET,
 ) -> tuple[ModelParams, WSolverReport]:
     """Iterative latent SVM: estimate the latent reference by minimizing
     the loss against the prediction, then solve the convex problem with
@@ -80,9 +74,7 @@ def ilsvm_train(
         refs = ilsvm_latent_estimates(w, dataset, loss)
         return _pointwise_tables(dataset, refs, loss)
 
-    w, report = _cccp_loop(
-        dataset, build, C, epsilon, inner_tol, w_init, plane_budget
-    )
+    w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None)
     return ModelParams(w, np.zeros(dataset.d_theta)), report
 
 

@@ -119,10 +119,7 @@ def cmd_experiment(args) -> int:
         raise ConfigError(f"--C-grid: {err}") from err
     config = TrainConfig(
         hyper=HyperParams(C=c_grid[0], J=args.J, beta=args.beta, epsilon=args.epsilon),
-        ssd=SSDConfig(
-            steps_per_sample=args.ssd_factor if args.ssd_factor else 50,
-            seed=args.seed,
-        ),
+        ssd=SSDConfig(steps_per_sample=args.ssd_factor, seed=args.seed),
         inner_tol=args.inner_tol,
         max_outer_rounds=args.max_rounds,
         C_grid=c_grid,
@@ -282,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ssd-factor",
         type=int,
-        default=None,
-        help="subgradient steps per training sample (default 50)",
+        default=50,
+        help="subgradient steps per training sample",
     )
     p.add_argument("--max-rounds", type=int, default=40)
     p.add_argument("--seed", type=int, default=0, help="split and solver seed")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import Dataset, LatentValue, ModelParams, SampleRecord
+from .model import Dataset, ModelParams, SampleRecord
 
 DATASET_MAGIC = "dissim-dataset 1"
 MODEL_MAGIC = "dissim-model 1"
@@ -123,12 +123,11 @@ def save_dataset(dataset: Dataset, path) -> None:
         if s.truth_latent is not None:
             out.append(f"truth_latent {s.truth_latent}")
         out.append(f"latents {s.num_latents}")
-        for lv in s.latent_space:
-            if lv.box is not None:
-                x0, y0, x1, y1 = lv.box
-                out.append(f"latent {lv.index} {x0} {y0} {x1} {y1}")
-            else:
-                out.append(f"latent {lv.index}")
+        if s.geometric:
+            for k, (x0, y0, x1, y1) in enumerate(s.boxes.tolist()):
+                out.append(f"latent {k} {x0} {y0} {x1} {y1}")
+        else:
+            out.extend(f"latent {k}" for k in range(s.num_latents))
         for y in range(dataset.num_labels):
             for k in range(s.num_latents):
                 out.append(f"psi {y} {k} {_fmt_floats(s.psi[y, k])}")
@@ -149,6 +148,11 @@ def load_dataset(path) -> Dataset:
     d_w = reader.expect_count("dw")
     d_theta = reader.expect_count("dtheta")
     geometric = reader.expect_int("geometric")
+    if geometric not in (0, 1):
+        raise InputError(
+            f"{path} line {reader.pos}: geometric must be 0 or 1, got {geometric}"
+        )
+    latent_fields = 5 if geometric else 1
     n = reader.expect_count("samples")
     samples = []
     for _ in range(n):
@@ -163,17 +167,21 @@ def load_dataset(path) -> Dataset:
         ):
             truth_latent = reader.expect_int("truth_latent")
         K = reader.expect_count("latents")
-        latents = []
+        boxes = []
         for k in range(K):
-            parts = reader.parse(reader.expect("latent"), int)
-            if len(parts) == 1:
-                latents.append(LatentValue(index=parts[0]))
-            elif len(parts) == 5:
-                latents.append(LatentValue(index=parts[0], box=tuple(parts[1:])))
-            else:
+            parts = reader.expect("latent")
+            if len(parts) != latent_fields:
                 raise InputError(
-                    f"{path} line {reader.pos}: latent takes 1 or 5 values"
+                    f"{path} line {reader.pos}: latent takes {latent_fields} "
+                    f"value(s) in a file with geometric {geometric}"
                 )
+            parts = reader.parse(parts, int)
+            if parts[0] != k:
+                raise InputError(
+                    f"{path} line {reader.pos}: latent index {parts[0]} "
+                    f"at position {k}"
+                )
+            boxes.append(parts[1:])
         # the arrays are built from the parsed rows, so a corrupt count
         # never sizes an allocation
         psi_rows = []
@@ -205,18 +213,15 @@ def load_dataset(path) -> Dataset:
             SampleRecord(
                 id=sample_id,
                 truth_label=label,
-                latent_space=tuple(latents),
                 psi=np.array(psi_rows).reshape(num_labels, K, d_w),
                 phi=np.array(phi_rows).reshape(K, d_theta),
+                boxes=boxes if geometric else None,
                 truth_latent=truth_latent,
             )
         )
-    dataset = Dataset(
+    return Dataset(
         num_labels=num_labels, d_w=d_w, d_theta=d_theta, samples=tuple(samples)
     )
-    if dataset.geometric != bool(geometric):
-        raise InputError(f"{path}: geometric flag disagrees with latent boxes")
-    return dataset
 
 
 @dataclass

@@ -194,8 +194,8 @@ class OverlapLoss(LossFunction):
         if y1 != y2:
             return 1.0
         _require_boxes(sample)
-        boxes = sample.latent_space
-        return 1.0 - overlap_ratio(boxes[k1].box, boxes[k2].box)
+        boxes = sample.boxes
+        return 1.0 - overlap_ratio(boxes[k1].tolist(), boxes[k2].tolist())
 
     def pair_matrix(self, sample, y1, y2):
         K = sample.num_latents

@@ -17,15 +17,12 @@ latent index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-
-# Axis-aligned box in integer pixel units, half-open: (x0, y0, x1, y1).
-Box = tuple[int, int, int, int]
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -34,74 +31,39 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class LatentValue:
-    """One element of a sample's latent space.
-
-    ``box`` is present for geometric latent spaces (localization tasks)
-    and absent for abstract ones.  Boxes must have positive area.
-    """
-
-    index: int
-    box: Optional[Box] = None
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise InputError(f"latent index must be >= 0, got {self.index}")
-        if self.box is not None:
-            box = tuple(int(v) for v in self.box)
-            object.__setattr__(self, "box", box)
-            x0, y0, x1, y1 = box
-            if not all(-(2**63) <= v < 2**63 for v in box):
-                raise InputError(f"box {box} has a coordinate outside int64")
-            if not (x0 < x1 and y0 < y1):
-                raise InputError(f"degenerate box {box}: need x0 < x1 and y0 < y1")
-
-
 @dataclass(eq=False)
 class SampleRecord:
     """A weakly supervised sample: label observed, latent value unobserved.
 
     psi has shape (num_labels, K, d_w) and phi has shape (K, d_theta),
-    where K is the size of the latent space.  ``truth_latent`` is a
-    ground-truth latent index carried by synthetic data for evaluation
-    only; training code never reads it.
+    where K is the size of the latent space.  ``boxes`` is present for
+    geometric latent spaces (localization tasks) and absent for abstract
+    ones: a (K, 4) int64 array holding latent value k's half-open pixel
+    box (x0, y0, x1, y1) in row k; every box has positive area.
+    ``truth_latent`` is a ground-truth latent index carried by synthetic
+    data for evaluation only; training code never reads it.
     """
 
     id: str
     truth_label: int
-    latent_space: tuple[LatentValue, ...]
     psi: np.ndarray
     phi: np.ndarray
+    boxes: Optional[np.ndarray] = None
     truth_latent: Optional[int] = None
-    boxes: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if not self.id:
             raise InputError("sample id must be a non-empty string")
-        self.latent_space = tuple(self.latent_space)
-        if len(self.latent_space) < 1:
-            raise InputError(f"sample {self.id}: latent space must be non-empty")
-        for k, latent in enumerate(self.latent_space):
-            if latent.index != k:
-                raise InputError(
-                    f"sample {self.id}: latent indices must be contiguous from 0, "
-                    f"found {latent.index} at position {k}"
-                )
-        with_box = [lv.box is not None for lv in self.latent_space]
-        if any(with_box) and not all(with_box):
-            raise InputError(
-                f"sample {self.id}: either all latent values carry a box or none do"
-            )
-
         self.psi = _frozen_array(self.psi)
         self.phi = _frozen_array(self.phi)
-        K = len(self.latent_space)
         if self.psi.ndim != 3:
             raise ConfigError(f"sample {self.id}: psi must be 3-d (labels, K, d_w)")
         if self.phi.ndim != 2:
             raise ConfigError(f"sample {self.id}: phi must be 2-d (K, d_theta)")
-        if self.psi.shape[1] != K or self.phi.shape[0] != K:
+        K = self.psi.shape[1]
+        if K < 1:
+            raise InputError(f"sample {self.id}: latent space must be non-empty")
+        if self.phi.shape[0] != K:
             raise ConfigError(
                 f"sample {self.id}: feature tables must cover all {K} latent values"
             )
@@ -116,14 +78,30 @@ class SampleRecord:
             raise InputError(
                 f"sample {self.id}: truth latent {self.truth_latent} outside [0, {K})"
             )
-        if all(with_box):
-            self.boxes = _frozen_array(
-                [lv.box for lv in self.latent_space], dtype=np.int64
+        if self.boxes is None:
+            return
+        boxes = np.asarray(self.boxes)
+        if boxes.shape != (K, 4):
+            raise InputError(
+                f"sample {self.id}: boxes must have shape ({K}, 4), "
+                f"got {boxes.shape}"
+            )
+        # compared before the int64 cast, so no value outside it (or NaN)
+        # reaches the cast
+        if not (-(2**63) <= boxes.min() and boxes.max() < 2**63):
+            raise InputError(f"sample {self.id}: box coordinates must fit int64")
+        self.boxes = boxes = _frozen_array(boxes, dtype=np.int64)
+        degenerate = (boxes[:, 0] >= boxes[:, 2]) | (boxes[:, 1] >= boxes[:, 3])
+        if degenerate.any():
+            k = int(np.argmax(degenerate))
+            raise InputError(
+                f"sample {self.id}: degenerate box {tuple(boxes[k].tolist())} "
+                f"at latent {k}: need x0 < x1 and y0 < y1"
             )
 
     @property
     def num_latents(self) -> int:
-        return len(self.latent_space)
+        return self.psi.shape[1]
 
     @property
     def geometric(self) -> bool:
@@ -196,10 +174,6 @@ class ModelParams:
             raise ConfigError("w and theta must be vectors")
         if not np.all(np.isfinite(self.w)) or not np.all(np.isfinite(self.theta)):
             raise InputError("model parameters must be finite")
-
-    @classmethod
-    def zeros(cls, d_w: int, d_theta: int) -> "ModelParams":
-        return cls(np.zeros(d_w), np.zeros(d_theta))
 
 
 @dataclass(eq=False)
@@ -276,8 +250,3 @@ def latent_posterior(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
     """Log-linear latent distribution as a bare probability vector."""
     activations = sample.phi @ _check_theta(theta, sample)
     return np.exp(activations - _log_sum_exp(activations))
-
-
-def log_partition(theta: np.ndarray, sample: SampleRecord) -> float:
-    """Log normalizer of the latent conditional."""
-    return _log_sum_exp(sample.phi @ _check_theta(theta, sample))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .losses import LossFunction
-from .model import Dataset, LatentValue, ModelParams, SampleRecord
+from .model import Dataset, ModelParams, SampleRecord, _frozen_array
 
 GroundTruth = dict[str, int]
 
@@ -131,9 +131,7 @@ def generate(spec: TaskSpec) -> tuple[Dataset, GroundTruth]:
     """
     class_sigs, bg_sig = _signatures(spec)
     boxes_px = spec.candidate_boxes()
-    latent_space = tuple(
-        LatentValue(index=k, box=box) for k, box in enumerate(boxes_px)
-    )
+    boxes = _frozen_array(boxes_px, dtype=np.int64)
     g, d = spec.grid, spec.feature_dim
     c = spec.num_classes
     n = c * spec.per_class
@@ -167,9 +165,9 @@ def generate(spec: TaskSpec) -> tuple[Dataset, GroundTruth]:
                 SampleRecord(
                     id=sample_id,
                     truth_label=label,
-                    latent_space=latent_space,
                     psi=psi,
                     phi=phi,
+                    boxes=boxes,
                     truth_latent=planted,
                 )
             )

@@ -5,7 +5,8 @@ theta-step, starting from zero parameters with the w-step first.  Because
 the theta-step is stochastic, the trainer keeps the best regularized
 objective seen and measures termination on that best-so-far sequence: it
 stops once a full round improves it by less than C * epsilon, or when the
-round budget is hit.  The returned parameters are the best iterate.
+round budget is hit.  The returned parameters are the best iterate.  A
+round whose objective is not finite raises SolverError.
 
 The protocol trains over a C grid with per-class stratified shuffle
 splits, evaluates on the held-out part with the ground-truth latent
@@ -15,6 +16,7 @@ annotations, and reports fold rows plus per-C mean and standard deviation
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -128,6 +130,12 @@ def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> TrainedM
                 round_index=round_index,
             ) from err
         obj = regularized_objective(w, theta, dataset, loss, hyper)
+        if not math.isfinite(obj):
+            raise SolverError(
+                f"round {round_index}: objective is not finite ({obj})",
+                last_iterate=w,
+                round_index=round_index,
+            )
         decrease = best_obj - min(best_obj, obj)
         if obj < best_obj:
             best_obj = obj

@@ -202,7 +202,8 @@ def _solve_inner(
     Returns w.  Every plane in the working set was violated by more than
     inner_tol when added, and no assignment is added twice.  On return
     the true aggregate slack exceeds the QP slack variable by less than
-    inner_tol.
+    inner_tol.  Raises SolverError once plane_budget planes are not
+    enough, or when the planes' Gram matrix overflows.
     """
     w = np.zeros(data.d_w)
     directions = np.empty((0, data.d_w))
@@ -227,6 +228,12 @@ def _solve_inner(
         offsets = np.append(offsets, offset)
         alpha = np.append(alpha, 0.0)
         gram = directions @ directions.T
+        if not np.all(np.isfinite(gram)):
+            raise SolverError(
+                "cutting-plane Gram matrix is not finite (feature values "
+                "too large)",
+                last_iterate=w,
+            )
         alpha = _qp_coordinate_ascent(gram, offsets, C, alpha, qp_tol)
         w = alpha @ directions
         xi = max(0.0, float((offsets - directions @ w).max()))
@@ -248,7 +255,6 @@ def _cccp_loop(
     epsilon: float,
     inner_tol: float,
     w_init: Optional[np.ndarray],
-    plane_budget: int = DEFAULT_PLANE_BUDGET,
     max_iterations: int = DEFAULT_CCCP_BUDGET,
 ):
     """Generic CCCP alternation shared by the dissimilarity solver and the
@@ -277,7 +283,7 @@ def _cccp_loop(
             raise SolverError(
                 f"CCCP budget {max_iterations} exhausted", last_iterate=best_w
             )
-        w_new = _solve_inner(data, C, inner_tol, plane_budget)
+        w_new = _solve_inner(data, C, inner_tol)
         iterations += 1
         imputed_new = [latent_impute(w_new, s) for s in dataset]
         tables_new = build_tables(w_new, imputed_new)
@@ -315,7 +321,6 @@ def cccp_w(
     C: float,
     epsilon: float = 1e-3,
     inner_tol: float = 1e-4,
-    plane_budget: int = DEFAULT_PLANE_BUDGET,
 ) -> tuple[np.ndarray, WSolverReport]:
     """CCCP descent on the prediction parameters at fixed theta.
 
@@ -329,6 +334,4 @@ def cccp_w(
     def build(w, imputed):
         return tables
 
-    return _cccp_loop(
-        dataset, build, C, epsilon, inner_tol, w_init, plane_budget
-    )
+    return _cccp_loop(dataset, build, C, epsilon, inner_tol, w_init)

@@ -2,10 +2,10 @@
 of scoring, the latent conditional and the w-step's convex subproblem
 that only the tests use.
 
-Instances come in two flavours: abstract (indexed latent values, no
-boxes, suitable for the zero-one losses) and geometric (every latent
-value carries a box, suitable for the overlap loss as well).  All
-randomness flows through an explicit seed so failures replay exactly.
+Instances come in two flavours: abstract (no boxes, suitable for the
+zero-one losses) and geometric (one box per latent value, suitable for
+the overlap loss as well).  All randomness flows through an explicit
+seed so failures replay exactly.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from dissim import (
     ConfigError,
     Dataset,
     FiniteDistribution,
-    LatentValue,
     LossFunction,
     SampleRecord,
     expected_loss_table,
     latent_posterior,
     score_table,
 )
+from dissim.model import _check_theta, _log_sum_exp
 
 
 def make_sample(
@@ -37,22 +37,20 @@ def make_sample(
     grid: int = 8,
     with_truth: bool = True,
 ) -> SampleRecord:
+    boxes = None
     if geometric:
         side = max(2, grid // 2)
-        latents = []
+        boxes = []
         for _ in range(num_latents):
             x0 = int(rng.integers(0, grid - side + 1))
             y0 = int(rng.integers(0, grid - side + 1))
-            latents.append(LatentValue(len(latents), (x0, y0, x0 + side, y0 + side)))
-        latent_space = tuple(latents)
-    else:
-        latent_space = tuple(LatentValue(k) for k in range(num_latents))
+            boxes.append((x0, y0, x0 + side, y0 + side))
     return SampleRecord(
         id=sample_id,
         truth_label=int(rng.integers(0, num_labels)),
-        latent_space=latent_space,
         psi=rng.standard_normal((num_labels, num_latents, d_w)),
         phi=rng.standard_normal((num_latents, d_theta)),
+        boxes=boxes,
         truth_latent=int(rng.integers(0, num_latents)) if with_truth else None,
     )
 
@@ -78,6 +76,33 @@ def make_dataset(
     return Dataset(num_labels, d_w, d_theta, tuple(samples))
 
 
+# Replacement values for mutation fuzzing: empty, signs, boundary
+# integers, non-numbers, non-finite and huge values, a byte that is not
+# UTF-8 (as a surrogate escape), and CSV quoting characters.
+MUTATION_TOKENS = ("", "-1", "0", "1", "2", "x", "nan", "-inf", "1e999",
+                   "99999999999999999999999", "\udcff", "\"", ",")
+MUTATIONS = ("delete", "duplicate", "rewrite")
+
+
+def write_mutated(path, lines, op, where, token, replacement, sep=" "):
+    """Write lines to path with line ``where`` (modulo the count) deleted,
+    duplicated or rewritten; a rewrite replaces value field ``token``
+    (modulo the field count), or the keyword on a one-field line."""
+    lines = list(lines)
+    i = where % len(lines)
+    if op == "delete":
+        lines[i : i + 1] = []
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        fields = lines[i].split(sep)
+        j = 0 if len(fields) == 1 else 1 + token % (len(fields) - 1)
+        fields[j] = replacement
+        lines[i] = sep.join(fields)
+    text = "\n".join(lines) + "\n"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
 def random_params(rng: np.random.Generator, dataset: Dataset, scale: float = 1.0):
     w = scale * rng.standard_normal(dataset.d_w)
     theta = scale * rng.standard_normal(dataset.d_theta)
@@ -87,6 +112,11 @@ def random_params(rng: np.random.Generator, dataset: Dataset, scale: float = 1.0
 def brute_distribution(rng: np.random.Generator, k: int) -> np.ndarray:
     p = rng.random(k) + 1e-9
     return p / p.sum()
+
+
+def log_partition(theta: np.ndarray, sample: SampleRecord) -> float:
+    """Log normalizer of the latent conditional."""
+    return _log_sum_exp(sample.phi @ _check_theta(theta, sample))
 
 
 def score(w: np.ndarray, sample: SampleRecord, y: int, k: int) -> float:

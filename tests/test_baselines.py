@@ -6,7 +6,6 @@ import pytest
 from dissim import (
     Dataset,
     LabelOnlyZeroOneLoss,
-    LatentValue,
     SampleRecord,
     ZeroOneLoss,
     cccp_w,
@@ -25,11 +24,9 @@ class TestLSVM:
         psi = np.zeros((2, 1, 2))
         psi[0, 0] = (1.0, 0.0)
         psi[1, 0] = (-1.0, 0.0)
-        a = SampleRecord(id="a", truth_label=0,
-                         latent_space=(LatentValue(0),), psi=psi,
+        a = SampleRecord(id="a", truth_label=0, psi=psi,
                          phi=np.zeros((1, 1)))
-        b = SampleRecord(id="b", truth_label=1,
-                         latent_space=(LatentValue(0),), psi=-psi,
+        b = SampleRecord(id="b", truth_label=1, psi=-psi,
                          phi=np.zeros((1, 1)))
         dset = Dataset(2, 2, 1, (a, b))
         params, report = lsvm_train(dset, LabelOnlyZeroOneLoss(), C=100.0,
@@ -135,7 +132,6 @@ class TestDeltaRestrictedObjective:
         psi[1, 0] = (1.0, 0.0)
         samples = tuple(
             SampleRecord(id=f"s{i}", truth_label=0,
-                         latent_space=(LatentValue(0), LatentValue(1)),
                          psi=psi, phi=np.zeros((2, 1)))
             for i in range(3)
         )
@@ -157,7 +153,6 @@ class TestDeltaRestrictedObjective:
             samples.append(SampleRecord(
                 id=f"s{i}",
                 truth_label=int(rng.integers(0, 2)),
-                latent_space=tuple(LatentValue(k) for k in range(K)),
                 psi=rng.standard_normal((2, K, 4)),
                 phi=phi,
             ))

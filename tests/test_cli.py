@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dissim.cli as cli
 import dissim.trainer as trainer
-from dissim import SolverError, load_dataset, load_model, load_results, save_dataset
+from dissim import (
+    Dataset,
+    SampleRecord,
+    SolverError,
+    load_dataset,
+    load_model,
+    load_results,
+    save_dataset,
+)
+from helpers import MUTATION_TOKENS, MUTATIONS, make_dataset, write_mutated
 
 
 TINY = [
@@ -19,6 +30,20 @@ def generate_tiny(tmp_path, seed=0):
     code = cli.main(["generate", *TINY, "--seed", str(seed),
                      "--out", str(data)])
     assert code == 0
+    return data
+
+
+def scaled_copy(data, psi=1.0, phi=1.0):
+    """Rewrite a dataset file with its feature tables scaled."""
+    dset = load_dataset(data)
+    samples = [
+        SampleRecord(id=s.id, truth_label=s.truth_label, psi=psi * s.psi,
+                     phi=phi * s.phi, boxes=s.boxes,
+                     truth_latent=s.truth_latent)
+        for s in dset
+    ]
+    save_dataset(Dataset(dset.num_labels, dset.d_w, dset.d_theta, samples),
+                 data)
     return data
 
 
@@ -143,6 +168,34 @@ class TestTrain:
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["dissim", "lsvm"])
+    def test_overflowing_gram_matrix_exits_3(self, tmp_path, method, capsys):
+        # psi * 1e160 squares past the float range in the Gram matrix
+        data = scaled_copy(generate_tiny(tmp_path), psi=1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main([
+                "train", "--data", str(data), "--method", method,
+                "--inner-tol", "1e-2", "--max-rounds", "4",
+                "--ssd-factor", "5", "--out", str(tmp_path / "m.model"),
+            ])
+        assert code == 3
+        assert "Gram matrix is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.model").exists()
+
+    def test_nan_objective_exits_3(self, tmp_path, capsys):
+        # phi * 1e300 overflows the conditional's activations once theta
+        # leaves zero, so the first round's objective is NaN
+        data = scaled_copy(generate_tiny(tmp_path), phi=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main([
+                "train", "--data", str(data), "--inner-tol", "1e-2",
+                "--max-rounds", "4", "--ssd-factor", "5",
+                "--out", str(tmp_path / "m.model"),
+            ])
+        assert code == 3
+        assert "round 1: objective is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.model").exists()
+
 
 class TestGradcheck:
     def test_healthy_exits_0(self, tmp_path, capsys):
@@ -224,6 +277,14 @@ class TestExperiment:
                          "svm", "--out", str(tmp_path / "r.csv")])
         assert code == 2
 
+    def test_zero_ssd_factor_exits_2(self, tmp_path, capsys):
+        data = generate_tiny(tmp_path)
+        code = cli.main(["experiment", "--data", str(data), "--ssd-factor",
+                         "0", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "steps_per_sample" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_non_numeric_c_grid_exits_2(self, tmp_path, capsys):
         data = generate_tiny(tmp_path)
         code = cli.main(["experiment", "--data", str(data), "--C-grid", "1,x",
@@ -243,6 +304,42 @@ class TestOverlapNeedsBoxes:
         code = cli.main(["train", "--data", str(data), "--loss", "overlap",
                          "--out", str(tmp_path / "m.model")])
         assert code == 2
+
+
+class TestMutatedDataset:
+    """One deleted, duplicated or rewritten line of a small dataset never
+    makes a command raise: train exits 0, 2 or 3 and gradcheck 0, 1, 2
+    or 3."""
+
+    COMMANDS = (
+        (("train", "--method", "dissim"), {0, 2, 3}),
+        (("train", "--method", "ilsvm", "--loss", "overlap"), {0, 2, 3}),
+        (("gradcheck", "--draws", "2"), {0, 1, 2, 3}),
+    )
+    TRAIN_FLAGS = ("--inner-tol", "1e-2", "--max-rounds", "2",
+                   "--ssd-factor", "2")
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(op=st.sampled_from(MUTATIONS),
+           where=st.integers(0, 10_000),
+           token=st.integers(0, 10_000),
+           replacement=st.sampled_from(MUTATION_TOKENS))
+    def test_commands_exit_with_documented_codes(
+        self, tmp_path, op, where, token, replacement
+    ):
+        valid = tmp_path / "valid.txt"
+        if not valid.exists():
+            save_dataset(make_dataset(3, n=4, num_labels=2, num_latents=2,
+                                      d_w=2, d_theta=2, geometric=True), valid)
+        data = tmp_path / "mutated.txt"
+        write_mutated(data, valid.read_text().splitlines(), op, where, token,
+                      replacement)
+        for command, codes in self.COMMANDS:
+            argv = [*command, "--data", str(data)]
+            if command[0] == "train":
+                argv += [*self.TRAIN_FLAGS, "--out", str(tmp_path / "m.model")]
+            assert cli.main(argv) in codes, argv
 
 
 class TestEntryPoint:

@@ -21,7 +21,7 @@ from dissim import (
     save_results,
 )
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC, RESULTS_HEADER
-from helpers import make_dataset
+from helpers import MUTATION_TOKENS, MUTATIONS, make_dataset, write_mutated
 
 
 class TestDatasetRoundTrip:
@@ -38,7 +38,7 @@ class TestDatasetRoundTrip:
             assert a.id == b.id
             assert a.truth_label == b.truth_label
             assert a.truth_latent == b.truth_latent
-            assert a.latent_space == b.latent_space
+            np.testing.assert_array_equal(a.boxes, b.boxes)
             np.testing.assert_array_equal(np.asarray(a.psi), np.asarray(b.psi))
             np.testing.assert_array_equal(np.asarray(a.phi), np.asarray(b.phi))
 
@@ -57,8 +57,7 @@ class TestDatasetRoundTrip:
         bare = Dataset(
             dset.num_labels, dset.d_w, dset.d_theta,
             tuple(
-                SampleRecord(id=s.id, truth_label=s.truth_label,
-                             latent_space=s.latent_space, psi=s.psi,
+                SampleRecord(id=s.id, truth_label=s.truth_label, psi=s.psi,
                              phi=s.phi)
                 for s in dset
             ),
@@ -80,7 +79,7 @@ class TestDatasetRoundTrip:
         psi = np.asarray(s.psi).copy()
         psi[0, 0] = [1e-308, np.pi, -0.1]
         tweaked = Dataset(2, 3, 2, (SampleRecord(
-            id=s.id, truth_label=s.truth_label, latent_space=s.latent_space,
+            id=s.id, truth_label=s.truth_label,
             psi=psi, phi=s.phi, truth_latent=s.truth_latent,
         ),))
         path = tmp_path / "f.txt"
@@ -120,6 +119,9 @@ class TestDatasetRoundTrip:
             ("psi", "psi x 0 1.0 2.0 3.0"),
             ("phi", "phi x 1.0 2.0"),
             ("latent", "latent x"),
+            ("latent", "latent 1"),
+            ("latent", "latent 0 0 0 1 1"),
+            ("geometric", "geometric 2"),
             ("labels", "labels -1"),
             ("dw", "dw -1"),
             ("dtheta", "dtheta -2"),
@@ -281,9 +283,6 @@ class TestMutatedFiles:
     """One deleted, duplicated or rewritten line of a valid file either
     still loads or raises InputError/ConfigError; nothing else escapes."""
 
-    TOKENS = ("", "-1", "0", "1", "2", "x", "nan", "-inf", "1e999",
-              "99999999999999999999999", "\udcff", "\"", ",")
-
     @staticmethod
     def valid_files(root):
         dset = make_dataset(3, n=1, num_labels=2, num_latents=2, d_w=2,
@@ -295,31 +294,19 @@ class TestMutatedFiles:
     @settings(max_examples=600, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(kind=st.sampled_from(["dataset", "model", "results"]),
-           op=st.sampled_from(["delete", "duplicate", "rewrite"]),
+           op=st.sampled_from(MUTATIONS),
            where=st.integers(0, 10_000),
            token=st.integers(0, 10_000),
-           replacement=st.sampled_from(TOKENS))
+           replacement=st.sampled_from(MUTATION_TOKENS))
     def test_load_succeeds_or_raises_input_error(
         self, tmp_path, kind, op, where, token, replacement
     ):
         if not (tmp_path / "dataset").exists():
             self.valid_files(tmp_path)
-        lines = (tmp_path / kind).read_text().splitlines()
-        i = where % len(lines)
-        if op == "delete":
-            lines[i : i + 1] = []
-        elif op == "duplicate":
-            lines.insert(i, lines[i])
-        else:
-            # rewrite one value field (the keyword only on one-field lines)
-            sep = "," if kind == "results" else " "
-            fields = lines[i].split(sep)
-            j = 0 if len(fields) == 1 else 1 + token % (len(fields) - 1)
-            fields[j] = replacement
-            lines[i] = sep.join(fields)
         path = tmp_path / "mutated"
-        text = "\n".join(lines) + "\n"
-        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        write_mutated(path, (tmp_path / kind).read_text().splitlines(), op,
+                      where, token, replacement,
+                      sep="," if kind == "results" else " ")
         load = {"dataset": load_dataset, "model": load_model,
                 "results": load_results}[kind]
         try:

@@ -11,7 +11,6 @@ from dissim import (
     HyperParams,
     InputError,
     LabelOnlyZeroOneLoss,
-    LatentValue,
     OverlapLoss,
     SampleRecord,
     ZeroOneLoss,
@@ -100,7 +99,7 @@ class TestOverlapRatio:
         rng = np.random.default_rng(1)
         sample = make_sample(rng, "g", 2, 5, 3, 2, geometric=True)
         mat = iou_matrix(sample.boxes)
-        boxes = [lv.box for lv in sample.latent_space]
+        boxes = sample.boxes.tolist()
         for i, a in enumerate(boxes):
             for j, b in enumerate(boxes):
                 assert mat[i, j] == pytest.approx(overlap_ratio(a, b), abs=1e-15)
@@ -122,7 +121,7 @@ class TestOverlapLoss:
         sample = SampleRecord(
             id="g",
             truth_label=0,
-            latent_space=tuple(LatentValue(k, b) for k, b in enumerate(boxes)),
+            boxes=boxes,
             psi=np.zeros((2, 2, 3)),
             phi=np.zeros((2, 2)),
         )
@@ -301,7 +300,6 @@ class TestSelfDiversity:
         sample = SampleRecord(
             id="s",
             truth_label=0,
-            latent_space=tuple(LatentValue(k) for k in range(3)),
             psi=np.zeros((2, 3, 2)),
             phi=phi,
         )
@@ -357,7 +355,6 @@ class TestObjectives:
         sample = SampleRecord(
             id="s",
             truth_label=0,
-            latent_space=tuple(LatentValue(k) for k in range(3)),
             psi=psi,
             phi=phi,
         )
@@ -427,7 +424,6 @@ class TestUpperBound:
         sample = SampleRecord(
             id="s",
             truth_label=0,
-            latent_space=(LatentValue(0), LatentValue(1)),
             psi=np.zeros((2, 2, 3)),
             phi=np.zeros((2, 2)),
         )
@@ -477,7 +473,6 @@ class TestRegularizedObjective:
         sample = SampleRecord(
             id="s",
             truth_label=0,
-            latent_space=(LatentValue(0),),
             psi=psi,
             phi=np.zeros((1, 2)),
         )

@@ -10,17 +10,16 @@ from dissim import (
     Dataset,
     FiniteDistribution,
     InputError,
-    LatentValue,
     ModelParams,
     SampleRecord,
     latent_posterior,
-    log_partition,
     predict,
     score_table,
 )
 from helpers import (
     conditional_distribution,
     joint_conditional,
+    log_partition,
     make_dataset,
     make_sample,
     score,
@@ -37,39 +36,45 @@ def tiny_sample(num_labels=2, num_latents=2, d_w=2, d_theta=2, psi=None, phi=Non
     return SampleRecord(
         id="t0",
         truth_label=0,
-        latent_space=tuple(LatentValue(k) for k in range(num_latents)),
         psi=np.asarray(psi, dtype=float),
         phi=np.asarray(phi, dtype=float),
     )
 
 
 class TestValidation:
-    def test_noncontiguous_latent_indices_rejected(self):
-        with pytest.raises(InputError):
-            SampleRecord(
-                id="bad",
-                truth_label=0,
-                latent_space=(LatentValue(0), LatentValue(2)),
-                psi=np.zeros((2, 2, 3)),
-                phi=np.zeros((2, 2)),
-            )
-
     def test_mixed_boxes_rejected(self):
-        with pytest.raises(InputError):
+        # a box for only one of the two latent values
+        with pytest.raises(InputError, match=r"shape \(2, 4\)"):
             SampleRecord(
                 id="bad",
                 truth_label=0,
-                latent_space=(LatentValue(0, (0, 0, 1, 1)), LatentValue(1)),
                 psi=np.zeros((2, 2, 3)),
                 phi=np.zeros((2, 2)),
+                boxes=[(0, 0, 1, 1)],
             )
 
     def test_degenerate_box_rejected(self):
+        def sample(*boxes):
+            return SampleRecord(
+                id="b",
+                truth_label=0,
+                psi=np.zeros((2, len(boxes), 3)),
+                phi=np.zeros((len(boxes), 2)),
+                boxes=boxes,
+            )
+
+        with pytest.raises(InputError, match="at latent 1"):
+            sample((0, 0, 1, 1), (1, 1, 1, 2))
         with pytest.raises(InputError):
-            LatentValue(0, (1, 1, 1, 2))
-        with pytest.raises(InputError, match="int64"):
-            LatentValue(0, (0, 0, 2**63, 1))
-        LatentValue(0, (-(2**63), 0, 2**63 - 1, 1))
+            sample((0, 2, 1, 1))
+        for big in ((0, 0, 2**63, 1), (-(2**63) - 1, 0, 1, 1),
+                    (0, 0, 2**64, 1), (0, 0, 10**30, 1)):
+            with pytest.raises(InputError, match="int64"):
+                sample(big)
+        edge = sample((-(2**63), 0, 2**63 - 1, 1))
+        assert edge.boxes.dtype == np.int64
+        assert edge.boxes.tolist() == [[-(2**63), 0, 2**63 - 1, 1]]
+        assert not edge.boxes.flags.writeable
 
     def test_nonfinite_features_rejected(self):
         psi = np.zeros((2, 2, 3))
@@ -78,7 +83,6 @@ class TestValidation:
             SampleRecord(
                 id="bad",
                 truth_label=0,
-                latent_space=(LatentValue(0), LatentValue(1)),
                 psi=psi,
                 phi=np.zeros((2, 2)),
             )
@@ -88,7 +92,6 @@ class TestValidation:
             SampleRecord(
                 id="bad",
                 truth_label=0,
-                latent_space=(LatentValue(0), LatentValue(1)),
                 psi=np.zeros((2, 3, 3)),
                 phi=np.zeros((2, 2)),
             )
@@ -98,7 +101,6 @@ class TestValidation:
             SampleRecord(
                 id="bad",
                 truth_label=5,
-                latent_space=(LatentValue(0),),
                 psi=np.zeros((2, 1, 3)),
                 phi=np.zeros((1, 2)),
             )
@@ -218,7 +220,6 @@ class TestLatentConditional:
         shifted = SampleRecord(
             id=sample.id,
             truth_label=sample.truth_label,
-            latent_space=sample.latent_space,
             psi=sample.psi,
             phi=np.asarray(sample.phi) + offset * np.ones(3),
             truth_latent=sample.truth_latent,

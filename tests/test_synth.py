@@ -150,7 +150,7 @@ class TestOracle:
             phi[s.truth_latent] = 50.0 * np.ones(s.phi.shape[1])
             planted.append(SampleRecord(
                 id=s.id, truth_label=s.truth_label,
-                latent_space=s.latent_space, psi=s.psi, phi=phi,
+                boxes=s.boxes, psi=s.psi, phi=phi,
                 truth_latent=s.truth_latent,
             ))
         dset2 = Dataset(dset.num_labels, dset.d_w, dset.d_theta,

@@ -7,7 +7,6 @@ from dissim import (
     Dataset,
     HyperParams,
     LabelOnlyZeroOneLoss,
-    LatentValue,
     SampleRecord,
     SSDConfig,
     ZeroOneLoss,

@@ -10,7 +10,6 @@ from dissim import (
     HyperParams,
     InputError,
     LabelOnlyZeroOneLoss,
-    LatentValue,
     ModelParams,
     SampleRecord,
     SSDConfig,
@@ -85,8 +84,7 @@ class TestTrain:
         # is a plain two-class SVM whose solution is min(C, 1/||d||^2) d
         rng = np.random.default_rng(44)
         psi = rng.standard_normal((2, 1, 3))
-        sample = SampleRecord(id="s", truth_label=0,
-                              latent_space=(LatentValue(0),), psi=psi,
+        sample = SampleRecord(id="s", truth_label=0, psi=psi,
                               phi=np.zeros((1, 2)))
         dset = Dataset(2, 3, 2, (sample,))
         d = np.asarray(psi[0, 0]) - np.asarray(psi[1, 0])
@@ -109,8 +107,7 @@ class TestEvaluate:
             # plant an unambiguous peak at the truth pair
             psi[s.truth_label, s.truth_latent] += 50.0 * np.ones(4)
             samples.append(SampleRecord(
-                id=s.id, truth_label=s.truth_label,
-                latent_space=s.latent_space, psi=psi, phi=s.phi,
+                id=s.id, truth_label=s.truth_label, psi=psi, phi=s.phi,
                 truth_latent=s.truth_latent,
             ))
         dset = Dataset(2, 4, 2, tuple(samples))
@@ -122,7 +119,6 @@ class TestEvaluate:
         psi[1, 0] = (1.0, 0.0)
         samples = tuple(
             SampleRecord(id=f"s{i}", truth_label=0,
-                         latent_space=(LatentValue(0), LatentValue(1)),
                          psi=psi, phi=np.zeros((2, 1)), truth_latent=i % 2)
             for i in range(3)
         )
@@ -135,11 +131,9 @@ class TestEvaluate:
         psi_right[0, 0] = (1.0, 0.0)
         psi_wrong = np.zeros((2, 1, 2))
         psi_wrong[1, 0] = (1.0, 0.0)
-        a = SampleRecord(id="a", truth_label=0,
-                         latent_space=(LatentValue(0),), psi=psi_right,
+        a = SampleRecord(id="a", truth_label=0, psi=psi_right,
                          phi=np.zeros((1, 1)), truth_latent=0)
-        b = SampleRecord(id="b", truth_label=0,
-                         latent_space=(LatentValue(0),), psi=psi_wrong,
+        b = SampleRecord(id="b", truth_label=0, psi=psi_wrong,
                          phi=np.zeros((1, 1)), truth_latent=0)
         dset = Dataset(2, 2, 1, (a, b))
         params = ModelParams(np.array([1.0, 0.0]), np.zeros(1))
@@ -150,8 +144,7 @@ class TestEvaluate:
         stripped = Dataset(
             dset.num_labels, dset.d_w, dset.d_theta,
             tuple(
-                SampleRecord(id=s.id, truth_label=s.truth_label,
-                             latent_space=s.latent_space, psi=s.psi,
+                SampleRecord(id=s.id, truth_label=s.truth_label, psi=s.psi,
                              phi=s.phi)
                 for s in dset
             ),
@@ -200,7 +193,7 @@ class TestStratifiedSplit:
         fixed = []
         for i, s in enumerate(samples):
             fixed.append(SampleRecord(
-                id=s.id, truth_label=i, latent_space=s.latent_space,
+                id=s.id, truth_label=i,
                 psi=s.psi, phi=s.phi, truth_latent=s.truth_latent,
             ))
         dset = Dataset(2, 4, 2, tuple(fixed))

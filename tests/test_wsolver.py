@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dissim import (
     Dataset,
     HyperParams,
-    LatentValue,
     SampleRecord,
     SolverError,
     ZeroOneLoss,
@@ -136,11 +135,9 @@ class TestInnerSolver:
         psi = np.zeros((2, 1, 2))
         psi[0, 0] = (1.0, 0.0)
         psi[1, 0] = (-1.0, 0.0)
-        a = SampleRecord(id="a", truth_label=0,
-                         latent_space=(LatentValue(0),), psi=psi,
+        a = SampleRecord(id="a", truth_label=0, psi=psi,
                          phi=np.zeros((1, 1)))
-        b = SampleRecord(id="b", truth_label=1,
-                         latent_space=(LatentValue(0),), psi=-psi,
+        b = SampleRecord(id="b", truth_label=1, psi=-psi,
                          phi=np.zeros((1, 1)))
         dset = Dataset(2, 2, 1, (a, b))
         w = solve_inner_convex(dset, np.zeros(1), [0, 0], StubZeroLoss(),

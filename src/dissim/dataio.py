@@ -98,15 +98,16 @@ class _LineReader:
             )
         return value
 
+    def error(self, message: str) -> InputError:
+        return InputError(f"{self.path} line {self.pos}: {message}")
+
     def parse(self, fields: Sequence[str], kind=float) -> list:
         """Fields of the current line converted by ``kind``; a field that
         does not convert is an InputError naming the line."""
         try:
             return [kind(v) for v in fields]
         except ValueError as err:
-            raise InputError(
-                f"{self.path} line {self.pos}: bad {kind.__name__} field ({err})"
-            ) from err
+            raise self.error(f"bad {kind.__name__} field ({err})") from err
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -160,13 +161,25 @@ def load_dataset(path) -> Dataset:
         if len(parts) != 1:
             raise InputError(f"{path} line {reader.pos}: sample takes one id")
         sample_id = parts[0]
+        # the checks SampleRecord would make are made row by row here, so
+        # that each error names its line
         label = reader.expect_int("label")
+        if not 0 <= label < num_labels:
+            raise reader.error(f"label {label} outside [0, {num_labels})")
         truth_latent = None
         if (peeked := reader.peek()) is not None and peeked.startswith(
             "truth_latent"
         ):
             truth_latent = reader.expect_int("truth_latent")
+            truth_line = reader.pos
         K = reader.expect_count("latents")
+        if K < 1:
+            raise reader.error("latents must be >= 1")
+        if truth_latent is not None and not 0 <= truth_latent < K:
+            raise InputError(
+                f"{path} line {truth_line}: truth_latent {truth_latent} "
+                f"outside [0, {K})"
+            )
         boxes = []
         for k in range(K):
             parts = reader.expect("latent")
@@ -181,10 +194,18 @@ def load_dataset(path) -> Dataset:
                     f"{path} line {reader.pos}: latent index {parts[0]} "
                     f"at position {k}"
                 )
-            boxes.append(parts[1:])
+            box = parts[1:]
+            if geometric:
+                if not (-(2**63) <= min(box) and max(box) < 2**63):
+                    raise reader.error("box coordinates must fit int64")
+                if not (box[0] < box[2] and box[1] < box[3]):
+                    raise reader.error(
+                        f"degenerate box {tuple(box)}: need x0 < x1 and y0 < y1"
+                    )
+            boxes.append(box)
         # the arrays are built from the parsed rows, so a corrupt count
         # never sizes an allocation
-        psi_rows = []
+        psi_rows, psi_lines = [], []
         for y in range(num_labels):
             for k in range(K):
                 parts = reader.expect("psi")
@@ -198,7 +219,8 @@ def load_dataset(path) -> Dataset:
                         f"{path} line {reader.pos}: psi rows out of order"
                     )
                 psi_rows.append(np.array(reader.parse(parts[2:])))
-        phi_rows = []
+                psi_lines.append(reader.pos)
+        phi_rows, phi_lines = [], []
         for k in range(K):
             parts = reader.expect("phi")
             if len(parts) != 1 + d_theta:
@@ -209,12 +231,15 @@ def load_dataset(path) -> Dataset:
             if reader.parse(parts[:1], int) != [k]:
                 raise InputError(f"{path} line {reader.pos}: phi rows out of order")
             phi_rows.append(np.array(reader.parse(parts[1:])))
+            phi_lines.append(reader.pos)
+        psi = _finite_rows(path, psi_rows, psi_lines)
+        phi = _finite_rows(path, phi_rows, phi_lines)
         samples.append(
             SampleRecord(
                 id=sample_id,
                 truth_label=label,
-                psi=np.array(psi_rows).reshape(num_labels, K, d_w),
-                phi=np.array(phi_rows).reshape(K, d_theta),
+                psi=psi.reshape(num_labels, K, d_w),
+                phi=phi.reshape(K, d_theta),
                 boxes=boxes if geometric else None,
                 truth_latent=truth_latent,
             )
@@ -222,6 +247,17 @@ def load_dataset(path) -> Dataset:
     return Dataset(
         num_labels=num_labels, d_w=d_w, d_theta=d_theta, samples=tuple(samples)
     )
+
+
+def _finite_rows(path: Path, rows: list, lines: list[int]) -> np.ndarray:
+    """The feature rows stacked into one array; a row holding a value that
+    is not finite is an InputError naming that row's line."""
+    table = np.array(rows)
+    finite = np.isfinite(table).all(axis=-1)
+    if not finite.all():
+        line = lines[int(np.argmin(finite))]
+        raise InputError(f"{path} line {line}: feature values must be finite")
+    return table
 
 
 @dataclass

@@ -26,7 +26,16 @@ from .errors import ConfigError, InputError
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """A read-only contiguous array of values.  A writeable array of the
+    caller's is copied, not frozen under the caller's hands; an array
+    built here from other values is frozen as is."""
     arr = np.ascontiguousarray(values, dtype=dtype)
+    if (
+        isinstance(values, np.ndarray)
+        and values.flags.writeable
+        and np.may_share_memory(arr, values)
+    ):
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

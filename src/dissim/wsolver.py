@@ -73,28 +73,37 @@ class _InnerData:
     whose latent space is smaller than the largest K are padded to it:
     zero psi rows, -inf augmentation entries (a padded candidate never
     wins) and a -inf mask on the padded truth-label columns.  Ties break
-    row-major (smallest label, then latent).
+    row-major (smallest label, then latent).  The psi stack does not
+    change during a CCCP run, so it is built once and ``set_round``
+    replaces only the tables and anchors.
     """
 
     def __init__(self, dataset: Dataset, tables: Sequence[np.ndarray], anchors):
-        samples = list(dataset)
+        self.samples = samples = list(dataset)
         self.n = n = len(samples)
         self.d_w = dataset.d_w
         L, K = dataset.num_labels, max(s.num_latents for s in samples)
+        self.padded_shape = (n, L, K)
         psi = np.zeros((n, L, K, self.d_w))
-        aug = np.full((n, L, K), -np.inf)
         self.truth_mask = np.zeros((n, K))
-        for i, (s, table) in enumerate(zip(samples, tables)):
+        for i, s in enumerate(samples):
             psi[i, :, : s.num_latents] = s.psi
-            aug[i, :, : s.num_latents] = table
             self.truth_mask[i, s.num_latents :] = -np.inf
         self.psi_stack = psi.reshape(n, L * K, self.d_w)
-        self.aug_stack = aug.reshape(n, L * K)
         self.truth_cols = np.array(
             [s.truth_label * K + np.arange(K) for s in samples]
         )
+        self.set_round(tables, anchors)
+
+    def set_round(self, tables: Sequence[np.ndarray], anchors) -> None:
+        """Use these augmentation tables and anchor latent indices."""
+        n, L, K = self.padded_shape
+        aug = np.full((n, L, K), -np.inf)
+        for i, (s, table) in enumerate(zip(self.samples, tables)):
+            aug[i, :, : s.num_latents] = table
+        self.aug_stack = aug.reshape(n, L * K)
         self.anchor_rows = np.array(
-            [s.psi[s.truth_label, a] for s, a in zip(samples, anchors)]
+            [s.psi[s.truth_label, a] for s, a in zip(self.samples, anchors)]
         )
 
     def _flat_scores(self, w: np.ndarray) -> np.ndarray:
@@ -132,7 +141,7 @@ def _qp_coordinate_ascent(
     max_passes: int = 10_000,
 ) -> np.ndarray:
     """Maximize  b . alpha - alpha^T G alpha / 2  over alpha >= 0 with
-    sum(alpha) <= C, by coordinate ascent.
+    sum(alpha) <= C, by coordinate ascent; alpha is updated in place.
 
     Single-coordinate moves respect the remaining budget; when the budget
     constraint is active, pairwise exchange moves redistribute mass
@@ -144,42 +153,76 @@ def _qp_coordinate_ascent(
     which bounds how far the objective is below its maximum, decides:
     alpha is returned if the gap is at most 1e-9 * max(1, C), and
     SolverError is raised otherwise.
+
+    The loops run on Python floats, which the interpreter steps through
+    several times faster than numpy scalars, and make the IEEE operations
+    of the numpy formulation in its order: ``q += delta * G[:, j]``
+    element by element, and the remaining budget from numpy's pairwise
+    sum of alpha (``_numpy_sum``).  The iterates depend on that summation
+    order, so a change to it changes which plane weights, and hence
+    which w, the solver returns.
     """
     m = b.size
-    q = G @ alpha
+    diag = G.diagonal()
+    # curvature along e_j - e_l, as G[j, j] - 2.0 * G[j, l] + G[l, l]
+    curvature = (diag[:, None] - 2.0 * G + diag[None, :]).tolist()
+    diag = diag.tolist()
+    cols = G.T.tolist()
+    offsets = b.tolist()
+    q = (G @ alpha).tolist()
+    a = alpha.tolist()
+    total = _numpy_sum(a)
     for _ in range(max_passes):
         biggest = 0.0
         for j in range(m):
-            gjj = G[j, j]
-            slope = b[j] - q[j]
-            budget = C - float(alpha.sum()) + alpha[j]
-            if gjj > 0.0:
-                target = alpha[j] + slope / gjj
+            aj = a[j]
+            slope = offsets[j] - q[j]
+            budget = C - total + aj
+            if diag[j] > 0.0:
+                new = aj + slope / diag[j]
             else:
-                target = budget if slope > 0.0 else 0.0
-            new = min(max(target, 0.0), budget)
-            delta = new - alpha[j]
+                new = budget if slope > 0.0 else 0.0
+            # min(max(new, 0.0), budget), keeping the first argument on ties
+            if new < 0.0:
+                new = 0.0
+            if budget < new:
+                new = budget
+            delta = new - aj
             if delta != 0.0:
-                alpha[j] = new
-                q += delta * G[:, j]
-                biggest = max(biggest, abs(delta))
-        if float(alpha.sum()) >= C * (1.0 - 1e-12):
+                a[j] = new
+                total = _numpy_sum(a)
+                q = [qi + delta * gi for qi, gi in zip(q, cols[j])]
+                if abs(delta) > biggest:
+                    biggest = abs(delta)
+        if total >= C * (1.0 - 1e-12):
             for j in range(m):
+                col_j, curv_j = cols[j], curvature[j]
                 for l in range(j):
-                    denom = G[j, j] - 2.0 * G[j, l] + G[l, l]
-                    slope = (b[j] - q[j]) - (b[l] - q[l])
+                    denom = curv_j[l]
+                    slope = (offsets[j] - q[j]) - (offsets[l] - q[l])
                     if denom > 0.0:
                         delta = slope / denom
                     else:
-                        delta = alpha[l] if slope > 0.0 else -alpha[j]
-                    delta = min(max(delta, -alpha[j]), alpha[l])
+                        delta = a[l] if slope > 0.0 else -a[j]
+                    # min(max(delta, -a[j]), a[l]), as above
+                    if -a[j] > delta:
+                        delta = -a[j]
+                    if a[l] < delta:
+                        delta = a[l]
                     if delta != 0.0:
-                        alpha[j] += delta
-                        alpha[l] -= delta
-                        q += delta * (G[:, j] - G[:, l])
-                        biggest = max(biggest, abs(delta))
+                        a[j] += delta
+                        a[l] -= delta
+                        q = [
+                            qi + delta * (gj - gl)
+                            for qi, gj, gl in zip(q, col_j, cols[l])
+                        ]
+                        if abs(delta) > biggest:
+                            biggest = abs(delta)
+            total = _numpy_sum(a)
         if biggest <= tol:
+            alpha[:] = a
             return alpha
+    alpha[:] = a
     grad = b - G @ alpha
     gap = max(0.0, C * float(grad.max())) - float(grad @ alpha)
     if gap <= 1e-9 * max(1.0, C):
@@ -189,6 +232,44 @@ def _qp_coordinate_ascent(
         f"(duality gap {gap:.3e})",
         last_iterate=alpha,
     )
+
+
+def _numpy_sum(values: list) -> float:
+    """``float(np.sum(values))`` for a list of floats, bit for bit.
+
+    numpy adds a float64 vector to 0.0 pairwise: fewer than 8 values in
+    order; up to 128 values in 8 interleaved accumulators, combined as a
+    tree, then the remainder in order; more than 128 as two halves (the
+    first a multiple of 8 long), each summed the same way.
+    """
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _pairwise_sum(a: list, lo: int, n: int) -> float:
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += a[i]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo : lo + 8]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(stop, lo + n):
+            total += a[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
 
 
 def _solve_inner(
@@ -287,14 +368,13 @@ def _cccp_loop(
         iterations += 1
         imputed_new = [latent_impute(w_new, s) for s in dataset]
         tables_new = build_tables(w_new, imputed_new)
-        data_new = _InnerData(dataset, tables_new, imputed_new)
-        obj_new = data_new.true_objective(w_new, C)
+        data.set_round(tables_new, imputed_new)
+        obj_new = data.true_objective(w_new, C)
         improvement = best - obj_new
         if obj_new < best:
             best_w, best = w_new.copy(), obj_new
             trace.append(obj_new)
             iterates.append(w_new.copy())
-        data = data_new
         if 0.0 <= improvement < C * epsilon:
             termination = "tolerance"
             break

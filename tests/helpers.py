@@ -1,6 +1,6 @@
 """Shared builders for randomized test instances, plus reference forms
-of scoring, the latent conditional and the w-step's convex subproblem
-that only the tests use.
+of scoring, the latent conditional, the w-step's convex subproblem and
+its dual QP that only the tests use.
 
 Instances come in two flavours: abstract (no boxes, suitable for the
 zero-one losses) and geometric (one box per latent value, suitable for
@@ -19,6 +19,7 @@ from dissim import (
     FiniteDistribution,
     LossFunction,
     SampleRecord,
+    SolverError,
     expected_loss_table,
     latent_posterior,
     score_table,
@@ -178,3 +179,75 @@ def _check_pair(sample: SampleRecord, y: int, k: int) -> None:
         raise IndexError(f"label {y} outside [0, {sample.psi.shape[0]})")
     if not (0 <= k < sample.num_latents):
         raise IndexError(f"latent index {k} outside [0, {sample.num_latents})")
+
+
+def reference_qp_coordinate_ascent(
+    G: np.ndarray,
+    b: np.ndarray,
+    C: float,
+    alpha: np.ndarray,
+    tol: float,
+    max_passes: int = 10_000,
+) -> np.ndarray:
+    """The dual QP of ``wsolver._qp_coordinate_ascent`` on numpy arrays
+    and scalars, kept as the reference its Python-float loops must match
+    bit for bit.
+
+    Maximize  b . alpha - alpha^T G alpha / 2  over alpha >= 0 with
+    sum(alpha) <= C, by coordinate ascent.
+
+    Single-coordinate moves respect the remaining budget; when the budget
+    constraint is active, pairwise exchange moves redistribute mass
+    between planes so the iteration cannot stall on the budget face.
+
+    The iteration stops once no move in a pass exceeds tol.  On the
+    budget face rounding can keep moves just above a tol near machine
+    precision, so after max_passes passes the Frank-Wolfe duality gap,
+    which bounds how far the objective is below its maximum, decides:
+    alpha is returned if the gap is at most 1e-9 * max(1, C), and
+    SolverError is raised otherwise.
+    """
+    m = b.size
+    q = G @ alpha
+    for _ in range(max_passes):
+        biggest = 0.0
+        for j in range(m):
+            gjj = G[j, j]
+            slope = b[j] - q[j]
+            budget = C - float(alpha.sum()) + alpha[j]
+            if gjj > 0.0:
+                target = alpha[j] + slope / gjj
+            else:
+                target = budget if slope > 0.0 else 0.0
+            new = min(max(target, 0.0), budget)
+            delta = new - alpha[j]
+            if delta != 0.0:
+                alpha[j] = new
+                q += delta * G[:, j]
+                biggest = max(biggest, abs(delta))
+        if float(alpha.sum()) >= C * (1.0 - 1e-12):
+            for j in range(m):
+                for l in range(j):
+                    denom = G[j, j] - 2.0 * G[j, l] + G[l, l]
+                    slope = (b[j] - q[j]) - (b[l] - q[l])
+                    if denom > 0.0:
+                        delta = slope / denom
+                    else:
+                        delta = alpha[l] if slope > 0.0 else -alpha[j]
+                    delta = min(max(delta, -alpha[j]), alpha[l])
+                    if delta != 0.0:
+                        alpha[j] += delta
+                        alpha[l] -= delta
+                        q += delta * (G[:, j] - G[:, l])
+                        biggest = max(biggest, abs(delta))
+        if biggest <= tol:
+            return alpha
+    grad = b - G @ alpha
+    gap = max(0.0, C * float(grad.max())) - float(grad @ alpha)
+    if gap <= 1e-9 * max(1.0, C):
+        return alpha
+    raise SolverError(
+        f"dual QP not converged after {max_passes} passes "
+        f"(duality gap {gap:.3e})",
+        last_iterate=alpha,
+    )

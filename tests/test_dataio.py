@@ -108,27 +108,39 @@ class TestDatasetRoundTrip:
             load_dataset(path)
 
     def test_corrupt_field_reports_line(self, tmp_path):
-        dset = make_dataset(6, n=1, num_labels=2, num_latents=2, d_w=3,
-                            d_theta=2)
+        abstract = make_dataset(6, n=1, num_labels=2, num_latents=2, d_w=3,
+                                d_theta=2)
+        geometric = make_dataset(6, n=1, num_labels=2, num_latents=2, d_w=3,
+                                 d_theta=2, geometric=True)
         path = tmp_path / "c.txt"
-        save_dataset(dset, path)
-        lines = path.read_text().splitlines()
-        for keyword, corrupt in (
-            ("psi", "psi 0 0 1.0"),
-            ("psi", "psi 0 0 1.0 abc 2.0"),
-            ("psi", "psi x 0 1.0 2.0 3.0"),
-            ("phi", "phi x 1.0 2.0"),
-            ("latent", "latent x"),
-            ("latent", "latent 1"),
-            ("latent", "latent 0 0 0 1 1"),
-            ("geometric", "geometric 2"),
-            ("labels", "labels -1"),
-            ("dw", "dw -1"),
-            ("dtheta", "dtheta -2"),
-            ("latents", "latents -1"),
-            ("phi", "phi 0 1.0 \udcff2.0"),
+        for dset, keyword, corrupt in (
+            (abstract, "psi", "psi 0 0 1.0"),
+            (abstract, "psi", "psi 0 0 1.0 abc 2.0"),
+            (abstract, "psi", "psi x 0 1.0 2.0 3.0"),
+            (abstract, "phi", "phi x 1.0 2.0"),
+            (abstract, "latent", "latent x"),
+            (abstract, "latent", "latent 1"),
+            (abstract, "latent", "latent 0 0 0 1 1"),
+            (abstract, "geometric", "geometric 2"),
+            (abstract, "labels", "labels -1"),
+            (abstract, "dw", "dw -1"),
+            (abstract, "dtheta", "dtheta -2"),
+            (abstract, "latents", "latents -1"),
+            (abstract, "phi", "phi 0 1.0 \udcff2.0"),
+            # checks SampleRecord makes, named by the row that fails them
+            (abstract, "label", "label 2"),
+            (abstract, "label", "label -1"),
+            (abstract, "truth_latent", "truth_latent 2"),
+            (abstract, "latents", "latents 0"),
+            (abstract, "psi 1 1", "psi 1 1 1.0 nan 2.0"),
+            (abstract, "phi 1", "phi 1 -inf 1.0"),
+            (geometric, "latent", "latent 0 4 0 4 3"),
+            (geometric, "latent", "latent 0 0 0 1 9223372036854775808"),
         ):
-            idx = next(i for i, l in enumerate(lines) if l.split()[0] == keyword)
+            save_dataset(dset, path)
+            lines = path.read_text().splitlines()
+            idx = next(i for i, l in enumerate(lines)
+                       if (l + " ").startswith(keyword + " "))
             text = "\n".join(lines[:idx] + [corrupt] + lines[idx + 1 :]) + "\n"
             # a lone surrogate escape writes one byte that is not UTF-8
             path.write_bytes(text.encode("utf-8", "surrogateescape"))

@@ -135,6 +135,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             sample.psi[0, 0, 0] = 9.0
 
+    def test_caller_arrays_stay_writeable(self):
+        psi, phi = np.zeros((2, 1, 2)), np.zeros((1, 3))
+        boxes = np.array([[0, 0, 2, 2]])
+        w, theta, probs = np.zeros(2), np.zeros(3), np.array([0.5, 0.5])
+        sample = SampleRecord(id="a", truth_label=0, psi=psi, phi=phi,
+                              boxes=boxes)
+        params = ModelParams(w, theta)
+        dist = FiniteDistribution(probs)
+        for arr in (psi, phi, boxes, w, theta, probs):
+            arr[...] = 7
+        for kept in (sample.psi, sample.phi, params.w, params.theta):
+            assert not kept.flags.writeable and not kept.any()
+        np.testing.assert_array_equal(sample.boxes, [[0, 0, 2, 2]])
+        np.testing.assert_array_equal(dist.probs, [0.5, 0.5])
+
     def test_finite_distribution_must_sum_to_one(self):
         with pytest.raises(InputError):
             FiniteDistribution(np.array([0.5, 0.4]))

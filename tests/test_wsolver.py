@@ -24,6 +24,7 @@ from helpers import (
     loss_augmented_argmax,
     make_dataset,
     make_sample,
+    reference_qp_coordinate_ascent,
     solve_inner_convex,
 )
 from test_losses import StubZeroLoss
@@ -262,6 +263,65 @@ class TestDualQP:
         alpha = wsolver._qp_coordinate_ascent(np.eye(2), np.ones(2), 10.0,
                                               np.zeros(2), 1e-13, max_passes=1)
         np.testing.assert_array_equal(alpha, [1.0, 1.0])
+
+
+def random_qp(rng, m, C=None):
+    """A dual QP as the cutting-plane loop poses it: the Gram matrix of m
+    random plane directions, offsets in [0, 1), C in [1e-4, 100] (small
+    C puts the optimum on the budget face) and, half the time, a warm
+    start holding part of the budget."""
+    directions = rng.standard_normal((m, int(rng.integers(1, 2 * m + 2))))
+    directions *= 10.0 ** int(rng.integers(-2, 2))
+    C = float(10.0 ** rng.uniform(-4, 2)) if C is None else C
+    alpha = np.zeros(m)
+    if rng.random() < 0.5 and m > 1:
+        alpha[:-1] = rng.random(m - 1)
+        alpha *= C * rng.random() / alpha.sum()
+    return directions @ directions.T, rng.random(m), C, alpha
+
+
+def qp_outcome(solve, G, b, C, alpha, max_passes):
+    """Bytes of the returned alpha, or the error message and the bytes of
+    its last iterate."""
+    alpha = alpha.copy()
+    try:
+        out = solve(G, b, C, alpha, 1e-13 * max(1.0, C), max_passes=max_passes)
+    except SolverError as err:
+        return str(err), err.last_iterate.tobytes()
+    assert out is alpha
+    return out.tobytes()
+
+
+class TestDualQPMatchesReference:
+    def test_alpha_bytes_equal_reference(self):
+        rng = np.random.default_rng(20240)
+        on_face = 0
+        for m in [int(m) for m in rng.integers(1, 41, size=60)]:
+            G, b, C, alpha = random_qp(rng, m)
+            # a pass cap of 300 keeps the slowly converging instances
+            # cheap; the ones that reach it compare their SolverError
+            expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C,
+                                alpha, 300)
+            assert qp_outcome(wsolver._qp_coordinate_ascent, G, b, C,
+                              alpha, 300) == expect
+            if isinstance(expect, bytes):
+                on_face += np.frombuffer(expect).sum() >= C * (1.0 - 1e-12)
+        assert on_face >= 10
+
+    def test_more_than_128_planes(self):
+        # alpha's sum takes numpy's recursive branch above 128 values
+        rng = np.random.default_rng(140)
+        G, b, C, alpha = random_qp(rng, 140, C=0.05)
+        expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C, alpha, 3)
+        assert qp_outcome(wsolver._qp_coordinate_ascent, G, b, C, alpha,
+                          3) == expect
+
+    def test_sum_replica_matches_numpy(self):
+        rng = np.random.default_rng(300)
+        for n in range(301):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+            got = np.float64(wsolver._numpy_sum(x.tolist())).tobytes()
+            assert got == np.float64(np.sum(x)).tobytes(), n
 
 
 class TestInnerData:

@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Paired before/after runs of the benchmark, written to BENCH_<tag>.json.
+
+    python3 scripts/bench_pairs.py --base HEAD~1 --tag theta_step \\
+        --workload dissim-lowC --seed 4 --pairs 10 --seconds 20
+
+Exports the base revision with ``git archive`` into a temporary directory
+(nothing is registered in the repository, so an interrupted run leaves no
+trace in it), then runs ``perfbench/run.py --trace 0`` alternately in the
+base tree and in the working tree, ``--pairs`` times per workload
+(default 10, the fewest pairs that can support a claimed gain).  The
+side that goes first alternates from pair to pair, so slow drift of the
+machine's speed falls on both sides alike.  Stdlib only.
+
+The output holds the ``machine`` line of the first run, every run's
+end-to-end metrics, and per metric the median and quartiles of each side
+and the number of pairs the working tree won (the direction of "better"
+is read from BENCHMARK.json).  Exit status 1 if any run printed
+``correct: false`` or failed fits.  A run that exits non-zero stops the
+script; the runs made before it are still written, with the failure
+under ``error``, and the exit status is 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export_tree(rev: str, dest: Path) -> None:
+    """The files of ``rev`` under ``dest``, as ``git archive`` gives them."""
+    proc = subprocess.Popen(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE
+    )
+    # extraction filters arrived in Python 3.10.12; git archive output
+    # is trusted, so older versions extract without one
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
+        tar.extractall(dest, **safe)
+    if proc.wait() != 0:
+        raise SystemExit(f"git archive {rev} failed")
+
+
+class RunFailed(Exception):
+    """A benchmark run exited non-zero or printed nothing."""
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in ``tree``: its machine line, its
+    outcome and its end-to-end metrics."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise RunFailed(f"perfbench/run.py exited {proc.returncode} in {tree}")
+    result = json.loads(lines[-1])
+    machine = next(
+        (json.loads(l[len("machine "):]) for l in lines if l.startswith("machine ")),
+        None,
+    )
+    return {
+        "machine": machine,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    }
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method; one value is its own
+    quartiles)."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    by_pair: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+    out = {}
+    for name in runs[0]["metrics"]:
+        sides = {
+            side: [r["metrics"][name] for r in runs if r["side"] == side]
+            for side in ("base", "change")
+        }
+        entry = {side: spread(values) for side, values in sides.items() if values}
+        if name in better:
+            sign = 1.0 if better[name] == "higher" else -1.0
+            entry["better"] = better[name]
+            entry["change_wins"] = sum(
+                sign * (p["change"][name] - p["base"][name]) > 0
+                for p in by_pair.values()
+                if len(p) == 2
+            )
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare with")
+    parser.add_argument("--tag", required=True, help="output is BENCH_<tag>.json")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="benchmark workload; repeat for several")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--tmpdir", default=None,
+                        help="where the base tree is exported (default: system temp)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    base_rev = git("rev-parse", args.base)
+    head_rev = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+
+    export_root = Path(tempfile.mkdtemp(prefix="bench-base-", dir=args.tmpdir))
+    report = {
+        "tag": args.tag,
+        "base": base_rev,
+        "change": {"head": head_rev, "uncommitted_changes": dirty},
+        "command": "perfbench/run.py --trace 0",
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "machine": None,
+        "workloads": {},
+    }
+    ok = True
+    try:
+        export_tree(base_rev, export_root)
+        trees = {"base": export_root, "change": ROOT}
+        for workload in args.workload:
+            runs = []
+            report["workloads"][workload] = {"runs": runs}
+            for pair in range(args.pairs):
+                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+                for side in order:
+                    run = run_once(trees[side], workload, args.seed, args.seconds)
+                    machine = run.pop("machine")
+                    report["machine"] = report["machine"] or machine
+                    ok = ok and run["correct"] and run["failed"] == 0
+                    runs.append({"pair": pair, "side": side, **run})
+                    print(f"{workload} pair {pair} {side}: "
+                          f"correct {run['correct']} "
+                          + json.dumps(run["metrics"], sort_keys=True), flush=True)
+    except RunFailed as err:
+        print(err, file=sys.stderr)
+        report["error"] = str(err)
+        ok = False
+    finally:
+        shutil.rmtree(export_root, ignore_errors=True)
+    for entry in report["workloads"].values():
+        if entry["runs"]:
+            entry["summary"] = summarize(entry["runs"], better)
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

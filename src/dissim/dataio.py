@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .model import Dataset, ModelParams, SampleRecord
 
 DATASET_MAGIC = "dissim-dataset 1"
@@ -30,6 +31,8 @@ RESULTS_HEADER = (
     "train_objective",
     "wallclock_seconds",
 )
+# why training stopped, as a model file's termination line gives it
+TERMINATIONS = ("tolerance", "round_budget", "repeat")
 
 
 def _fmt_floats(values: Iterable[float]) -> str:
@@ -109,6 +112,14 @@ class _LineReader:
         except ValueError as err:
             raise self.error(f"bad {kind.__name__} field ({err})") from err
 
+    def parse_finite(self, fields: Sequence[str]) -> list[float]:
+        """Float fields of the current line; a value that is not finite is
+        an InputError naming the line."""
+        values = self.parse(fields)
+        if not all(map(math.isfinite, values)):
+            raise self.error("values must be finite")
+        return values
+
 
 def save_dataset(dataset: Dataset, path) -> None:
     path = Path(path)
@@ -155,6 +166,8 @@ def load_dataset(path) -> Dataset:
         )
     latent_fields = 5 if geometric else 1
     n = reader.expect_count("samples")
+    if n < 1:
+        raise reader.error("samples must be >= 1")
     samples = []
     for _ in range(n):
         parts = reader.expect("sample")
@@ -273,6 +286,11 @@ class ModelRecord:
 
 def save_model(record: ModelRecord, path) -> None:
     path = Path(path)
+    if record.termination not in TERMINATIONS:
+        raise ConfigError(
+            f"termination {record.termination!r} is not one of "
+            f"{', '.join(TERMINATIONS)}"
+        )
     out = [MODEL_MAGIC]
     out.append(f"method {record.method}")
     out.append(f"loss {record.loss_kind}")
@@ -300,12 +318,16 @@ def load_model(path) -> ModelRecord:
     d_w = reader.expect_count("dw")
     d_theta = reader.expect_count("dtheta")
     termination = reader.expect_one("termination")
-    w = reader.parse(reader.expect("w"))
-    theta = reader.parse(reader.expect("theta"))
+    if termination not in TERMINATIONS:
+        raise reader.error(
+            f"termination {termination!r} is not one of {', '.join(TERMINATIONS)}"
+        )
+    w = reader.parse_finite(reader.expect("w"))
+    theta = reader.parse_finite(reader.expect("theta"))
     if len(w) != d_w or len(theta) != d_theta:
         raise InputError(f"{path}: parameter vector length mismatch")
     trace_len = reader.expect_count("trace")
-    trace = [reader.parse([reader.next()])[0] for _ in range(trace_len)]
+    trace = [reader.parse_finite([reader.next()])[0] for _ in range(trace_len)]
     return ModelRecord(
         params=ModelParams(np.array(w), np.array(theta)),
         method=method,

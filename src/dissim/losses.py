@@ -22,6 +22,7 @@ all the pieces live here.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -54,14 +55,12 @@ class HyperParams:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ConfigError(f"C must be positive, got {self.C}")
-        if not self.J > 0:
-            raise ConfigError(f"J must be positive, got {self.J}")
+        for name in ("C", "J", "epsilon"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def overlap_ratio(box_a, box_b) -> float:
@@ -231,11 +230,17 @@ def expected_loss_table(
     T = loss.table(sample)
     if not loss.latent_dependent:
         return T[0].copy()
+    return _expected_loss_by_label(probs, T.transpose(1, 0, 2))
+
+
+def _expected_loss_by_label(probs: np.ndarray, by_label: np.ndarray) -> np.ndarray:
+    """``expected_loss_table`` of a latent-dependent loss, given its table
+    as the (labels, K, K) view ``T.transpose(1, 0, 2)``."""
     # Batched over labels, each label's entries round exactly as a product
     # against that label's (K, K) slice alone.  One flat (K, labels * K)
     # product would not: BLAS treats trailing rows apart, so entries move
     # by an ulp whenever K is not a multiple of the kernel width.
-    return probs @ T.transpose(1, 0, 2)
+    return probs @ by_label
 
 
 def expected_loss(

@@ -250,12 +250,21 @@ def predict(w: np.ndarray, sample: SampleRecord) -> tuple[int, int]:
 
 
 def _log_sum_exp(activations: np.ndarray) -> float:
-    """Max-shifted log-sum-exp: large activations cannot overflow."""
-    shift = float(activations.max())
-    return shift + math.log(float(np.exp(activations - shift).sum()))
+    """Max-shifted log-sum-exp: large activations cannot overflow.
+
+    The ufunc reductions are the kernels behind ``ndarray.max``/``.sum``,
+    called without their Python wrappers.
+    """
+    shift = float(np.maximum.reduce(activations))
+    return shift + math.log(float(np.add.reduce(np.exp(activations - shift))))
+
+
+def _posterior(phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``latent_posterior`` for a checked float64 theta."""
+    activations = phi @ theta
+    return np.exp(activations - _log_sum_exp(activations))
 
 
 def latent_posterior(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
     """Log-linear latent distribution as a bare probability vector."""
-    activations = sample.phi @ _check_theta(theta, sample)
-    return np.exp(activations - _log_sum_exp(activations))
+    return _posterior(sample.phi, _check_theta(theta, sample))

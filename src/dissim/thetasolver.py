@@ -26,7 +26,7 @@ loss at the current loss-augmented argmax (valid off tie points).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,11 +34,11 @@ from .errors import ConfigError
 from .losses import (
     HyperParams,
     LossFunction,
-    _self_diversity_from_probs,
+    _expected_loss_by_label,
     expected_loss_table,
     upper_bound,
 )
-from .model import Dataset, SampleRecord, latent_posterior, score_table
+from .model import Dataset, SampleRecord, _posterior, latent_posterior, score_table
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,15 @@ class SSDConfig:
 
 
 def _weighted_feature_pull(
-    probs: np.ndarray, phi: np.ndarray, weights: np.ndarray
+    probs: np.ndarray,
+    phi_t: np.ndarray,
+    mean_feature: np.ndarray,
+    weights: np.ndarray,
 ) -> np.ndarray:
-    """sum_k weights_k probs_k (phi_k - mean feature)."""
+    """sum_k weights_k probs_k (phi_k - mean_feature), where phi_t is
+    phi.T and mean_feature is phi.T @ probs."""
     pw = probs * weights
-    mean_feature = phi.T @ probs
-    return phi.T @ pw - float(pw.sum()) * mean_feature
+    return phi_t @ pw - float(np.add.reduce(pw)) * mean_feature
 
 
 def _grad_expected_from_probs(
@@ -78,8 +81,15 @@ def _grad_expected_from_probs(
 ) -> np.ndarray:
     if not loss.latent_dependent:
         return np.zeros(sample.phi.shape[1])
+    phi_t = sample.phi.T
     column = loss.table(sample)[:, y, k]
-    return _weighted_feature_pull(probs, sample.phi, column)
+    return _weighted_feature_pull(probs, phi_t, phi_t @ probs, column)
+
+
+def _self_diversity_weights(probs: np.ndarray, at_truth: np.ndarray) -> np.ndarray:
+    """Per-latent weights of the self-diversity gradient, given the loss
+    table's truth-label slice T[:, truth, :]."""
+    return at_truth @ probs + probs @ at_truth
 
 
 def _grad_self_diversity_from_probs(
@@ -87,9 +97,11 @@ def _grad_self_diversity_from_probs(
 ) -> np.ndarray:
     if not loss.latent_dependent:
         return np.zeros(sample.phi.shape[1])
-    M = loss.table(sample)[:, sample.truth_label, :]
-    weights = M @ probs + probs @ M
-    return _weighted_feature_pull(probs, sample.phi, weights)
+    phi_t = sample.phi.T
+    weights = _self_diversity_weights(
+        probs, loss.table(sample)[:, sample.truth_label, :]
+    )
+    return _weighted_feature_pull(probs, phi_t, phi_t @ probs, weights)
 
 
 def grad_expected_loss(
@@ -137,6 +149,34 @@ def theta_objective(
     return reg + hyper.C * upper_bound(w, theta, dataset, loss, hyper.beta)
 
 
+class _SampleView(NamedTuple):
+    """What one SSD step reads of a sample, looked up once per call."""
+
+    phi: np.ndarray
+    phi_t: np.ndarray  # phi.T
+    scores: np.ndarray  # score_table at the fixed w
+    table: np.ndarray  # the loss table T[j, y, k]
+    by_label: np.ndarray  # T.transpose(1, 0, 2)
+    at_truth: np.ndarray  # T[:, truth_label, :]
+    num_latents: int
+
+
+_INDEX_BLOCK = 4096
+
+
+def _step_indices(rng: np.random.Generator, n: int, steps: int):
+    """``steps`` uniform sample indices in [0, n), drawn in blocks of at
+    most ``_INDEX_BLOCK``.
+
+    A block draw ``rng.integers(n, size=b)`` yields the same indices as b
+    scalar draws ``rng.integers(n)`` (the tests pin this); blocks keep the
+    memory bounded for any budget.
+    """
+    for start in range(0, steps, _INDEX_BLOCK):
+        size = min(_INDEX_BLOCK, steps - start)
+        yield from rng.integers(n, size=size).tolist()
+
+
 def ssd_theta(
     dataset: Dataset,
     w: np.ndarray,
@@ -148,10 +188,11 @@ def ssd_theta(
     """Stochastic subgradient descent on the theta subproblem.
 
     Returns the final iterate.  Fully deterministic given the config
-    seed.
+    seed.  Each step makes the IEEE operations of ``latent_posterior``,
+    ``expected_loss_table`` and the ``grad_*`` functions in their order,
+    on per-sample views built once per call.
     """
     n = len(dataset)
-    samples = list(dataset)
     steps = (
         config.steps if config.steps is not None else config.steps_per_sample * n
     )
@@ -163,16 +204,41 @@ def ssd_theta(
         raise ConfigError(
             f"theta has shape {theta.shape}, expected ({dataset.d_theta},)"
         )
+    if np.shape(w) != (dataset.d_w,):
+        raise ConfigError(f"w has shape {np.shape(w)}, expected ({dataset.d_w},)")
+    beta = hyper.beta
+    if not loss.latent_dependent:
+        # both gradients vanish: only the shrinkage moves theta
+        zeros = np.zeros(dataset.d_theta)
+        for t in range(1, steps + 1):
+            g = lam * theta + zeros - beta * zeros
+            theta = theta - g / (lam * t)
+        return theta
+    views = []
+    for s in dataset:
+        T = loss.table(s)
+        views.append(
+            _SampleView(
+                s.phi,
+                s.phi.T,
+                score_table(w, s),
+                T,
+                T.transpose(1, 0, 2),
+                T[:, s.truth_label, :],
+                s.num_latents,
+            )
+        )
     rng = np.random.default_rng(config.seed)
-    score_tables = [score_table(w, s) for s in samples]
-    for t in range(1, steps + 1):
-        i = int(rng.integers(n))
-        sample = samples[i]
-        probs = latent_posterior(theta, sample)
-        table = score_tables[i] + expected_loss_table(probs, sample, loss)
-        y, k = divmod(int(np.argmax(table)), sample.num_latents)
-        g_slack = _grad_expected_from_probs(probs, sample, y, k, loss)
-        g_selfdiv = _grad_self_diversity_from_probs(probs, sample, loss)
-        g = lam * theta + g_slack - hyper.beta * g_selfdiv
+    for t, i in enumerate(_step_indices(rng, n, steps), 1):
+        phi, phi_t, scores, T, by_label, at_truth, K = views[i]
+        probs = _posterior(phi, theta)
+        table = scores + _expected_loss_by_label(probs, by_label)
+        y, k = divmod(int(table.argmax()), K)
+        mean_feature = phi_t @ probs
+        g_slack = _weighted_feature_pull(probs, phi_t, mean_feature, T[:, y, k])
+        g_selfdiv = _weighted_feature_pull(
+            probs, phi_t, mean_feature, _self_diversity_weights(probs, at_truth)
+        )
+        g = lam * theta + g_slack - beta * g_selfdiv
         theta = theta - g / (lam * t)
     return theta

@@ -46,14 +46,18 @@ class TrainConfig:
     split_seed: int = 0
 
     def __post_init__(self):
-        if not self.inner_tol > 0:
-            raise ConfigError(f"inner_tol must be positive, got {self.inner_tol}")
+        if not (self.inner_tol > 0 and math.isfinite(self.inner_tol)):
+            raise ConfigError(
+                f"inner_tol must be positive and finite, got {self.inner_tol}"
+            )
         if self.max_outer_rounds < 1:
             raise ConfigError(
                 f"max_outer_rounds must be >= 1, got {self.max_outer_rounds}"
             )
-        if len(self.C_grid) < 1 or any(c <= 0 for c in self.C_grid):
-            raise ConfigError("C grid must be non-empty and positive")
+        if len(self.C_grid) < 1 or not all(
+            c > 0 and math.isfinite(c) for c in self.C_grid
+        ):
+            raise ConfigError("C grid must be non-empty, positive and finite")
         if list(self.C_grid) != sorted(self.C_grid) or len(set(self.C_grid)) != len(
             self.C_grid
         ):

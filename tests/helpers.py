@@ -1,6 +1,6 @@
 """Shared builders for randomized test instances, plus reference forms
-of scoring, the latent conditional, the w-step's convex subproblem and
-its dual QP that only the tests use.
+of scoring, the latent conditional, the w-step's convex subproblem, its
+dual QP and the theta step that only the tests use.
 
 Instances come in two flavours: abstract (no boxes, suitable for the
 zero-one losses) and geometric (one box per latent value, suitable for
@@ -10,6 +10,8 @@ seed so failures replay exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import dissim.wsolver as wsolver
@@ -17,9 +19,11 @@ from dissim import (
     ConfigError,
     Dataset,
     FiniteDistribution,
+    HyperParams,
     LossFunction,
     SampleRecord,
     SolverError,
+    SSDConfig,
     expected_loss_table,
     latent_posterior,
     score_table,
@@ -251,3 +255,82 @@ def reference_qp_coordinate_ascent(
         f"(duality gap {gap:.3e})",
         last_iterate=alpha,
     )
+
+
+def _reference_posterior(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
+    activations = sample.phi @ theta
+    shift = float(activations.max())
+    log_z = shift + math.log(float(np.exp(activations - shift).sum()))
+    return np.exp(activations - log_z)
+
+
+def _reference_expected_loss_table(
+    probs: np.ndarray, sample: SampleRecord, loss: LossFunction
+) -> np.ndarray:
+    T = loss.table(sample)
+    if not loss.latent_dependent:
+        return T[0].copy()
+    return probs @ T.transpose(1, 0, 2)
+
+
+def _reference_pull(
+    probs: np.ndarray, phi: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    pw = probs * weights
+    mean_feature = phi.T @ probs
+    return phi.T @ pw - float(pw.sum()) * mean_feature
+
+
+def _reference_grad_expected(probs, sample, y, k, loss) -> np.ndarray:
+    if not loss.latent_dependent:
+        return np.zeros(sample.phi.shape[1])
+    column = loss.table(sample)[:, y, k]
+    return _reference_pull(probs, sample.phi, column)
+
+
+def _reference_grad_self_diversity(probs, sample, loss) -> np.ndarray:
+    if not loss.latent_dependent:
+        return np.zeros(sample.phi.shape[1])
+    M = loss.table(sample)[:, sample.truth_label, :]
+    weights = M @ probs + probs @ M
+    return _reference_pull(probs, sample.phi, weights)
+
+
+def reference_ssd_theta(
+    dataset: Dataset,
+    w: np.ndarray,
+    theta_init: np.ndarray,
+    loss: LossFunction,
+    hyper: HyperParams,
+    config: SSDConfig = SSDConfig(),
+) -> np.ndarray:
+    """``thetasolver.ssd_theta`` as one scalar index draw and one lookup
+    of every table per step, kept as the reference that its per-sample
+    views must match bit for bit.
+
+    The latent conditional, the expected-loss table and the gradient
+    pulls are written out here in the form they had in that loop
+    (``ndarray`` method reductions, ``phi.T @ probs`` once per pull), so
+    the comparison covers the private cores the solver shares with the
+    public functions.
+    """
+    n = len(dataset)
+    samples = list(dataset)
+    steps = (
+        config.steps if config.steps is not None else config.steps_per_sample * n
+    )
+    lam = hyper.J / hyper.C
+    theta = np.array(theta_init, dtype=np.float64)
+    rng = np.random.default_rng(config.seed)
+    score_tables = [score_table(w, s) for s in samples]
+    for t in range(1, steps + 1):
+        i = int(rng.integers(n))
+        sample = samples[i]
+        probs = _reference_posterior(theta, sample)
+        table = score_tables[i] + _reference_expected_loss_table(probs, sample, loss)
+        y, k = divmod(int(np.argmax(table)), sample.num_latents)
+        g_slack = _reference_grad_expected(probs, sample, y, k, loss)
+        g_selfdiv = _reference_grad_self_diversity(probs, sample, loss)
+        g = lam * theta + g_slack - hyper.beta * g_selfdiv
+        theta = theta - g / (lam * t)
+    return theta

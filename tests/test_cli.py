@@ -155,6 +155,20 @@ class TestTrain:
     def test_missing_required_flag_exits_2(self):
         assert cli.main(["train"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--C", "inf"), ("--J", "inf"), ("--epsilon", "inf"),
+        ("--inner-tol", "inf"), ("--C", "nan"),
+    ])
+    def test_non_finite_hyperparameter_exits_2(self, tmp_path, capsys, flag,
+                                               value):
+        data = generate_tiny(tmp_path)
+        out = tmp_path / "m.model"
+        code = cli.main(["train", "--data", str(data), "--method", "lsvm",
+                         flag, value, "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         data = generate_tiny(tmp_path)
 
@@ -283,6 +297,14 @@ class TestExperiment:
                          "0", "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert "steps_per_sample" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_non_finite_c_grid_exits_2(self, tmp_path, capsys):
+        data = generate_tiny(tmp_path)
+        code = cli.main(["experiment", "--data", str(data), "--methods", "lsvm",
+                         "--C-grid", "1e308,inf", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     def test_non_numeric_c_grid_exits_2(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Round-trip and validation tests for the text file formats."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -126,6 +128,7 @@ class TestDatasetRoundTrip:
             (abstract, "dw", "dw -1"),
             (abstract, "dtheta", "dtheta -2"),
             (abstract, "latents", "latents -1"),
+            (abstract, "samples", "samples 0"),
             (abstract, "phi", "phi 0 1.0 \udcff2.0"),
             # checks SampleRecord makes, named by the row that fails them
             (abstract, "label", "label 2"),
@@ -171,7 +174,7 @@ class TestModelRoundTrip:
                                rng.standard_normal(3)),
             method="dissim",
             loss_kind="overlap",
-            termination="converged",
+            termination="tolerance",
             trace=[2.0, 1.5, 1.25],
         )
 
@@ -193,6 +196,13 @@ class TestModelRoundTrip:
         save_model(rec, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_unknown_termination_not_saved(self, tmp_path):
+        rec = dataclasses.replace(self.make_record(), termination="converged")
+        path = tmp_path / "m.txt"
+        with pytest.raises(ConfigError, match="converged"):
+            save_model(rec, path)
+        assert not path.exists()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -222,6 +232,10 @@ class TestModelRoundTrip:
         ("dw", "dw -5"),
         ("trace", "trace -1"),
         ("loss", "loss overl\udcffap"),
+        ("w", "w nan 1.0 2.0 3.0 4.0"),
+        ("theta", "theta 1.0 -inf 2.0"),
+        ("2.0", "nan"),
+        ("termination", "termination bogus"),
     ])
     def test_malformed_field_reports_line(self, tmp_path, keyword, corrupt):
         path = tmp_path / "m.txt"

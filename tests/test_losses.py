@@ -172,6 +172,12 @@ class TestHyperParams:
         with pytest.raises(ConfigError):
             HyperParams(epsilon=-1.0)
 
+    @pytest.mark.parametrize("field", ["C", "J", "epsilon"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            HyperParams(**{field: value})
+
 
 class TestExpectedLoss:
     def test_uniform_truth_row(self):

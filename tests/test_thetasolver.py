@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dissim import (
+    ConfigError,
     Dataset,
     HyperParams,
     LabelOnlyZeroOneLoss,
+    OverlapLoss,
     SampleRecord,
     SSDConfig,
     ZeroOneLoss,
@@ -20,7 +22,7 @@ from dissim import (
     theta_objective,
     upper_bound,
 )
-from helpers import make_dataset, make_sample
+from helpers import make_dataset, make_sample, reference_ssd_theta
 from test_losses import StubZeroLoss
 
 
@@ -224,3 +226,80 @@ class TestSSD:
         b = ssd_theta(dset, w, theta0, ZeroOneLoss(), hyper,
                       SSDConfig(steps=4 * len(dset), seed=3))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("loss", [ZeroOneLoss(), LabelOnlyZeroOneLoss()])
+    def test_wrong_w_shape_rejected(self, loss):
+        dset = self.fixed_instance()
+        with pytest.raises(ConfigError, match="w has shape"):
+            ssd_theta(dset, np.zeros(5), np.zeros(3), loss, HyperParams(),
+                      SSDConfig(steps=3))
+
+
+LOSSES = {
+    "zero_one": ZeroOneLoss,
+    "overlap": OverlapLoss,
+    "zero_one_label_only": LabelOnlyZeroOneLoss,
+    "stub_zero": StubZeroLoss,
+}
+# (C, J) pairs from the protocol's grid ends to a strong theta regularizer
+CJ_PAIRS = [(1e-4, 0.1), (0.01, 0.1), (1.0, 0.1), (10.0, 1e-3), (0.1, 2.0)]
+
+
+class TestSSDMatchesReference:
+    """The solver's per-sample views against the plain per-step loop kept
+    in the tests: same theta, bit for bit."""
+
+    def case(self, loss_name, seed):
+        rng = np.random.default_rng(seed)
+        ragged = seed % 3 == 1
+        dset = make_dataset(
+            100 + seed,
+            n=1 if seed % 4 == 0 else int(rng.integers(2, 9)),
+            num_labels=int(rng.integers(2, 4)),
+            num_latents=int(rng.integers(2 if ragged else 1, 17)),
+            d_w=int(rng.integers(1, 7)),
+            d_theta=int(rng.integers(1, 17)),
+            geometric=loss_name == "overlap" or seed % 2 == 0,
+            uniform_shapes=not ragged,
+        )
+        scale = 10.0 ** rng.uniform(-2, 1)
+        w = scale * rng.standard_normal(dset.d_w)
+        theta0 = rng.standard_normal(dset.d_theta)
+        C, J = CJ_PAIRS[seed % len(CJ_PAIRS)]
+        hyper = HyperParams(C=C, J=J, beta=float(rng.uniform(0.05, 0.95)))
+        if seed % 2:
+            config = SSDConfig(steps=int(rng.integers(1, 400)), seed=seed)
+        else:
+            config = SSDConfig(steps_per_sample=int(rng.integers(1, 60)),
+                               seed=seed)
+        return dset, w, theta0, LOSSES[loss_name](), hyper, config
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("loss_name", sorted(LOSSES))
+    def test_theta_bytes_equal_reference(self, loss_name, seed):
+        dset, w, theta0, loss, hyper, config = self.case(loss_name, seed)
+        got = ssd_theta(dset, w, theta0, loss, hyper, config)
+        want = reference_ssd_theta(dset, w, theta0, loss, hyper, config)
+        assert got.tobytes() == want.tobytes()
+
+    def test_budget_spans_index_blocks(self):
+        dset = make_dataset(5, n=3, num_labels=2, num_latents=5, d_w=3,
+                            d_theta=4, geometric=True)
+        rng = np.random.default_rng(5)
+        w, theta0 = rng.standard_normal(3), rng.standard_normal(4)
+        config = SSDConfig(steps=4096 + 905, seed=1)
+        for loss in (ZeroOneLoss(), OverlapLoss()):
+            got = ssd_theta(dset, w, theta0, loss, HyperParams(C=0.1), config)
+            want = reference_ssd_theta(dset, w, theta0, loss,
+                                       HyperParams(C=0.1), config)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_draws_equal_scalar_draws(self, seed):
+        for n in range(1, 301):
+            rng = np.random.default_rng(seed)
+            scalar = [int(rng.integers(n)) for _ in range(40)]
+            rng = np.random.default_rng(seed)
+            blocks = (rng.integers(n, size=16).tolist()
+                      + rng.integers(n, size=24).tolist())
+            assert blocks == scalar, n

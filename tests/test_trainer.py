@@ -261,3 +261,16 @@ def test_c_grid_must_increase():
 
     with pytest.raises(ConfigError):
         TrainConfig(C_grid=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("inner_tol", float("inf")),
+    ("inner_tol", float("nan")),
+    ("C_grid", (1.0, float("inf"))),
+    ("C_grid", (float("nan"),)),
+])
+def test_non_finite_settings_rejected(field, value):
+    from dissim import ConfigError
+
+    with pytest.raises(ConfigError, match="finite"):
+        TrainConfig(**{field: value})

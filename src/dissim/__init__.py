@@ -27,13 +27,11 @@ from .losses import (
     OverlapLoss,
     ZeroOneLoss,
     dissimilarity,
-    dissimilarity_objective,
     diversity,
     expected_loss,
     expected_loss_table,
     iou_matrix,
     make_loss,
-    overlap_ratio,
     regularized_objective,
     self_diversity,
     slack,
@@ -53,7 +51,6 @@ from .thetasolver import (
     theta_objective,
 )
 from .baselines import (
-    delta_restricted_objective,
     ilsvm_latent_estimates,
     ilsvm_train,
     lsvm_train,
@@ -71,7 +68,7 @@ from .trainer import (
     stratified_split,
     train,
 )
-from .synth import TaskSpec, generate, oracle_objective, template_model
+from .synth import TaskSpec, generate
 from .gradcheck import GradCheckResult, run_gradient_checks
 from .dataio import (
     ModelRecord,

@@ -76,26 +76,3 @@ def ilsvm_train(
 
     w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None)
     return ModelParams(w, np.zeros(dataset.d_theta)), report
-
-
-def delta_restricted_objective(
-    dataset: Dataset,
-    w: np.ndarray,
-    placements: Sequence[int],
-    loss: LossFunction,
-) -> float:
-    """Dissimilarity objective when the latent conditional is restricted
-    to point masses at the given placements.
-
-    A point mass has zero self diversity, so the diversity weight beta
-    does not enter.
-    """
-    total = 0.0
-    for sample, placement in zip(dataset, placements):
-        if not (0 <= placement < sample.num_latents):
-            raise IndexError(
-                f"placement {placement} outside [0, {sample.num_latents})"
-            )
-        y_hat, k_hat = predict(w, sample)
-        total += loss(sample.truth_label, placement, y_hat, k_hat, sample)
-    return total / len(dataset)

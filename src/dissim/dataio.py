@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .model import Dataset, ModelParams, SampleRecord
+from .model import BOX_COORD_LIMIT, Dataset, ModelParams, SampleRecord
 
 DATASET_MAGIC = "dissim-dataset 1"
 MODEL_MAGIC = "dissim-model 1"
@@ -76,17 +76,13 @@ class _LineReader:
         line = self.next()
         parts = line.split()
         if not parts or parts[0] != keyword:
-            raise InputError(
-                f"{self.path} line {self.pos}: expected {keyword!r}, got {line!r}"
-            )
+            raise self.error(f"expected {keyword!r}, got {line!r}")
         return parts[1:]
 
     def expect_one(self, keyword: str) -> str:
         parts = self.expect(keyword)
         if len(parts) != 1:
-            raise InputError(
-                f"{self.path} line {self.pos}: {keyword} takes one value"
-            )
+            raise self.error(f"{keyword} takes one value")
         return parts[0]
 
     def expect_int(self, keyword: str) -> int:
@@ -96,9 +92,7 @@ class _LineReader:
         """A non-negative integer field."""
         value = self.expect_int(keyword)
         if value < 0:
-            raise InputError(
-                f"{self.path} line {self.pos}: {keyword} must be >= 0, got {value}"
-            )
+            raise self.error(f"{keyword} must be >= 0, got {value}")
         return value
 
     def error(self, message: str) -> InputError:
@@ -161,9 +155,7 @@ def load_dataset(path) -> Dataset:
     d_theta = reader.expect_count("dtheta")
     geometric = reader.expect_int("geometric")
     if geometric not in (0, 1):
-        raise InputError(
-            f"{path} line {reader.pos}: geometric must be 0 or 1, got {geometric}"
-        )
+        raise reader.error(f"geometric must be 0 or 1, got {geometric}")
     latent_fields = 5 if geometric else 1
     n = reader.expect_count("samples")
     if n < 1:
@@ -172,7 +164,7 @@ def load_dataset(path) -> Dataset:
     for _ in range(n):
         parts = reader.expect("sample")
         if len(parts) != 1:
-            raise InputError(f"{path} line {reader.pos}: sample takes one id")
+            raise reader.error("sample takes one id")
         sample_id = parts[0]
         # the checks SampleRecord would make are made row by row here, so
         # that each error names its line
@@ -197,20 +189,20 @@ def load_dataset(path) -> Dataset:
         for k in range(K):
             parts = reader.expect("latent")
             if len(parts) != latent_fields:
-                raise InputError(
-                    f"{path} line {reader.pos}: latent takes {latent_fields} "
-                    f"value(s) in a file with geometric {geometric}"
+                raise reader.error(
+                    f"latent takes {latent_fields} value(s) in a file with "
+                    f"geometric {geometric}"
                 )
             parts = reader.parse(parts, int)
             if parts[0] != k:
-                raise InputError(
-                    f"{path} line {reader.pos}: latent index {parts[0]} "
-                    f"at position {k}"
-                )
+                raise reader.error(f"latent index {parts[0]} at position {k}")
             box = parts[1:]
             if geometric:
-                if not (-(2**63) <= min(box) and max(box) < 2**63):
-                    raise reader.error("box coordinates must fit int64")
+                if not (-BOX_COORD_LIMIT <= min(box) and max(box) < BOX_COORD_LIMIT):
+                    raise reader.error(
+                        "box coordinates must lie in "
+                        f"[{-BOX_COORD_LIMIT}, {BOX_COORD_LIMIT})"
+                    )
                 if not (box[0] < box[2] and box[1] < box[3]):
                     raise reader.error(
                         f"degenerate box {tuple(box)}: need x0 < x1 and y0 < y1"
@@ -223,26 +215,22 @@ def load_dataset(path) -> Dataset:
             for k in range(K):
                 parts = reader.expect("psi")
                 if len(parts) != 2 + d_w:
-                    raise InputError(
-                        f"{path} line {reader.pos}: psi row needs "
-                        f"{2 + d_w} fields, got {len(parts)}"
+                    raise reader.error(
+                        f"psi row needs {2 + d_w} fields, got {len(parts)}"
                     )
                 if reader.parse(parts[:2], int) != [y, k]:
-                    raise InputError(
-                        f"{path} line {reader.pos}: psi rows out of order"
-                    )
+                    raise reader.error("psi rows out of order")
                 psi_rows.append(np.array(reader.parse(parts[2:])))
                 psi_lines.append(reader.pos)
         phi_rows, phi_lines = [], []
         for k in range(K):
             parts = reader.expect("phi")
             if len(parts) != 1 + d_theta:
-                raise InputError(
-                    f"{path} line {reader.pos}: phi row needs "
-                    f"{1 + d_theta} fields, got {len(parts)}"
+                raise reader.error(
+                    f"phi row needs {1 + d_theta} fields, got {len(parts)}"
                 )
             if reader.parse(parts[:1], int) != [k]:
-                raise InputError(f"{path} line {reader.pos}: phi rows out of order")
+                raise reader.error("phi rows out of order")
             phi_rows.append(np.array(reader.parse(parts[1:])))
             phi_lines.append(reader.pos)
         psi = _finite_rows(path, psi_rows, psi_lines)

@@ -34,7 +34,6 @@ from .model import (
     FiniteDistribution,
     SampleRecord,
     latent_posterior,
-    predict,
     score_table,
 )
 
@@ -63,22 +62,12 @@ class HyperParams:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
 
 
-def overlap_ratio(box_a, box_b) -> float:
-    """Intersection over union of two half-open integer pixel boxes."""
-    ax0, ay0, ax1, ay1 = box_a
-    bx0, by0, bx1, by1 = box_b
-    if ax0 >= ax1 or ay0 >= ay1 or bx0 >= bx1 or by0 >= by1:
-        raise InputError("overlap_ratio requires boxes with positive area")
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    inter = max(iw, 0) * max(ih, 0)
-    area_a = (ax1 - ax0) * (ay1 - ay0)
-    area_b = (bx1 - bx0) * (by1 - by0)
-    return inter / (area_a + area_b - inter)
-
-
 def iou_matrix(boxes: np.ndarray) -> np.ndarray:
-    """Pairwise intersection-over-union for an (K, 4) integer box array."""
+    """Pairwise intersection-over-union for an (K, 4) integer box array.
+
+    Exact up to the final division for boxes within ``BOX_COORD_LIMIT``
+    (``SampleRecord`` enforces it): every area and union is below 2**53.
+    """
     x0, y0, x1, y1 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     iw = np.minimum(x1[:, None], x1[None, :]) - np.maximum(x0[:, None], x0[None, :])
     ih = np.minimum(y1[:, None], y1[None, :]) - np.maximum(y0[:, None], y0[None, :])
@@ -91,36 +80,27 @@ def iou_matrix(boxes: np.ndarray) -> np.ndarray:
 class LossFunction:
     """Pairwise loss over (label, latent) pairs, valued in [0, 1].
 
-    A subclass defines its loss twice over: ``__call__`` for one pair of
-    candidates and ``pair_matrix`` for every latent pair at fixed labels.
-    Training code consumes it only through ``table(sample)``, the
-    per-sample tensor T[j, y, k] = loss(truth, j, y, k) of shape
-    (K, labels, K).  Expected losses, self diversities, their gradients
-    and the pointwise baseline tables are all contractions of T against
-    the latent conditional or a point mass.
+    A subclass defines its loss once, as ``pair_matrix``: the values for
+    every latent pair at fixed labels.  Everything else reads it through
+    ``table(sample)``, the per-sample tensor T[j, y, k] =
+    loss(truth, j, y, k) of shape (K, labels, K).  Expected losses, self
+    diversities, their gradients and the pointwise baseline tables are
+    all contractions of T against the latent conditional or a point mass.
 
     ``latent_dependent`` is False when the loss ignores latent indices
     entirely; several evaluators exploit that to shortcut expectations
     (the expectation of a constant is the constant, exactly).
     """
 
-    kind: str = ""
     latent_dependent: bool = True
 
     def __init__(self):
         self._tables = weakref.WeakKeyDictionary()
 
-    def __call__(
-        self, y1: int, k1: int, y2: int, k2: int, sample: SampleRecord
-    ) -> float:
-        raise NotImplementedError
-
     def pair_matrix(self, sample: SampleRecord, y1: int, y2: int) -> np.ndarray:
-        """Loss values for all latent pairs at fixed labels, shape (K, K)."""
-        K = sample.num_latents
-        return np.array(
-            [[self(y1, k1, y2, k2, sample) for k2 in range(K)] for k1 in range(K)]
-        )
+        """Loss values for all latent pairs at fixed labels, shape (K, K):
+        entry (k1, k2) is loss(y1, k1, y2, k2)."""
+        raise NotImplementedError
 
     def table(self, sample: SampleRecord) -> np.ndarray:
         """Read-only T[j, y, k] = loss(truth, j, y, k), shape (K, labels, K).
@@ -143,11 +123,7 @@ class LossFunction:
 class ZeroOneLoss(LossFunction):
     """Zero exactly when both label and latent index match."""
 
-    kind = "zero_one"
     latent_dependent = True
-
-    def __call__(self, y1, k1, y2, k2, sample):
-        return 0.0 if (y1 == y2 and k1 == k2) else 1.0
 
     def pair_matrix(self, sample, y1, y2):
         K = sample.num_latents
@@ -161,23 +137,15 @@ class LabelOnlyZeroOneLoss(LossFunction):
 
     Provided to exercise the latent-independent reduction: with this loss
     the theta-side self term vanishes identically and learning w reduces
-    to a latent-space SVM.
+    to a latent-space SVM.  Constructed directly; ``make_loss`` offers
+    only ``LOSS_KINDS``.
     """
 
-    kind = "zero_one_label_only"
     latent_dependent = False
-
-    def __call__(self, y1, k1, y2, k2, sample):
-        return 0.0 if y1 == y2 else 1.0
 
     def pair_matrix(self, sample, y1, y2):
         K = sample.num_latents
         return np.full((K, K), 0.0 if y1 == y2 else 1.0)
-
-
-def _require_boxes(sample: SampleRecord) -> None:
-    if not sample.geometric:
-        raise ConfigError(f"overlap loss needs boxes; sample {sample.id} has none")
 
 
 class OverlapLoss(LossFunction):
@@ -186,21 +154,16 @@ class OverlapLoss(LossFunction):
     Requires geometric samples (every latent value carries a box).
     """
 
-    kind = "overlap"
     latent_dependent = True
-
-    def __call__(self, y1, k1, y2, k2, sample):
-        if y1 != y2:
-            return 1.0
-        _require_boxes(sample)
-        boxes = sample.boxes
-        return 1.0 - overlap_ratio(boxes[k1].tolist(), boxes[k2].tolist())
 
     def pair_matrix(self, sample, y1, y2):
         K = sample.num_latents
         if y1 != y2:
             return np.ones((K, K))
-        _require_boxes(sample)
+        if not sample.geometric:
+            raise ConfigError(
+                f"overlap loss needs boxes; sample {sample.id} has none"
+            )
         return 1.0 - iou_matrix(sample.boxes)
 
 
@@ -213,8 +176,6 @@ def make_loss(kind: str) -> LossFunction:
         return ZeroOneLoss()
     if kind == "overlap":
         return OverlapLoss()
-    if kind == "zero_one_label_only":
-        return LabelOnlyZeroOneLoss()
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
@@ -323,31 +284,6 @@ def dissimilarity(
     self_p = float(p.probs @ matrix @ p.probs)
     self_q = float(q.probs @ matrix @ q.probs)
     return cross - beta * self_p - (1.0 - beta) * self_q
-
-
-def dissimilarity_objective(
-    w: np.ndarray,
-    theta: np.ndarray,
-    dataset: Dataset,
-    loss: LossFunction,
-    beta: float,
-) -> float:
-    """Mean per-sample dissimilarity between the prediction delta and the
-    latent conditional.
-
-    The delta's self term is identically zero, so each sample contributes
-    expected_loss at the predicted candidate minus beta times the
-    conditional's self diversity.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
-    total = 0.0
-    for sample in dataset:
-        y, k = predict(w, sample)
-        probs = latent_posterior(theta, sample)
-        table = expected_loss_table(probs, sample, loss)
-        total += table[y, k] - beta * _self_diversity_from_probs(probs, sample, loss)
-    return total / len(dataset)
 
 
 def slack(

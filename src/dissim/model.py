@@ -24,6 +24,12 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 
+# Box coordinates lie in [-BOX_COORD_LIMIT, BOX_COORD_LIMIT).  Box sides
+# then stay below 2**26, and every area and every union of two boxes
+# below 2**53: exact in int64 and in float64, so an intersection over
+# union is one correctly rounded division.
+BOX_COORD_LIMIT = 2**25
+
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     """A read-only contiguous array of values.  A writeable array of the
@@ -48,7 +54,8 @@ class SampleRecord:
     where K is the size of the latent space.  ``boxes`` is present for
     geometric latent spaces (localization tasks) and absent for abstract
     ones: a (K, 4) int64 array holding latent value k's half-open pixel
-    box (x0, y0, x1, y1) in row k; every box has positive area.
+    box (x0, y0, x1, y1) in row k; every box has positive area and every
+    coordinate lies in [-BOX_COORD_LIMIT, BOX_COORD_LIMIT).
     ``truth_latent`` is a ground-truth latent index carried by synthetic
     data for evaluation only; training code never reads it.
     """
@@ -95,10 +102,13 @@ class SampleRecord:
                 f"sample {self.id}: boxes must have shape ({K}, 4), "
                 f"got {boxes.shape}"
             )
-        # compared before the int64 cast, so no value outside it (or NaN)
-        # reaches the cast
-        if not (-(2**63) <= boxes.min() and boxes.max() < 2**63):
-            raise InputError(f"sample {self.id}: box coordinates must fit int64")
+        # compared before the int64 cast, so no value outside the bound (or
+        # NaN) reaches the cast
+        if not (-BOX_COORD_LIMIT <= boxes.min() and boxes.max() < BOX_COORD_LIMIT):
+            raise InputError(
+                f"sample {self.id}: box coordinates must lie in "
+                f"[{-BOX_COORD_LIMIT}, {BOX_COORD_LIMIT})"
+            )
         self.boxes = boxes = _frozen_array(boxes, dtype=np.int64)
         degenerate = (boxes[:, 0] >= boxes[:, 2]) | (boxes[:, 1] >= boxes[:, 3])
         if degenerate.any():

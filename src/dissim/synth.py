@@ -11,17 +11,12 @@ grid; the latent task is to localize the planted box given only the label.
 Signatures are orthonormal (classes plus background), so at zero noise and
 zero clutter the block template whose y-th block is the y-th class
 signature scores the planted candidate strictly highest: a perfect model
-exists and ``template_model`` returns it.
+exists.
 
 Clutter decisions are drawn unconditionally per cell and thresholded
 against ``clutter``, so raising the rate at a fixed seed only switches
 cells whose draw falls between the two rates; planted-box features are
 bit-identical across rates.
-
-``oracle_objective`` is a deliberately naive re-implementation of the
-dissimilarity objective (pure Python loops, its own softmax and argmax)
-used to cross-check the vectorized evaluators.  It shares no code with
-them.
 """
 
 from __future__ import annotations
@@ -31,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .losses import LossFunction
-from .model import Dataset, ModelParams, SampleRecord, _frozen_array
+from .errors import ConfigError
+from .model import Dataset, SampleRecord, _frozen_array
 
 GroundTruth = dict[str, int]
 
@@ -176,80 +170,3 @@ def generate(spec: TaskSpec) -> tuple[Dataset, GroundTruth]:
         num_labels=c, d_w=c * d, d_theta=d, samples=tuple(samples)
     )
     return dataset, truth
-
-
-def template_model(spec: TaskSpec) -> ModelParams:
-    """The analytic block template: block y holds class signature y.
-
-    At zero noise and zero clutter this model predicts the truth label and
-    the planted box for every generated sample.
-    """
-    class_sigs, _ = _signatures(spec)
-    return ModelParams(class_sigs.ravel(), np.zeros(spec.feature_dim))
-
-
-ORACLE_SIZE_LIMIT = 1_000_000
-
-
-def oracle_objective(
-    w: np.ndarray,
-    theta: np.ndarray,
-    dataset: Dataset,
-    loss: LossFunction,
-    beta: float,
-) -> float:
-    """Brute-force dissimilarity objective: mean over samples of the
-    expected loss at the score argmax minus beta times the conditional's
-    self diversity.  Plain loops and scalar math throughout.
-
-    Refuses instances larger than n * labels * K^2 = 1e6 terms.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
-    n = len(dataset)
-    work = sum(
-        dataset.num_labels * s.num_latents * s.num_latents for s in dataset
-    )
-    if work > ORACLE_SIZE_LIMIT:
-        raise InputError(
-            f"oracle refuses instances above {ORACLE_SIZE_LIMIT} terms, got {work}"
-        )
-    w_list = [float(v) for v in np.asarray(w, dtype=np.float64)]
-    theta_list = [float(v) for v in np.asarray(theta, dtype=np.float64)]
-    total = 0.0
-    for sample in dataset:
-        K = sample.num_latents
-        labels = sample.psi.shape[0]
-        truth = sample.truth_label
-
-        activations = []
-        for k in range(K):
-            acc = 0.0
-            for j, tj in enumerate(theta_list):
-                acc += tj * float(sample.phi[k, j])
-            activations.append(acc)
-        peak = max(activations)
-        weights = [math.exp(a - peak) for a in activations]
-        z = sum(weights)
-        probs = [v / z for v in weights]
-
-        best_y, best_k, best_score = 0, 0, None
-        for y in range(labels):
-            for k in range(K):
-                acc = 0.0
-                for j, wj in enumerate(w_list):
-                    acc += wj * float(sample.psi[y, k, j])
-                if best_score is None or acc > best_score:
-                    best_y, best_k, best_score = y, k, acc
-
-        exp_loss = 0.0
-        for k in range(K):
-            exp_loss += probs[k] * loss(truth, k, best_y, best_k, sample)
-
-        self_div = 0.0
-        for k1 in range(K):
-            for k2 in range(K):
-                self_div += probs[k1] * probs[k2] * loss(truth, k1, truth, k2, sample)
-
-        total += exp_loss - beta * self_div
-    return total / n

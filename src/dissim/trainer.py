@@ -112,42 +112,46 @@ def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> TrainedM
     best_obj = regularized_objective(w, theta, dataset, loss, hyper)
     trace = [best_obj]
     termination = "round_budget"
-    for round_index in range(1, config.max_outer_rounds + 1):
-        try:
-            w, _ = cccp_w(
-                dataset,
-                theta,
-                w,
-                loss,
-                hyper.C,
-                hyper.epsilon,
-                config.inner_tol,
-            )
-            ssd_cfg = replace(
-                config.ssd, seed=_round_seed(config.ssd.seed, round_index)
-            )
-            theta = ssd_theta(dataset, w, theta, loss, hyper, ssd_cfg)
-        except SolverError as err:
-            raise SolverError(
-                f"round {round_index}: {err}",
-                last_iterate=err.last_iterate,
-                round_index=round_index,
-            ) from err
-        obj = regularized_objective(w, theta, dataset, loss, hyper)
-        if not math.isfinite(obj):
-            raise SolverError(
-                f"round {round_index}: objective is not finite ({obj})",
-                last_iterate=w,
-                round_index=round_index,
-            )
-        decrease = best_obj - min(best_obj, obj)
-        if obj < best_obj:
-            best_obj = obj
-            best_w, best_theta = w.copy(), theta.copy()
-        trace.append(best_obj)
-        if decrease < hyper.C * hyper.epsilon:
-            termination = "tolerance"
-            break
+    # extreme but finite hyperparameters can overflow inside a round; the
+    # round-end check turns a non-finite objective into SolverError, so
+    # numpy's floating-point warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for round_index in range(1, config.max_outer_rounds + 1):
+            try:
+                w, _ = cccp_w(
+                    dataset,
+                    theta,
+                    w,
+                    loss,
+                    hyper.C,
+                    hyper.epsilon,
+                    config.inner_tol,
+                )
+                ssd_cfg = replace(
+                    config.ssd, seed=_round_seed(config.ssd.seed, round_index)
+                )
+                theta = ssd_theta(dataset, w, theta, loss, hyper, ssd_cfg)
+            except SolverError as err:
+                raise SolverError(
+                    f"round {round_index}: {err}",
+                    last_iterate=err.last_iterate,
+                    round_index=round_index,
+                ) from err
+            obj = regularized_objective(w, theta, dataset, loss, hyper)
+            if not math.isfinite(obj):
+                raise SolverError(
+                    f"round {round_index}: objective is not finite ({obj})",
+                    last_iterate=w,
+                    round_index=round_index,
+                )
+            decrease = best_obj - min(best_obj, obj)
+            if obj < best_obj:
+                best_obj = obj
+                best_w, best_theta = w.copy(), theta.copy()
+            trace.append(best_obj)
+            if decrease < hyper.C * hyper.epsilon:
+                termination = "tolerance"
+                break
     return TrainedModel(
         params=ModelParams(best_w, best_theta),
         trace=trace,
@@ -164,7 +168,7 @@ def evaluate(params: ModelParams, dataset: Dataset, loss: LossFunction) -> float
                 f"sample {sample.id} has no ground-truth latent annotation"
             )
         y_hat, k_hat = predict(params.w, sample)
-        total += loss(sample.truth_label, sample.truth_latent, y_hat, k_hat, sample)
+        total += float(loss.table(sample)[sample.truth_latent, y_hat, k_hat])
     return 100.0 * total / len(dataset)
 
 

@@ -1,6 +1,10 @@
 """Shared builders for randomized test instances, plus reference forms
 of scoring, the latent conditional, the w-step's convex subproblem, its
-dual QP and the theta step that only the tests use.
+dual QP and the theta step that only the tests use, and the oracles the
+src definitions are checked against: each loss pair by pair
+(``scalar_loss``), the dissimilarity objective (a vectorized form and a
+brute-force one), its point-mass restriction and the synthetic task's
+analytic template model.
 
 Instances come in two flavours: abstract (no boxes, suitable for the
 zero-one losses) and geometric (one box per latent value, suitable for
@@ -20,15 +24,24 @@ from dissim import (
     Dataset,
     FiniteDistribution,
     HyperParams,
+    InputError,
+    LabelOnlyZeroOneLoss,
     LossFunction,
+    ModelParams,
+    OverlapLoss,
     SampleRecord,
     SolverError,
     SSDConfig,
+    TaskSpec,
+    ZeroOneLoss,
     expected_loss_table,
     latent_posterior,
+    predict,
     score_table,
 )
+from dissim.losses import _self_diversity_from_probs
 from dissim.model import _check_theta, _log_sum_exp
+from dissim.synth import _signatures
 
 
 def make_sample(
@@ -334,3 +347,177 @@ def reference_ssd_theta(
         g = lam * theta + g_slack - hyper.beta * g_selfdiv
         theta = theta - g / (lam * t)
     return theta
+
+
+class StubZeroLoss(ZeroOneLoss):
+    """Loss identically zero; handy for degenerate checks."""
+
+    def pair_matrix(self, sample, y1, y2):
+        k = sample.num_latents
+        return np.zeros((k, k))
+
+
+def overlap_ratio(box_a, box_b) -> float:
+    """Intersection over union of two half-open integer pixel boxes."""
+    ax0, ay0, ax1, ay1 = box_a
+    bx0, by0, bx1, by1 = box_b
+    if ax0 >= ax1 or ay0 >= ay1 or bx0 >= bx1 or by0 >= by1:
+        raise InputError("overlap_ratio requires boxes with positive area")
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    inter = max(iw, 0) * max(ih, 0)
+    area_a = (ax1 - ax0) * (ay1 - ay0)
+    area_b = (bx1 - bx0) * (by1 - by0)
+    return inter / (area_a + area_b - inter)
+
+
+def scalar_loss(
+    loss: LossFunction, y1: int, k1: int, y2: int, k2: int, sample: SampleRecord
+) -> float:
+    """loss(y1, k1, y2, k2) for one pair of candidates, from each loss's
+    definition in plain Python: the oracle that ``loss.table`` and
+    ``pair_matrix`` must match entry for entry."""
+    if isinstance(loss, StubZeroLoss):
+        return 0.0
+    if isinstance(loss, OverlapLoss):
+        if y1 != y2:
+            return 1.0
+        if not sample.geometric:
+            raise ConfigError(f"overlap loss needs boxes; sample {sample.id} has none")
+        boxes = sample.boxes
+        return 1.0 - overlap_ratio(boxes[k1].tolist(), boxes[k2].tolist())
+    if isinstance(loss, LabelOnlyZeroOneLoss):
+        return 0.0 if y1 == y2 else 1.0
+    if isinstance(loss, ZeroOneLoss):
+        return 0.0 if (y1 == y2 and k1 == k2) else 1.0
+    raise TypeError(f"no scalar definition of {type(loss).__name__}")
+
+
+def dissimilarity_objective(
+    w: np.ndarray,
+    theta: np.ndarray,
+    dataset: Dataset,
+    loss: LossFunction,
+    beta: float,
+) -> float:
+    """Mean per-sample dissimilarity between the prediction delta and the
+    latent conditional.
+
+    The delta's self term is identically zero, so each sample contributes
+    expected_loss at the predicted candidate minus beta times the
+    conditional's self diversity.
+    """
+    if not 0.0 < beta < 1.0:
+        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    total = 0.0
+    for sample in dataset:
+        y, k = predict(w, sample)
+        probs = latent_posterior(theta, sample)
+        table = expected_loss_table(probs, sample, loss)
+        total += table[y, k] - beta * _self_diversity_from_probs(probs, sample, loss)
+    return total / len(dataset)
+
+
+def delta_restricted_objective(
+    dataset: Dataset,
+    w: np.ndarray,
+    placements,
+    loss: LossFunction,
+) -> float:
+    """Dissimilarity objective when the latent conditional is restricted
+    to point masses at the given placements.
+
+    A point mass has zero self diversity, so the diversity weight beta
+    does not enter.
+    """
+    total = 0.0
+    for sample, placement in zip(dataset, placements):
+        if not (0 <= placement < sample.num_latents):
+            raise IndexError(
+                f"placement {placement} outside [0, {sample.num_latents})"
+            )
+        y_hat, k_hat = predict(w, sample)
+        total += scalar_loss(loss, sample.truth_label, placement, y_hat, k_hat, sample)
+    return total / len(dataset)
+
+
+def template_model(spec: TaskSpec) -> ModelParams:
+    """The analytic block template: block y holds class signature y.
+
+    At zero noise and zero clutter this model predicts the truth label and
+    the planted box for every generated sample.
+    """
+    class_sigs, _ = _signatures(spec)
+    return ModelParams(class_sigs.ravel(), np.zeros(spec.feature_dim))
+
+
+ORACLE_SIZE_LIMIT = 1_000_000
+
+
+def oracle_objective(
+    w: np.ndarray,
+    theta: np.ndarray,
+    dataset: Dataset,
+    loss: LossFunction,
+    beta: float,
+) -> float:
+    """Brute-force dissimilarity objective: mean over samples of the
+    expected loss at the score argmax minus beta times the conditional's
+    self diversity.  Plain loops and scalar math throughout; a
+    deliberately naive re-implementation (its own softmax, argmax and
+    losses) that shares no code with the vectorized evaluators.
+
+    Refuses instances larger than n * labels * K^2 = 1e6 terms.
+    """
+    if not 0.0 < beta < 1.0:
+        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    n = len(dataset)
+    work = sum(
+        dataset.num_labels * s.num_latents * s.num_latents for s in dataset
+    )
+    if work > ORACLE_SIZE_LIMIT:
+        raise InputError(
+            f"oracle refuses instances above {ORACLE_SIZE_LIMIT} terms, got {work}"
+        )
+    w_list = [float(v) for v in np.asarray(w, dtype=np.float64)]
+    theta_list = [float(v) for v in np.asarray(theta, dtype=np.float64)]
+    total = 0.0
+    for sample in dataset:
+        K = sample.num_latents
+        labels = sample.psi.shape[0]
+        truth = sample.truth_label
+
+        activations = []
+        for k in range(K):
+            acc = 0.0
+            for j, tj in enumerate(theta_list):
+                acc += tj * float(sample.phi[k, j])
+            activations.append(acc)
+        peak = max(activations)
+        weights = [math.exp(a - peak) for a in activations]
+        z = sum(weights)
+        probs = [v / z for v in weights]
+
+        best_y, best_k, best_score = 0, 0, None
+        for y in range(labels):
+            for k in range(K):
+                acc = 0.0
+                for j, wj in enumerate(w_list):
+                    acc += wj * float(sample.psi[y, k, j])
+                if best_score is None or acc > best_score:
+                    best_y, best_k, best_score = y, k, acc
+
+        exp_loss = 0.0
+        for k in range(K):
+            exp_loss += probs[k] * scalar_loss(loss, truth, k, best_y, best_k, sample)
+
+        self_div = 0.0
+        for k1 in range(K):
+            for k2 in range(K):
+                self_div += (
+                    probs[k1] * probs[k2]
+                    * scalar_loss(loss, truth, k1, truth, k2, sample)
+                )
+
+        total += exp_loss - beta * self_div
+    return total / n

@@ -21,9 +21,7 @@ from dissim import (
     TrainConfig,
     ZeroOneLoss,
     cccp_w,
-    delta_restricted_objective,
     dissimilarity,
-    dissimilarity_objective,
     expected_loss,
     generate,
     ilsvm_latent_estimates,
@@ -40,7 +38,12 @@ from dissim import (
 )
 from dissim.model import FiniteDistribution, latent_posterior
 from dissim.thetasolver import grad_self_diversity, grad_slack
-from helpers import make_dataset
+from helpers import (
+    delta_restricted_objective,
+    dissimilarity_objective,
+    make_dataset,
+    scalar_loss,
+)
 
 
 def report(num, name, ok, detail, elapsed, budget):
@@ -76,7 +79,7 @@ def brute_posterior(theta, sample):
 def brute_expected_loss(theta, sample, y, k, loss):
     probs = brute_posterior(theta, sample)
     return sum(
-        p * loss(sample.truth_label, kp, y, k, sample)
+        p * scalar_loss(loss, sample.truth_label, kp, y, k, sample)
         for kp, p in enumerate(probs)
     )
 
@@ -85,7 +88,7 @@ def brute_self_diversity(theta, sample, loss):
     probs = brute_posterior(theta, sample)
     t = sample.truth_label
     return sum(
-        p1 * p2 * loss(t, k1, t, k2, sample)
+        p1 * p2 * scalar_loss(loss, t, k1, t, k2, sample)
         for k1, p1 in enumerate(probs)
         for k2, p2 in enumerate(probs)
     )

@@ -9,14 +9,18 @@ from dissim import (
     SampleRecord,
     ZeroOneLoss,
     cccp_w,
-    delta_restricted_objective,
-    dissimilarity_objective,
     ilsvm_latent_estimates,
     ilsvm_train,
     lsvm_train,
     predict,
 )
-from helpers import loss_augmented_argmax, make_dataset
+from helpers import (
+    delta_restricted_objective,
+    dissimilarity_objective,
+    loss_augmented_argmax,
+    make_dataset,
+    scalar_loss,
+)
 
 
 class TestLSVM:
@@ -104,7 +108,7 @@ class TestILSVMLatentEstimates:
         refs = ilsvm_latent_estimates(w, dset, loss)
         for s, ref in zip(dset, refs):
             y_hat, k_hat = predict(w, s)
-            costs = [loss(s.truth_label, k, y_hat, k_hat, s)
+            costs = [scalar_loss(loss, s.truth_label, k, y_hat, k_hat, s)
                      for k in range(s.num_latents)]
             best = min(range(s.num_latents), key=lambda k: (costs[k], k))
             assert ref == best
@@ -183,13 +187,13 @@ class TestObservationThree:
             for idx, s in enumerate(dset):
                 y_hat, k_hat = predict(w, s)
                 best_cost, best_k = min(
-                    (loss(s.truth_label, k, y_hat, k_hat, s), k)
+                    (scalar_loss(loss, s.truth_label, k, y_hat, k_hat, s), k)
                     for k in range(s.num_latents)
                 )
                 assert refs[idx] == best_k
-                assert loss(s.truth_label, refs[idx], y_hat, k_hat, s) == (
-                    best_cost
-                )
+                assert scalar_loss(
+                    loss, s.truth_label, refs[idx], y_hat, k_hat, s
+                ) == best_cost
 
     def test_global_brute_force_over_joint_placements(self):
         # joint minimization over placement vectors agrees with the

@@ -196,6 +196,35 @@ class TestTrain:
         assert "Gram matrix is not finite" in capsys.readouterr().err
         assert not (tmp_path / "m.model").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--C", "1e308"), ("--J", "1e-320")])
+    def test_extreme_finite_hyperparameter_exits_3_quietly(self, tmp_path, flag,
+                                                           value):
+        # C = 1e308 overflows the objective, and J = 1e-320 the theta step;
+        # the round-end check reports either as one solver failure, with no
+        # numpy floating-point warning before it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import dissim
+
+        data = generate_tiny(tmp_path)
+        src = str(Path(dissim.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dissim", "train", "--data", str(data),
+             "--method", "dissim", flag, value,
+             "--out", str(tmp_path / "m.model")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failure:"), lines
+        assert not (tmp_path / "m.model").exists()
+
     def test_nan_objective_exits_3(self, tmp_path, capsys):
         # phi * 1e300 overflows the conditional's activations once theta
         # leaves zero, so the first round's objective is NaN

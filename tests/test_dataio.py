@@ -139,6 +139,9 @@ class TestDatasetRoundTrip:
             (abstract, "phi 1", "phi 1 -inf 1.0"),
             (geometric, "latent", "latent 0 4 0 4 3"),
             (geometric, "latent", "latent 0 0 0 1 9223372036854775808"),
+            (geometric, "latent", "latent 0 0 0 3037000500 3037000500"),
+            (geometric, "latent", "latent 0 1 0 3037000501 3037000500"),
+            (geometric, "latent", "latent 0 0 0 33554432 1"),
         ):
             save_dataset(dset, path)
             lines = path.read_text().splitlines()

@@ -15,32 +15,27 @@ from dissim import (
     SampleRecord,
     ZeroOneLoss,
     dissimilarity,
-    dissimilarity_objective,
     diversity,
     expected_loss,
     expected_loss_table,
     iou_matrix,
     latent_posterior,
     make_loss,
-    overlap_ratio,
     regularized_objective,
     self_diversity,
     slack,
     upper_bound,
 )
 from dissim.losses import LOSS_KINDS
-from helpers import brute_distribution, make_dataset, make_sample
-
-
-class StubZeroLoss(ZeroOneLoss):
-    """Loss identically zero; handy for degenerate checks."""
-
-    def __call__(self, y1, k1, y2, k2, sample=None):
-        return 0.0
-
-    def pair_matrix(self, sample, y1, y2):
-        k = sample.num_latents
-        return np.zeros((k, k))
+from helpers import (
+    StubZeroLoss,
+    brute_distribution,
+    dissimilarity_objective,
+    make_dataset,
+    make_sample,
+    overlap_ratio,
+    scalar_loss,
+)
 
 
 def abstract_sample(rng, num_labels=3, num_latents=4, d_w=5, d_theta=3):
@@ -50,18 +45,18 @@ def abstract_sample(rng, num_labels=3, num_latents=4, d_w=5, d_theta=3):
 class TestZeroOne:
     def test_identity_is_zero(self):
         loss = ZeroOneLoss()
-        assert loss(1, 2, 1, 2, None) == 0.0
+        assert scalar_loss(loss, 1, 2, 1, 2, None) == 0.0
 
     def test_any_difference_is_one(self):
         loss = ZeroOneLoss()
-        assert loss(1, 2, 1, 3, None) == 1.0
-        assert loss(1, 2, 0, 2, None) == 1.0
-        assert loss(1, 2, 0, 3, None) == 1.0
+        assert scalar_loss(loss, 1, 2, 1, 3, None) == 1.0
+        assert scalar_loss(loss, 1, 2, 0, 2, None) == 1.0
+        assert scalar_loss(loss, 1, 2, 0, 3, None) == 1.0
 
     def test_label_only_ignores_latents(self):
         loss = LabelOnlyZeroOneLoss()
-        assert loss(1, 2, 1, 3, None) == 0.0
-        assert loss(1, 2, 0, 2, None) == 1.0
+        assert scalar_loss(loss, 1, 2, 1, 3, None) == 0.0
+        assert scalar_loss(loss, 1, 2, 0, 2, None) == 1.0
         assert not loss.latent_dependent
 
     def test_pair_matrix_structure(self):
@@ -109,12 +104,12 @@ class TestOverlapLoss:
     def test_same_label_same_box_is_zero(self):
         rng = np.random.default_rng(2)
         sample = make_sample(rng, "g", 2, 4, 3, 2, geometric=True)
-        assert OverlapLoss()(1, 2, 1, 2, sample) == 0.0
+        assert scalar_loss(OverlapLoss(), 1, 2, 1, 2, sample) == 0.0
 
     def test_different_labels_cost_one(self):
         rng = np.random.default_rng(3)
         sample = make_sample(rng, "g", 2, 4, 3, 2, geometric=True)
-        assert OverlapLoss()(0, 1, 1, 1, sample) == 1.0
+        assert scalar_loss(OverlapLoss(), 0, 1, 1, 1, sample) == 1.0
 
     def test_one_minus_iou(self):
         boxes = [(0, 0, 2, 2), (1, 0, 3, 2)]
@@ -125,13 +120,31 @@ class TestOverlapLoss:
             psi=np.zeros((2, 2, 3)),
             phi=np.zeros((2, 2)),
         )
-        assert OverlapLoss()(0, 0, 0, 1, sample) == pytest.approx(2.0 / 3.0)
+        assert scalar_loss(OverlapLoss(), 0, 0, 0, 1, sample) == pytest.approx(
+            2.0 / 3.0
+        )
 
     def test_abstract_sample_rejected(self):
         rng = np.random.default_rng(4)
         sample = abstract_sample(rng)
         with pytest.raises(ConfigError):
-            OverlapLoss()(0, 0, 0, 1, sample)
+            scalar_loss(OverlapLoss(), 0, 0, 0, 1, sample)
+
+    def test_exact_at_coordinate_bound(self):
+        # the widest boxes SampleRecord accepts: areas and unions just
+        # below 2**53, so the table's IoU is the scalar one, bit for bit
+        lo, hi = -(2**25), 2**25 - 1
+        boxes = [(lo, lo, hi, hi), (lo + 1, lo, hi, hi), (lo, lo, lo + 1, lo + 1)]
+        sample = SampleRecord(id="g", truth_label=0, boxes=boxes,
+                              psi=np.zeros((2, 3, 3)), phi=np.zeros((3, 2)))
+        loss = OverlapLoss()
+        T = loss.table(sample)
+        assert np.all((0.0 <= T) & (T <= 1.0))
+        assert 0.0 < T[0, 0, 1] < T[0, 0, 2] < 1.0
+        for j in range(3):
+            assert T[j, 0, j] == 0.0
+            for k in range(3):
+                assert T[j, 0, k] == scalar_loss(loss, 0, j, 0, k, sample)
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["zero_one", "overlap"]))
@@ -141,20 +154,18 @@ def test_loss_axioms(seed, kind):
     sample = make_sample(rng, "g", 3, 4, 3, 2, geometric=True)
     loss = make_loss(kind)
     for y1 in range(3):
-        for k1 in range(4):
-            assert loss(y1, k1, y1, k1, sample) == 0.0
-            for y2 in range(3):
-                for k2 in range(4):
-                    v = loss(y1, k1, y2, k2, sample)
-                    assert 0.0 <= v <= 1.0
-                    assert v == loss(y2, k2, y1, k1, sample)
+        assert np.all(np.diag(loss.pair_matrix(sample, y1, y1)) == 0.0)
+        for y2 in range(3):
+            M = loss.pair_matrix(sample, y1, y2)
+            assert M.shape == (4, 4)
+            assert np.all((0.0 <= M) & (M <= 1.0))
+            np.testing.assert_array_equal(M, loss.pair_matrix(sample, y2, y1).T)
 
 
 def test_make_loss_kinds():
     assert set(LOSS_KINDS) == {"zero_one", "overlap"}
     assert isinstance(make_loss("zero_one"), ZeroOneLoss)
     assert isinstance(make_loss("overlap"), OverlapLoss)
-    assert isinstance(make_loss("zero_one_label_only"), LabelOnlyZeroOneLoss)
     with pytest.raises(ConfigError):
         make_loss("hinge")
 
@@ -204,7 +215,7 @@ class TestExpectedLoss:
         table = expected_loss_table(probs, sample, loss)
         for y in range(3):
             for k in range(4):
-                expect = loss(sample.truth_label, 2, y, k, sample)
+                expect = scalar_loss(loss, sample.truth_label, 2, y, k, sample)
                 assert table[y, k] == pytest.approx(expect, abs=1e-15)
 
     def test_table_matches_brute_force(self):
@@ -216,7 +227,7 @@ class TestExpectedLoss:
         for y in range(3):
             for k in range(5):
                 brute = sum(
-                    probs[ki] * loss(sample.truth_label, ki, y, k, sample)
+                    probs[ki] * scalar_loss(loss, sample.truth_label, ki, y, k, sample)
                     for ki in range(5)
                 )
                 assert table[y, k] == pytest.approx(brute, abs=1e-12)
@@ -396,11 +407,12 @@ class TestObjectives:
                     if v > best:
                         best, arg = v, (y, k)
             h_pq = sum(
-                probs[ki] * loss(s.truth_label, ki, arg[0], arg[1], s)
+                probs[ki] * scalar_loss(loss, s.truth_label, ki, arg[0], arg[1], s)
                 for ki in range(3)
             )
             h_qq = sum(
-                probs[a] * probs[b] * loss(s.truth_label, a, s.truth_label, b, s)
+                probs[a] * probs[b]
+                * scalar_loss(loss, s.truth_label, a, s.truth_label, b, s)
                 for a in range(3)
                 for b in range(3)
             )
@@ -517,7 +529,7 @@ def per_label_expected_loss_table(probs, sample, loss):
     table = np.empty((num_labels, K))
     if not loss.latent_dependent:
         for y in range(num_labels):
-            table[y, :] = loss(truth, 0, y, 0, sample)
+            table[y, :] = scalar_loss(loss, truth, 0, y, 0, sample)
         return table
     for y in range(num_labels):
         table[y, :] = probs @ loss.pair_matrix(sample, truth, y)
@@ -548,8 +560,9 @@ class TestLossTable:
             for j in range(K):
                 for y in range(L):
                     for k in range(K):
-                        assert T[j, y, k] == loss(sample.truth_label, j, y, k,
-                                                  sample)
+                        assert T[j, y, k] == scalar_loss(
+                            loss, sample.truth_label, j, y, k, sample
+                        )
 
     def test_expected_loss_table_matches_per_label_products_exactly(self):
         rng = np.random.default_rng(22)

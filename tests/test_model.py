@@ -68,12 +68,18 @@ class TestValidation:
         with pytest.raises(InputError):
             sample((0, 2, 1, 1))
         for big in ((0, 0, 2**63, 1), (-(2**63) - 1, 0, 1, 1),
-                    (0, 0, 2**64, 1), (0, 0, 10**30, 1)):
-            with pytest.raises(InputError, match="int64"):
+                    (0, 0, 2**64, 1), (0, 0, 10**30, 1),
+                    (-(2**63), 0, 2**63 - 1, 1),
+                    (0, 0, 2**25, 1), (-(2**25) - 1, 0, 1, 1)):
+            with pytest.raises(InputError, match="must lie in"):
                 sample(big)
-        edge = sample((-(2**63), 0, 2**63 - 1, 1))
+        # areas and unions of these two wrap around in int64
+        with pytest.raises(InputError, match="must lie in"):
+            sample((0, 0, 3037000500, 3037000500),
+                   (1, 0, 3037000501, 3037000500))
+        edge = sample((-(2**25), 0, 2**25 - 1, 1))
         assert edge.boxes.dtype == np.int64
-        assert edge.boxes.tolist() == [[-(2**63), 0, 2**63 - 1, 1]]
+        assert edge.boxes.tolist() == [[-(2**25), 0, 2**25 - 1, 1]]
         assert not edge.boxes.flags.writeable
 
     def test_nonfinite_features_rejected(self):

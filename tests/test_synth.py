@@ -10,15 +10,17 @@ from dissim import (
     OverlapLoss,
     TaskSpec,
     ZeroOneLoss,
-    dissimilarity_objective,
     evaluate,
     generate,
-    oracle_objective,
     score_table,
-    template_model,
     upper_bound,
 )
-from helpers import make_dataset
+from helpers import (
+    dissimilarity_objective,
+    make_dataset,
+    oracle_objective,
+    template_model,
+)
 
 
 SMALL = TaskSpec(num_classes=3, per_class=4, noise=0.0, clutter=0.0, seed=1)

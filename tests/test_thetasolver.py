@@ -22,8 +22,7 @@ from dissim import (
     theta_objective,
     upper_bound,
 )
-from helpers import make_dataset, make_sample, reference_ssd_theta
-from test_losses import StubZeroLoss
+from helpers import StubZeroLoss, make_dataset, make_sample, reference_ssd_theta
 
 
 def central_diff(f, theta, step=1e-5):

@@ -11,18 +11,22 @@ from dissim import (
     InputError,
     LabelOnlyZeroOneLoss,
     ModelParams,
+    OverlapLoss,
+    ResultRow,
     SampleRecord,
     SSDConfig,
     TrainConfig,
     ZeroOneLoss,
     evaluate,
+    predict,
     regularized_objective,
     run_protocol,
+    save_results,
     stratified_split,
     train,
 )
 from dissim.trainer import DEFAULT_C_GRID, METHODS, _fit
-from helpers import make_dataset, make_sample
+from helpers import make_dataset, make_sample, scalar_loss
 
 
 def quick_config(C=1.0, max_outer_rounds=4):
@@ -162,6 +166,31 @@ class TestEvaluate:
         assert evaluate(params, dset, ZeroOneLoss()) == evaluate(
             scaled, dset, ZeroOneLoss()
         )
+
+    @pytest.mark.parametrize("geometric", [False, True])
+    def test_python_float_matching_scalar_loss(self, geometric, tmp_path):
+        losses = [ZeroOneLoss(), LabelOnlyZeroOneLoss()]
+        if geometric:
+            losses.append(OverlapLoss())
+        for seed in range(5):
+            dset = make_dataset(60 + seed, n=7, num_labels=3, num_latents=5,
+                                geometric=geometric, uniform_shapes=False)
+            w = np.random.default_rng(seed).standard_normal(dset.d_w)
+            params = ModelParams(w, np.zeros(dset.d_theta))
+            for loss in losses:
+                total = 0.0
+                for s in dset:
+                    y_hat, k_hat = predict(w, s)
+                    total += scalar_loss(loss, s.truth_label, s.truth_latent,
+                                         y_hat, k_hat, s)
+                value = evaluate(params, dset, loss)
+                assert type(value) is float
+                assert value == 100.0 * total / len(dset)
+                # a numpy scalar would be written as np.float64(...)
+                path = tmp_path / "r.csv"
+                save_results([ResultRow("dissim", "zero_one", 1.0, 0, value,
+                                        0.5, 0.0)], path)
+                assert "np.float64(" not in path.read_text()
 
 
 class TestStratifiedSplit:

@@ -21,13 +21,13 @@ from dissim import (
 import dissim.wsolver as wsolver
 from dissim.wsolver import _InnerData, _problem_key
 from helpers import (
+    StubZeroLoss,
     loss_augmented_argmax,
     make_dataset,
     make_sample,
     reference_qp_coordinate_ascent,
     solve_inner_convex,
 )
-from test_losses import StubZeroLoss
 
 
 def convex_objective(dataset, theta, imputed, loss, C, w):

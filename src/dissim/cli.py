@@ -59,18 +59,20 @@ def cmd_generate(args) -> int:
 
 
 def _hyper_from_args(args, method: str) -> HyperParams:
-    for flag, name in (("J", "--J"), ("beta", "--beta")):
-        if method != "dissim" and getattr(args, flag) is not None:
+    """HyperParams from the flags; J and beta left unset keep their
+    defaults, and set for a baseline they draw a warning."""
+    given = {}
+    for flag in ("J", "beta"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if method != "dissim":
             print(
-                f"warning: {name} has no effect for method {method}",
+                f"warning: --{flag} has no effect for method {method}",
                 file=sys.stderr,
             )
-    return HyperParams(
-        C=args.C,
-        J=args.J if args.J is not None else 0.1,
-        beta=args.beta if args.beta is not None else 0.1,
-        epsilon=args.epsilon,
-    )
+        given[flag] = value
+    return HyperParams(C=args.C, epsilon=args.epsilon, **given)
 
 
 def cmd_train(args) -> int:
@@ -106,6 +108,9 @@ def cmd_experiment(args) -> int:
     dataset = load_dataset(args.data)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     losses = [l.strip() for l in args.losses.split(",") if l.strip()]
+    for flag, names in (("--methods", methods), ("--losses", losses)):
+        if not names:
+            raise ConfigError(f"{flag}: no names given")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"--methods: unknown method {m!r}")
@@ -197,6 +202,32 @@ def cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    """The solver flags of train and experiment, defaulting to the config
+    dataclasses' own defaults."""
+    p.add_argument(
+        "--epsilon", type=float, default=HyperParams.epsilon, help="stop tolerance"
+    )
+    p.add_argument(
+        "--inner-tol",
+        type=float,
+        default=TrainConfig.inner_tol,
+        help="cutting-plane tolerance",
+    )
+    p.add_argument(
+        "--ssd-factor",
+        type=int,
+        default=SSDConfig.steps_per_sample,
+        help="subgradient steps per training sample",
+    )
+    p.add_argument(
+        "--max-rounds",
+        type=int,
+        default=TrainConfig.max_outer_rounds,
+        help="outer round budget",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dissim",
@@ -228,26 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset path")
     p.add_argument("--method", choices=METHODS, default="dissim")
     p.add_argument("--loss", choices=LOSS_KINDS, default="zero_one")
-    p.add_argument("--C", type=float, default=1.0, help="loss weight")
+    p.add_argument("--C", type=float, default=HyperParams.C, help="loss weight")
     p.add_argument(
         "--J", type=float, default=None, help="theta regularizer weight"
     )
     p.add_argument(
         "--beta", type=float, default=None, help="self-term weight in (0, 1)"
     )
-    p.add_argument("--epsilon", type=float, default=1e-3, help="stop tolerance")
-    p.add_argument(
-        "--inner-tol", type=float, default=1e-4, help="cutting-plane tolerance"
-    )
-    p.add_argument(
-        "--ssd-factor",
-        type=int,
-        default=50,
-        help="subgradient steps per training sample",
-    )
-    p.add_argument(
-        "--max-rounds", type=int, default=40, help="outer round budget"
-    )
+    _add_solver_flags(p)
     p.add_argument("--seed", type=int, default=0, help="stochastic solver seed")
     p.add_argument("--out", required=True, help="output model path")
     p.set_defaults(func=cmd_train)
@@ -272,17 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--split", type=float, default=0.6, help="training fraction per fold"
     )
-    p.add_argument("--J", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--inner-tol", type=float, default=1e-4)
-    p.add_argument(
-        "--ssd-factor",
-        type=int,
-        default=50,
-        help="subgradient steps per training sample",
-    )
-    p.add_argument("--max-rounds", type=int, default=40)
+    p.add_argument("--J", type=float, default=HyperParams.J)
+    p.add_argument("--beta", type=float, default=HyperParams.beta)
+    _add_solver_flags(p)
     p.add_argument("--seed", type=int, default=0, help="split and solver seed")
     p.add_argument(
         "--no-timings",

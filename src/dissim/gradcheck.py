@@ -17,11 +17,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .losses import (
     LossFunction,
+    _augmented,
+    _sample_view,
     expected_loss,
-    expected_loss_table,
     self_diversity,
     slack,
 )
@@ -76,6 +77,8 @@ def run_gradient_checks(
     ``corrupt`` is a testing hook applied to every analytic gradient
     before comparison; pass a perturbation to verify the check fails.
     """
+    if draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     samples = list(dataset)
     result = GradCheckResult(draws=draws, tolerance=tolerance)
@@ -99,7 +102,7 @@ def run_gradient_checks(
 
         # Slack is piecewise smooth; require a clear argmax margin.
         probs = latent_posterior(theta, sample)
-        table = score_table(w, sample) + expected_loss_table(probs, sample, loss)
+        table = _augmented(_sample_view(sample, loss), score_table(w, sample), probs)
         flat = np.sort(table.ravel())
         if flat.size > 1 and flat[-1] - flat[-2] <= TIE_MARGIN:
             result.skipped_ties += 1

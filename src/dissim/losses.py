@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +89,9 @@ class LossFunction:
     all contractions of T against the latent conditional or a point mass.
 
     ``latent_dependent`` is False when the loss ignores latent indices
-    entirely; several evaluators exploit that to shortcut expectations
-    (the expectation of a constant is the constant, exactly).
+    entirely; the per-sample core (``_SampleView``) then shortcuts
+    expectations (the expectation of a constant is the constant, exactly)
+    and returns exact zero gradients.
     """
 
     latent_dependent: bool = True
@@ -179,6 +181,75 @@ def make_loss(kind: str) -> LossFunction:
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
+class _SampleView(NamedTuple):
+    """What the theta-side terms read of one sample under one loss.  With
+    ``thetasolver._step_gradients``, the functions of a view below are the
+    one per-sample core: the public terms call into them, and only they
+    branch on ``latent_dependent``."""
+
+    phi: np.ndarray
+    phi_t: np.ndarray  # phi.T
+    table: np.ndarray  # the loss table T[j, y, k]
+    by_label: np.ndarray  # T.transpose(1, 0, 2)
+    at_truth: np.ndarray  # T[:, truth_label, :]
+    truth_label: int
+    latent_dependent: bool
+
+
+def _sample_view(sample: SampleRecord, loss: LossFunction) -> _SampleView:
+    T, truth = loss.table(sample), sample.truth_label
+    by_label, at_truth = T.transpose(1, 0, 2), T[:, truth, :]
+    return _SampleView(
+        sample.phi, sample.phi.T, T, by_label, at_truth, truth, loss.latent_dependent
+    )
+
+
+def _loss_column(view: _SampleView, y: int, k: int) -> np.ndarray:
+    """T[:, y, k], the loss of candidate (y, k) against each truth latent."""
+    K, num_labels = view.table.shape[:2]
+    if not (0 <= y < num_labels):
+        raise IndexError(f"label {y} outside [0, {num_labels})")
+    if not (0 <= k < K):
+        raise IndexError(f"latent index {k} outside [0, {K})")
+    return view.table[:, y, k]
+
+
+def _expected_losses(view: _SampleView, probs: np.ndarray) -> np.ndarray:
+    """The expected-loss table, shape (num_labels, K); the constant itself,
+    exactly, for a latent-independent loss."""
+    if not view.latent_dependent:
+        return view.table[0].copy()
+    # Batched over labels, each label's entries round exactly as a product
+    # against that label's (K, K) slice alone.  One flat (K, labels * K)
+    # product would not: BLAS treats trailing rows apart, so entries move
+    # by an ulp whenever K is not a multiple of the kernel width.
+    return probs @ view.by_label
+
+
+def _expected_loss(view: _SampleView, probs: np.ndarray, y: int, k: int) -> float:
+    # a column dot product, which rounds apart from the batched table
+    column = _loss_column(view, y, k)
+    if not view.latent_dependent:
+        return float(column[0])
+    return float(probs @ column)
+
+
+def _self_diversity(view: _SampleView, probs: np.ndarray) -> float:
+    if not view.latent_dependent:
+        return 0.0
+    return float(probs @ view.at_truth @ probs)
+
+
+def _augmented(view: _SampleView, scores: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The loss-augmented table: score plus expected loss per candidate."""
+    return scores + _expected_losses(view, probs)
+
+
+def _slack(view: _SampleView, scores: np.ndarray, probs: np.ndarray) -> float:
+    augmented = _augmented(view, scores, probs)
+    return float(augmented.max() - scores[view.truth_label].max())
+
+
 def expected_loss_table(
     probs: np.ndarray, sample: SampleRecord, loss: LossFunction
 ) -> np.ndarray:
@@ -188,43 +259,15 @@ def expected_loss_table(
     shape (num_labels, K).  For latent-independent losses the expectation
     is the constant itself, returned exactly.
     """
-    T = loss.table(sample)
-    if not loss.latent_dependent:
-        return T[0].copy()
-    return _expected_loss_by_label(probs, T.transpose(1, 0, 2))
-
-
-def _expected_loss_by_label(probs: np.ndarray, by_label: np.ndarray) -> np.ndarray:
-    """``expected_loss_table`` of a latent-dependent loss, given its table
-    as the (labels, K, K) view ``T.transpose(1, 0, 2)``."""
-    # Batched over labels, each label's entries round exactly as a product
-    # against that label's (K, K) slice alone.  One flat (K, labels * K)
-    # product would not: BLAS treats trailing rows apart, so entries move
-    # by an ulp whenever K is not a multiple of the kernel width.
-    return probs @ by_label
+    return _expected_losses(_sample_view(sample, loss), probs)
 
 
 def expected_loss(
     theta: np.ndarray, sample: SampleRecord, y: int, k: int, loss: LossFunction
 ) -> float:
     """Loss of candidate (y, k) averaged over the latent conditional."""
-    if not (0 <= y < sample.psi.shape[0]):
-        raise IndexError(f"label {y} outside [0, {sample.psi.shape[0]})")
-    if not (0 <= k < sample.num_latents):
-        raise IndexError(f"latent index {k} outside [0, {sample.num_latents})")
-    column = loss.table(sample)[:, y, k]
-    if not loss.latent_dependent:
-        return float(column[0])
-    return float(latent_posterior(theta, sample) @ column)
-
-
-def _self_diversity_from_probs(
-    probs: np.ndarray, sample: SampleRecord, loss: LossFunction
-) -> float:
-    if not loss.latent_dependent:
-        return 0.0
-    M = loss.table(sample)[:, sample.truth_label, :]
-    return float(probs @ M @ probs)
+    probs = latent_posterior(theta, sample)
+    return _expected_loss(_sample_view(sample, loss), probs, y, k)
 
 
 def self_diversity(
@@ -234,10 +277,8 @@ def self_diversity(
 
     Zero for latent-independent losses and for point-mass conditionals.
     """
-    if not loss.latent_dependent:
-        return 0.0
     probs = latent_posterior(theta, sample)
-    return _self_diversity_from_probs(probs, sample, loss)
+    return _self_diversity(_sample_view(sample, loss), probs)
 
 
 def _as_loss_matrix(pairwise_loss, size: int) -> np.ndarray:
@@ -275,15 +316,12 @@ def dissimilarity(
     """Jensen-difference dissimilarity coefficient between P and Q."""
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
-    if len(p) != len(q):
-        raise InputError(
-            f"distributions live on different spaces ({len(p)} vs {len(q)})"
-        )
     matrix = _as_loss_matrix(pairwise_loss, len(p))
-    cross = float(p.probs @ matrix @ q.probs)
-    self_p = float(p.probs @ matrix @ p.probs)
-    self_q = float(q.probs @ matrix @ q.probs)
-    return cross - beta * self_p - (1.0 - beta) * self_q
+    return (
+        diversity(p, q, matrix)
+        - beta * diversity(p, p, matrix)
+        - (1.0 - beta) * diversity(q, q, matrix)
+    )
 
 
 def slack(
@@ -293,10 +331,9 @@ def slack(
 
         max_{y,k} [score + expected_loss] - max_k score(truth_label, k).
     """
-    table = score_table(w, sample)
+    scores = score_table(w, sample)
     probs = latent_posterior(theta, sample)
-    augmented = table + expected_loss_table(probs, sample, loss)
-    return float(augmented.max() - table[sample.truth_label].max())
+    return _slack(_sample_view(sample, loss), scores, probs)
 
 
 def upper_bound(
@@ -312,11 +349,10 @@ def upper_bound(
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
     total = 0.0
     for sample in dataset:
+        view = _sample_view(sample, loss)
         probs = latent_posterior(theta, sample)
-        table = score_table(w, sample)
-        augmented = table + expected_loss_table(probs, sample, loss)
-        xi = float(augmented.max() - table[sample.truth_label].max())
-        total += xi - beta * _self_diversity_from_probs(probs, sample, loss)
+        xi = _slack(view, score_table(w, sample), probs)
+        total += xi - beta * _self_diversity(view, probs)
     return total / len(dataset)
 
 

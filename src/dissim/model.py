@@ -55,7 +55,7 @@ class SampleRecord:
     geometric latent spaces (localization tasks) and absent for abstract
     ones: a (K, 4) int64 array holding latent value k's half-open pixel
     box (x0, y0, x1, y1) in row k; every box has positive area and every
-    coordinate lies in [-BOX_COORD_LIMIT, BOX_COORD_LIMIT).
+    coordinate is an integer in [-BOX_COORD_LIMIT, BOX_COORD_LIMIT).
     ``truth_latent`` is a ground-truth latent index carried by synthetic
     data for evaluation only; training code never reads it.
     """
@@ -109,6 +109,9 @@ class SampleRecord:
                 f"sample {self.id}: box coordinates must lie in "
                 f"[{-BOX_COORD_LIMIT}, {BOX_COORD_LIMIT})"
             )
+        # and no fraction either: the cast would truncate it
+        if boxes.dtype.kind not in "iub" and not np.array_equal(boxes, np.floor(boxes)):
+            raise InputError(f"sample {self.id}: box coordinates must be integers")
         self.boxes = boxes = _frozen_array(boxes, dtype=np.int64)
         degenerate = (boxes[:, 0] >= boxes[:, 2]) | (boxes[:, 1] >= boxes[:, 3])
         if degenerate.any():

@@ -61,6 +61,8 @@ class TaskSpec:
             raise ConfigError(
                 f"box_cells must lie in [1, grid], got {self.box_cells}"
             )
+        if self.boxes < 1:
+            raise ConfigError(f"boxes must be >= 1, got {self.boxes}")
         side = math.isqrt(self.boxes)
         if side * side != self.boxes:
             raise ConfigError(f"boxes must be a perfect square, got {self.boxes}")

@@ -26,15 +26,18 @@ loss at the current loss-augmented argmax (valid off tie points).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .losses import (
+from .losses import (  # noqa: F401  (expected_loss_table: perfbench wraps this binding)
     HyperParams,
     LossFunction,
-    _expected_loss_by_label,
+    _augmented,
+    _loss_column,
+    _sample_view,
+    _SampleView,
     expected_loss_table,
     upper_bound,
 )
@@ -76,44 +79,36 @@ def _weighted_feature_pull(
     return phi_t @ pw - float(np.add.reduce(pw)) * mean_feature
 
 
-def _grad_expected_from_probs(
-    probs: np.ndarray, sample: SampleRecord, y: int, k: int, loss: LossFunction
-) -> np.ndarray:
-    if not loss.latent_dependent:
-        return np.zeros(sample.phi.shape[1])
-    phi_t = sample.phi.T
-    column = loss.table(sample)[:, y, k]
-    return _weighted_feature_pull(probs, phi_t, phi_t @ probs, column)
-
-
-def _self_diversity_weights(probs: np.ndarray, at_truth: np.ndarray) -> np.ndarray:
-    """Per-latent weights of the self-diversity gradient, given the loss
-    table's truth-label slice T[:, truth, :]."""
-    return at_truth @ probs + probs @ at_truth
-
-
-def _grad_self_diversity_from_probs(
-    probs: np.ndarray, sample: SampleRecord, loss: LossFunction
-) -> np.ndarray:
-    if not loss.latent_dependent:
-        return np.zeros(sample.phi.shape[1])
-    phi_t = sample.phi.T
-    weights = _self_diversity_weights(
-        probs, loss.table(sample)[:, sample.truth_label, :]
+def _gradients(view: _SampleView, probs: np.ndarray, column: np.ndarray):
+    """Gradients in theta of ``probs @ column`` (the expected loss of the
+    candidate with this loss column) and of the self diversity: two pulls
+    sharing the mean feature.  Exact zeros for a latent-independent loss."""
+    if not view.latent_dependent:
+        zeros = np.zeros(view.phi.shape[1])
+        return zeros, zeros
+    phi_t, at_truth = view.phi_t, view.at_truth
+    mean_feature = phi_t @ probs
+    self_weights = at_truth @ probs + probs @ at_truth
+    return (
+        _weighted_feature_pull(probs, phi_t, mean_feature, column),
+        _weighted_feature_pull(probs, phi_t, mean_feature, self_weights),
     )
-    return _weighted_feature_pull(probs, phi_t, phi_t @ probs, weights)
+
+
+def _step_gradients(view: _SampleView, scores: np.ndarray, probs: np.ndarray):
+    """The slack subgradient (Danskin: the expected-loss gradient at the
+    loss-augmented argmax) and the self-diversity gradient at one sample."""
+    y, k = divmod(int(_augmented(view, scores, probs).argmax()), scores.shape[1])
+    return _gradients(view, probs, view.table[:, y, k])
 
 
 def grad_expected_loss(
     theta: np.ndarray, sample: SampleRecord, y: int, k: int, loss: LossFunction
 ) -> np.ndarray:
     """Gradient in theta of the expected loss of candidate (y, k)."""
-    if not (0 <= y < sample.psi.shape[0]):
-        raise IndexError(f"label {y} outside [0, {sample.psi.shape[0]})")
-    if not (0 <= k < sample.num_latents):
-        raise IndexError(f"latent index {k} outside [0, {sample.num_latents})")
     probs = latent_posterior(theta, sample)
-    return _grad_expected_from_probs(probs, sample, y, k, loss)
+    view = _sample_view(sample, loss)
+    return _gradients(view, probs, _loss_column(view, y, k))[0]
 
 
 def grad_self_diversity(
@@ -121,7 +116,9 @@ def grad_self_diversity(
 ) -> np.ndarray:
     """Gradient in theta of the conditional's self diversity."""
     probs = latent_posterior(theta, sample)
-    return _grad_self_diversity_from_probs(probs, sample, loss)
+    view = _sample_view(sample, loss)
+    # any column: the self-diversity gradient does not read it
+    return _gradients(view, probs, view.table[:, 0, 0])[1]
 
 
 def grad_slack(
@@ -130,9 +127,8 @@ def grad_slack(
     """Subgradient in theta of the sample slack, via the loss-augmented
     argmax (Danskin; a subgradient at tie points)."""
     probs = latent_posterior(theta, sample)
-    table = score_table(w, sample) + expected_loss_table(probs, sample, loss)
-    y, k = divmod(int(np.argmax(table)), sample.num_latents)
-    return _grad_expected_from_probs(probs, sample, y, k, loss)
+    view = _sample_view(sample, loss)
+    return _step_gradients(view, score_table(w, sample), probs)[0]
 
 
 def theta_objective(
@@ -147,18 +143,6 @@ def theta_objective(
     theta = np.asarray(theta, dtype=np.float64)
     reg = 0.5 * hyper.J * float(theta @ theta)
     return reg + hyper.C * upper_bound(w, theta, dataset, loss, hyper.beta)
-
-
-class _SampleView(NamedTuple):
-    """What one SSD step reads of a sample, looked up once per call."""
-
-    phi: np.ndarray
-    phi_t: np.ndarray  # phi.T
-    scores: np.ndarray  # score_table at the fixed w
-    table: np.ndarray  # the loss table T[j, y, k]
-    by_label: np.ndarray  # T.transpose(1, 0, 2)
-    at_truth: np.ndarray  # T[:, truth_label, :]
-    num_latents: int
 
 
 _INDEX_BLOCK = 4096
@@ -188,9 +172,9 @@ def ssd_theta(
     """Stochastic subgradient descent on the theta subproblem.
 
     Returns the final iterate.  Fully deterministic given the config
-    seed.  Each step makes the IEEE operations of ``latent_posterior``,
-    ``expected_loss_table`` and the ``grad_*`` functions in their order,
-    on per-sample views built once per call.
+    seed.  Each step calls ``_step_gradients``, the core that
+    ``grad_slack`` and ``grad_self_diversity`` call too, on per-sample
+    views built once per call.
     """
     n = len(dataset)
     steps = (
@@ -207,38 +191,12 @@ def ssd_theta(
     if np.shape(w) != (dataset.d_w,):
         raise ConfigError(f"w has shape {np.shape(w)}, expected ({dataset.d_w},)")
     beta = hyper.beta
-    if not loss.latent_dependent:
-        # both gradients vanish: only the shrinkage moves theta
-        zeros = np.zeros(dataset.d_theta)
-        for t in range(1, steps + 1):
-            g = lam * theta + zeros - beta * zeros
-            theta = theta - g / (lam * t)
-        return theta
-    views = []
-    for s in dataset:
-        T = loss.table(s)
-        views.append(
-            _SampleView(
-                s.phi,
-                s.phi.T,
-                score_table(w, s),
-                T,
-                T.transpose(1, 0, 2),
-                T[:, s.truth_label, :],
-                s.num_latents,
-            )
-        )
+    views = [(_sample_view(s, loss), score_table(w, s)) for s in dataset]
     rng = np.random.default_rng(config.seed)
     for t, i in enumerate(_step_indices(rng, n, steps), 1):
-        phi, phi_t, scores, T, by_label, at_truth, K = views[i]
-        probs = _posterior(phi, theta)
-        table = scores + _expected_loss_by_label(probs, by_label)
-        y, k = divmod(int(table.argmax()), K)
-        mean_feature = phi_t @ probs
-        g_slack = _weighted_feature_pull(probs, phi_t, mean_feature, T[:, y, k])
-        g_selfdiv = _weighted_feature_pull(
-            probs, phi_t, mean_feature, _self_diversity_weights(probs, at_truth)
-        )
+        view, scores = views[i]
+        probs = _posterior(view.phi, theta)
+        g_slack, g_selfdiv = _step_gradients(view, scores, probs)
         g = lam * theta + g_slack - beta * g_selfdiv
         theta = theta - g / (lam * t)
     return theta

@@ -38,8 +38,8 @@ from dissim import (
     latent_posterior,
     predict,
     score_table,
+    self_diversity,
 )
-from dissim.losses import _self_diversity_from_probs
 from dissim.model import _check_theta, _log_sum_exp
 from dissim.synth import _signatures
 
@@ -414,7 +414,7 @@ def dissimilarity_objective(
         y, k = predict(w, sample)
         probs = latent_posterior(theta, sample)
         table = expected_loss_table(probs, sample, loss)
-        total += table[y, k] - beta * _self_diversity_from_probs(probs, sample, loss)
+        total += table[y, k] - beta * self_diversity(theta, sample, loss)
     return total / len(dataset)
 
 

@@ -69,9 +69,10 @@ class TestGenerate:
         assert data.read_bytes() == copy.read_bytes()
 
     def test_bad_spec_exits_2(self, tmp_path):
-        code = cli.main(["generate", "--boxes", "5",
-                         "--out", str(tmp_path / "x.txt")])
-        assert code == 2
+        for boxes in ("5", "0", "-4"):
+            code = cli.main(["generate", "--boxes", boxes,
+                             "--out", str(tmp_path / "x.txt")])
+            assert code == 2, boxes
 
 
 class TestTrain:
@@ -249,6 +250,15 @@ class TestGradcheck:
         assert "zero_one" in out and "overlap" in out
         assert "FAIL" not in out
 
+    def test_no_draws_exits_2(self, tmp_path, capsys):
+        data = generate_tiny(tmp_path)
+        for draws in ("0", "-3"):
+            code = cli.main(["gradcheck", "--data", str(data), "--draws", draws])
+            assert code == 2, draws
+            captured = capsys.readouterr()
+            assert "draws" in captured.err
+            assert "worst relative error" not in captured.out
+
     def test_corrupt_exits_1(self, tmp_path, capsys):
         data = generate_tiny(tmp_path)
         code = cli.main(["gradcheck", "--data", str(data), "--draws", "5",
@@ -308,17 +318,23 @@ class TestExperiment:
         cb = tmp_path / "b_curve_overlap_lsvm.tsv"
         assert ca.read_bytes() == cb.read_bytes()
 
-    def test_unknown_loss_exits_2(self, tmp_path):
+    def test_unknown_loss_exits_2(self, tmp_path, capsys):
         data = generate_tiny(tmp_path)
-        code = cli.main(["experiment", "--data", str(data), "--losses",
-                         "huber", "--out", str(tmp_path / "r.csv")])
-        assert code == 2
+        for losses in ("huber", ""):
+            code = cli.main(["experiment", "--data", str(data), "--losses",
+                             losses, "--out", str(tmp_path / "r.csv")])
+            assert code == 2, losses
+            assert "--losses" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
-    def test_unknown_method_exits_2(self, tmp_path):
+    def test_unknown_method_exits_2(self, tmp_path, capsys):
         data = generate_tiny(tmp_path)
-        code = cli.main(["experiment", "--data", str(data), "--methods",
-                         "svm", "--out", str(tmp_path / "r.csv")])
-        assert code == 2
+        for methods in ("svm", ","):
+            code = cli.main(["experiment", "--data", str(data), "--methods",
+                             methods, "--out", str(tmp_path / "r.csv")])
+            assert code == 2, methods
+            assert "--methods" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_zero_ssd_factor_exits_2(self, tmp_path, capsys):
         data = generate_tiny(tmp_path)

@@ -73,6 +73,11 @@ class TestValidation:
                     (0, 0, 2**25, 1), (-(2**25) - 1, 0, 1, 1)):
             with pytest.raises(InputError, match="must lie in"):
                 sample(big)
+        # the int64 cast would truncate these to (0, 0, 1, 1) and (0, 0, 0, 1)
+        for fractional in ((0, 0, 1.5, 1.9), (0, 0, 0.5, 1)):
+            with pytest.raises(InputError, match="sample b: box coordinates "
+                                                 "must be integers"):
+                sample(fractional)
         # areas and unions of these two wrap around in int64
         with pytest.raises(InputError, match="must lie in"):
             sample((0, 0, 3037000500, 3037000500),

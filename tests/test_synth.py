@@ -41,6 +41,9 @@ class TestTaskSpec:
     def test_boxes_must_be_square_count(self):
         with pytest.raises(ConfigError):
             TaskSpec(boxes=15)
+        for boxes in (0, -4):
+            with pytest.raises(ConfigError, match="boxes must be >= 1"):
+                TaskSpec(boxes=boxes)
 
     def test_feature_dim_floor(self):
         with pytest.raises(ConfigError):

@@ -302,3 +302,31 @@ class TestSSDMatchesReference:
             blocks = (rng.integers(n, size=16).tolist()
                       + rng.integers(n, size=24).tolist())
             assert blocks == scalar, n
+
+
+class TestSSDStepIsPublicGradients:
+    """One solver step is one Pegasos step on the public gradients of the
+    sample it draws, bit for bit: the solver runs the code that the
+    gradient checks verify."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("loss_name",
+                             ["zero_one", "overlap", "zero_one_label_only"])
+    def test_one_step_equals_public_gradients(self, loss_name, seed):
+        dset = make_dataset(200 + seed, n=5, num_labels=3, num_latents=6,
+                            d_w=4, d_theta=5, geometric=True,
+                            uniform_shapes=seed % 2 == 0)
+        rng = np.random.default_rng(300 + seed)
+        w = rng.standard_normal(dset.d_w)
+        theta = rng.standard_normal(dset.d_theta)
+        C, J = CJ_PAIRS[seed % len(CJ_PAIRS)]
+        hyper = HyperParams(C=C, J=J, beta=float(rng.uniform(0.05, 0.95)))
+        loss = LOSSES[loss_name]()
+        got = ssd_theta(dset, w, theta, loss, hyper, SSDConfig(steps=1, seed=seed))
+
+        i = int(np.random.default_rng(seed).integers(len(dset), size=1)[0])
+        sample = dset.samples[i]
+        lam = hyper.J / hyper.C
+        g = (lam * theta + grad_slack(w, theta, sample, loss)
+             - hyper.beta * grad_self_diversity(theta, sample, loss))
+        assert got.tobytes() == (theta - g / lam).tobytes()

@@ -41,7 +41,7 @@ def lsvm_train(
     """Latent SVM: impute the latent by score, measure loss against it."""
 
     def build(w, imputed):
-        return _pointwise_tables(dataset, imputed, loss)
+        return _pointwise_tables(dataset, imputed, loss), ()
 
     w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None)
     return ModelParams(w, np.zeros(dataset.d_theta)), report
@@ -72,7 +72,9 @@ def ilsvm_train(
 
     def build(w, imputed):
         refs = ilsvm_latent_estimates(w, dataset, loss)
-        return _pointwise_tables(dataset, refs, loss)
+        # the argmin never picks the higher of two rows with equal tables,
+        # so refs identify the tables for the repeat check
+        return _pointwise_tables(dataset, refs, loss), tuple(refs)
 
     w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None)
     return ModelParams(w, np.zeros(dataset.d_theta)), report

@@ -1,10 +1,10 @@
 """Command line harness: generate, train, experiment, gradcheck.
 
 Exit codes: 0 on success, 2 on input or configuration errors (including
-malformed flags, which argparse reports by flag name), 3 on solver
-failures.  Every command is deterministic given identical flags, except
-that experiment rows carry measured wallclock times unless --no-timings
-is passed.
+malformed flags, which argparse reports by flag name, and files that
+cannot be read or written), 3 on solver failures.  Every command is
+deterministic given identical flags, except that experiment rows carry
+measured wallclock times unless --no-timings is passed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,18 @@ def _check_loss_compatible(loss_kind: str, dataset: Dataset) -> None:
         )
 
 
+def _check_out(out: str) -> None:
+    """Refuse an output path that names a directory or lies in a missing
+    one, before any work is done."""
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out: directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"--out: {path} is a directory")
+
+
 def cmd_generate(args) -> int:
+    _check_out(args.out)
     spec = TaskSpec(
         num_classes=args.classes,
         per_class=args.per_class,
@@ -76,6 +87,7 @@ def _hyper_from_args(args, method: str) -> HyperParams:
 
 
 def cmd_train(args) -> int:
+    _check_out(args.out)
     dataset = load_dataset(args.data)
     _check_loss_compatible(args.loss, dataset)
     loss = make_loss(args.loss)
@@ -105,6 +117,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_out(args.out)
     dataset = load_dataset(args.data)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     losses = [l.strip() for l in args.losses.split(",") if l.strip()]
@@ -328,7 +341,7 @@ def main(argv=None) -> int:
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
-    except DissimError as err:
+    except (DissimError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -210,7 +210,7 @@ def load_dataset(path) -> Dataset:
             boxes.append(box)
         # the arrays are built from the parsed rows, so a corrupt count
         # never sizes an allocation
-        psi_rows, psi_lines = [], []
+        psi_rows = []
         for y in range(num_labels):
             for k in range(K):
                 parts = reader.expect("psi")
@@ -220,9 +220,8 @@ def load_dataset(path) -> Dataset:
                     )
                 if reader.parse(parts[:2], int) != [y, k]:
                     raise reader.error("psi rows out of order")
-                psi_rows.append(np.array(reader.parse(parts[2:])))
-                psi_lines.append(reader.pos)
-        phi_rows, phi_lines = [], []
+                psi_rows.append(np.array(reader.parse_finite(parts[2:])))
+        phi_rows = []
         for k in range(K):
             parts = reader.expect("phi")
             if len(parts) != 1 + d_theta:
@@ -231,16 +230,13 @@ def load_dataset(path) -> Dataset:
                 )
             if reader.parse(parts[:1], int) != [k]:
                 raise reader.error("phi rows out of order")
-            phi_rows.append(np.array(reader.parse(parts[1:])))
-            phi_lines.append(reader.pos)
-        psi = _finite_rows(path, psi_rows, psi_lines)
-        phi = _finite_rows(path, phi_rows, phi_lines)
+            phi_rows.append(np.array(reader.parse_finite(parts[1:])))
         samples.append(
             SampleRecord(
                 id=sample_id,
                 truth_label=label,
-                psi=psi.reshape(num_labels, K, d_w),
-                phi=phi.reshape(K, d_theta),
+                psi=np.array(psi_rows).reshape(num_labels, K, d_w),
+                phi=np.array(phi_rows).reshape(K, d_theta),
                 boxes=boxes if geometric else None,
                 truth_latent=truth_latent,
             )
@@ -248,17 +244,6 @@ def load_dataset(path) -> Dataset:
     return Dataset(
         num_labels=num_labels, d_w=d_w, d_theta=d_theta, samples=tuple(samples)
     )
-
-
-def _finite_rows(path: Path, rows: list, lines: list[int]) -> np.ndarray:
-    """The feature rows stacked into one array; a row holding a value that
-    is not finite is an InputError naming that row's line."""
-    table = np.array(rows)
-    finite = np.isfinite(table).all(axis=-1)
-    if not finite.all():
-        line = lines[int(np.argmin(finite))]
-        raise InputError(f"{path} line {line}: feature values must be finite")
-    return table
 
 
 @dataclass

@@ -21,7 +21,6 @@ from .errors import ConfigError, InputError
 from .losses import (
     LossFunction,
     _augmented,
-    _sample_view,
     expected_loss,
     self_diversity,
     slack,
@@ -79,6 +78,8 @@ def run_gradient_checks(
     """
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     samples = list(dataset)
     result = GradCheckResult(draws=draws, tolerance=tolerance)
@@ -102,7 +103,7 @@ def run_gradient_checks(
 
         # Slack is piecewise smooth; require a clear argmax margin.
         probs = latent_posterior(theta, sample)
-        table = _augmented(_sample_view(sample, loss), score_table(w, sample), probs)
+        table = _augmented(loss.view(sample), score_table(w, sample), probs)
         flat = np.sort(table.ravel())
         if flat.size > 1 and flat[-1] - flat[-2] <= TIE_MARGIN:
             result.skipped_ties += 1

@@ -78,13 +78,29 @@ def iou_matrix(boxes: np.ndarray) -> np.ndarray:
     return inter / union
 
 
+class _SampleView(NamedTuple):
+    """What the loss terms read of one sample under one loss, built once
+    by ``LossFunction.view``.  With ``thetasolver._step_gradients``,
+    the functions of a view below are the one per-sample core: the public
+    terms call into them, and only they branch on ``latent_dependent``."""
+
+    phi: np.ndarray
+    phi_t: np.ndarray  # phi.T
+    table: np.ndarray  # the loss table T[j, y, k]
+    by_label: np.ndarray  # T.transpose(1, 0, 2)
+    at_truth: np.ndarray  # T[:, truth_label, :]
+    truth_label: int
+    latent_dependent: bool
+
+
 class LossFunction:
     """Pairwise loss over (label, latent) pairs, valued in [0, 1].
 
     A subclass defines its loss once, as ``pair_matrix``: the values for
     every latent pair at fixed labels.  Everything else reads it through
-    ``table(sample)``, the per-sample tensor T[j, y, k] =
-    loss(truth, j, y, k) of shape (K, labels, K).  Expected losses, self
+    ``view(sample)``, the one cached per-sample view, whose ``table`` is
+    the tensor T[j, y, k] = loss(truth, j, y, k) of shape (K, labels, K)
+    (also returned by ``table(sample)``).  Expected losses, self
     diversities, their gradients and the pointwise baseline tables are
     all contractions of T against the latent conditional or a point mass.
 
@@ -97,29 +113,38 @@ class LossFunction:
     latent_dependent: bool = True
 
     def __init__(self):
-        self._tables = weakref.WeakKeyDictionary()
+        self._views = weakref.WeakKeyDictionary()
 
     def pair_matrix(self, sample: SampleRecord, y1: int, y2: int) -> np.ndarray:
         """Loss values for all latent pairs at fixed labels, shape (K, K):
         entry (k1, k2) is loss(y1, k1, y2, k2)."""
         raise NotImplementedError
 
-    def table(self, sample: SampleRecord) -> np.ndarray:
-        """Read-only T[j, y, k] = loss(truth, j, y, k), shape (K, labels, K).
+    def view(self, sample: SampleRecord) -> _SampleView:
+        """The per-sample view every loss term reads: the loss table, its
+        slices and the sample's phi.
 
         Built once per sample from ``pair_matrix`` and kept for as long as
         the sample lives.
         """
-        T = self._tables.get(sample)
-        if T is None:
+        view = self._views.get(sample)
+        if view is None:
             truth, num_labels = sample.truth_label, sample.psi.shape[0]
             T = np.stack(
                 [self.pair_matrix(sample, truth, y) for y in range(num_labels)],
                 axis=1,
             )
             T.flags.writeable = False
-            self._tables[sample] = T
-        return T
+            by_label, at_truth = T.transpose(1, 0, 2), T[:, truth, :]
+            view = _SampleView(sample.phi, sample.phi.T, T, by_label, at_truth,
+                               truth, self.latent_dependent)
+            self._views[sample] = view
+        return view
+
+    def table(self, sample: SampleRecord) -> np.ndarray:
+        """Read-only T[j, y, k] = loss(truth, j, y, k), shape (K, labels, K),
+        the table of ``view(sample)``."""
+        return self.view(sample).table
 
 
 class ZeroOneLoss(LossFunction):
@@ -181,29 +206,6 @@ def make_loss(kind: str) -> LossFunction:
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
-class _SampleView(NamedTuple):
-    """What the theta-side terms read of one sample under one loss.  With
-    ``thetasolver._step_gradients``, the functions of a view below are the
-    one per-sample core: the public terms call into them, and only they
-    branch on ``latent_dependent``."""
-
-    phi: np.ndarray
-    phi_t: np.ndarray  # phi.T
-    table: np.ndarray  # the loss table T[j, y, k]
-    by_label: np.ndarray  # T.transpose(1, 0, 2)
-    at_truth: np.ndarray  # T[:, truth_label, :]
-    truth_label: int
-    latent_dependent: bool
-
-
-def _sample_view(sample: SampleRecord, loss: LossFunction) -> _SampleView:
-    T, truth = loss.table(sample), sample.truth_label
-    by_label, at_truth = T.transpose(1, 0, 2), T[:, truth, :]
-    return _SampleView(
-        sample.phi, sample.phi.T, T, by_label, at_truth, truth, loss.latent_dependent
-    )
-
-
 def _loss_column(view: _SampleView, y: int, k: int) -> np.ndarray:
     """T[:, y, k], the loss of candidate (y, k) against each truth latent."""
     K, num_labels = view.table.shape[:2]
@@ -259,7 +261,7 @@ def expected_loss_table(
     shape (num_labels, K).  For latent-independent losses the expectation
     is the constant itself, returned exactly.
     """
-    return _expected_losses(_sample_view(sample, loss), probs)
+    return _expected_losses(loss.view(sample), probs)
 
 
 def expected_loss(
@@ -267,7 +269,7 @@ def expected_loss(
 ) -> float:
     """Loss of candidate (y, k) averaged over the latent conditional."""
     probs = latent_posterior(theta, sample)
-    return _expected_loss(_sample_view(sample, loss), probs, y, k)
+    return _expected_loss(loss.view(sample), probs, y, k)
 
 
 def self_diversity(
@@ -278,7 +280,7 @@ def self_diversity(
     Zero for latent-independent losses and for point-mass conditionals.
     """
     probs = latent_posterior(theta, sample)
-    return _self_diversity(_sample_view(sample, loss), probs)
+    return _self_diversity(loss.view(sample), probs)
 
 
 def _as_loss_matrix(pairwise_loss, size: int) -> np.ndarray:
@@ -333,7 +335,7 @@ def slack(
     """
     scores = score_table(w, sample)
     probs = latent_posterior(theta, sample)
-    return _slack(_sample_view(sample, loss), scores, probs)
+    return _slack(loss.view(sample), scores, probs)
 
 
 def upper_bound(
@@ -349,7 +351,7 @@ def upper_bound(
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
     total = 0.0
     for sample in dataset:
-        view = _sample_view(sample, loss)
+        view = loss.view(sample)
         probs = latent_posterior(theta, sample)
         xi = _slack(view, score_table(w, sample), probs)
         total += xi - beta * _self_diversity(view, probs)

@@ -57,6 +57,8 @@ class TaskSpec:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         if self.per_class < 1:
             raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.box_cells <= self.grid:
             raise ConfigError(
                 f"box_cells must lie in [1, grid], got {self.box_cells}"

@@ -36,7 +36,6 @@ from .losses import (  # noqa: F401  (expected_loss_table: perfbench wraps this 
     LossFunction,
     _augmented,
     _loss_column,
-    _sample_view,
     _SampleView,
     expected_loss_table,
     upper_bound,
@@ -65,6 +64,8 @@ class SSDConfig:
             raise ConfigError(
                 f"steps_per_sample must be >= 1, got {self.steps_per_sample}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _weighted_feature_pull(
@@ -107,7 +108,7 @@ def grad_expected_loss(
 ) -> np.ndarray:
     """Gradient in theta of the expected loss of candidate (y, k)."""
     probs = latent_posterior(theta, sample)
-    view = _sample_view(sample, loss)
+    view = loss.view(sample)
     return _gradients(view, probs, _loss_column(view, y, k))[0]
 
 
@@ -116,7 +117,7 @@ def grad_self_diversity(
 ) -> np.ndarray:
     """Gradient in theta of the conditional's self diversity."""
     probs = latent_posterior(theta, sample)
-    view = _sample_view(sample, loss)
+    view = loss.view(sample)
     # any column: the self-diversity gradient does not read it
     return _gradients(view, probs, view.table[:, 0, 0])[1]
 
@@ -127,7 +128,7 @@ def grad_slack(
     """Subgradient in theta of the sample slack, via the loss-augmented
     argmax (Danskin; a subgradient at tie points)."""
     probs = latent_posterior(theta, sample)
-    view = _sample_view(sample, loss)
+    view = loss.view(sample)
     return _step_gradients(view, score_table(w, sample), probs)[0]
 
 
@@ -173,8 +174,9 @@ def ssd_theta(
 
     Returns the final iterate.  Fully deterministic given the config
     seed.  Each step calls ``_step_gradients``, the core that
-    ``grad_slack`` and ``grad_self_diversity`` call too, on per-sample
-    views built once per call.
+    ``grad_slack`` and ``grad_self_diversity`` call too, on the loss's
+    cached per-sample views, with each score table at w computed once per
+    call.
     """
     n = len(dataset)
     steps = (
@@ -188,10 +190,8 @@ def ssd_theta(
         raise ConfigError(
             f"theta has shape {theta.shape}, expected ({dataset.d_theta},)"
         )
-    if np.shape(w) != (dataset.d_w,):
-        raise ConfigError(f"w has shape {np.shape(w)}, expected ({dataset.d_w},)")
     beta = hyper.beta
-    views = [(_sample_view(s, loss), score_table(w, s)) for s in dataset]
+    views = [(loss.view(s), score_table(w, s)) for s in dataset]
     rng = np.random.default_rng(config.seed)
     for t, i in enumerate(_step_indices(rng, n, steps), 1):
         view, scores = views[i]

@@ -62,6 +62,8 @@ class TrainConfig:
             self.C_grid
         ):
             raise ConfigError("C grid must be strictly increasing")
+        if self.split_seed < 0:
+            raise ConfigError(f"split_seed must be >= 0, got {self.split_seed}")
 
 
 @dataclass
@@ -244,8 +246,6 @@ def run_protocol(
     Fold f uses a split seeded by (config.split_seed, f), so identical
     configs reproduce identical splits and results.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; pick one of {METHODS}")
     if n_folds < 1:
         raise ConfigError(f"n_folds must be >= 1, got {n_folds}")
     rows: list[FoldResult] = []

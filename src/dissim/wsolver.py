@@ -28,7 +28,6 @@ best value by less than C * epsilon, when a convex subproblem repeats
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -55,7 +54,6 @@ class WSolverReport:
     """
 
     iterations: int
-    final_objective: float
     termination: str
     trace: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
@@ -90,9 +88,7 @@ class _InnerData:
             psi[i, :, : s.num_latents] = s.psi
             self.truth_mask[i, s.num_latents :] = -np.inf
         self.psi_stack = psi.reshape(n, L * K, self.d_w)
-        self.truth_cols = np.array(
-            [s.truth_label * K + np.arange(K) for s in samples]
-        )
+        self.truth_labels = np.array([s.truth_label for s in samples])
         self.set_round(tables, anchors)
 
     def set_round(self, tables: Sequence[np.ndarray], anchors) -> None:
@@ -127,7 +123,9 @@ class _InnerData:
         reg = 0.5 * float(w @ w)
         scores = self._flat_scores(w)
         hinge = (scores + self.aug_stack).max(axis=1)
-        truth = np.take_along_axis(scores, self.truth_cols, axis=1)
+        truth = scores.reshape(self.padded_shape)[
+            np.arange(self.n), self.truth_labels
+        ]
         ref = (truth + self.truth_mask).max(axis=1)
         return reg + C * float((hinge - ref).mean())
 
@@ -320,18 +318,9 @@ def _solve_inner(
         xi = max(0.0, float((offsets - directions @ w).max()))
 
 
-def _problem_key(imputed: Sequence[int], tables: Sequence[np.ndarray]) -> tuple:
-    """Identity of a convex subproblem: the anchors and a SHA-256 digest
-    of the exact bytes of every augmentation table."""
-    digest = hashlib.sha256()
-    for table in tables:
-        digest.update(np.ascontiguousarray(table))
-    return tuple(imputed), digest.digest()
-
-
 def _cccp_loop(
     dataset: Dataset,
-    build_tables: Callable[[np.ndarray, list[int]], Sequence[np.ndarray]],
+    build_round: Callable[[np.ndarray, list[int]], tuple],
     C: float,
     epsilon: float,
     inner_tol: float,
@@ -341,23 +330,25 @@ def _cccp_loop(
     """Generic CCCP alternation shared by the dissimilarity solver and the
     latent-SVM style baselines.
 
-    ``build_tables(w, imputed)`` supplies the per-sample augmentation
-    tables for the convex solve at the current iterate.  The alternation
+    ``build_round(w, imputed)`` returns ``(tables, refs)``: the
+    per-sample augmentation tables for the convex solve at the current
+    iterate, and a tuple of integers that, with the anchors, determines
+    those tables (empty when the anchors alone do).  The alternation
     always proceeds from the newest iterate; the best iterate seen is
     what gets reported and returned.  Stops once a round improves the
     best objective by a non-negative amount below C * epsilon, or once
-    the convex subproblem (anchors plus tables) repeats.
+    the convex subproblem, keyed by the anchors plus refs, repeats.
     """
 
     w = np.zeros(dataset.d_w) if w_init is None else np.array(w_init, dtype=np.float64)
     imputed = [latent_impute(w, s) for s in dataset]
-    tables = build_tables(w, imputed)
+    tables, refs = build_round(w, imputed)
     data = _InnerData(dataset, tables, imputed)
     best_w = w.copy()
     best = data.true_objective(w, C)
     trace = [best]
     iterates = [w.copy()]
-    seen = {_problem_key(imputed, tables)}
+    seen = {(tuple(imputed), refs)}
     iterations = 0
     while True:
         if iterations >= max_iterations:
@@ -367,7 +358,7 @@ def _cccp_loop(
         w_new = _solve_inner(data, C, inner_tol)
         iterations += 1
         imputed_new = [latent_impute(w_new, s) for s in dataset]
-        tables_new = build_tables(w_new, imputed_new)
+        tables_new, refs = build_round(w_new, imputed_new)
         data.set_round(tables_new, imputed_new)
         obj_new = data.true_objective(w_new, C)
         improvement = best - obj_new
@@ -378,14 +369,13 @@ def _cccp_loop(
         if 0.0 <= improvement < C * epsilon:
             termination = "tolerance"
             break
-        key = _problem_key(imputed_new, tables_new)
+        key = (tuple(imputed_new), refs)
         if key in seen:
             termination = "repeat"
             break
         seen.add(key)
     report = WSolverReport(
         iterations=iterations,
-        final_objective=best,
         termination=termination,
         trace=trace,
         iterates=iterates,
@@ -412,6 +402,6 @@ def cccp_w(
     ]
 
     def build(w, imputed):
-        return tables
+        return tables, ()
 
     return _cccp_loop(dataset, build, C, epsilon, inner_tol, w_init)

@@ -6,6 +6,7 @@ import pytest
 from dissim import (
     Dataset,
     LabelOnlyZeroOneLoss,
+    OverlapLoss,
     SampleRecord,
     ZeroOneLoss,
     cccp_w,
@@ -226,3 +227,50 @@ class TestILSVM:
             dset = make_dataset(600 + seed, n=4, num_labels=3, num_latents=3)
             _, report = ilsvm_train(dset, ZeroOneLoss(), C=1.0, inner_tol=1e-4)
             assert np.all(np.diff(report.trace) <= 1e-9 + 1e-4)
+
+
+def twin_box_dataset(seed):
+    """A geometric dataset whose candidates 0 and 1 share one box, so the
+    two rows of every overlap loss table are equal."""
+    dset = make_dataset(seed, n=6, num_labels=3, num_latents=4,
+                        geometric=True)
+    samples = []
+    for s in dset:
+        boxes = s.boxes.copy()
+        boxes[1] = boxes[0]
+        samples.append(SampleRecord(id=s.id, truth_label=s.truth_label,
+                                    psi=s.psi, phi=s.phi, boxes=boxes,
+                                    truth_latent=s.truth_latent))
+    return Dataset(dset.num_labels, dset.d_w, dset.d_theta, tuple(samples))
+
+
+class TestRepeatStop:
+    """With epsilon 0 only a repeated convex subproblem ends CCCP, so the
+    iteration count and trace pin which subproblems count as repeats.
+    Equal loss tables (twin boxes; a latent-independent loss) are where a
+    key of integers could disagree with a key on the tables' bytes; the
+    pinned values are those the table-byte key gives."""
+
+    CASES = {
+        ("twin", "lsvm"): (4, [10.0, 9.053998129560558, 7.130952138303676,
+                               6.672037410047262]),
+        ("twin", "ilsvm"): (6, [10.0, 9.053998129560558, 7.130952138303676,
+                                6.710963209184037, 6.6720374100472455]),
+        ("label", "lsvm"): (5, [10.0, 9.663676318973263, 7.153045784228795,
+                                6.081850394339746]),
+        ("label", "ilsvm"): (5, [10.0, 9.663676318973263, 7.153045784228795,
+                                 6.081850394339746]),
+    }
+
+    @pytest.mark.parametrize("task, method", sorted(CASES))
+    def test_pinned_reports(self, task, method):
+        if task == "twin":
+            dset, loss = twin_box_dataset(702), OverlapLoss()
+        else:
+            dset, loss = make_dataset(702, n=6), LabelOnlyZeroOneLoss()
+        fit = lsvm_train if method == "lsvm" else ilsvm_train
+        _, report = fit(dset, loss, C=10.0, epsilon=0.0)
+        iterations, trace = self.CASES[task, method]
+        assert report.iterations == iterations
+        assert report.termination == "repeat"
+        assert report.trace == pytest.approx(trace, rel=1e-12)

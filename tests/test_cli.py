@@ -373,6 +373,60 @@ class TestOverlapNeedsBoxes:
         assert code == 2
 
 
+class TestErrorsExit2:
+    """Input the commands cannot use ends in one ``error:`` line and exit
+    2, never a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("command", ["generate", "train", "experiment",
+                                         "gradcheck"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        data = generate_tiny(tmp_path)
+        capsys.readouterr()
+        argv = {
+            "generate": ["generate", *TINY],
+            "train": ["train", "--data", str(data)],
+            "experiment": ["experiment", "--data", str(data)],
+            "gradcheck": ["gradcheck", "--data", str(data)],
+        }[command] + ["--seed", "-2"]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        self.assert_one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "experiment", "gradcheck"])
+    def test_data_is_a_directory(self, tmp_path, capsys, command):
+        argv = [command, "--data", str(tmp_path)]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("out", ["missing/x", "."])
+    @pytest.mark.parametrize("command", ["generate", "train", "experiment"])
+    def test_unwritable_out(self, tmp_path, capsys, monkeypatch, command, out):
+        data = generate_tiny(tmp_path)
+        capsys.readouterr()
+        written = sorted(tmp_path.iterdir())
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before --out was checked")
+
+        monkeypatch.setattr(trainer, "_fit", no_fit)
+        monkeypatch.setattr(cli, "_fit", no_fit)
+        argv = [command, *(TINY if command == "generate" else
+                           ["--data", str(data)]),
+                "--out", str(tmp_path / out)]
+        assert cli.main(argv) == 2
+        self.assert_one_error_line(capsys)
+        assert sorted(tmp_path.iterdir()) == written
+
+
 class TestMutatedDataset:
     """One deleted, duplicated or rewritten line of a small dataset never
     makes a command raise: train exits 0, 2 or 3 and gradcheck 0, 1, 2

@@ -598,6 +598,10 @@ class TestLossTable:
         assert b.table(sample) is not a.table(sample)
         other = abstract_sample(rng)
         assert a.table(other) is not a.table(sample)
+        assert a.view(sample) is a.view(sample)
+        assert b.view(sample) is not a.view(sample)
+        assert a.view(other) is not a.view(sample)
+        assert a.table(sample) is a.view(sample).table
 
     def test_freed_with_its_sample(self):
         import gc
@@ -607,10 +611,11 @@ class TestLossTable:
         sample = make_sample(rng, "g", 3, 4, 3, 2, geometric=True)
         loss = OverlapLoss()
         table = weakref.ref(loss.table(sample))
-        assert table() is not None
+        by_label = weakref.ref(loss.view(sample).by_label)
+        assert table() is not None and by_label() is not None
         del sample
         gc.collect()
-        assert table() is None
+        assert table() is None and by_label() is None
 
     def test_overlap_table_rejects_abstract_sample(self):
         rng = np.random.default_rng(27)

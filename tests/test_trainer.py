@@ -292,6 +292,13 @@ def test_c_grid_must_increase():
         TrainConfig(C_grid=(1.0, 1.0))
 
 
+def test_negative_split_seed_rejected():
+    from dissim import ConfigError
+
+    with pytest.raises(ConfigError, match="split_seed"):
+        TrainConfig(split_seed=-1)
+
+
 @pytest.mark.parametrize("field, value", [
     ("inner_tol", float("inf")),
     ("inner_tol", float("nan")),

@@ -19,7 +19,7 @@ from dissim import (
     slack,
 )
 import dissim.wsolver as wsolver
-from dissim.wsolver import _InnerData, _problem_key
+from dissim.wsolver import _InnerData
 from helpers import (
     StubZeroLoss,
     loss_augmented_argmax,
@@ -181,7 +181,7 @@ class TestCCCP:
         w0 = np.zeros(5)
         w, report = cccp_w(dset, np.zeros(3), w0, StubZeroLoss(), C=1.0)
         assert report.iterations == 1
-        assert report.trace == [report.final_objective]
+        assert len(report.trace) == 1
         np.testing.assert_array_equal(w, w0)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -240,7 +240,7 @@ class TestCCCP:
 
         def build(w, imputed):
             return [elt(latent_posterior(theta, s), s, ZeroOneLoss())
-                    for s in dset]
+                    for s in dset], ()
 
         with pytest.raises(SolverError) as info:
             _cccp_loop(dset, build, C=1.0, epsilon=1e-3, inner_tol=1e-4,
@@ -351,13 +351,3 @@ class TestInnerData:
             assert got_offset == pytest.approx(offset / len(dset), abs=1e-12)
             expect = 0.5 * float(w @ w) + C * slack_total / len(dset)
             assert data.true_objective(w, C) == pytest.approx(expect, abs=1e-12)
-
-
-class TestProblemKey:
-    def test_keys_on_table_bytes_not_builtin_hash(self, monkeypatch):
-        monkeypatch.setattr(wsolver, "hash", lambda _: 0, raising=False)
-        a = [np.zeros((2, 3)), np.ones((2, 3))]
-        b = [np.zeros((2, 3)), np.full((2, 3), 2.0)]
-        assert _problem_key([0, 1], a) != _problem_key([0, 1], b)
-        assert _problem_key([0, 1], a) == _problem_key([0, 1], [t.copy() for t in a])
-        assert _problem_key([0, 1], a) != _problem_key([1, 0], a)

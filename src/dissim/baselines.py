@@ -13,10 +13,18 @@ reference that is re-estimated every outer round:
 With a latent-independent loss the pointwise and expected losses coincide
 exactly, so lsvm_train and the dissimilarity w-solver walk identical
 iterate sequences from the same start.
+
+A baseline subproblem is fixed by the anchors and the table references
+(lsvm's anchors themselves, ilsvm's reference latents), so both methods
+key it by those integers and solve it at most once per loss instance,
+training samples, C and inner_tol.  Both start from w = 0, where ilsvm's
+references equal lsvm's anchors, so an ilsvm run after an lsvm run on the
+same loss reuses its first solves.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +39,21 @@ def _pointwise_tables(dataset: Dataset, refs: Sequence[int], loss: LossFunction)
     return [loss.table(sample)[ref] for sample, ref in zip(dataset, refs)]
 
 
+def _solved(dataset: Dataset, loss: LossFunction, C: float, inner_tol: float):
+    """The solved baseline subproblems of this loss on these training
+    samples (by identity and order) at this C and inner_tol, a dict from
+    (anchors, table refs) to w.  Kept in ``loss._solves``, one weak
+    dictionary level per sample, so an entry lives only as long as the
+    loss and every one of its samples."""
+    children, solves = loss._solves, None
+    for sample in dataset:
+        node = children.get(sample)
+        if node is None:
+            node = children[sample] = (weakref.WeakKeyDictionary(), {})
+        children, solves = node
+    return solves.setdefault((C, inner_tol), {})
+
+
 def lsvm_train(
     dataset: Dataset,
     loss: LossFunction,
@@ -41,9 +64,10 @@ def lsvm_train(
     """Latent SVM: impute the latent by score, measure loss against it."""
 
     def build(w, imputed):
-        return _pointwise_tables(dataset, imputed, loss), ()
+        return _pointwise_tables(dataset, imputed, loss), tuple(imputed)
 
-    w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None)
+    solved = _solved(dataset, loss, C, inner_tol)
+    w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None, solved)
     return ModelParams(w, np.zeros(dataset.d_theta)), report
 
 
@@ -76,5 +100,6 @@ def ilsvm_train(
         # so refs identify the tables for the repeat check
         return _pointwise_tables(dataset, refs, loss), tuple(refs)
 
-    w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None)
+    solved = _solved(dataset, loss, C, inner_tol)
+    w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None, solved)
     return ModelParams(w, np.zeros(dataset.d_theta)), report

@@ -124,6 +124,9 @@ def cmd_experiment(args) -> int:
     for flag, names in (("--methods", methods), ("--losses", losses)):
         if not names:
             raise ConfigError(f"{flag}: no names given")
+        repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"{flag}: {repeated!r} given more than once")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"--methods: unknown method {m!r}")

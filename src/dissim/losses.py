@@ -114,6 +114,7 @@ class LossFunction:
 
     def __init__(self):
         self._views = weakref.WeakKeyDictionary()
+        self._solves = weakref.WeakKeyDictionary()  # see baselines._solved
 
     def pair_matrix(self, sample: SampleRecord, y1: int, y2: int) -> np.ndarray:
         """Loss values for all latent pairs at fixed labels, shape (K, K):

@@ -45,7 +45,8 @@ DEFAULT_CCCP_BUDGET = 1000
 class WSolverReport:
     """Outcome of a CCCP run.
 
-    ``iterations`` counts inner convex solves.  ``termination`` is why
+    ``iterations`` counts CCCP iterations, each one convex subproblem,
+    solved or (for the baselines) reused.  ``termination`` is why
     the loop stopped: ``"tolerance"`` (a round improved the best value
     by less than C * epsilon) or ``"repeat"`` (a convex subproblem came
     back).  ``trace`` holds the objective at the initial point and after
@@ -325,6 +326,7 @@ def _cccp_loop(
     epsilon: float,
     inner_tol: float,
     w_init: Optional[np.ndarray],
+    solved: Optional[dict] = None,
     max_iterations: int = DEFAULT_CCCP_BUDGET,
 ):
     """Generic CCCP alternation shared by the dissimilarity solver and the
@@ -333,14 +335,20 @@ def _cccp_loop(
     ``build_round(w, imputed)`` returns ``(tables, refs)``: the
     per-sample augmentation tables for the convex solve at the current
     iterate, and a tuple of integers that, with the anchors, determines
-    those tables (empty when the anchors alone do).  The alternation
-    always proceeds from the newest iterate; the best iterate seen is
-    what gets reported and returned.  Stops once a round improves the
-    best objective by a non-negative amount below C * epsilon, or once
-    the convex subproblem, keyed by the anchors plus refs, repeats.
+    those tables (empty when the tables are fixed for the run).  A convex
+    subproblem is keyed by the anchors plus refs.  ``solved`` maps such
+    keys to their solutions; a subproblem found there is not solved
+    again, and each new solution is added.  The baselines pass a store
+    shared by every run on the same loss, training samples, C and
+    inner_tol; without one the store lasts this run only.  The
+    alternation always proceeds from the newest iterate; the best iterate
+    seen is what gets reported and returned.  Stops once a round improves
+    the best objective by a non-negative amount below C * epsilon, or
+    once a subproblem repeats within the run.
     """
 
     w = np.zeros(dataset.d_w) if w_init is None else np.array(w_init, dtype=np.float64)
+    solved = {} if solved is None else solved
     imputed = [latent_impute(w, s) for s in dataset]
     tables, refs = build_round(w, imputed)
     data = _InnerData(dataset, tables, imputed)
@@ -348,14 +356,19 @@ def _cccp_loop(
     best = data.true_objective(w, C)
     trace = [best]
     iterates = [w.copy()]
-    seen = {(tuple(imputed), refs)}
+    key = (tuple(imputed), refs)
+    seen = {key}
     iterations = 0
     while True:
         if iterations >= max_iterations:
             raise SolverError(
                 f"CCCP budget {max_iterations} exhausted", last_iterate=best_w
             )
-        w_new = _solve_inner(data, C, inner_tol)
+        w_new = solved.get(key)
+        if w_new is None:
+            w_new = _solve_inner(data, C, inner_tol)
+            w_new.flags.writeable = False  # later runs read it too
+            solved[key] = w_new
         iterations += 1
         imputed_new = [latent_impute(w_new, s) for s in dataset]
         tables_new, refs = build_round(w_new, imputed_new)

@@ -1,20 +1,30 @@
 """Latent-SVM baselines and their equivalence properties."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import dissim.wsolver as wsolver
 from dissim import (
+    LOSS_KINDS,
     Dataset,
     LabelOnlyZeroOneLoss,
     OverlapLoss,
     SampleRecord,
+    SolverError,
+    TaskSpec,
     ZeroOneLoss,
     cccp_w,
+    generate,
     ilsvm_latent_estimates,
     ilsvm_train,
     lsvm_train,
+    make_loss,
     predict,
 )
+from dissim.baselines import _solved
 from helpers import (
     delta_restricted_objective,
     dissimilarity_objective,
@@ -274,3 +284,132 @@ class TestRepeatStop:
         assert report.iterations == iterations
         assert report.termination == "repeat"
         assert report.trace == pytest.approx(trace, rel=1e-12)
+
+
+def generated_task(clean, seed=3):
+    spec = TaskSpec(num_classes=3, per_class=3, grid=4, boxes=4, box_cells=3,
+                    noise=0.0 if clean else 0.5,
+                    clutter=0.0 if clean else 0.3, seed=seed)
+    return generate(spec)[0]
+
+
+def reordered(dset):
+    return Dataset(dset.num_labels, dset.d_w, dset.d_theta,
+                   tuple(reversed(dset.samples)))
+
+
+def same_fit(a, b):
+    (pa, ra), (pb, rb) = a, b
+    assert pa.w.tobytes() == pb.w.tobytes()
+    assert ra.trace == rb.trace
+    assert [w.tobytes() for w in ra.iterates] == [w.tobytes() for w in rb.iterates]
+    assert (ra.iterations, ra.termination) == (rb.iterations, rb.termination)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The (anchors, tables) bytes of every convex subproblem solved."""
+    calls = []
+    solve = wsolver._solve_inner
+
+    def counted(data, *args, **kwargs):
+        calls.append((data.anchor_rows.tobytes(), data.aug_stack.tobytes()))
+        return solve(data, *args, **kwargs)
+
+    monkeypatch.setattr(wsolver, "_solve_inner", counted)
+    return calls
+
+
+class TestSharedSolves:
+    """lsvm and ilsvm on one loss instance solve each convex subproblem
+    at most once, and the fits equal those on a fresh loss bit for bit."""
+
+    TOL = 1e-2
+
+    @pytest.mark.parametrize("clean", [False, True])
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_fits_equal_fresh_loss(self, clean, kind):
+        dset = generated_task(clean)
+        for C in (1e-3, 0.1, 1.0, 10.0):
+            shared = make_loss(kind)
+            for fit in (lsvm_train, ilsvm_train, lsvm_train):
+                same_fit(fit(dset, shared, C, inner_tol=self.TOL),
+                         fit(dset, make_loss(kind), C, inner_tol=self.TOL))
+
+    def test_ilsvm_reuses_first_solve(self, solves):
+        dset = generated_task(clean=True)
+        ilsvm_train(dset, ZeroOneLoss(), 1.0, inner_tol=self.TOL)
+        fresh = list(solves)
+        shared = ZeroOneLoss()
+        lsvm_train(dset, shared, 1.0, inner_tol=self.TOL)
+        assert solves[len(fresh)] == fresh[0]  # lsvm's first solve
+        del solves[:]
+        ilsvm_train(dset, shared, 1.0, inner_tol=self.TOL)
+        assert fresh[0] not in solves
+        assert len(solves) < len(fresh)
+        assert all(problem in fresh for problem in solves)
+        del solves[:]
+        ilsvm_train(dset, shared, 1.0, inner_tol=self.TOL)
+        assert solves == []
+
+    def test_nothing_shared_across_scopes(self, solves):
+        dset = generated_task(clean=True)
+        C, tol = 1.0, self.TOL
+
+        def run(dataset, loss, C, tol):
+            del solves[:]
+            fit = ilsvm_train(dataset, loss, C, inner_tol=tol)
+            return fit, list(solves)
+
+        variants = [(dset, ZeroOneLoss(), C, tol), (dset, None, 0.1, tol),
+                    (dset, None, C, 1e-3), (reordered(dset), None, C, tol)]
+        for dataset, loss, C_v, tol_v in variants:
+            shared = ZeroOneLoss()
+            lsvm_train(dset, shared, C, inner_tol=tol)
+            fit, solved = run(dataset, loss or shared, C_v, tol_v)
+            fresh_fit, fresh_solved = run(dataset, ZeroOneLoss(), C_v, tol_v)
+            same_fit(fit, fresh_fit)
+            assert solved == fresh_solved
+
+    def test_solver_error_not_stored(self, monkeypatch):
+        dset = generated_task(clean=False)
+        loss = ZeroOneLoss()
+        solve = wsolver._solve_inner
+
+        def failing(data, C, inner_tol):
+            w = solve(data, C, inner_tol)
+            raise SolverError("refused", last_iterate=w)
+
+        monkeypatch.setattr(wsolver, "_solve_inner", failing)
+        with pytest.raises(SolverError):
+            lsvm_train(dset, loss, 1.0, inner_tol=self.TOL)
+        assert _solved(dset, loss, 1.0, self.TOL) == {}
+        monkeypatch.setattr(wsolver, "_solve_inner", solve)
+        same_fit(lsvm_train(dset, loss, 1.0, inner_tol=self.TOL),
+                 lsvm_train(dset, ZeroOneLoss(), 1.0, inner_tol=self.TOL))
+
+    def test_entries_freed_with_loss(self):
+        dset = generated_task(clean=True)
+        loss = OverlapLoss()
+        lsvm_train(dset, loss, 1.0, inner_tol=self.TOL)
+        stored = [weakref.ref(w) for w in
+                  _solved(dset, loss, 1.0, self.TOL).values()]
+        assert stored and all(ref() is not None for ref in stored)
+        del loss
+        gc.collect()
+        assert all(ref() is None for ref in stored)
+
+    def test_entries_freed_with_samples(self):
+        dset = generated_task(clean=True)
+        loss = OverlapLoss()
+        lsvm_train(dset, loss, 1.0, inner_tol=self.TOL)
+        ilsvm_train(reordered(dset), loss, 1.0, inner_tol=self.TOL)
+        stored = [weakref.ref(w) for d in (dset, reordered(dset))
+                  for w in _solved(d, loss, 1.0, self.TOL).values()]
+        assert stored and all(ref() is not None for ref in stored)
+        sample = weakref.ref(dset.samples[0])
+        del dset
+        gc.collect()
+        assert sample() is None
+        assert all(ref() is None for ref in stored)
+        assert len(loss._solves) == 0

@@ -336,6 +336,20 @@ class TestExperiment:
             assert "--methods" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("flag, names", [
+        ("--methods", "lsvm,lsvm"), ("--methods", "dissim,ilsvm,dissim"),
+        ("--losses", "zero_one,zero_one"), ("--losses", "overlap, overlap"),
+    ])
+    def test_repeated_name_exits_2(self, tmp_path, capsys, flag, names):
+        data = generate_tiny(tmp_path)
+        out = tmp_path / "r.csv"
+        code = cli.main(["experiment", "--data", str(data), flag, names,
+                         "--C-grid", "0.1", "--folds", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "more than once" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt"]
+
     def test_zero_ssd_factor_exits_2(self, tmp_path, capsys):
         data = generate_tiny(tmp_path)
         code = cli.main(["experiment", "--data", str(data), "--ssd-factor",

@@ -25,18 +25,12 @@ same loss reuses its first solves.
 from __future__ import annotations
 
 import weakref
-from typing import Sequence
 
 import numpy as np
 
 from .losses import LossFunction
-from .model import Dataset, ModelParams, predict
+from .model import Dataset, ModelParams
 from .wsolver import WSolverReport, _cccp_loop
-
-
-def _pointwise_tables(dataset: Dataset, refs: Sequence[int], loss: LossFunction):
-    """Per-sample (labels, K) tables of loss(truth, ref, y, k)."""
-    return [loss.table(sample)[ref] for sample, ref in zip(dataset, refs)]
 
 
 def _solved(dataset: Dataset, loss: LossFunction, C: float, inner_tol: float):
@@ -63,8 +57,10 @@ def lsvm_train(
 ) -> tuple[ModelParams, WSolverReport]:
     """Latent SVM: impute the latent by score, measure loss against it."""
 
+    stack = loss.stack(dataset)
+
     def build(w, imputed):
-        return _pointwise_tables(dataset, imputed, loss), tuple(imputed)
+        return stack.pointwise(imputed), tuple(imputed)
 
     solved = _solved(dataset, loss, C, inner_tol)
     w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None, solved)
@@ -76,11 +72,11 @@ def ilsvm_latent_estimates(
 ) -> list[int]:
     """Per-sample latent minimizing the loss against the current
     prediction; ties break to the smallest index."""
-    refs = []
-    for sample in dataset:
-        y_hat, k_hat = predict(w, sample)
-        refs.append(int(np.argmin(loss.table(sample)[:, y_hat, k_hat])))
-    return refs
+    stack = loss.stack(dataset)
+    scoring = stack.scoring
+    labels, latents = scoring.predict(scoring.scores(w))
+    columns = stack.loss_columns(labels, latents)
+    return scoring.ungroup([np.argmin(c, axis=1) for c in columns]).tolist()
 
 
 def ilsvm_train(
@@ -94,11 +90,13 @@ def ilsvm_train(
     the loss against the prediction, then solve the convex problem with
     the loss measured against that reference."""
 
+    stack = loss.stack(dataset)
+
     def build(w, imputed):
         refs = ilsvm_latent_estimates(w, dataset, loss)
         # the argmin never picks the higher of two rows with equal tables,
         # so refs identify the tables for the repeat check
-        return _pointwise_tables(dataset, refs, loss), tuple(refs)
+        return stack.pointwise(refs), tuple(refs)
 
     solved = _solved(dataset, loss, C, inner_tol)
     w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None, solved)

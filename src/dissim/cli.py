@@ -347,6 +347,10 @@ def main(argv=None) -> int:
     except (DissimError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:  # sizes too large to allocate
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 def cli() -> None:

@@ -21,11 +21,9 @@ class ConfigError(DissimError):
 class SolverError(DissimError):
     """An optimizer failed to converge within its budget.
 
-    Carries the last iterate so callers can inspect or salvage it, and the
-    outer round index when raised from inside the alternating trainer.
+    Carries the last iterate so callers can inspect or salvage it.
     """
 
-    def __init__(self, message, last_iterate=None, round_index=None):
+    def __init__(self, message, last_iterate=None):
         super().__init__(message)
         self.last_iterate = last_iterate
-        self.round_index = round_index

@@ -34,6 +34,7 @@ from .model import (
     Dataset,
     FiniteDistribution,
     SampleRecord,
+    _score_stack,
     latent_posterior,
     score_table,
 )
@@ -93,6 +94,98 @@ class _SampleView(NamedTuple):
     latent_dependent: bool
 
 
+class _Group(NamedTuple):
+    """The samples of one latent-space size K, stacked."""
+
+    rows: object  # their positions in the set: a slice or an index array
+    phi: np.ndarray  # (n_g, K, d_theta)
+    by_label: np.ndarray  # (n_g, labels, K, K): each sample's view.by_label
+    at_truth: np.ndarray  # (n_g, K, K): each sample's view.at_truth
+
+
+class _SetView:
+    """What the training loop reads of a whole set under one loss, built
+    once by ``LossFunction.stack``: the set's score stack
+    (``model._ScoreStack``, shared by every loss), the per-sample views,
+    and their phi, ``by_label`` and ``at_truth`` stacked per latent-space
+    size K (``blocks``, in the order of ``scoring.groups``).
+
+    Each batched term makes the per-sample core's IEEE operations on each
+    row: the products are the same BLAS kernels per row (``probs @
+    by_label`` as ``probs[:, None, None, :] @ by_label``), the row sums
+    are numpy's pairwise sum of one contiguous row, and each posterior's
+    log is one ``math.log`` per row, as ``model._log_sum_exp`` takes it.
+    So every term equals its per-sample form bit for bit.
+    """
+
+    def __init__(self, dataset: Dataset, loss: "LossFunction"):
+        self.scoring = scoring = _score_stack(dataset)
+        self.samples = scoring.samples
+        self.views = views = [loss.view(s) for s in self.samples]
+        self.latent_dependent = loss.latent_dependent
+        self.d_theta = dataset.d_theta
+        self.blocks = []
+        for _, rows in scoring.groups:
+            idx = np.arange(len(views))[rows].tolist()
+            by_label = np.stack([views[i].by_label for i in idx])
+            at_truth = by_label[np.arange(len(idx)), scoring.truth_labels[rows]]
+            phi = np.stack([views[i].phi for i in idx])
+            self.blocks.append(_Group(rows, phi, by_label, at_truth))
+
+    def posteriors(self, theta: np.ndarray) -> list[np.ndarray]:
+        """Per group, every sample's latent conditional, (n_g, K)."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.d_theta,):
+            raise ConfigError(
+                f"theta has shape {theta.shape}, expected ({self.d_theta},)"
+            )
+        out = []
+        for g in self.blocks:
+            n_g, K, d = g.phi.shape
+            activations = (g.phi.reshape(n_g * K, d) @ theta).reshape(n_g, K)
+            shift = np.maximum.reduce(activations, axis=1)
+            sums = np.add.reduce(np.exp(activations - shift[:, None]), axis=1)
+            log_z = shift + np.array([math.log(x) for x in sums.tolist()])
+            out.append(np.exp(activations - log_z[:, None]))
+        return out
+
+    def expected_losses(self, probs: list[np.ndarray]) -> list[np.ndarray]:
+        """Per group, every sample's expected-loss table, (n_g, labels, K);
+        the constant itself, exactly, for a latent-independent loss."""
+        if not self.latent_dependent:
+            return [g.by_label[:, :, 0, :] for g in self.blocks]
+        return [
+            (p[:, None, None, :] @ g.by_label)[:, :, 0, :]
+            for p, g in zip(probs, self.blocks)
+        ]
+
+    def self_diversities(self, probs: list[np.ndarray]) -> list[np.ndarray]:
+        """Per group, every sample's self diversity, (n_g,)."""
+        if not self.latent_dependent:
+            return [np.zeros(len(p)) for p in probs]
+        return [
+            (p[:, None, :] @ g.at_truth @ p[:, :, None])[:, 0, 0]
+            for p, g in zip(probs, self.blocks)
+        ]
+
+    def pointwise(self, refs) -> np.ndarray:
+        """The tables T_i[refs_i] (labels, K), the loss of every candidate
+        against one latent per sample, padded as ``scoring.ungroup``
+        pads them."""
+        refs = np.asarray(refs)
+        return self.scoring.ungroup([
+            g.by_label[np.arange(len(g.by_label)), :, refs[g.rows], :]
+            for g in self.blocks
+        ])
+
+    def loss_columns(self, labels: np.ndarray, latents: np.ndarray):
+        """Per group, every sample's T_i[:, labels_i, latents_i], (n_g, K)."""
+        return [
+            g.by_label[np.arange(len(g.by_label)), labels[g.rows], :, latents[g.rows]]
+            for g in self.blocks
+        ]
+
+
 class LossFunction:
     """Pairwise loss over (label, latent) pairs, valued in [0, 1].
 
@@ -103,6 +196,9 @@ class LossFunction:
     (also returned by ``table(sample)``).  Expected losses, self
     diversities, their gradients and the pointwise baseline tables are
     all contractions of T against the latent conditional or a point mass.
+    ``stack(dataset)`` is the set-level twin of ``view``: the views of a
+    training set stacked, from which the training loop batches those
+    terms over all samples at once.
 
     ``latent_dependent`` is False when the loss ignores latent indices
     entirely; the per-sample core (``_SampleView``) then shortcuts
@@ -114,6 +210,7 @@ class LossFunction:
 
     def __init__(self):
         self._views = weakref.WeakKeyDictionary()
+        self._stacks = weakref.WeakKeyDictionary()
         self._solves = weakref.WeakKeyDictionary()  # see baselines._solved
 
     def pair_matrix(self, sample: SampleRecord, y1: int, y2: int) -> np.ndarray:
@@ -141,6 +238,19 @@ class LossFunction:
                                truth, self.latent_dependent)
             self._views[sample] = view
         return view
+
+    def stack(self, dataset: Dataset) -> _SetView:
+        """The set-level twin of ``view``: the dataset's samples stacked
+        for batched scoring, imputation and loss terms.
+
+        Built once per dataset and kept for as long as the dataset lives;
+        rebuilt if ``dataset.samples`` is no longer the tuple it was
+        built from.
+        """
+        stack = self._stacks.get(dataset)
+        if stack is None or stack.samples is not dataset.samples:
+            stack = self._stacks[dataset] = _SetView(dataset, self)
+        return stack
 
     def table(self, sample: SampleRecord) -> np.ndarray:
         """Read-only T[j, y, k] = loss(truth, j, y, k), shape (K, labels, K),
@@ -350,12 +460,21 @@ def upper_bound(
     mean slack minus beta times mean self diversity."""
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    stack = loss.stack(dataset)
+    scoring = stack.scoring
+    probs = stack.posteriors(theta)
+    scores = scoring.scores(w)
+    parts = []
+    for (K, rows), expected, selfdiv in zip(
+        scoring.groups, stack.expected_losses(probs), stack.self_diversities(probs)
+    ):
+        group_scores, n_g = scores[rows, :, :K], len(selfdiv)
+        hinge = (group_scores + expected).reshape(n_g, -1).max(axis=1)
+        truth = group_scores[np.arange(n_g), scoring.truth_labels[rows]].max(axis=1)
+        parts.append((hinge - truth) - beta * selfdiv)
     total = 0.0
-    for sample in dataset:
-        view = loss.view(sample)
-        probs = latent_posterior(theta, sample)
-        xi = _slack(view, score_table(w, sample), probs)
-        total += xi - beta * _self_diversity(view, probs)
+    for term in scoring.ungroup(parts).tolist():  # a sequential sum, in order
+        total += term
     return total / len(dataset)
 
 

@@ -262,6 +262,104 @@ def predict(w: np.ndarray, sample: SampleRecord) -> tuple[int, int]:
     return y, k
 
 
+class _ScoreStack:
+    """Every sample's candidates stacked for one score product.
+
+    psi is padded to the largest latent-space size K with zero rows, so
+    each score is still a dot product over d_w and equals the
+    per-sample ``score_table`` entry.  ``mask`` is -inf at the padded
+    latent indices of each sample (0 elsewhere), so a padded candidate
+    never wins an argmax.  Ties break row-major, as in ``predict``.
+    ``groups`` lists each latent-space size with the positions of its
+    samples, in dataset order: a reduction over K runs per group,
+    unpadded, and ``ungroup`` puts the per-group results back in order.
+    """
+
+    def __init__(self, dataset: Dataset):
+        self.samples = samples = dataset.samples
+        n, L, d = len(samples), dataset.num_labels, dataset.d_w
+        sizes = [s.num_latents for s in samples]
+        K = max(sizes)
+        psi = np.zeros((n, L, K, d))
+        self.mask = np.zeros((n, K))
+        members: dict[int, list[int]] = {}
+        for i, s in enumerate(samples):
+            psi[i, :, : sizes[i]] = s.psi
+            self.mask[i, sizes[i] :] = -np.inf
+            members.setdefault(sizes[i], []).append(i)
+        self.psi_rows = psi.reshape(n * L * K, d)
+        self.shape = (n, L, K)
+        self.d_w = d
+        self.truth_labels = np.array([s.truth_label for s in samples])
+        # one group is the whole set, indexed by a slice so that reading
+        # it makes no copy
+        self.groups = (
+            [(K, slice(None))]
+            if len(members) == 1
+            else [(k, np.array(rows)) for k, rows in members.items()]
+        )
+
+    def scores(self, w: np.ndarray) -> np.ndarray:
+        """All candidate scores, shape (n, labels, K)."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.d_w,):
+            raise ConfigError(f"w has shape {w.shape}, expected ({self.d_w},)")
+        return (self.psi_rows @ w).reshape(self.shape)
+
+    def impute(self, scores: np.ndarray) -> list[int]:
+        """Per sample, the best-scoring latent index at the truth label;
+        ties break low."""
+        truth = scores[np.arange(self.shape[0]), self.truth_labels]
+        return np.argmax(truth + self.mask, axis=1).tolist()
+
+    def predict(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per sample, the jointly best (label, latent) pair as two index
+        arrays; ties break as in ``predict``."""
+        n, L, K = self.shape
+        flat = np.argmax((scores + self.mask[:, None, :]).reshape(n, L * K), axis=1)
+        return np.divmod(flat, K)
+
+    def pad(self, tables) -> np.ndarray:
+        """Augmentation tables as one (n, labels, K) array, -inf at the
+        padded candidates.  Given one (labels, K_i) table per sample;
+        an array already padded so is returned as is."""
+        if isinstance(tables, np.ndarray):
+            return tables
+        out = np.full(self.shape, -np.inf)
+        for i, table in enumerate(tables):
+            out[i, :, : table.shape[1]] = table
+        return out
+
+    def ungroup(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Per-group values back in dataset order: (n_g,) parts as one
+        (n,) array, (n_g, labels, K) tables as one (n, labels, K) array
+        with -inf at the padded candidates."""
+        if len(parts) == 1:
+            return parts[0]
+        if parts[0].ndim == 1:
+            out = np.empty(self.shape[0], dtype=parts[0].dtype)
+            for (_, rows), part in zip(self.groups, parts):
+                out[rows] = part
+        else:
+            out = np.full(self.shape, -np.inf)
+            for (K, rows), part in zip(self.groups, parts):
+                out[rows, :, :K] = part
+        return out
+
+
+def _score_stack(dataset: Dataset) -> _ScoreStack:
+    """The dataset's score stack, one per dataset whatever the loss.
+
+    Kept on the dataset object itself, so it is freed with the dataset;
+    rebuilt if ``dataset.samples`` is no longer the tuple it was built
+    from.
+    """
+    stack = getattr(dataset, "_scores", None)
+    if stack is None or stack.samples is not dataset.samples:
+        stack = dataset._scores = _ScoreStack(dataset)
+    return stack
+
+
 def _log_sum_exp(activations: np.ndarray) -> float:
     """Max-shifted log-sum-exp: large activations cannot overflow.
 

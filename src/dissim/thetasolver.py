@@ -175,8 +175,8 @@ def ssd_theta(
     Returns the final iterate.  Fully deterministic given the config
     seed.  Each step calls ``_step_gradients``, the core that
     ``grad_slack`` and ``grad_self_diversity`` call too, on the loss's
-    cached per-sample views, with each score table at w computed once per
-    call.
+    cached per-sample views, with every score table at w sliced from one
+    product over ``loss.stack(dataset)``.
     """
     n = len(dataset)
     steps = (
@@ -191,7 +191,11 @@ def ssd_theta(
             f"theta has shape {theta.shape}, expected ({dataset.d_theta},)"
         )
     beta = hyper.beta
-    views = [(loss.view(s), score_table(w, s)) for s in dataset]
+    stack = loss.stack(dataset)
+    scores = stack.scoring.scores(w)
+    views = [
+        (view, scores[i, :, : len(view.phi)]) for i, view in enumerate(stack.views)
+    ]
     rng = np.random.default_rng(config.seed)
     for t, i in enumerate(_step_indices(rng, n, steps), 1):
         view, scores = views[i]

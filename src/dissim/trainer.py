@@ -26,7 +26,7 @@ import numpy as np
 from .baselines import ilsvm_train, lsvm_train
 from .errors import ConfigError, InputError, SolverError
 from .losses import HyperParams, LossFunction, regularized_objective
-from .model import Dataset, ModelParams, predict
+from .model import Dataset, ModelParams, _score_stack
 from .thetasolver import SSDConfig, ssd_theta
 from .wsolver import cccp_w
 
@@ -137,14 +137,12 @@ def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> TrainedM
                 raise SolverError(
                     f"round {round_index}: {err}",
                     last_iterate=err.last_iterate,
-                    round_index=round_index,
                 ) from err
             obj = regularized_objective(w, theta, dataset, loss, hyper)
             if not math.isfinite(obj):
                 raise SolverError(
                     f"round {round_index}: objective is not finite ({obj})",
                     last_iterate=w,
-                    round_index=round_index,
                 )
             decrease = best_obj - min(best_obj, obj)
             if obj < best_obj:
@@ -163,14 +161,16 @@ def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> TrainedM
 
 def evaluate(params: ModelParams, dataset: Dataset, loss: LossFunction) -> float:
     """Mean prediction loss against ground-truth annotations, on [0, 100]."""
-    total = 0.0
     for sample in dataset:
         if sample.truth_latent is None:
             raise InputError(
                 f"sample {sample.id} has no ground-truth latent annotation"
             )
-        y_hat, k_hat = predict(params.w, sample)
-        total += float(loss.table(sample)[sample.truth_latent, y_hat, k_hat])
+    scoring = _score_stack(dataset)
+    labels, latents = scoring.predict(scoring.scores(params.w))
+    total = 0.0
+    for sample, y, k in zip(dataset, labels.tolist(), latents.tolist()):
+        total += float(loss.table(sample)[sample.truth_latent, y, k])
     return 100.0 * total / len(dataset)
 
 

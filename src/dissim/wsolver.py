@@ -29,13 +29,13 @@ best value by less than C * epsilon, when a convex subproblem repeats
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import SolverError
-from .losses import LossFunction, expected_loss_table
-from .model import Dataset, SampleRecord, latent_posterior, score_table
+from .losses import LossFunction
+from .model import Dataset, SampleRecord, _score_stack, score_table
 
 DEFAULT_PLANE_BUDGET = 500
 DEFAULT_CCCP_BUDGET = 1000
@@ -66,68 +66,56 @@ def latent_impute(w: np.ndarray, sample: SampleRecord) -> int:
 
 
 class _InnerData:
-    """Stacked views of the dataset plus augmentation tables and anchors.
+    """The convex subproblem of one CCCP round: the set's score stack
+    plus this round's augmentation tables and anchors.
 
-    Candidate scoring is one matrix product over all samples.  Samples
-    whose latent space is smaller than the largest K are padded to it:
-    zero psi rows, -inf augmentation entries (a padded candidate never
-    wins) and a -inf mask on the padded truth-label columns.  Ties break
-    row-major (smallest label, then latent).  The psi stack does not
-    change during a CCCP run, so it is built once and ``set_round``
-    replaces only the tables and anchors.
+    Candidate scoring is one matrix product over all samples (the
+    dataset's ``model._ScoreStack``): padded candidates score 0 and carry
+    -inf augmentation entries, so they never win.  Ties break row-major
+    (smallest label, then latent).  ``set_round`` replaces the tables
+    and anchors.
     """
 
-    def __init__(self, dataset: Dataset, tables: Sequence[np.ndarray], anchors):
-        self.samples = samples = list(dataset)
-        self.n = n = len(samples)
-        self.d_w = dataset.d_w
-        L, K = dataset.num_labels, max(s.num_latents for s in samples)
-        self.padded_shape = (n, L, K)
-        psi = np.zeros((n, L, K, self.d_w))
-        self.truth_mask = np.zeros((n, K))
-        for i, s in enumerate(samples):
-            psi[i, :, : s.num_latents] = s.psi
-            self.truth_mask[i, s.num_latents :] = -np.inf
-        self.psi_stack = psi.reshape(n, L * K, self.d_w)
-        self.truth_labels = np.array([s.truth_label for s in samples])
+    def __init__(self, dataset: Dataset, tables, anchors):
+        self.stack = _score_stack(dataset)
+        n, L, K = self.stack.shape
+        self.psi_stack = self.stack.psi_rows.reshape(n, L * K, -1)
         self.set_round(tables, anchors)
 
-    def set_round(self, tables: Sequence[np.ndarray], anchors) -> None:
-        """Use these augmentation tables and anchor latent indices."""
-        n, L, K = self.padded_shape
-        aug = np.full((n, L, K), -np.inf)
-        for i, (s, table) in enumerate(zip(self.samples, tables)):
-            aug[i, :, : s.num_latents] = table
-        self.aug_stack = aug.reshape(n, L * K)
-        self.anchor_rows = np.array(
-            [s.psi[s.truth_label, a] for s, a in zip(self.samples, anchors)]
-        )
-
-    def _flat_scores(self, w: np.ndarray) -> np.ndarray:
-        n, ck, d = self.psi_stack.shape
-        return (self.psi_stack.reshape(n * ck, d) @ w).reshape(n, ck)
+    def set_round(self, tables, anchors) -> None:
+        """Use these augmentation tables (see ``_ScoreStack.pad``) and
+        anchor latent indices."""
+        n, L, K = self.stack.shape
+        self.aug_stack = self.stack.pad(tables).reshape(n, L * K)
+        rows = np.arange(n)
+        self.anchor_rows = self.psi_stack[
+            rows, self.stack.truth_labels * K + np.asarray(anchors)
+        ]
 
     def most_violated(self, w: np.ndarray):
         """Most violated joint assignment at w: plane direction, offset,
         and a hashable assignment key."""
-        scores = self._flat_scores(w)
+        n = len(self.aug_stack)
+        scores = (self.stack.psi_rows @ w).reshape(n, -1)
         picks = np.argmax(scores + self.aug_stack, axis=1)
-        rows = np.arange(self.n)
+        rows = np.arange(n)
         direction = (self.anchor_rows - self.psi_stack[rows, picks]).mean(axis=0)
         offset = float(self.aug_stack[rows, picks].mean())
         return direction, offset, picks.tobytes()
 
-    def true_objective(self, w: np.ndarray, C: float) -> float:
+    def true_objective(self, w: np.ndarray, C: float, scores=None) -> float:
         """Value of the unconvexified problem at w with these tables:
         regularizer plus C times the mean of (loss-augmented max minus
-        the best truth-label score)."""
+        the best truth-label score).  ``scores`` is ``stack.scores(w)``,
+        when the caller has it."""
+        stack = self.stack
+        if scores is None:
+            scores = stack.scores(w)
+        n = len(scores)
         reg = 0.5 * float(w @ w)
-        scores = self._flat_scores(w)
-        hinge = (scores + self.aug_stack).max(axis=1)
-        truth = scores.reshape(self.padded_shape)[
-            np.arange(self.n), self.truth_labels
-        ]
-        ref = (truth + self.truth_mask).max(axis=1)
+        hinge = (scores.reshape(n, -1) + self.aug_stack).max(axis=1)
+        truth = scores[np.arange(n), stack.truth_labels]
+        ref = (truth + stack.mask).max(axis=1)
         return reg + C * float((hinge - ref).mean())
 
 
@@ -285,8 +273,9 @@ def _solve_inner(
     inner_tol.  Raises SolverError once plane_budget planes are not
     enough, or when the planes' Gram matrix overflows.
     """
-    w = np.zeros(data.d_w)
-    directions = np.empty((0, data.d_w))
+    d_w = data.stack.d_w
+    w = np.zeros(d_w)
+    directions = np.empty((0, d_w))
     offsets = np.empty(0)
     alpha = np.empty(0)
     seen = set()
@@ -333,27 +322,32 @@ def _cccp_loop(
     latent-SVM style baselines.
 
     ``build_round(w, imputed)`` returns ``(tables, refs)``: the
-    per-sample augmentation tables for the convex solve at the current
-    iterate, and a tuple of integers that, with the anchors, determines
-    those tables (empty when the tables are fixed for the run).  A convex
-    subproblem is keyed by the anchors plus refs.  ``solved`` maps such
-    keys to their solutions; a subproblem found there is not solved
-    again, and each new solution is added.  The baselines pass a store
-    shared by every run on the same loss, training samples, C and
-    inner_tol; without one the store lasts this run only.  The
-    alternation always proceeds from the newest iterate; the best iterate
-    seen is what gets reported and returned.  Stops once a round improves
-    the best objective by a non-negative amount below C * epsilon, or
-    once a subproblem repeats within the run.
+    augmentation tables for the convex solve at the current iterate (see
+    ``_InnerData.set_round``), and a tuple of integers that, with the
+    anchors, determines those tables (empty when the tables are fixed
+    for the run).  A convex subproblem is keyed by the anchors plus refs.
+    ``solved`` maps such keys to their solutions; a subproblem found
+    there is not solved again, and each new solution is added.  The
+    baselines pass a store shared by every run on the same loss, training
+    samples, C and inner_tol; without one the store lasts this run only.
+    The alternation always proceeds from the newest iterate; the best
+    iterate seen is what gets reported and returned.  Stops once a round
+    improves the best objective by a non-negative amount below
+    C * epsilon, or once a subproblem repeats within the run.
+
+    Each iterate's scores are one product over the dataset's score stack,
+    read by both the imputation and the objective.
     """
 
+    stack = _score_stack(dataset)
     w = np.zeros(dataset.d_w) if w_init is None else np.array(w_init, dtype=np.float64)
     solved = {} if solved is None else solved
-    imputed = [latent_impute(w, s) for s in dataset]
+    scores = stack.scores(w)
+    imputed = stack.impute(scores)
     tables, refs = build_round(w, imputed)
     data = _InnerData(dataset, tables, imputed)
     best_w = w.copy()
-    best = data.true_objective(w, C)
+    best = data.true_objective(w, C, scores)
     trace = [best]
     iterates = [w.copy()]
     key = (tuple(imputed), refs)
@@ -370,10 +364,11 @@ def _cccp_loop(
             w_new.flags.writeable = False  # later runs read it too
             solved[key] = w_new
         iterations += 1
-        imputed_new = [latent_impute(w_new, s) for s in dataset]
+        scores = stack.scores(w_new)
+        imputed_new = stack.impute(scores)
         tables_new, refs = build_round(w_new, imputed_new)
         data.set_round(tables_new, imputed_new)
-        obj_new = data.true_objective(w_new, C)
+        obj_new = data.true_objective(w_new, C, scores)
         improvement = best - obj_new
         if obj_new < best:
             best_w, best = w_new.copy(), obj_new
@@ -408,11 +403,11 @@ def cccp_w(
     """CCCP descent on the prediction parameters at fixed theta.
 
     The augmentation is the expected loss under the latent conditional,
-    which does not depend on w, so the tables are computed once.
+    which does not depend on w, so the tables are computed once, batched
+    over ``loss.stack(dataset)``.
     """
-    tables = [
-        expected_loss_table(latent_posterior(theta, s), s, loss) for s in dataset
-    ]
+    stack = loss.stack(dataset)
+    tables = stack.scoring.ungroup(stack.expected_losses(stack.posteriors(theta)))
 
     def build(w, imputed):
         return tables, ()

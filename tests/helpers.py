@@ -39,6 +39,7 @@ from dissim import (
     predict,
     score_table,
     self_diversity,
+    slack,
 )
 from dissim.model import _check_theta, _log_sum_exp
 from dissim.synth import _signatures
@@ -347,6 +348,68 @@ def reference_ssd_theta(
         g = lam * theta + g_slack - hyper.beta * g_selfdiv
         theta = theta - g / (lam * t)
     return theta
+
+
+# The per-sample loops that ``LossFunction.stack`` replaced in the
+# training path, kept as the references the stacked forms must match bit
+# for bit.
+
+
+def reference_impute(w: np.ndarray, dataset: Dataset) -> list[int]:
+    """CCCP's anchors: each sample's best latent at its truth label."""
+    return [int(np.argmax(score_table(w, s)[s.truth_label])) for s in dataset]
+
+
+def reference_ilsvm_latent_estimates(
+    w: np.ndarray, dataset: Dataset, loss: LossFunction
+) -> list[int]:
+    refs = []
+    for sample in dataset:
+        y_hat, k_hat = predict(w, sample)
+        refs.append(int(np.argmin(loss.table(sample)[:, y_hat, k_hat])))
+    return refs
+
+
+def reference_pointwise_tables(dataset: Dataset, refs, loss: LossFunction):
+    """The baselines' tables: loss(truth, ref, y, k) per sample."""
+    return [loss.table(sample)[ref] for sample, ref in zip(dataset, refs)]
+
+
+def reference_cccp_tables(theta: np.ndarray, dataset: Dataset, loss: LossFunction):
+    """``cccp_w``'s expected-loss tables, one per sample."""
+    return [expected_loss_table(latent_posterior(theta, s), s, loss) for s in dataset]
+
+
+def reference_score_tables(w: np.ndarray, dataset: Dataset):
+    """``ssd_theta``'s score tables, one per sample."""
+    return [score_table(w, s) for s in dataset]
+
+
+def reference_upper_bound(
+    w: np.ndarray, theta: np.ndarray, dataset: Dataset, loss: LossFunction,
+    beta: float,
+) -> float:
+    total = 0.0
+    for sample in dataset:
+        xi = slack(w, theta, sample, loss)
+        total += xi - beta * self_diversity(theta, sample, loss)
+    return total / len(dataset)
+
+
+def reference_evaluate(params: ModelParams, dataset: Dataset, loss: LossFunction):
+    total = 0.0
+    for sample in dataset:
+        y_hat, k_hat = predict(params.w, sample)
+        total += float(loss.table(sample)[sample.truth_latent, y_hat, k_hat])
+    return 100.0 * total / len(dataset)
+
+
+def stack_case(seed: int, uniform: bool, n: int = 8) -> Dataset:
+    """A geometric dataset for comparing stacked terms with the references:
+    latent spaces of 9 (more than numpy's 8 pairwise accumulators) or
+    ragged ones of 2 to 9."""
+    return make_dataset(seed, n=n, num_labels=3, num_latents=9, d_w=6,
+                        d_theta=4, geometric=True, uniform_shapes=uniform)
 
 
 class StubZeroLoss(ZeroOneLoss):

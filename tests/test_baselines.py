@@ -9,6 +9,7 @@ import pytest
 import dissim.wsolver as wsolver
 from dissim import (
     LOSS_KINDS,
+    ConfigError,
     Dataset,
     LabelOnlyZeroOneLoss,
     OverlapLoss,
@@ -30,7 +31,10 @@ from helpers import (
     dissimilarity_objective,
     loss_augmented_argmax,
     make_dataset,
+    reference_ilsvm_latent_estimates,
+    reference_pointwise_tables,
     scalar_loss,
+    stack_case,
 )
 
 
@@ -413,3 +417,43 @@ class TestSharedSolves:
         assert sample() is None
         assert all(ref() is None for ref in stored)
         assert len(loss._solves) == 0
+
+
+class TestStackedEstimates:
+    """ilsvm's latent estimates and both baselines' pointwise tables, read
+    from ``loss.stack``, equal the per-sample loops bit for bit."""
+
+    LOSSES = [ZeroOneLoss, OverlapLoss, LabelOnlyZeroOneLoss]
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("loss_cls", LOSSES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_estimates_equal_reference(self, uniform, loss_cls, seed):
+        dset = stack_case(seed, uniform)
+        loss = loss_cls()
+        rng = np.random.default_rng(seed)
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            w = scale * rng.standard_normal(dset.d_w)
+            got = ilsvm_latent_estimates(w, dset, loss)
+            assert got == reference_ilsvm_latent_estimates(w, dset, loss)
+            assert all(type(k) is int for k in got)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("loss_cls", LOSSES)
+    def test_pointwise_tables_equal_reference(self, uniform, loss_cls):
+        dset = stack_case(5, uniform)
+        loss = loss_cls()
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            refs = [int(rng.integers(s.num_latents)) for s in dset]
+            tables = loss.stack(dset).pointwise(refs)
+            want = reference_pointwise_tables(dset, refs, loss)
+            for i, (s, table) in enumerate(zip(dset, want)):
+                K = s.num_latents
+                assert tables[i, :, :K].tobytes() == table.tobytes()
+                assert np.all(tables[i, :, K:] == -np.inf)
+
+    def test_wrong_w_shape_rejected(self):
+        dset = stack_case(0, False)
+        with pytest.raises(ConfigError, match="w has shape"):
+            ilsvm_latent_estimates(np.zeros(dset.d_w + 1), dset, ZeroOneLoss())

@@ -75,6 +75,22 @@ class TestGenerate:
             assert code == 2, boxes
 
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 74.5 TiB for an array with shape (100000, 100000)",
+        "",
+    ])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, message):
+        def no_memory(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate", no_memory)
+        out = tmp_path / "x.txt"
+        assert cli.main(["generate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: out of memory{': ' + message if message else ''}\n"
+        assert not out.exists()
+
+
 class TestTrain:
     @pytest.mark.parametrize("method", ["dissim", "lsvm", "ilsvm"])
     def test_trains_and_saves(self, tmp_path, method):

@@ -1,5 +1,8 @@
 """Loss functions, diversity and dissimilarity coefficients, bounds."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +37,9 @@ from helpers import (
     make_dataset,
     make_sample,
     overlap_ratio,
+    reference_upper_bound,
     scalar_loss,
+    stack_case,
 )
 
 
@@ -621,3 +626,97 @@ class TestLossTable:
         rng = np.random.default_rng(27)
         with pytest.raises(ConfigError):
             OverlapLoss().table(abstract_sample(rng))
+
+
+STACK_LOSSES = [ZeroOneLoss, OverlapLoss, LabelOnlyZeroOneLoss]
+
+
+class TestStack:
+    """``LossFunction.stack``: the batched terms equal the per-sample loops
+    bit for bit, and the stack lives and dies with its dataset."""
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("loss_cls", STACK_LOSSES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_upper_bound_bytes_equal_reference(self, uniform, loss_cls, seed):
+        dset = stack_case(seed, uniform)
+        loss = loss_cls()
+        rng = np.random.default_rng(seed)
+        for scale in (0.1, 1.0, 10.0):
+            w = scale * rng.standard_normal(dset.d_w)
+            theta = scale * rng.standard_normal(dset.d_theta)
+            for beta in (0.1, 0.7):
+                got = upper_bound(w, theta, dset, loss, beta)
+                want = reference_upper_bound(w, theta, dset, loss, beta)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_posteriors_bytes_equal_reference(self, uniform):
+        # np.log and math.log disagree on about 6 in 10,000 values here,
+        # so thousands of rows are needed to catch a vectorized log
+        dset = make_dataset(9, n=300, num_labels=2, num_latents=16, d_w=2,
+                            d_theta=6, uniform_shapes=uniform)
+        stack = ZeroOneLoss().stack(dset)
+        positions = np.arange(len(dset))
+        rng = np.random.default_rng(9)
+        for scale in (0.1, 0.3, 1.0, 3.0, 10.0) * 12:
+            theta = scale * rng.standard_normal(dset.d_theta)
+            blocks = stack.posteriors(theta)
+            for (_, rows), block in zip(stack.scoring.groups, blocks):
+                for i, row in zip(positions[rows], block):
+                    want = latent_posterior(theta, dset.samples[i])
+                    assert row.tobytes() == want.tobytes()
+
+    def test_ragged_case_is_ragged(self):
+        assert len({s.num_latents for s in stack_case(0, False)}) > 2
+
+    def test_built_once_per_dataset(self):
+        dset = stack_case(0, True)
+        loss = ZeroOneLoss()
+        stack = loss.stack(dset)
+        assert loss.stack(dset) is stack
+        assert loss.stack(stack_case(0, True)) is not stack
+        other = OverlapLoss().stack(dset)
+        assert other is not stack
+        assert other.scoring is stack.scoring  # psi is stacked once per set
+
+    def test_freed_with_its_dataset(self):
+        dset = stack_case(1, False)
+        loss = OverlapLoss()
+        stack = weakref.ref(loss.stack(dset))
+        scoring = weakref.ref(stack().scoring)
+        upper_bound(np.ones(dset.d_w), np.ones(dset.d_theta), dset, loss, 0.5)
+        assert stack() is not None and scoring() is not None
+        del dset
+        gc.collect()
+        assert stack() is None and scoring() is None
+        assert len(loss._stacks) == 0
+
+    def test_reassigned_samples_rebuild(self):
+        dset = stack_case(2, False)
+        loss = ZeroOneLoss()
+        rng = np.random.default_rng(2)
+        w, theta = rng.standard_normal(dset.d_w), rng.standard_normal(dset.d_theta)
+        first = loss.stack(dset)
+        dset.samples = tuple(reversed(dset.samples))
+        second = loss.stack(dset)
+        assert second is not first and second.samples is dset.samples
+        assert second.scoring is not first.scoring
+        assert second.scoring.samples is dset.samples
+        got = upper_bound(w, theta, dset, loss, 0.3)
+        assert got == reference_upper_bound(w, theta, dset, loss, 0.3)
+        dset.samples = dset.samples[:3]
+        assert upper_bound(w, theta, dset, loss, 0.3) == reference_upper_bound(
+            w, theta, dset, loss, 0.3)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_wrong_shapes_raise_config_error(self, uniform):
+        dset = stack_case(3, uniform)
+        loss = OverlapLoss()
+        w, theta = np.zeros(dset.d_w), np.zeros(dset.d_theta)
+        with pytest.raises(ConfigError, match="w has shape"):
+            upper_bound(np.zeros(dset.d_w + 1), theta, dset, loss, 0.5)
+        with pytest.raises(ConfigError, match="theta has shape"):
+            upper_bound(w, np.zeros((1, dset.d_theta)), dset, loss, 0.5)
+        with pytest.raises(ConfigError, match="w has shape"):
+            regularized_objective(np.zeros(2), theta, dset, loss, HyperParams())

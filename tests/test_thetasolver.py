@@ -22,7 +22,14 @@ from dissim import (
     theta_objective,
     upper_bound,
 )
-from helpers import StubZeroLoss, make_dataset, make_sample, reference_ssd_theta
+from helpers import (
+    StubZeroLoss,
+    make_dataset,
+    make_sample,
+    reference_score_tables,
+    reference_ssd_theta,
+    stack_case,
+)
 
 
 def central_diff(f, theta, step=1e-5):
@@ -330,3 +337,40 @@ class TestSSDStepIsPublicGradients:
         g = (lam * theta + grad_slack(w, theta, sample, loss)
              - hyper.beta * grad_self_diversity(theta, sample, loss))
         assert got.tobytes() == (theta - g / lam).tobytes()
+
+
+class TestSSDStackedScores:
+    """``ssd_theta`` slices its score tables from one product over
+    ``loss.stack``: each slice equals the per-sample table bit for bit."""
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_score_slices_bytes_equal_reference(self, uniform, seed):
+        dset = stack_case(seed, uniform)
+        scoring = ZeroOneLoss().stack(dset).scoring
+        rng = np.random.default_rng(seed)
+        for scale in (0.01, 1.0, 100.0):
+            w = scale * rng.standard_normal(dset.d_w)
+            scores = scoring.scores(w)
+            for i, want in enumerate(reference_score_tables(w, dset)):
+                K = want.shape[1]
+                assert scores[i, :, :K].tobytes() == want.tobytes()
+                assert np.all(scores[i, :, K:] == 0.0)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("loss_cls", [ZeroOneLoss, OverlapLoss,
+                                          LabelOnlyZeroOneLoss])
+    def test_theta_bytes_equal_reference(self, uniform, loss_cls):
+        dset = stack_case(11, uniform)
+        rng = np.random.default_rng(11)
+        w, theta0 = rng.standard_normal(dset.d_w), rng.standard_normal(dset.d_theta)
+        hyper, config = HyperParams(C=0.1), SSDConfig(steps_per_sample=20, seed=4)
+        got = ssd_theta(dset, w, theta0, loss_cls(), hyper, config)
+        want = reference_ssd_theta(dset, w, theta0, loss_cls(), hyper, config)
+        assert got.tobytes() == want.tobytes()
+
+    def test_wrong_theta_shape_rejected(self):
+        dset = stack_case(0, False)
+        with pytest.raises(ConfigError, match="theta has shape"):
+            ssd_theta(dset, np.zeros(dset.d_w), np.zeros(dset.d_theta + 2),
+                      OverlapLoss(), HyperParams(), SSDConfig(steps=3))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dissim import (
+    ConfigError,
     Dataset,
     HyperParams,
     InputError,
@@ -26,7 +27,13 @@ from dissim import (
     train,
 )
 from dissim.trainer import DEFAULT_C_GRID, METHODS, _fit
-from helpers import make_dataset, make_sample, scalar_loss
+from helpers import (
+    make_dataset,
+    make_sample,
+    reference_evaluate,
+    scalar_loss,
+    stack_case,
+)
 
 
 def quick_config(C=1.0, max_outer_rounds=4):
@@ -102,6 +109,27 @@ class TestTrain:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("loss_cls", [ZeroOneLoss, OverlapLoss,
+                                          LabelOnlyZeroOneLoss])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_equals_reference(self, uniform, loss_cls, seed):
+        dset = stack_case(seed, uniform, n=12)
+        loss = loss_cls()
+        rng = np.random.default_rng(seed)
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            params = ModelParams(scale * rng.standard_normal(dset.d_w),
+                                 np.zeros(dset.d_theta))
+            got = evaluate(params, dset, loss)
+            want = reference_evaluate(params, dset, loss)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_wrong_w_shape_rejected(self):
+        dset = stack_case(0, False)
+        params = ModelParams(np.zeros(dset.d_w + 1), np.zeros(dset.d_theta))
+        with pytest.raises(ConfigError, match="w has shape"):
+            evaluate(params, dset, ZeroOneLoss())
+
     def test_perfect_model_scores_zero(self):
         rng = np.random.default_rng(45)
         samples = []

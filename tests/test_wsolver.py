@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissim import (
+    ConfigError,
     Dataset,
+    LabelOnlyZeroOneLoss,
+    OverlapLoss,
     HyperParams,
     SampleRecord,
     SolverError,
@@ -25,8 +28,11 @@ from helpers import (
     loss_augmented_argmax,
     make_dataset,
     make_sample,
+    reference_cccp_tables,
+    reference_impute,
     reference_qp_coordinate_ascent,
     solve_inner_convex,
+    stack_case,
 )
 
 
@@ -351,3 +357,71 @@ class TestInnerData:
             assert got_offset == pytest.approx(offset / len(dset), abs=1e-12)
             expect = 0.5 * float(w @ w) + C * slack_total / len(dset)
             assert data.true_objective(w, C) == pytest.approx(expect, abs=1e-12)
+
+
+class TestStackedRound:
+    """What ``_cccp_loop`` and ``cccp_w`` read of ``loss.stack``: the
+    anchors, the expected-loss tables and the round objective equal the
+    per-sample loops bit for bit."""
+
+    LOSSES = [ZeroOneLoss, OverlapLoss, LabelOnlyZeroOneLoss]
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_imputation_equals_reference(self, uniform, seed):
+        dset = stack_case(seed, uniform)
+        scoring = ZeroOneLoss().stack(dset).scoring
+        rng = np.random.default_rng(seed)
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            w = scale * rng.standard_normal(dset.d_w)
+            got = scoring.impute(scoring.scores(w))
+            assert got == reference_impute(w, dset)
+            assert got == [latent_impute(w, s) for s in dset]
+            assert all(type(k) is int for k in got)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("loss_cls", LOSSES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tables_bytes_equal_reference(self, uniform, loss_cls, seed):
+        dset = stack_case(seed, uniform)
+        loss = loss_cls()
+        stack = loss.stack(dset)
+        rng = np.random.default_rng(seed)
+        for scale in (0.1, 1.0, 10.0):
+            theta = scale * rng.standard_normal(dset.d_theta)
+            probs = stack.posteriors(theta)
+            tables = stack.scoring.ungroup(stack.expected_losses(probs))
+            assert tables.shape == stack.scoring.shape
+            want = reference_cccp_tables(theta, dset, loss)
+            for i, (s, table) in enumerate(zip(dset, want)):
+                K = s.num_latents
+                assert tables[i, :, :K].tobytes() == table.tobytes()
+                assert np.all(tables[i, :, K:] == -np.inf)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_objective_from_given_scores(self, uniform, seed):
+        dset = stack_case(seed, uniform)
+        loss = OverlapLoss()
+        stack = loss.stack(dset)
+        scoring = stack.scoring
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal(dset.d_theta)
+        w = rng.standard_normal(dset.d_w)
+        per_sample = _InnerData(dset, reference_cccp_tables(theta, dset, loss),
+                                reference_impute(w, dset))
+        tables = scoring.ungroup(stack.expected_losses(stack.posteriors(theta)))
+        stacked = _InnerData(dset, tables, scoring.impute(scoring.scores(w)))
+        assert stacked.aug_stack.tobytes() == per_sample.aug_stack.tobytes()
+        assert stacked.anchor_rows.tobytes() == per_sample.anchor_rows.tobytes()
+        for C in (1e-3, 1.0, 10.0):
+            got = stacked.true_objective(w, C, scoring.scores(w))
+            assert got == per_sample.true_objective(w, C)
+
+    def test_wrong_shapes_raise_config_error(self):
+        dset = stack_case(0, False)
+        loss = ZeroOneLoss()
+        with pytest.raises(ConfigError, match="theta has shape"):
+            cccp_w(dset, np.zeros(dset.d_theta + 1), None, loss, C=1.0)
+        with pytest.raises(ConfigError, match="w has shape"):
+            cccp_w(dset, np.zeros(dset.d_theta), np.zeros(2), loss, C=1.0)

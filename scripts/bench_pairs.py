@@ -15,7 +15,10 @@ machine's speed falls on both sides alike.  Stdlib only.
 The output holds the ``machine`` line of the first run, every run's
 end-to-end metrics, and per metric the median and quartiles of each side
 and the number of pairs the working tree won (the direction of "better"
-is read from BENCHMARK.json).  Exit status 1 if any run printed
+is read from BENCHMARK.json).  Each end-to-end metric also gets two
+verdicts (see ``summarize``): ``claim_met``, whether the working tree's
+gain could be claimed, and ``regression``, ``no``, ``yes`` or
+``unresolved`` against the metric's bound.  Exit status 1 if any run printed
 ``correct: false`` or failed fits.  A run that exits non-zero stops the
 script; the runs made before it are still written, with the failure
 under ``error``, and the exit status is 1.
@@ -96,10 +99,27 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], end_to_end: dict[str, dict]) -> dict:
+    """Per metric: each side's ``spread``, and for the metrics named in
+    ``end_to_end`` (BENCHMARK.json entries by name, each with ``better``
+    and ``bound``) the pairs won and two verdicts.
+
+    - ``change_wins`` counts the complete pairs in which the change reads
+      strictly better; ties count for neither side.
+    - ``claim_met``: the change won at least 9 in 10 of the complete pairs,
+      and its median is better than the base's by more than the base's
+      interquartile range (q3 - q1).
+    - ``regression``: ``yes`` if the change's median is worse than the
+      base's by more than ``bound``, a fraction of the base median.
+      Otherwise ``unresolved`` if either side's interquartile range, as a
+      fraction of the base median, is wider than ``bound``, unless every
+      change run is better than every base run; else ``no``.  A base
+      median of 0 makes any worsening a regression and any spread wide.
+    """
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+    pairs = [p for p in by_pair.values() if len(p) == 2]
     out = {}
     for name in runs[0]["metrics"]:
         sides = {
@@ -107,16 +127,41 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             for side in ("base", "change")
         }
         entry = {side: spread(values) for side, values in sides.items() if values}
-        if name in better:
-            sign = 1.0 if better[name] == "higher" else -1.0
-            entry["better"] = better[name]
+        if name in end_to_end:
+            spec = end_to_end[name]
+            sign = 1.0 if spec["better"] == "higher" else -1.0
+            entry["better"] = spec["better"]
             entry["change_wins"] = sum(
-                sign * (p["change"][name] - p["base"][name]) > 0
-                for p in by_pair.values()
-                if len(p) == 2
+                sign * (p["change"][name] - p["base"][name]) > 0 for p in pairs
             )
+            if "base" in entry and "change" in entry:
+                entry.update(verdicts(entry, sides, sign, len(pairs), spec["bound"]))
         out[name] = entry
     return out
+
+
+def verdicts(entry: dict, sides: dict, sign: float, pairs: int, bound: float) -> dict:
+    base, change = entry["base"], entry["change"]
+    gain = sign * (change["median"] - base["median"])
+    claim_met = (
+        pairs > 0
+        and 10 * entry["change_wins"] >= 9 * pairs
+        and gain > base["q3"] - base["q1"]
+    )
+    scale = abs(base["median"])
+
+    def exceeds(amount: float) -> bool:
+        return amount > bound * scale if scale > 0 else amount > 0
+
+    if exceeds(-gain):
+        regression = "yes"
+    elif exceeds(max(s["q3"] - s["q1"] for s in (base, change))) and not (
+        min(sign * v for v in sides["change"]) > max(sign * v for v in sides["base"])
+    ):
+        regression = "unresolved"
+    else:
+        regression = "no"
+    return {"claim_met": claim_met, "regression": regression}
 
 
 def main(argv=None) -> int:
@@ -135,7 +180,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     base_rev = git("rev-parse", args.base)
     head_rev = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -176,9 +221,15 @@ def main(argv=None) -> int:
         ok = False
     finally:
         shutil.rmtree(export_root, ignore_errors=True)
-    for entry in report["workloads"].values():
+    for workload, entry in report["workloads"].items():
         if entry["runs"]:
-            entry["summary"] = summarize(entry["runs"], better)
+            entry["summary"] = summarize(entry["runs"], end_to_end)
+            for name, s in entry["summary"].items():
+                if "regression" in s:
+                    print(f"{workload} {name}: base {s['base']['median']:.6g} "
+                          f"change {s['change']['median']:.6g} "
+                          f"wins {s['change_wins']} claim_met {s['claim_met']} "
+                          f"regression {s['regression']}")
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

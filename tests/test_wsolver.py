@@ -286,6 +286,28 @@ def random_qp(rng, m, C=None):
     return directions @ directions.T, rng.random(m), C, alpha
 
 
+def degenerate_qp(rng, m, kind):
+    """``random_qp`` with one degenerate plane, which ``random_qp`` never
+    draws: a zero plane (``kind="zero"``: its row and column of G are 0,
+    so its diagonal is 0, and its offset is 0 half the time), or a copy of
+    another plane (``kind="duplicate"``: equal rows and columns, so the
+    pair's curvature is exactly 0).  C is small, so most optima lie on the
+    budget face, where pairwise exchanges run."""
+    G, b, C, alpha = random_qp(rng, m, C=float(10.0 ** rng.uniform(-4, 0)))
+    k = int(rng.integers(m))
+    if kind == "zero":
+        G[k, :] = 0.0
+        G[:, k] = 0.0
+        if rng.random() < 0.5:
+            b[k] = 0.0
+    else:
+        src = int(rng.integers(m - 1))
+        src += src >= k
+        G[k, :] = G[src, :]
+        G[:, k] = G[:, src]
+    return G, b, C, alpha
+
+
 def qp_outcome(solve, G, b, C, alpha, max_passes):
     """Bytes of the returned alpha, or the error message and the bytes of
     its last iterate."""
@@ -306,6 +328,22 @@ class TestDualQPMatchesReference:
             G, b, C, alpha = random_qp(rng, m)
             # a pass cap of 300 keeps the slowly converging instances
             # cheap; the ones that reach it compare their SolverError
+            expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C,
+                                alpha, 300)
+            assert qp_outcome(wsolver._qp_coordinate_ascent, G, b, C,
+                              alpha, 300) == expect
+            if isinstance(expect, bytes):
+                on_face += np.frombuffer(expect).sum() >= C * (1.0 - 1e-12)
+        assert on_face >= 10
+
+    @pytest.mark.parametrize("kind", ["zero", "duplicate"])
+    def test_degenerate_plane_alpha_bytes_equal_reference(self, kind):
+        # the zero-curvature branches: a zero diagonal in the single moves,
+        # and a pair with curvature 0 in the pairwise exchanges
+        rng = np.random.default_rng(20241 if kind == "zero" else 20242)
+        on_face = 0
+        for m in [int(m) for m in rng.integers(2, 25, size=40)]:
+            G, b, C, alpha = degenerate_qp(rng, m, kind)
             expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C,
                                 alpha, 300)
             assert qp_outcome(wsolver._qp_coordinate_ascent, G, b, C,

@@ -16,36 +16,21 @@ iterate sequences from the same start.
 
 A baseline subproblem is fixed by the anchors and the table references
 (lsvm's anchors themselves, ilsvm's reference latents), so both methods
-key it by those integers and solve it at most once per loss instance,
-training samples, C and inner_tol.  Both start from w = 0, where ilsvm's
+key it by those integers and solve it at most once per training set, loss,
+C and inner_tol: the store is ``loss.stack(dataset).solves``, and it lives
+as long as the training set does.  Both start from w = 0, where ilsvm's
 references equal lsvm's anchors, so an ilsvm run after an lsvm run on the
-same loss reuses its first solves.
+same training set and loss reuses its first solves; the protocol fits
+every method on one split per fold to get that reuse.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
 from .losses import LossFunction
 from .model import Dataset, ModelParams
 from .wsolver import WSolverReport, _cccp_loop
-
-
-def _solved(dataset: Dataset, loss: LossFunction, C: float, inner_tol: float):
-    """The solved baseline subproblems of this loss on these training
-    samples (by identity and order) at this C and inner_tol, a dict from
-    (anchors, table refs) to w.  Kept in ``loss._solves``, one weak
-    dictionary level per sample, so an entry lives only as long as the
-    loss and every one of its samples."""
-    children, solves = loss._solves, None
-    for sample in dataset:
-        node = children.get(sample)
-        if node is None:
-            node = children[sample] = (weakref.WeakKeyDictionary(), {})
-        children, solves = node
-    return solves.setdefault((C, inner_tol), {})
 
 
 def lsvm_train(
@@ -62,7 +47,7 @@ def lsvm_train(
     def build(w, imputed):
         return stack.pointwise(imputed), tuple(imputed)
 
-    solved = _solved(dataset, loss, C, inner_tol)
+    solved = stack.solves.setdefault((C, inner_tol), {})
     w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None, solved)
     return ModelParams(w, np.zeros(dataset.d_theta)), report
 
@@ -98,6 +83,6 @@ def ilsvm_train(
         # so refs identify the tables for the repeat check
         return stack.pointwise(refs), tuple(refs)
 
-    solved = _solved(dataset, loss, C, inner_tol)
+    solved = stack.solves.setdefault((C, inner_tol), {})
     w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None, solved)
     return ModelParams(w, np.zeros(dataset.d_theta)), report

@@ -152,32 +152,33 @@ def cmd_experiment(args) -> int:
     summary_lines: list[str] = []
     for loss_kind in losses:
         loss = make_loss(loss_kind)
-        for method in methods:
-            result = run_protocol(
-                dataset,
-                loss,
-                config,
-                n_folds=args.folds,
-                split=args.split,
-                method=method,
-            )
-            for r in result.rows:
-                rows.append(
-                    ResultRow(
-                        method=method,
-                        loss_kind=loss_kind,
-                        C=r.C,
-                        fold=r.fold,
-                        test_loss=r.test_loss,
-                        train_objective=r.train_objective,
-                        wallclock_seconds=0.0
-                        if args.no_timings
-                        else r.wallclock_seconds,
-                    )
+        result = run_protocol(
+            dataset,
+            loss,
+            config,
+            n_folds=args.folds,
+            split=args.split,
+            methods=tuple(methods),
+        )
+        for r in result.rows:
+            rows.append(
+                ResultRow(
+                    method=r.method,
+                    loss_kind=loss_kind,
+                    C=r.C,
+                    fold=r.fold,
+                    test_loss=r.test_loss,
+                    train_objective=r.train_objective,
+                    wallclock_seconds=0.0
+                    if args.no_timings
+                    else r.wallclock_seconds,
                 )
+            )
+        for method in methods:
+            curve = [p for p in result.summary if p.method == method]
             curve_path = Path(f"{base}_curve_{loss_kind}_{method}.tsv")
             curve_lines = ["# C\tmean\tstd"]
-            for point in result.summary:
+            for point in curve:
                 curve_lines.append(
                     f"{point.C!r}\t{point.mean!r}\t{point.std!r}"
                 )
@@ -186,7 +187,7 @@ def cmd_experiment(args) -> int:
                     f"mean={point.mean:.4f} std={point.std:.4f}"
                 )
             curve_path.write_text("\n".join(curve_lines) + "\n")
-            best = min(result.summary, key=lambda p: p.mean)
+            best = min(curve, key=lambda p: p.mean)
             line = (
                 f"{method} / {loss_kind}: best C {best.C!r} "
                 f"mean test loss {best.mean:.4f} +- {best.std:.4f}"

@@ -81,9 +81,9 @@ def iou_matrix(boxes: np.ndarray) -> np.ndarray:
 
 class _SampleView(NamedTuple):
     """What the loss terms read of one sample under one loss, built once
-    by ``LossFunction.view``.  With ``thetasolver._step_gradients``,
-    the functions of a view below are the one per-sample core: the public
-    terms call into them, and only they branch on ``latent_dependent``."""
+    by ``LossFunction.view``.  The public per-sample terms below read it
+    directly; ``_expected_losses`` and ``_augmented`` are the tables that
+    ``thetasolver._step_gradients`` and the gradient checks share."""
 
     phi: np.ndarray
     phi_t: np.ndarray  # phi.T
@@ -108,7 +108,10 @@ class _SetView:
     once by ``LossFunction.stack``: the set's score stack
     (``model._ScoreStack``, shared by every loss), the per-sample views,
     and their phi, ``by_label`` and ``at_truth`` stacked per latent-space
-    size K (``blocks``, in the order of ``scoring.groups``).
+    size K (``blocks``, in the order of ``scoring.groups``).  ``solves``
+    is the baselines' store of solved convex subproblems on this set:
+    keyed by (C, inner_tol), then by (anchors, refs) (see
+    ``wsolver._cccp_loop``), it lives as long as the view does.
 
     Each batched term makes the per-sample core's IEEE operations on each
     row: the products are the same BLAS kernels per row (``probs @
@@ -124,6 +127,7 @@ class _SetView:
         self.views = views = [loss.view(s) for s in self.samples]
         self.latent_dependent = loss.latent_dependent
         self.d_theta = dataset.d_theta
+        self.solves: dict = {}
         self.blocks = []
         for _, rows in scoring.groups:
             idx = np.arange(len(views))[rows].tolist()
@@ -211,7 +215,6 @@ class LossFunction:
     def __init__(self):
         self._views = weakref.WeakKeyDictionary()
         self._stacks = weakref.WeakKeyDictionary()
-        self._solves = weakref.WeakKeyDictionary()  # see baselines._solved
 
     def pair_matrix(self, sample: SampleRecord, y1: int, y2: int) -> np.ndarray:
         """Loss values for all latent pairs at fixed labels, shape (K, K):
@@ -339,28 +342,9 @@ def _expected_losses(view: _SampleView, probs: np.ndarray) -> np.ndarray:
     return probs @ view.by_label
 
 
-def _expected_loss(view: _SampleView, probs: np.ndarray, y: int, k: int) -> float:
-    # a column dot product, which rounds apart from the batched table
-    column = _loss_column(view, y, k)
-    if not view.latent_dependent:
-        return float(column[0])
-    return float(probs @ column)
-
-
-def _self_diversity(view: _SampleView, probs: np.ndarray) -> float:
-    if not view.latent_dependent:
-        return 0.0
-    return float(probs @ view.at_truth @ probs)
-
-
 def _augmented(view: _SampleView, scores: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """The loss-augmented table: score plus expected loss per candidate."""
     return scores + _expected_losses(view, probs)
-
-
-def _slack(view: _SampleView, scores: np.ndarray, probs: np.ndarray) -> float:
-    augmented = _augmented(view, scores, probs)
-    return float(augmented.max() - scores[view.truth_label].max())
 
 
 def expected_loss_table(
@@ -380,7 +364,12 @@ def expected_loss(
 ) -> float:
     """Loss of candidate (y, k) averaged over the latent conditional."""
     probs = latent_posterior(theta, sample)
-    return _expected_loss(loss.view(sample), probs, y, k)
+    view = loss.view(sample)
+    # a column dot product, which rounds apart from the batched table
+    column = _loss_column(view, y, k)
+    if not view.latent_dependent:
+        return float(column[0])
+    return float(probs @ column)
 
 
 def self_diversity(
@@ -391,14 +380,13 @@ def self_diversity(
     Zero for latent-independent losses and for point-mass conditionals.
     """
     probs = latent_posterior(theta, sample)
-    return _self_diversity(loss.view(sample), probs)
+    view = loss.view(sample)
+    if not view.latent_dependent:
+        return 0.0
+    return float(probs @ view.at_truth @ probs)
 
 
 def _as_loss_matrix(pairwise_loss, size: int) -> np.ndarray:
-    if callable(pairwise_loss):
-        return np.array(
-            [[pairwise_loss(a, b) for b in range(size)] for a in range(size)]
-        )
     matrix = np.asarray(pairwise_loss, dtype=np.float64)
     if matrix.shape != (size, size):
         raise InputError(
@@ -410,8 +398,7 @@ def _as_loss_matrix(pairwise_loss, size: int) -> np.ndarray:
 def diversity(
     p: FiniteDistribution, q: FiniteDistribution, pairwise_loss
 ) -> float:
-    """H(P, Q) under a pairwise loss given as a callable (a, b) -> real
-    or an explicit square matrix."""
+    """H(P, Q) under a pairwise loss given as a square matrix."""
     if len(p) != len(q):
         raise InputError(
             f"distributions live on different spaces ({len(p)} vs {len(q)})"
@@ -446,7 +433,8 @@ def slack(
     """
     scores = score_table(w, sample)
     probs = latent_posterior(theta, sample)
-    return _slack(loss.view(sample), scores, probs)
+    augmented = _augmented(loss.view(sample), scores, probs)
+    return float(augmented.max() - scores[sample.truth_label].max())
 
 
 def upper_bound(

@@ -11,7 +11,9 @@ round whose objective is not finite raises SolverError.
 The protocol trains over a C grid with per-class stratified shuffle
 splits, evaluates on the held-out part with the ground-truth latent
 annotations, and reports fold rows plus per-C mean and standard deviation
-(population convention) of the test loss scaled to [0, 100].
+(population convention) of the test loss scaled to [0, 100], per method.
+It splits each fold once and fits every method and C on that split, so
+the baselines share their solved subproblems (see ``baselines``).
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class TrainedModel:
 
 @dataclass(frozen=True)
 class FoldResult:
+    method: str
     C: float
     fold: int
     test_loss: float  # in [0, 100]
@@ -84,6 +87,7 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    method: str
     C: float
     mean: float
     std: float
@@ -239,12 +243,16 @@ def run_protocol(
     config: TrainConfig,
     n_folds: int = 5,
     split: float = 0.6,
-    method: str = "dissim",
+    methods: tuple[str, ...] = ("dissim",),
 ) -> ProtocolResult:
-    """Stratified shuffle-split protocol over the C grid.
+    """Stratified shuffle-split protocol over the methods and the C grid.
 
     Fold f uses a split seeded by (config.split_seed, f), so identical
-    configs reproduce identical splits and results.
+    configs reproduce identical splits and results.  Each fold is split
+    once, and every method and C is fitted on that one training set, so
+    lsvm and ilsvm share its store of solved subproblems.  Rows and
+    summary points come back method-major, in the order of ``methods``,
+    then by fold and C.
     """
     if n_folds < 1:
         raise ConfigError(f"n_folds must be >= 1, got {n_folds}")
@@ -254,24 +262,31 @@ def run_protocol(
             np.random.SeedSequence(entropy=(config.split_seed, fold))
         )
         train_ds, test_ds = stratified_split(dataset, split, rng)
-        for C in config.C_grid:
-            cfg = replace(config, hyper=replace(config.hyper, C=C))
-            started = time.perf_counter()
-            params, trace, _ = _fit(method, train_ds, loss, cfg)
-            test_loss = evaluate(params, test_ds, loss)
-            rows.append(
-                FoldResult(
-                    C=C,
-                    fold=fold,
-                    test_loss=test_loss,
-                    train_objective=trace[-1],
-                    wallclock_seconds=time.perf_counter() - started,
+        for method in methods:
+            for C in config.C_grid:
+                cfg = replace(config, hyper=replace(config.hyper, C=C))
+                started = time.perf_counter()
+                params, trace, _ = _fit(method, train_ds, loss, cfg)
+                test_loss = evaluate(params, test_ds, loss)
+                rows.append(
+                    FoldResult(
+                        method=method,
+                        C=C,
+                        fold=fold,
+                        test_loss=test_loss,
+                        train_objective=trace[-1],
+                        wallclock_seconds=time.perf_counter() - started,
+                    )
                 )
-            )
+    rows.sort(key=lambda r: methods.index(r.method))  # stable: method-major
     summary = []
-    for C in config.C_grid:
-        losses = np.array([r.test_loss for r in rows if r.C == C])
-        summary.append(
-            CurvePoint(C=C, mean=float(losses.mean()), std=float(losses.std()))
-        )
+    for method in methods:
+        for C in config.C_grid:
+            losses = np.array(
+                [r.test_loss for r in rows if r.method == method and r.C == C]
+            )
+            summary.append(
+                CurvePoint(method=method, C=C, mean=float(losses.mean()),
+                           std=float(losses.std()))
+            )
     return ProtocolResult(rows=rows, summary=summary)

@@ -103,14 +103,11 @@ class _InnerData:
         offset = float(self.aug_stack[rows, picks].mean())
         return direction, offset, picks.tobytes()
 
-    def true_objective(self, w: np.ndarray, C: float, scores=None) -> float:
+    def true_objective(self, w: np.ndarray, C: float, scores: np.ndarray) -> float:
         """Value of the unconvexified problem at w with these tables:
         regularizer plus C times the mean of (loss-augmented max minus
-        the best truth-label score).  ``scores`` is ``stack.scores(w)``,
-        when the caller has it."""
+        the best truth-label score); ``scores`` is ``stack.scores(w)``."""
         stack = self.stack
-        if scores is None:
-            scores = stack.scores(w)
         n = len(scores)
         reg = 0.5 * float(w @ w)
         hinge = (scores.reshape(n, -1) + self.aug_stack).max(axis=1)
@@ -348,8 +345,9 @@ def _cccp_loop(
     for the run).  A convex subproblem is keyed by the anchors plus refs.
     ``solved`` maps such keys to their solutions; a subproblem found
     there is not solved again, and each new solution is added.  The
-    baselines pass a store shared by every run on the same loss, training
-    samples, C and inner_tol; without one the store lasts this run only.
+    baselines pass the store of their training set's
+    ``loss.stack(dataset)`` at this C and inner_tol; without one the store
+    lasts this run only.
     The alternation always proceeds from the newest iterate; the best
     iterate seen is what gets reported and returned.  Stops once a round
     improves the best objective by a non-negative amount below

@@ -1,11 +1,14 @@
 """Latent-SVM baselines and their equivalence properties."""
 
+import contextlib
 import gc
+import io
 import weakref
 
 import numpy as np
 import pytest
 
+import dissim.cli as cli
 import dissim.wsolver as wsolver
 from dissim import (
     LOSS_KINDS,
@@ -21,11 +24,13 @@ from dissim import (
     generate,
     ilsvm_latent_estimates,
     ilsvm_train,
+    load_dataset,
     lsvm_train,
     make_loss,
     predict,
+    save_dataset,
+    stratified_split,
 )
-from dissim.baselines import _solved
 from helpers import (
     delta_restricted_objective,
     dissimilarity_objective,
@@ -325,8 +330,9 @@ def solves(monkeypatch):
 
 
 class TestSharedSolves:
-    """lsvm and ilsvm on one loss instance solve each convex subproblem
-    at most once, and the fits equal those on a fresh loss bit for bit."""
+    """lsvm and ilsvm on one training set and loss instance solve each
+    convex subproblem at most once, and the fits equal those on a fresh
+    loss bit for bit."""
 
     TOL = 1e-2
 
@@ -387,7 +393,7 @@ class TestSharedSolves:
         monkeypatch.setattr(wsolver, "_solve_inner", failing)
         with pytest.raises(SolverError):
             lsvm_train(dset, loss, 1.0, inner_tol=self.TOL)
-        assert _solved(dset, loss, 1.0, self.TOL) == {}
+        assert loss.stack(dset).solves[1.0, self.TOL] == {}
         monkeypatch.setattr(wsolver, "_solve_inner", solve)
         same_fit(lsvm_train(dset, loss, 1.0, inner_tol=self.TOL),
                  lsvm_train(dset, ZeroOneLoss(), 1.0, inner_tol=self.TOL))
@@ -397,26 +403,62 @@ class TestSharedSolves:
         loss = OverlapLoss()
         lsvm_train(dset, loss, 1.0, inner_tol=self.TOL)
         stored = [weakref.ref(w) for w in
-                  _solved(dset, loss, 1.0, self.TOL).values()]
+                  loss.stack(dset).solves[1.0, self.TOL].values()]
         assert stored and all(ref() is not None for ref in stored)
         del loss
         gc.collect()
         assert all(ref() is None for ref in stored)
 
-    def test_entries_freed_with_samples(self):
+    def test_store_freed_with_training_set(self):
         dset = generated_task(clean=True)
         loss = OverlapLoss()
         lsvm_train(dset, loss, 1.0, inner_tol=self.TOL)
-        ilsvm_train(reordered(dset), loss, 1.0, inner_tol=self.TOL)
-        stored = [weakref.ref(w) for d in (dset, reordered(dset))
-                  for w in _solved(d, loss, 1.0, self.TOL).values()]
+        ilsvm_train(dset, loss, 1.0, inner_tol=self.TOL)
+        stored = [weakref.ref(w) for w in
+                  loss.stack(dset).solves[1.0, self.TOL].values()]
         assert stored and all(ref() is not None for ref in stored)
-        sample = weakref.ref(dset.samples[0])
+        samples = dset.samples  # the samples outlive the training set
         del dset
         gc.collect()
-        assert sample() is None
         assert all(ref() is None for ref in stored)
-        assert len(loss._solves) == 0
+        assert len(loss._stacks) == 0
+        assert all(loss.view(s) is not None for s in samples)
+
+    def test_experiment_shares_each_split(self, solves, tmp_path):
+        """One experiment call over lsvm and ilsvm solves as many
+        subproblems as lsvm_train then ilsvm_train on one shared split per
+        fold, which is fewer than with a split per method."""
+        path = tmp_path / "task.txt"
+        save_dataset(generated_task(clean=True), path)
+        grid, folds, seed = (0.1, 1.0), 2, 4
+        argv = ["experiment", "--data", str(path), "--methods", "lsvm,ilsvm",
+                "--losses", "zero_one", "--inner-tol", repr(self.TOL),
+                "--C-grid", ",".join(map(repr, grid)), "--folds", str(folds),
+                "--seed", str(seed), "--no-timings",
+                "--out", str(tmp_path / "results.csv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        experiment = len(solves)
+
+        def split(dataset, fold):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=(seed, fold)))
+            return stratified_split(dataset, 0.6, rng)[0]
+
+        def count(split_per_method):
+            del solves[:]
+            dataset, loss = load_dataset(path), ZeroOneLoss()
+            for fold in range(folds):
+                train_ds = split(dataset, fold)
+                for fit in (lsvm_train, ilsvm_train):
+                    if split_per_method:
+                        train_ds = split(dataset, fold)
+                    for C in grid:
+                        fit(train_ds, loss, C, inner_tol=self.TOL)
+            return len(solves)
+
+        assert experiment == count(split_per_method=False)
+        assert experiment < count(split_per_method=True)
 
 
 class TestStackedEstimates:

@@ -267,8 +267,10 @@ class TestDiversity:
         mat = rng.random((3, 3))
         mat = (mat + mat.T) / 2.0
         np.fill_diagonal(mat, 0.0)
+        pair = lambda i, j: mat[i, j]
+        built = np.array([[pair(i, j) for j in range(3)] for i in range(3)])
         assert diversity(p, q, mat) == pytest.approx(
-            diversity(p, q, lambda i, j: mat[i, j]), abs=1e-12
+            diversity(p, q, built), abs=1e-12
         )
 
     def test_size_mismatch_rejected(self):

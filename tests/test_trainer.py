@@ -275,12 +275,35 @@ class TestRunProtocol:
     @pytest.mark.parametrize("method", METHODS)
     def test_row_count_and_cells(self, method):
         res = run_protocol(self.small_dataset(), ZeroOneLoss(),
-                           self.small_config(), n_folds=3, method=method)
+                           self.small_config(), n_folds=3, methods=(method,))
         assert len(res.rows) == 3 * 2
         cells = {(r.C, r.fold) for r in res.rows}
         assert len(cells) == 6
         for r in res.rows:
             assert 0.0 <= r.test_loss <= 100.0
+            assert r.method == method
+
+    def test_methods_equal_single_method_calls(self):
+        """One call over every method returns, method-major, the rows and
+        summary of one call per method, bit for bit."""
+        config = self.small_config()
+        joint = run_protocol(self.small_dataset(), ZeroOneLoss(), config,
+                             n_folds=2, methods=METHODS)
+        rows, summary = [], []
+        for method in METHODS:
+            single = run_protocol(self.small_dataset(), ZeroOneLoss(), config,
+                                  n_folds=2, methods=(method,))
+            rows += single.rows
+            summary += single.summary
+
+        def cells(rs):
+            return [(r.method, r.C, r.fold, r.test_loss.hex(),
+                     r.train_objective.hex()) for r in rs]
+
+        assert [r.method for r in joint.rows] == [
+            m for m in METHODS for _ in range(2 * len(config.C_grid))]
+        assert cells(joint.rows) == cells(rows)
+        assert joint.summary == summary
 
     def test_summary_recomputes_from_rows(self):
         res = run_protocol(self.small_dataset(), ZeroOneLoss(),
@@ -305,7 +328,7 @@ class TestRunProtocol:
 
         with pytest.raises(ConfigError):
             run_protocol(self.small_dataset(), ZeroOneLoss(),
-                         self.small_config(), n_folds=2, method="svm")
+                         self.small_config(), n_folds=2, methods=("svm",))
 
 
 def test_default_c_grid_matches_protocol():

@@ -394,7 +394,8 @@ class TestInnerData:
                                        rtol=0, atol=1e-12)
             assert got_offset == pytest.approx(offset / len(dset), abs=1e-12)
             expect = 0.5 * float(w @ w) + C * slack_total / len(dset)
-            assert data.true_objective(w, C) == pytest.approx(expect, abs=1e-12)
+            got = data.true_objective(w, C, data.stack.scores(w))
+            assert got == pytest.approx(expect, abs=1e-12)
 
 
 class TestStackedRound:
@@ -454,7 +455,8 @@ class TestStackedRound:
         assert stacked.anchor_rows.tobytes() == per_sample.anchor_rows.tobytes()
         for C in (1e-3, 1.0, 10.0):
             got = stacked.true_objective(w, C, scoring.scores(w))
-            assert got == per_sample.true_objective(w, C)
+            scores = per_sample.stack.scores(w)
+            assert got == per_sample.true_objective(w, C, scores)
 
     def test_wrong_shapes_raise_config_error(self):
         dset = stack_case(0, False)

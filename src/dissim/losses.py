@@ -83,7 +83,9 @@ class _SampleView(NamedTuple):
     """What the loss terms read of one sample under one loss, built once
     by ``LossFunction.view``.  The public per-sample terms below read it
     directly; ``_expected_losses`` and ``_augmented`` are the tables that
-    ``thetasolver._step_gradients`` and the gradient checks share."""
+    ``slack`` and the gradient checks share.  ``thetasolver._step_gradients``
+    reads the view's fields itself and forms the same expected-loss table,
+    ``probs @ by_label``."""
 
     phi: np.ndarray
     phi_t: np.ndarray  # phi.T

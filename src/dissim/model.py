@@ -363,16 +363,17 @@ def _score_stack(dataset: Dataset) -> _ScoreStack:
 def _log_sum_exp(activations: np.ndarray) -> float:
     """Max-shifted log-sum-exp: large activations cannot overflow.
 
-    The ufunc reductions are the kernels behind ``ndarray.max``/``.sum``,
-    called without their Python wrappers.
+    The max is read at ``argmax``, which is the first NaN if there is one,
+    as ``ndarray.max`` propagates it; the sum is ``np.add.reduce``, the
+    kernel behind ``ndarray.sum`` without its Python wrapper.
     """
-    shift = float(np.maximum.reduce(activations))
+    shift = activations.item(activations.argmax())
     return shift + math.log(float(np.add.reduce(np.exp(activations - shift))))
 
 
 def _posterior(phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """``latent_posterior`` for a checked float64 theta."""
-    activations = phi @ theta
+    activations = phi.dot(theta)
     return np.exp(activations - _log_sum_exp(activations))
 
 

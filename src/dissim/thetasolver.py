@@ -34,7 +34,6 @@ from .errors import ConfigError
 from .losses import (  # noqa: F401  (expected_loss_table: perfbench wraps this binding)
     HyperParams,
     LossFunction,
-    _augmented,
     _loss_column,
     _SampleView,
     expected_loss_table,
@@ -68,39 +67,42 @@ class SSDConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _weighted_feature_pull(
+def _step_gradients(
+    view: _SampleView,
+    scores: Optional[np.ndarray],
     probs: np.ndarray,
-    phi_t: np.ndarray,
-    mean_feature: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """sum_k weights_k probs_k (phi_k - mean_feature), where phi_t is
-    phi.T and mean_feature is phi.T @ probs."""
-    pw = probs * weights
-    return phi_t @ pw - float(np.add.reduce(pw)) * mean_feature
+    column: Optional[np.ndarray] = None,
+) -> tuple[list[float], list[float]]:
+    """The per-sample core: the gradients in theta of ``probs @ column``
+    (the expected loss of one candidate; by default the loss-augmented
+    argmax of ``scores``, which makes it the slack subgradient by
+    Danskin's rule) and of the self diversity, as lists of floats.  Exact
+    zeros for a latent-independent loss.
 
-
-def _gradients(view: _SampleView, probs: np.ndarray, column: np.ndarray):
-    """Gradients in theta of ``probs @ column`` (the expected loss of the
-    candidate with this loss column) and of the self diversity: two pulls
-    sharing the mean feature.  Exact zeros for a latent-independent loss."""
-    if not view.latent_dependent:
-        zeros = np.zeros(view.phi.shape[1])
+    Each is the pull  sum_k v_k p_k (phi_k - pbar) = phi.T @ (p * v) -
+    sum(p * v) * pbar.  Its last ``u - s * m`` runs on Python floats: the
+    IEEE operations numpy makes elementwise, in the same order (CPython
+    fuses none into an FMA).  ``probs @ at_truth`` is row ``truth_label``
+    of ``probs @ by_label``, the same product on the same view.  Each BLAS
+    call gets a freshly allocated vector, never a row of a shared buffer,
+    whose alignment can change the kernel's rounding.
+    """
+    _, phi_t, table, by_label, at_truth, truth, latent_dependent = view
+    if not latent_dependent:
+        zeros = [0.0] * phi_t.shape[0]
         return zeros, zeros
-    phi_t, at_truth = view.phi_t, view.at_truth
-    mean_feature = phi_t @ probs
-    self_weights = at_truth @ probs + probs @ at_truth
-    return (
-        _weighted_feature_pull(probs, phi_t, mean_feature, column),
-        _weighted_feature_pull(probs, phi_t, mean_feature, self_weights),
-    )
-
-
-def _step_gradients(view: _SampleView, scores: np.ndarray, probs: np.ndarray):
-    """The slack subgradient (Danskin: the expected-loss gradient at the
-    loss-augmented argmax) and the self-diversity gradient at one sample."""
-    y, k = divmod(int(_augmented(view, scores, probs).argmax()), scores.shape[1])
-    return _gradients(view, probs, view.table[:, y, k])
+    expected = probs @ by_label
+    if column is None:
+        y, k = divmod(int((scores + expected).argmax()), scores.shape[1])
+        column = table[:, y, k]
+    mean = phi_t.dot(probs).tolist()
+    pw = probs * column
+    s = float(np.add.reduce(pw))
+    g_loss = [u - s * m for u, m in zip(phi_t.dot(pw).tolist(), mean)]
+    pw = probs * (at_truth.dot(probs) + expected[truth])
+    s = float(np.add.reduce(pw))
+    g_self = [u - s * m for u, m in zip(phi_t.dot(pw).tolist(), mean)]
+    return g_loss, g_self
 
 
 def grad_expected_loss(
@@ -109,7 +111,7 @@ def grad_expected_loss(
     """Gradient in theta of the expected loss of candidate (y, k)."""
     probs = latent_posterior(theta, sample)
     view = loss.view(sample)
-    return _gradients(view, probs, _loss_column(view, y, k))[0]
+    return np.array(_step_gradients(view, None, probs, _loss_column(view, y, k))[0])
 
 
 def grad_self_diversity(
@@ -119,7 +121,7 @@ def grad_self_diversity(
     probs = latent_posterior(theta, sample)
     view = loss.view(sample)
     # any column: the self-diversity gradient does not read it
-    return _gradients(view, probs, view.table[:, 0, 0])[1]
+    return np.array(_step_gradients(view, None, probs, view.table[:, 0, 0])[1])
 
 
 def grad_slack(
@@ -129,7 +131,7 @@ def grad_slack(
     argmax (Danskin; a subgradient at tie points)."""
     probs = latent_posterior(theta, sample)
     view = loss.view(sample)
-    return _step_gradients(view, score_table(w, sample), probs)[0]
+    return np.array(_step_gradients(view, score_table(w, sample), probs)[0])
 
 
 def theta_objective(
@@ -173,8 +175,8 @@ def ssd_theta(
     """Stochastic subgradient descent on the theta subproblem.
 
     Returns the final iterate.  Fully deterministic given the config
-    seed.  Each step calls ``_step_gradients``, the core that
-    ``grad_slack`` and ``grad_self_diversity`` call too, on the loss's
+    seed.  Each step calls ``_step_gradients``, the core that the public
+    gradients call too, on the loss's
     cached per-sample views, with every score table at w sliced from one
     product over ``loss.stack(dataset)``.
     """
@@ -197,10 +199,16 @@ def ssd_theta(
         (view, scores[i, :, : len(view.phi)]) for i, view in enumerate(stack.views)
     ]
     rng = np.random.default_rng(config.seed)
+    current = theta.tolist()
     for t, i in enumerate(_step_indices(rng, n, steps), 1):
         view, scores = views[i]
-        probs = _posterior(view.phi, theta)
-        g_slack, g_selfdiv = _step_gradients(view, scores, probs)
-        g = lam * theta + g_slack - beta * g_selfdiv
-        theta = theta - g / (lam * t)
+        g_slack, g_selfdiv = _step_gradients(view, scores, _posterior(view.phi, theta))
+        # theta - (lam * theta + g_slack - beta * g_selfdiv) / (lam * t),
+        # entry by entry, as numpy computes it elementwise
+        rate = lam * t
+        current = [
+            th - (lam * th + gs - beta * gd) / rate
+            for th, gs, gd in zip(current, g_slack, g_selfdiv)
+        ]
+        theta = np.array(current)
     return theta

@@ -271,11 +271,14 @@ def reference_qp_coordinate_ascent(
     )
 
 
+def _reference_log_sum_exp(activations: np.ndarray) -> float:
+    shift = float(activations.max())
+    return shift + math.log(float(np.exp(activations - shift).sum()))
+
+
 def _reference_posterior(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
     activations = sample.phi @ theta
-    shift = float(activations.max())
-    log_z = shift + math.log(float(np.exp(activations - shift).sum()))
-    return np.exp(activations - log_z)
+    return np.exp(activations - _reference_log_sum_exp(activations))
 
 
 def _reference_expected_loss_table(

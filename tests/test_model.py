@@ -16,7 +16,10 @@ from dissim import (
     predict,
     score_table,
 )
+from dissim.model import _log_sum_exp
 from helpers import (
+    _reference_log_sum_exp,
+    _reference_posterior,
     conditional_distribution,
     joint_conditional,
     log_partition,
@@ -272,6 +275,51 @@ class TestLatentConditional:
         np.testing.assert_allclose(
             latent_posterior(theta, sample), np.exp(scores - logz), atol=1e-12
         )
+
+    # (phi column, theta): activations phi * theta that tie at the max,
+    # overflow, reach +-inf or are NaN.  The product rounds -0.0 to +0.0,
+    # so signed zeros are checked on raw activations below.
+    EDGE_ACTIVATIONS = [
+        ([[1.0], [3.0], [3.0], [-2.0]], 0.7),
+        ([[2.0], [2.0], [2.0]], -1.5),
+        ([[1.0], [-1.0], [0.0]], 0.0),
+        ([[1.0], [-1.0], [0.0]], -0.0),
+        ([[-1.0], [1.0], [1.0]], -0.0),
+        ([[1.0], [1.0], [-1.0]], 1e308),
+        ([[2.0], [1.0], [-2.0]], 1e308),
+        ([[1.0], [2.0], [2.0], [-1.0]], np.inf),
+        ([[-1.0], [-2.0]], np.inf),
+        ([[1.0], [0.0], [-1.0]], np.inf),
+        ([[0.0], [1.0], [-1.0]], -np.inf),
+        ([[1.0], [-1.0]], np.nan),
+        ([[1.0]], np.nan),
+        ([[1.0]], -np.inf),
+    ]
+
+    @pytest.mark.parametrize("phi,theta", EDGE_ACTIVATIONS)
+    def test_bytes_equal_reference_at_edges(self, phi, theta):
+        sample = tiny_sample(num_latents=len(phi), d_theta=1, phi=phi,
+                             psi=np.zeros((2, len(phi), 2)))
+        with np.errstate(all="ignore"):
+            got = latent_posterior(np.array([theta]), sample)
+            want = _reference_posterior(np.array([theta]), sample)
+        # argmax returns the array's own NaN and ndarray.max may return
+        # another, so only a NaN's sign bit may differ
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("activations", [
+        [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0, -1.0], [-0.0], [-1.0, -0.0, 0.0],
+        [2.5, -0.0, 2.5, 0.0], [-np.inf, 0.0], [-np.inf, -0.0, -np.inf],
+    ])
+    def test_log_sum_exp_bytes_equal_reference_at_signed_zeros(self, activations):
+        activations = np.array(activations)
+        got = _log_sum_exp(activations)
+        want = _reference_log_sum_exp(activations)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert (np.exp(activations - got).tobytes()
+                == np.exp(activations - want).tobytes())
 
     def test_conditional_distribution_wraps_posterior(self):
         rng = np.random.default_rng(4)

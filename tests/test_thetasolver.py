@@ -249,6 +249,11 @@ LOSSES = {
 }
 # (C, J) pairs from the protocol's grid ends to a strong theta regularizer
 CJ_PAIRS = [(1e-4, 0.1), (0.01, 0.1), (1.0, 0.1), (10.0, 1e-3), (0.1, 2.0)]
+# Seeds 10 and up draw K up to 40 and d_theta up to 48, past the
+# benchmark's shapes; some pin (K, d_theta) at the edges (None: drawn).
+# Ragged seeds (seed % 3 == 1) draw each sample's K in [2, K].
+WIDE_EDGES = {10: (40, 48), 11: (None, 1), 13: (40, 1), 14: (1, 1), 15: (40, 48),
+              17: (1, 48)}
 
 
 class TestSSDMatchesReference:
@@ -258,13 +263,20 @@ class TestSSDMatchesReference:
     def case(self, loss_name, seed):
         rng = np.random.default_rng(seed)
         ragged = seed % 3 == 1
+        wide = seed >= 10
+        n = 1 if seed % 4 == 0 else int(rng.integers(2, 9))
+        num_labels = int(rng.integers(2, 4))
+        num_latents = int(rng.integers(2 if ragged else 1, 41 if wide else 17))
+        d_w = int(rng.integers(1, 7))
+        d_theta = int(rng.integers(1, 49 if wide else 17))
+        pinned_k, pinned_d = WIDE_EDGES.get(seed, (None, None))
         dset = make_dataset(
             100 + seed,
-            n=1 if seed % 4 == 0 else int(rng.integers(2, 9)),
-            num_labels=int(rng.integers(2, 4)),
-            num_latents=int(rng.integers(2 if ragged else 1, 17)),
-            d_w=int(rng.integers(1, 7)),
-            d_theta=int(rng.integers(1, 17)),
+            n=n,
+            num_labels=num_labels,
+            num_latents=pinned_k or num_latents,
+            d_w=d_w,
+            d_theta=pinned_d or d_theta,
             geometric=loss_name == "overlap" or seed % 2 == 0,
             uniform_shapes=not ragged,
         )
@@ -280,7 +292,7 @@ class TestSSDMatchesReference:
                                seed=seed)
         return dset, w, theta0, LOSSES[loss_name](), hyper, config
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(18))
     @pytest.mark.parametrize("loss_name", sorted(LOSSES))
     def test_theta_bytes_equal_reference(self, loss_name, seed):
         dset, w, theta0, loss, hyper, config = self.case(loss_name, seed)

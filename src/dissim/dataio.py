@@ -4,6 +4,8 @@ All formats are line-based and self-describing, with a magic first line
 and integer counts up front, so files can be validated while streaming.
 Floats are written with ``repr``, which round-trips every finite double
 exactly; loading a saved dataset reproduces the original bit for bit.
+Each distinct double of a sample (or of a model) is formatted once and its
+word reused, which writes the same bytes as formatting every value.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +37,24 @@ RESULTS_HEADER = (
 TERMINATIONS = ("tolerance", "round_budget", "repeat")
 
 
-def _fmt_floats(values: Iterable[float]) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _float_rows(*tables: np.ndarray) -> list[str]:
+    """Every row of the 2-d tables, in order, as the ``repr`` words of its
+    values joined by spaces.  Each distinct double is formatted once: the
+    values are told apart by bit pattern, so -0.0 and 0.0 keep their own
+    words, and a table with one repeated value costs one ``repr``."""
+    tables = [np.asarray(t, dtype=np.float64) for t in tables]
+    bits = np.concatenate([t.ravel() for t in tables]).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    words = np.array(
+        [repr(v) for v in distinct.view(np.float64).tolist()], dtype=object
+    )
+    flat = words[index].tolist()
+    rows, start = [], 0
+    for t in tables:
+        n, d = t.shape
+        rows += [" ".join(flat[start + r * d : start + (r + 1) * d]) for r in range(n)]
+        start += n * d
+    return rows
 
 
 def _read_text(path: Path) -> str:
@@ -55,6 +73,9 @@ class _LineReader:
         self.path = path
         self.lines = _read_text(path).splitlines()
         self.pos = 0
+        # float field -> value, or None for no memo; load_dataset starts
+        # a fresh one per sample, so it holds one sample's fields at most
+        self.memo: dict[str, float] | None = None
 
     def next(self) -> str:
         while self.pos < len(self.lines):
@@ -71,6 +92,13 @@ class _LineReader:
                 return self.lines[pos]
             pos += 1
         return None
+
+    def expect_end(self, what: str) -> None:
+        """Only blank lines are left; anything else is an InputError
+        naming the first extra line."""
+        if self.peek() is not None:
+            line = self.next()
+            raise self.error(f"unexpected {line!r} after {what}")
 
     def expect(self, keyword: str) -> list[str]:
         line = self.next()
@@ -102,21 +130,38 @@ class _LineReader:
         """Fields of the current line converted by ``kind``; a field that
         does not convert is an InputError naming the line."""
         try:
-            return [kind(v) for v in fields]
+            return list(map(kind, fields))
         except ValueError as err:
             raise self.error(f"bad {kind.__name__} field ({err})") from err
 
     def parse_finite(self, fields: Sequence[str]) -> list[float]:
         """Float fields of the current line; a value that is not finite is
-        an InputError naming the line."""
+        an InputError naming the line.  With a memo, a line whose fields
+        are all in it is read from it; any other line is converted in full,
+        so the memo never changes which error a line raises, and its fields
+        are remembered."""
+        memo = self.memo
+        if memo:
+            try:
+                return list(map(memo.__getitem__, fields))
+            except KeyError:
+                pass
         values = self.parse(fields)
         if not all(map(math.isfinite, values)):
             raise self.error("values must be finite")
+        if memo is not None:
+            memo.update(zip(fields, values))
         return values
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     path = Path(path)
+    for s in dataset:
+        # the loader reads a sample line's id as one whitespace-split token
+        if s.id.split() != [s.id]:
+            raise ConfigError(
+                f"sample id {s.id!r} must be one token without whitespace"
+            )
     out = [DATASET_MAGIC]
     out.append(f"labels {dataset.num_labels}")
     out.append(f"dw {dataset.d_w}")
@@ -134,11 +179,13 @@ def save_dataset(dataset: Dataset, path) -> None:
                 out.append(f"latent {k} {x0} {y0} {x1} {y1}")
         else:
             out.extend(f"latent {k}" for k in range(s.num_latents))
-        for y in range(dataset.num_labels):
-            for k in range(s.num_latents):
-                out.append(f"psi {y} {k} {_fmt_floats(s.psi[y, k])}")
-        for k in range(s.num_latents):
-            out.append(f"phi {k} {_fmt_floats(s.phi[k])}")
+        L, K, d_w = s.psi.shape
+        rows = iter(_float_rows(s.psi.reshape(L * K, d_w), s.phi))
+        for y in range(L):
+            for k in range(K):
+                out.append(f"psi {y} {k} {next(rows)}")
+        for k in range(K):
+            out.append(f"phi {k} {next(rows)}")
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
@@ -162,6 +209,7 @@ def load_dataset(path) -> Dataset:
         raise reader.error("samples must be >= 1")
     samples = []
     for _ in range(n):
+        reader.memo = None
         parts = reader.expect("sample")
         if len(parts) != 1:
             raise reader.error("sample takes one id")
@@ -210,7 +258,7 @@ def load_dataset(path) -> Dataset:
             boxes.append(box)
         # the arrays are built from the parsed rows, so a corrupt count
         # never sizes an allocation
-        psi_rows = []
+        psi_values = []
         for y in range(num_labels):
             for k in range(K):
                 parts = reader.expect("psi")
@@ -220,8 +268,14 @@ def load_dataset(path) -> Dataset:
                     )
                 if reader.parse(parts[:2], int) != [y, k]:
                     raise reader.error("psi rows out of order")
-                psi_rows.append(np.array(reader.parse_finite(parts[2:])))
-        phi_rows = []
+                fields = parts[2:]
+                if y == k == 0 and len(set(fields)) < d_w:
+                    # a memo pays only where values repeat, as in the
+                    # mostly-zero rows of a joint feature map; a sample
+                    # whose first row repeats none is read without one
+                    reader.memo = {}
+                psi_values += reader.parse_finite(fields)
+        phi_values = []
         for k in range(K):
             parts = reader.expect("phi")
             if len(parts) != 1 + d_theta:
@@ -230,17 +284,18 @@ def load_dataset(path) -> Dataset:
                 )
             if reader.parse(parts[:1], int) != [k]:
                 raise reader.error("phi rows out of order")
-            phi_rows.append(np.array(reader.parse_finite(parts[1:])))
+            phi_values += reader.parse_finite(parts[1:])
         samples.append(
             SampleRecord(
                 id=sample_id,
                 truth_label=label,
-                psi=np.array(psi_rows).reshape(num_labels, K, d_w),
-                phi=np.array(phi_rows).reshape(K, d_theta),
+                psi=np.array(psi_values).reshape(num_labels, K, d_w),
+                phi=np.array(phi_values).reshape(K, d_theta),
                 boxes=boxes if geometric else None,
                 truth_latent=truth_latent,
             )
         )
+    reader.expect_end(f"the last of {n} samples")
     return Dataset(
         num_labels=num_labels, d_w=d_w, d_theta=d_theta, samples=tuple(samples)
     )
@@ -270,11 +325,14 @@ def save_model(record: ModelRecord, path) -> None:
     out.append(f"dw {record.params.w.size}")
     out.append(f"dtheta {record.params.theta.size}")
     out.append(f"termination {record.termination}")
-    out.append(f"w {_fmt_floats(record.params.w)}")
-    out.append(f"theta {_fmt_floats(record.params.theta)}")
-    out.append(f"trace {len(record.trace)}")
-    for v in record.trace:
-        out.append(repr(float(v)))
+    w, theta, *trace = _float_rows(
+        record.params.w[None], record.params.theta[None],
+        np.reshape(record.trace, (-1, 1)),
+    )
+    out.append(f"w {w}")
+    out.append(f"theta {theta}")
+    out.append(f"trace {len(trace)}")
+    out.extend(trace)
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
@@ -301,6 +359,7 @@ def load_model(path) -> ModelRecord:
         raise InputError(f"{path}: parameter vector length mismatch")
     trace_len = reader.expect_count("trace")
     trace = [reader.parse_finite([reader.next()])[0] for _ in range(trace_len)]
+    reader.expect_end(f"the last of {trace_len} trace values")
     return ModelRecord(
         params=ModelParams(np.array(w), np.array(theta)),
         method=method,

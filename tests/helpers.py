@@ -3,8 +3,9 @@ of scoring, the latent conditional, the w-step's convex subproblem, its
 dual QP and the theta step that only the tests use, and the oracles the
 src definitions are checked against: each loss pair by pair
 (``scalar_loss``), the dissimilarity objective (a vectorized form and a
-brute-force one), its point-mass restriction and the synthetic task's
-analytic template model.
+brute-force one), its point-mass restriction, the synthetic task's
+analytic template model, and the dataset and model files laid out value
+by value.
 
 Instances come in two flavours: abstract (no boxes, suitable for the
 zero-one losses) and geometric (one box per latent value, suitable for
@@ -28,6 +29,7 @@ from dissim import (
     LabelOnlyZeroOneLoss,
     LossFunction,
     ModelParams,
+    ModelRecord,
     OverlapLoss,
     SampleRecord,
     SolverError,
@@ -41,6 +43,7 @@ from dissim import (
     self_diversity,
     slack,
 )
+from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC
 from dissim.model import _check_theta, _log_sum_exp
 from dissim.synth import _signatures
 
@@ -120,6 +123,48 @@ def write_mutated(path, lines, op, where, token, replacement, sep=" "):
         lines[i] = sep.join(fields)
     text = "\n".join(lines) + "\n"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
+def reference_fmt_floats(values) -> str:
+    """The per-value float formatter the file writers used before they
+    formatted each distinct double once."""
+    return " ".join(repr(float(v)) for v in values)
+
+
+def reference_dataset_text(dataset: Dataset) -> str:
+    """The text ``save_dataset`` writes, laid out value by value with
+    ``reference_fmt_floats``."""
+    out = [DATASET_MAGIC, f"labels {dataset.num_labels}", f"dw {dataset.d_w}",
+           f"dtheta {dataset.d_theta}",
+           f"geometric {1 if dataset.geometric else 0}",
+           f"samples {len(dataset)}"]
+    for s in dataset:
+        out += [f"sample {s.id}", f"label {s.truth_label}"]
+        if s.truth_latent is not None:
+            out.append(f"truth_latent {s.truth_latent}")
+        out.append(f"latents {s.num_latents}")
+        for k in range(s.num_latents):
+            box = "".join(f" {c}" for c in s.boxes[k].tolist()) if s.geometric else ""
+            out.append(f"latent {k}{box}")
+        for y in range(dataset.num_labels):
+            for k in range(s.num_latents):
+                out.append(f"psi {y} {k} {reference_fmt_floats(s.psi[y, k])}")
+        for k in range(s.num_latents):
+            out.append(f"phi {k} {reference_fmt_floats(s.phi[k])}")
+    return "\n".join(out) + "\n"
+
+
+def reference_model_text(record: ModelRecord) -> str:
+    """The text ``save_model`` writes, laid out value by value with
+    ``reference_fmt_floats``."""
+    out = [MODEL_MAGIC, f"method {record.method}", f"loss {record.loss_kind}",
+           f"dw {record.params.w.size}", f"dtheta {record.params.theta.size}",
+           f"termination {record.termination}",
+           f"w {reference_fmt_floats(record.params.w)}",
+           f"theta {reference_fmt_floats(record.params.theta)}",
+           f"trace {len(record.trace)}"]
+    out += [repr(float(v)) for v in record.trace]
+    return "\n".join(out) + "\n"
 
 
 def random_params(rng: np.random.Generator, dataset: Dataset, scale: float = 1.0):

@@ -437,6 +437,18 @@ class TestErrorsExit2:
         assert cli.main(argv) == 2
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["train", "experiment", "gradcheck"])
+    def test_content_after_last_sample(self, tmp_path, capsys, command):
+        data = generate_tiny(tmp_path)
+        data.write_text(data.read_text() + "garbage line\n")
+        capsys.readouterr()
+        argv = [command, "--data", str(data)]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        self.assert_one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("out", ["missing/x", "."])
     @pytest.mark.parametrize("command", ["generate", "train", "experiment"])
     def test_unwritable_out(self, tmp_path, capsys, monkeypatch, command, out):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from dissim import (
     ConfigError,
+    Dataset,
     InputError,
     ModelParams,
     ModelRecord,
     ResultRow,
+    SampleRecord,
     TaskSpec,
     generate,
     load_dataset,
@@ -23,7 +25,39 @@ from dissim import (
     save_results,
 )
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC, RESULTS_HEADER
-from helpers import MUTATION_TOKENS, MUTATIONS, make_dataset, write_mutated
+from helpers import (
+    MUTATION_TOKENS,
+    MUTATIONS,
+    make_dataset,
+    reference_dataset_text,
+    reference_model_text,
+    write_mutated,
+)
+
+# doubles whose words or bits are easy to get wrong: both zeros, the
+# smallest subnormals, the largest magnitudes, and values whose repr
+# switches to or from exponent form
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, -1.7976931348623157e308,
+               1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-4,
+               9.999999999999999e-05, 0.1, -2.5)
+
+
+def with_tables(sample, psi, phi):
+    return SampleRecord(id=sample.id, truth_label=sample.truth_label, psi=psi,
+                        phi=phi, boxes=sample.boxes,
+                        truth_latent=sample.truth_latent)
+
+
+def assert_same_doubles(a, b):
+    """Every psi and phi value of two datasets has the same bits; the
+    signs of zeros are compared on their own, as array equality cannot
+    see them."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        for u, v in ((x.psi, y.psi), (x.phi, y.phi)):
+            assert u.shape == v.shape
+            assert u.tobytes() == v.tobytes()
+            np.testing.assert_array_equal(np.signbit(u), np.signbit(v))
 
 
 class TestDatasetRoundTrip:
@@ -54,8 +88,6 @@ class TestDatasetRoundTrip:
     def test_round_trip_without_geometry_or_truth(self, tmp_path):
         dset = make_dataset(5, n=3, num_labels=2, num_latents=3, d_w=4,
                             d_theta=2)
-        from dissim import Dataset, SampleRecord
-
         bare = Dataset(
             dset.num_labels, dset.d_w, dset.d_theta,
             tuple(
@@ -75,8 +107,6 @@ class TestDatasetRoundTrip:
     def test_exotic_floats_survive(self, tmp_path):
         dset = make_dataset(11, n=1, num_labels=2, num_latents=2, d_w=3,
                             d_theta=2)
-        from dissim import Dataset, SampleRecord
-
         s = dset.samples[0]
         psi = np.asarray(s.psi).copy()
         psi[0, 0] = [1e-308, np.pi, -0.1]
@@ -153,6 +183,28 @@ class TestDatasetRoundTrip:
             with pytest.raises(InputError, match=rf"line {idx + 1}"):
                 load_dataset(path)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "values must be finite"),
+        ("abc", "bad float field"),
+    ])
+    def test_bad_field_among_known_values_reports_line(self, tmp_path, bad,
+                                                       message):
+        """A row whose other fields were all read on earlier rows still
+        names its own line."""
+        dset, _ = generate(TaskSpec(num_classes=2, per_class=2, seed=1))
+        path = tmp_path / "d.txt"
+        save_dataset(dset, path)
+        lines = path.read_text().splitlines()
+        first = next(i for i, l in enumerate(lines) if l.startswith("psi "))
+        idx = first + 1
+        fields = lines[first].split()
+        fields[:3] = lines[idx].split()[:3]
+        fields[-1] = bad
+        lines[idx] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=rf"line {idx + 1}: {message}"):
+            load_dataset(path)
+
     def test_huge_count_sizes_no_allocation(self, tmp_path):
         dset = make_dataset(6, n=1, num_labels=2, num_latents=2, d_w=3,
                             d_theta=2)
@@ -167,6 +219,132 @@ class TestDatasetRoundTrip:
         path.write_text(DATASET_MAGIC + "\nlabels two\n")
         with pytest.raises(InputError, match="line 2"):
             load_dataset(path)
+
+
+class TestWrittenBytes:
+    """save_dataset and save_model write the bytes of the value-by-value
+    layout in helpers, and loading gives back every double, bit for bit."""
+
+    def check_dataset(self, dset, tmp_path):
+        path = tmp_path / "d.txt"
+        save_dataset(dset, path)
+        assert path.read_bytes() == reference_dataset_text(dset).encode()
+        assert_same_doubles(dset, load_dataset(path))
+
+    @pytest.mark.parametrize("noise, clutter", [(0.5, 0.3), (0.0, 0.0)])
+    def test_generated_tasks(self, tmp_path, noise, clutter):
+        dset, _ = generate(TaskSpec(num_classes=3, per_class=3, noise=noise,
+                                    clutter=clutter, seed=2))
+        self.check_dataset(dset, tmp_path)
+
+    def test_abstract_ragged(self, tmp_path):
+        dset = make_dataset(9, n=6, num_labels=3, num_latents=7, d_w=4,
+                            d_theta=3, uniform_shapes=False)
+        assert not dset.geometric
+        assert len({s.num_latents for s in dset}) > 1
+        self.check_dataset(dset, tmp_path)
+
+    def test_edge_rows(self, tmp_path):
+        base = make_dataset(4, n=2, num_labels=2, num_latents=3, d_w=6,
+                            d_theta=4, geometric=True)
+        edges = np.array(EDGE_VALUES)
+        samples = []
+        for i, s in enumerate(base):
+            psi = np.asarray(s.psi).copy()
+            phi = np.asarray(s.phi).copy()
+            psi[0, 0] = edges[:6]
+            psi[1, 2] = edges[6:] if i else edges[:6][::-1]
+            psi[0, 1, :2] = [-0.0, 0.0]
+            phi[0] = [0.0, -0.0, 0.0, -0.0]
+            phi[1, 0] = psi[1, 1, 3]  # a phi value repeated in psi
+            phi[2] = edges[i : i + 4]
+            samples.append(with_tables(s, psi, phi))
+        dset = Dataset(2, 6, 4, tuple(samples))
+        self.check_dataset(dset, tmp_path)
+        back = load_dataset(tmp_path / "d.txt")
+        assert np.signbit(back.samples[0].psi[0, 1, :2]).tolist() == [True,
+                                                                     False]
+
+    def test_model(self, tmp_path):
+        w = np.array([*EDGE_VALUES, 0.1, -0.0])
+        for trace in ([2.0, 1.5, 1.5, -0.0, 5e-324], []):
+            rec = ModelRecord(ModelParams(w, np.array([0.1, 0.0, -0.0])),
+                              "dissim", "overlap", "tolerance", trace)
+            path = tmp_path / "m.txt"
+            save_model(rec, path)
+            assert path.read_bytes() == reference_model_text(rec).encode()
+            back = load_model(path)
+            assert back.params.w.tobytes() == w.tobytes()
+            assert np.signbit(back.params.theta).tolist() == [False, False,
+                                                              True]
+            assert np.array(back.trace).tobytes() == np.array(trace).tobytes()
+
+
+class TestOnlyDeclaredRecords:
+    """Content after the records a file declares is an InputError naming
+    its line, not something a loader silently drops."""
+
+    @staticmethod
+    def rewrite(path, lines):
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_more_samples_than_declared(self, tmp_path):
+        path = tmp_path / "d.txt"
+        save_dataset(make_dataset(1, n=4, num_labels=2, num_latents=2, d_w=2,
+                                  d_theta=2), path)
+        lines = path.read_text().replace("samples 4", "samples 3").splitlines()
+        self.rewrite(path, lines)
+        extra = lines.index("sample s3") + 1
+        with pytest.raises(InputError,
+                           match=rf"line {extra}: unexpected 'sample s3'"):
+            load_dataset(path)
+
+    def test_trailing_line_after_dataset(self, tmp_path):
+        path = tmp_path / "d.txt"
+        save_dataset(generate(TaskSpec(num_classes=2, per_class=2))[0], path)
+        lines = path.read_text().splitlines()
+        self.rewrite(path, lines + ["", "  "])
+        load_dataset(path)
+        self.rewrite(path, lines + ["", "garbage line"])
+        with pytest.raises(InputError,
+                           match=rf"line {len(lines) + 2}: unexpected "
+                                 r"'garbage line' after the last of 4 samples"):
+            load_dataset(path)
+
+    def test_trailing_line_after_model(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(TestModelRoundTrip().make_record(), path)
+        lines = path.read_text().splitlines()
+        self.rewrite(path, lines + [""])
+        load_model(path)
+        for extra in ("1.0", "trace 1"):
+            self.rewrite(path, lines + ["", extra])
+            with pytest.raises(InputError, match=rf"line {len(lines) + 2}: "
+                                                 rf"unexpected '{extra}'"):
+                load_model(path)
+
+
+class TestSampleIds:
+    @pytest.mark.parametrize("bad", ["a b", "x\tb", "a\nb", " a", "a\u2028b",
+                                     "a\x1cb"])
+    def test_id_that_does_not_load_back_is_not_saved(self, tmp_path, bad):
+        dset = make_dataset(2, n=2, num_labels=2, num_latents=2, d_w=2,
+                            d_theta=2)
+        first, last = dset.samples
+        renamed = SampleRecord(id=bad, truth_label=last.truth_label,
+                               psi=last.psi, phi=last.phi)
+        path = tmp_path / "d.txt"
+        with pytest.raises(ConfigError, match="sample id"):
+            save_dataset(Dataset(2, 2, 2, (first, renamed)), path)
+        assert not path.exists()
+
+    def test_token_ids_load_back(self, tmp_path):
+        dset = make_dataset(2, n=1, num_labels=2, num_latents=2, d_w=2,
+                            d_theta=2)
+        s = dataclasses.replace(dset.samples[0], id="a,b#\u00e9")
+        path = tmp_path / "d.txt"
+        save_dataset(Dataset(2, 2, 2, (s,)), path)
+        assert load_dataset(path).samples[0].id == "a,b#\u00e9"
 
 
 class TestModelRoundTrip:

@@ -39,9 +39,9 @@ TERMINATIONS = ("tolerance", "round_budget", "repeat")
 
 def _float_rows(*tables: np.ndarray) -> list[str]:
     """Every row of the 2-d tables, in order, as the ``repr`` words of its
-    values joined by spaces.  Each distinct double is formatted once: the
+    values joined by spaces.  Each distinct double is formatted once; the
     values are told apart by bit pattern, so -0.0 and 0.0 keep their own
-    words, and a table with one repeated value costs one ``repr``."""
+    words."""
     tables = [np.asarray(t, dtype=np.float64) for t in tables]
     bits = np.concatenate([t.ravel() for t in tables]).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)

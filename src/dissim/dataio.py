@@ -73,9 +73,6 @@ class _LineReader:
         self.path = path
         self.lines = _read_text(path).splitlines()
         self.pos = 0
-        # float field -> value, or None for no memo; load_dataset starts
-        # a fresh one per sample, so it holds one sample's fields at most
-        self.memo: dict[str, float] | None = None
 
     def next(self) -> str:
         while self.pos < len(self.lines):
@@ -134,13 +131,14 @@ class _LineReader:
         except ValueError as err:
             raise self.error(f"bad {kind.__name__} field ({err})") from err
 
-    def parse_finite(self, fields: Sequence[str]) -> list[float]:
+    def parse_finite(
+        self, fields: Sequence[str], memo: dict[str, float] | None = None
+    ) -> list[float]:
         """Float fields of the current line; a value that is not finite is
-        an InputError naming the line.  With a memo, a line whose fields
-        are all in it is read from it; any other line is converted in full,
-        so the memo never changes which error a line raises, and its fields
-        are remembered."""
-        memo = self.memo
+        an InputError naming the line.  With a memo (field -> value), a line
+        whose fields are all in it is read from it; any other line is
+        converted in full, so the memo never changes which error a line
+        raises, and its fields are remembered."""
         if memo:
             try:
                 return list(map(memo.__getitem__, fields))
@@ -209,7 +207,6 @@ def load_dataset(path) -> Dataset:
         raise reader.error("samples must be >= 1")
     samples = []
     for _ in range(n):
-        reader.memo = None
         parts = reader.expect("sample")
         if len(parts) != 1:
             raise reader.error("sample takes one id")
@@ -257,7 +254,8 @@ def load_dataset(path) -> Dataset:
                     )
             boxes.append(box)
         # the arrays are built from the parsed rows, so a corrupt count
-        # never sizes an allocation
+        # never sizes an allocation; the memo holds this sample's fields
+        memo: dict[str, float] = {}
         psi_values = []
         for y in range(num_labels):
             for k in range(K):
@@ -268,13 +266,7 @@ def load_dataset(path) -> Dataset:
                     )
                 if reader.parse(parts[:2], int) != [y, k]:
                     raise reader.error("psi rows out of order")
-                fields = parts[2:]
-                if y == k == 0 and len(set(fields)) < d_w:
-                    # a memo pays only where values repeat, as in the
-                    # mostly-zero rows of a joint feature map; a sample
-                    # whose first row repeats none is read without one
-                    reader.memo = {}
-                psi_values += reader.parse_finite(fields)
+                psi_values += reader.parse_finite(parts[2:], memo)
         phi_values = []
         for k in range(K):
             parts = reader.expect("phi")
@@ -284,7 +276,7 @@ def load_dataset(path) -> Dataset:
                 )
             if reader.parse(parts[:1], int) != [k]:
                 raise reader.error("phi rows out of order")
-            phi_values += reader.parse_finite(parts[1:])
+            phi_values += reader.parse_finite(parts[1:], memo)
         samples.append(
             SampleRecord(
                 id=sample_id,

@@ -37,6 +37,8 @@ def main():
                         help="tiny task and grid, finishes in seconds")
     parser.add_argument("--no-timings", action="store_true",
                         help="zero wallclock columns (byte-reproducible)")
+    parser.add_argument("--workers",
+                        help="experiment's --workers (default: the usable CPUs)")
     args = parser.parse_args()
 
     out = Path(args.out_dir)
@@ -64,6 +66,8 @@ def main():
         exp += ["--folds", "5"]
     if args.no_timings:
         exp += ["--no-timings"]
+    if args.workers is not None:
+        exp += ["--workers", args.workers]
     run(exp)
     print(f"results under {out}/")
 

@@ -4,7 +4,11 @@ Exit codes: 0 on success, 2 on input or configuration errors (including
 malformed flags, which argparse reports by flag name, and files that
 cannot be read or written), 3 on solver failures.  Every command is
 deterministic given identical flags, except that experiment rows carry
-measured wallclock times unless --no-timings is passed.
+measured wallclock times unless --no-timings is passed.  experiment fits
+the (loss, fold, C) cells of all its losses in one pool of --workers
+forked processes (default: the usable CPUs); its files are the same for
+any worker count.  Every file is written whole or not at all: the text is
+encoded first, then written to a temporary file that replaces the target.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .dataio import (
     save_dataset,
     save_model,
     save_results,
+    write_text_atomic,
 )
 from .errors import ConfigError, DissimError, SolverError
 from .losses import LOSS_KINDS, HyperParams, make_loss
@@ -27,7 +32,7 @@ from .model import Dataset
 from .gradcheck import run_gradient_checks
 from .synth import TaskSpec, generate
 from .thetasolver import SSDConfig
-from .trainer import DEFAULT_C_GRID, METHODS, TrainConfig, _fit, run_protocol
+from .trainer import DEFAULT_C_GRID, METHODS, TrainConfig, _fit, run_protocols
 
 
 def _check_loss_compatible(loss_kind: str, dataset: Dataset) -> None:
@@ -150,16 +155,16 @@ def cmd_experiment(args) -> int:
     base = out.with_suffix("")
     rows: list[ResultRow] = []
     summary_lines: list[str] = []
-    for loss_kind in losses:
-        loss = make_loss(loss_kind)
-        result = run_protocol(
-            dataset,
-            loss,
-            config,
-            n_folds=args.folds,
-            split=args.split,
-            methods=tuple(methods),
-        )
+    results = run_protocols(
+        dataset,
+        [make_loss(kind) for kind in losses],
+        config,
+        n_folds=args.folds,
+        split=args.split,
+        methods=tuple(methods),
+        workers=args.workers,
+    )
+    for loss_kind, result in zip(losses, results):
         for r in result.rows:
             rows.append(
                 ResultRow(
@@ -186,7 +191,7 @@ def cmd_experiment(args) -> int:
                     f"method={method} loss={loss_kind} C={point.C!r} "
                     f"mean={point.mean:.4f} std={point.std:.4f}"
                 )
-            curve_path.write_text("\n".join(curve_lines) + "\n")
+            write_text_atomic(curve_path, "\n".join(curve_lines) + "\n")
             best = min(curve, key=lambda p: p.mean)
             line = (
                 f"{method} / {loss_kind}: best C {best.C!r} "
@@ -195,7 +200,7 @@ def cmd_experiment(args) -> int:
             summary_lines.append(line)
             print(line)
     save_results(rows, out)
-    Path(f"{base}_summary.txt").write_text("\n".join(summary_lines) + "\n")
+    write_text_atomic(f"{base}_summary.txt", "\n".join(summary_lines) + "\n")
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -217,6 +222,19 @@ def cmd_gradcheck(args) -> int:
             print(f"{kind} {term}: worst relative error {err:.3e} {status}")
         failed = failed or not result.passed
     return 1 if failed else 0
+
+
+def _worker_count(text: str) -> int:
+    """A positive worker count; argparse names the flag in its error."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return count
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -312,6 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=HyperParams.beta)
     _add_solver_flags(p)
     p.add_argument("--seed", type=int, default=0, help="split and solver seed")
+    p.add_argument(
+        "--workers",
+        type=_worker_count,
+        default=None,
+        help="processes fitting the (loss, fold, C) cells (default: the "
+        "usable CPUs, capped at the number of cells); results are the "
+        "same for any count",
+    )
     p.add_argument(
         "--no-timings",
         action="store_true",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -152,6 +153,32 @@ class _LineReader:
         return values
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 in place of ``path``, whole or not at all.
+
+    The text is encoded before anything is opened, then written to a
+    temporary file beside the target, which replaces the target only once
+    it is complete, so a failed save leaves an existing file as it was.
+    A string UTF-8 cannot encode (a lone surrogate) raises InputError.
+    """
+    path = Path(path)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise InputError(
+            f"{path}: cannot write {err.object[err.start:err.end]!r} as UTF-8"
+        ) from None
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    handle = open(temporary, "xb")
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     path = Path(path)
     for s in dataset:
@@ -184,7 +211,7 @@ def save_dataset(dataset: Dataset, path) -> None:
                 out.append(f"psi {y} {k} {next(rows)}")
         for k in range(K):
             out.append(f"phi {k} {next(rows)}")
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(out) + "\n")
 
 
 def load_dataset(path) -> Dataset:
@@ -325,7 +352,7 @@ def save_model(record: ModelRecord, path) -> None:
     out.append(f"theta {theta}")
     out.append(f"trace {len(trace)}")
     out.extend(trace)
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(out) + "\n")
 
 
 def load_model(path) -> ModelRecord:
@@ -373,8 +400,7 @@ class ResultRow:
 
 
 def save_results(rows: Sequence[ResultRow], path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with io.StringIO(newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RESULTS_HEADER)
         for r in rows:
@@ -389,6 +415,8 @@ def save_results(rows: Sequence[ResultRow], path) -> None:
                     repr(r.wallclock_seconds),
                 ]
             )
+        text = handle.getvalue()
+    write_text_atomic(path, text)
 
 
 def load_results(path) -> list[ResultRow]:

@@ -12,16 +12,22 @@ The protocol trains over a C grid with per-class stratified shuffle
 splits, evaluates on the held-out part with the ground-truth latent
 annotations, and reports fold rows plus per-C mean and standard deviation
 (population convention) of the test loss scaled to [0, 100], per method.
-It splits each fold once and fits every method and C on that split, so
-the baselines share their solved subproblems (see ``baselines``).
+Its unit of work is a (loss, fold, C) cell: the cell splits its fold and
+fits every method at its C on that split, so the baselines share their
+solved subproblems (see ``baselines``).  Cells are independent, so
+``run_protocols`` fits the cells of one or more losses in a pool of forked
+worker processes, largest C first, and puts the rows back in order: the
+results are the same bit for bit for any number of workers, and each
+row's wallclock time is its fit's own, measured in its worker.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -244,49 +250,152 @@ def run_protocol(
     n_folds: int = 5,
     split: float = 0.6,
     methods: tuple[str, ...] = ("dissim",),
+    workers: Optional[int] = None,
 ) -> ProtocolResult:
     """Stratified shuffle-split protocol over the methods and the C grid.
 
     Fold f uses a split seeded by (config.split_seed, f), so identical
-    configs reproduce identical splits and results.  Each fold is split
-    once, and every method and C is fitted on that one training set, so
+    configs reproduce identical splits and results.  Every method is
+    fitted at each (fold, C) cell on that cell's one training set, so
     lsvm and ilsvm share its store of solved subproblems.  Rows and
     summary points come back method-major, in the order of ``methods``,
-    then by fold and C.
+    then by fold and C.  ``workers`` is the number of processes fitting
+    cells (see ``run_protocols``); the results do not depend on it.
+    """
+    return run_protocols(
+        dataset, (loss,), config, n_folds, split, methods, workers
+    )[0]
+
+
+def run_protocols(
+    dataset: Dataset,
+    losses: Sequence[LossFunction],
+    config: TrainConfig,
+    n_folds: int = 5,
+    split: float = 0.6,
+    methods: tuple[str, ...] = ("dissim",),
+    workers: Optional[int] = None,
+) -> list[ProtocolResult]:
+    """``run_protocol`` under each loss, with the (loss, fold, C) cells of
+    every loss fitted by one pool of ``workers`` forked processes.
+
+    ``None`` means the usable CPUs, capped at the number of cells; with
+    one worker every cell is fitted in this process.  The largest C goes
+    out first, since those cells take most of the time.  Returns one
+    result per loss, each as ``run_protocol`` lays it out.
     """
     if n_folds < 1:
         raise ConfigError(f"n_folds must be >= 1, got {n_folds}")
-    rows: list[FoldResult] = []
-    for fold in range(n_folds):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(config.split_seed, fold))
-        )
-        train_ds, test_ds = stratified_split(dataset, split, rng)
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    cells = _Cells(dataset, tuple(losses), config, n_folds, split, methods)
+    if workers is None and hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    elif workers is None:
+        workers = os.cpu_count() or 1
+    fitted = _map_cells(cells, min(workers, len(cells.keys)))
+    per_loss = n_folds * len(config.C_grid)
+    results = []
+    for start in range(0, len(fitted), per_loss):
+        mine = fitted[start:start + per_loss]  # by fold, then C
+        rows = [cell[m] for m in range(len(methods)) for cell in mine]
+        summary = []
         for method in methods:
             for C in config.C_grid:
-                cfg = replace(config, hyper=replace(config.hyper, C=C))
-                started = time.perf_counter()
-                params, trace, _ = _fit(method, train_ds, loss, cfg)
-                test_loss = evaluate(params, test_ds, loss)
-                rows.append(
-                    FoldResult(
-                        method=method,
-                        C=C,
-                        fold=fold,
-                        test_loss=test_loss,
-                        train_objective=trace[-1],
-                        wallclock_seconds=time.perf_counter() - started,
-                    )
+                test = np.array(
+                    [r.test_loss for r in rows if r.method == method and r.C == C]
                 )
-    rows.sort(key=lambda r: methods.index(r.method))  # stable: method-major
-    summary = []
-    for method in methods:
-        for C in config.C_grid:
-            losses = np.array(
-                [r.test_loss for r in rows if r.method == method and r.C == C]
+                summary.append(
+                    CurvePoint(method=method, C=C, mean=float(test.mean()),
+                               std=float(test.std()))
+                )
+        results.append(ProtocolResult(rows=rows, summary=summary))
+    return results
+
+
+class _Cells:
+    """The (loss, fold, C) cells of a protocol run, fitted by index.
+
+    A cell splits its fold with the fold's seed, then fits every method at
+    its C on that training set in the order of ``methods``, so ilsvm
+    reuses lsvm's solves (the store is keyed by C).  A forked worker
+    inherits this object, so only a cell's index is sent to it, and only
+    its rows come back.
+    """
+
+    def __init__(self, dataset, losses, config, n_folds, split, methods):
+        self.dataset, self.losses, self.config = dataset, losses, config
+        self.split, self.methods = split, methods
+        self.keys = [(l, fold, C) for l in range(len(losses))
+                     for fold in range(n_folds) for C in config.C_grid]
+
+    def fit(self, index: int) -> list[FoldResult]:
+        which, fold, C = self.keys[index]
+        loss = self.losses[which]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(self.config.split_seed, fold))
+        )
+        train_ds, test_ds = stratified_split(self.dataset, self.split, rng)
+        cfg = replace(self.config, hyper=replace(self.config.hyper, C=C))
+        rows = []
+        for method in self.methods:
+            started = time.perf_counter()
+            params, trace, _ = _fit(method, train_ds, loss, cfg)
+            test_loss = evaluate(params, test_ds, loss)
+            rows.append(
+                FoldResult(
+                    method=method,
+                    C=C,
+                    fold=fold,
+                    test_loss=test_loss,
+                    train_objective=trace[-1],
+                    wallclock_seconds=time.perf_counter() - started,
+                )
             )
-            summary.append(
-                CurvePoint(method=method, C=C, mean=float(losses.mean()),
-                           std=float(losses.std()))
-            )
-    return ProtocolResult(rows=rows, summary=summary)
+        return rows
+
+
+_worker_cells: Optional[_Cells] = None  # set in each pool worker only
+
+
+def _adopt(cells: _Cells) -> None:
+    global _worker_cells
+    _worker_cells = cells
+
+
+def _fit_cell(index: int) -> list[FoldResult]:
+    return _worker_cells.fit(index)
+
+
+def _map_cells(cells: _Cells, workers: int) -> list[list[FoldResult]]:
+    """Every cell's rows, in cell order.  More than one worker forks a
+    pool: the workers inherit ``cells`` (losses cannot be pickled), and
+    the first error a cell raises is re-raised here once the queued cells
+    are cancelled and the running ones have ended.  A worker killed
+    outright, as the kernel's out-of-memory killer does, is a MemoryError."""
+    if workers <= 1:
+        return [cells.fit(i) for i in range(len(cells.keys))]
+    # imported only here, so that a serial run does not pay their memory
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(cells,),
+    )
+    try:
+        largest_first = sorted(
+            range(len(cells.keys)), key=lambda i: -cells.keys[i][2]
+        )
+        futures = {i: pool.submit(_fit_cell, i) for i in largest_first}
+        done, _ = wait(futures.values(), return_when=FIRST_EXCEPTION)
+        for future in done:
+            future.result()  # raises a cell's error, if one failed
+        return [futures[i].result() for i in range(len(cells.keys))]
+    except BrokenProcessPool:
+        raise MemoryError("a worker process was killed") from None
+    finally:
+        pool.shutdown(cancel_futures=True)

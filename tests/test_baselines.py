@@ -427,14 +427,17 @@ class TestSharedSolves:
     def test_experiment_shares_each_split(self, solves, tmp_path):
         """One experiment call over lsvm and ilsvm solves as many
         subproblems as lsvm_train then ilsvm_train on one shared split per
-        fold, which is fewer than with a split per method."""
+        fold, which is fewer than with a split per method.  (The store is
+        keyed by C, so the experiment's split per (fold, C) cell shares as
+        much.)  One worker, so that the solves are counted in this
+        process."""
         path = tmp_path / "task.txt"
         save_dataset(generated_task(clean=True), path)
         grid, folds, seed = (0.1, 1.0), 2, 4
         argv = ["experiment", "--data", str(path), "--methods", "lsvm,ilsvm",
                 "--losses", "zero_one", "--inner-tol", repr(self.TOL),
                 "--C-grid", ",".join(map(repr, grid)), "--folds", str(folds),
-                "--seed", str(seed), "--no-timings",
+                "--seed", str(seed), "--no-timings", "--workers", "1",
                 "--out", str(tmp_path / "results.csv")]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0

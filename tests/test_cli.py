@@ -1,5 +1,7 @@
 """Exercises the command line harness end to end, in process."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import dissim.cli as cli
 import dissim.trainer as trainer
 from dissim import (
+    ConfigError,
     Dataset,
     SampleRecord,
     SolverError,
@@ -290,11 +293,11 @@ class TestExperiment:
         "--max-rounds", "3", "--ssd-factor", "5", "--no-timings",
     ]
 
-    def run(self, tmp_path, out_name="res.csv", seed="0"):
+    def run(self, tmp_path, out_name="res.csv", seed="0", extra=()):
         data = generate_tiny(tmp_path)
         out = tmp_path / out_name
         code = cli.main(["experiment", "--data", str(data), "--seed", seed,
-                         *self.FLAGS, "--out", str(out)])
+                         *self.FLAGS, *extra, "--out", str(out)])
         assert code == 0
         return out
 
@@ -333,6 +336,78 @@ class TestExperiment:
         ca = tmp_path / "a_curve_overlap_lsvm.tsv"
         cb = tmp_path / "b_curve_overlap_lsvm.tsv"
         assert ca.read_bytes() == cb.read_bytes()
+
+    def test_files_equal_for_any_worker_count(self, tmp_path):
+        one = tmp_path / "one"
+        two = tmp_path / "two"
+        for workers, where in (("1", one), ("2", two)):
+            where.mkdir()
+            self.run(where, extra=("--workers", workers))
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        assert len(names) == 1 + 1 + 6 + 1  # data, results, curves, summary
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error, code, message", [
+        (SolverError("round 2: budget exhausted"), 3,
+         "solver failure: round 2: budget exhausted"),
+        (ConfigError("bad setting"), 2, "error: bad setting"),
+        (MemoryError(), 2, "error: out of memory"),
+    ])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_worker_error_exit_code(self, tmp_path, capsys, monkeypatch,
+                                    workers, error, code, message):
+        """An error raised in a cell ends the command as it would in
+        process: same exit code, same one stderr line, no output file
+        and no worker left behind."""
+        data = generate_tiny(tmp_path)
+        capsys.readouterr()
+
+        def boom(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(trainer, "_fit", boom)
+        out = tmp_path / "r.csv"
+        assert cli.main(["experiment", "--data", str(data), *self.FLAGS,
+                         "--workers", workers, "--out", str(out)]) == code
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A worker killed outright, as the out-of-memory killer does,
+        ends the command as an out-of-memory error, not a traceback."""
+        import os
+        import signal
+
+        data = generate_tiny(tmp_path)
+        capsys.readouterr()
+        parent = os.getpid()
+
+        def killed(*args, **kwargs):
+            assert os.getpid() != parent, "a cell ran in the parent"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(trainer, "_fit", killed)
+        out = tmp_path / "r.csv"
+        assert cli.main(["experiment", "--data", str(data), *self.FLAGS,
+                         "--workers", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: a worker process was killed"]
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, value):
+        data = generate_tiny(tmp_path)
+        out = tmp_path / "r.csv"
+        code = cli.main(["experiment", "--data", str(data), "--workers", value,
+                         "--out", str(out)])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_loss_exits_2(self, tmp_path, capsys):
         data = generate_tiny(tmp_path)
@@ -507,12 +582,20 @@ class TestMutatedDataset:
 
 class TestEntryPoint:
     def test_python_dash_m(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import dissim
+
+        src = str(Path(dissim.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "dissim", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "generate" in proc.stdout and "experiment" in proc.stdout

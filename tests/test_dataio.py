@@ -347,6 +347,44 @@ class TestSampleIds:
         assert load_dataset(path).samples[0].id == "a,b#\u00e9"
 
 
+class TestFailedSave:
+    """A save that cannot encode its text raises InputError and leaves the
+    file it would have replaced as it was, with no temporary file beside
+    it."""
+
+    @staticmethod
+    def savers():
+        dset = make_dataset(2, n=1, num_labels=2, num_latents=2, d_w=2,
+                            d_theta=2)
+        sample = dataclasses.replace(dset.samples[0], id="a\udcffb")
+        record = TestModelRoundTrip().make_record()
+        return {
+            "dataset": lambda path: save_dataset(Dataset(2, 2, 2, (sample,)),
+                                                 path),
+            "model": lambda path: save_model(
+                dataclasses.replace(record, method="dis\udcffsim"), path),
+            "results": lambda path: save_results(
+                [dataclasses.replace(TestResults.ROWS[0], loss_kind="\ud800")],
+                path),
+        }
+
+    @pytest.mark.parametrize("kind", ["dataset", "model", "results"])
+    def test_old_file_survives(self, tmp_path, kind):
+        path = tmp_path / "target.txt"
+        path.write_text("previous contents\n")
+        with pytest.raises(InputError, match="UTF-8"):
+            self.savers()[kind](path)
+        assert path.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target.txt"]
+
+    def test_replaces_an_existing_file_whole(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("x" * 10_000)
+        save_results(TestResults.ROWS, path)
+        assert load_results(path) == TestResults.ROWS
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
+
+
 class TestModelRoundTrip:
     def make_record(self):
         rng = np.random.default_rng(0)
@@ -447,6 +485,20 @@ class TestResults:
         first = path.read_text().splitlines()[0]
         assert first.split(",") == list(RESULTS_HEADER)
         assert len(RESULTS_HEADER) == 7
+
+    def test_bytes_of_a_csv_writer_on_the_file(self, tmp_path):
+        import csv
+
+        path, reference = tmp_path / "r.csv", tmp_path / "ref.csv"
+        save_results(self.ROWS, path)
+        with reference.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(RESULTS_HEADER)
+            for r in self.ROWS:
+                writer.writerow([r.method, r.loss_kind, repr(r.C), r.fold,
+                                 repr(r.test_loss), repr(r.train_objective),
+                                 repr(r.wallclock_seconds)])
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_save_load_save_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

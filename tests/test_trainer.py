@@ -1,5 +1,8 @@
 """Block-coordinate trainer, evaluation, splits, and the fold protocol."""
 
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +18,7 @@ from dissim import (
     OverlapLoss,
     ResultRow,
     SampleRecord,
+    SolverError,
     SSDConfig,
     TrainConfig,
     ZeroOneLoss,
@@ -26,7 +30,8 @@ from dissim import (
     stratified_split,
     train,
 )
-from dissim.trainer import DEFAULT_C_GRID, METHODS, _fit
+import dissim.trainer as trainer
+from dissim.trainer import DEFAULT_C_GRID, METHODS, _fit, run_protocols
 from helpers import (
     make_dataset,
     make_sample,
@@ -322,6 +327,69 @@ class TestRunProtocol:
             assert (ra.C, ra.fold, ra.test_loss, ra.train_objective) == (
                 rb.C, rb.fold, rb.test_loss, rb.train_objective
             )
+
+    @staticmethod
+    def flat(result):
+        """Rows and summary in order, every float by its repr."""
+        return (
+            [(r.method, repr(r.C), r.fold, repr(r.test_loss),
+              repr(r.train_objective)) for r in result.rows],
+            [(p.method, repr(p.C), repr(p.mean), repr(p.std))
+             for p in result.summary],
+        )
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_worker_counts_agree(self, uniform):
+        """1, 2 and 3 workers return the same rows and summary, in the
+        same order, bit for bit; the ragged-K case too."""
+        dset = make_dataset(51, n=12, num_labels=2, num_latents=4, d_w=4,
+                            d_theta=2, uniform_shapes=uniform)
+        assert (len({s.num_latents for s in dset}) == 1) == uniform
+        got = [
+            self.flat(run_protocol(dset, ZeroOneLoss(), self.small_config(),
+                                   n_folds=3, methods=METHODS, workers=w))
+            for w in (1, 2, 3)
+        ]
+        assert got[1] == got[0]
+        assert got[2] == got[0]
+        assert multiprocessing.active_children() == []
+
+    def test_losses_pooled_as_one_call_per_loss(self):
+        dset = self.small_dataset()
+        pooled = run_protocols(dset, [ZeroOneLoss(), LabelOnlyZeroOneLoss()],
+                               self.small_config(), n_folds=2,
+                               methods=("dissim", "lsvm"), workers=2)
+        for loss, result in zip((ZeroOneLoss(), LabelOnlyZeroOneLoss()),
+                                pooled):
+            alone = run_protocol(dset, loss, self.small_config(), n_folds=2,
+                                 methods=("dissim", "lsvm"), workers=1)
+            assert self.flat(result) == self.flat(alone)
+
+    def test_error_cancels_queued_cells(self, tmp_path, monkeypatch):
+        """The largest C goes out first and fails; the parent re-raises
+        its error, the cells still queued never run, and no worker is
+        left."""
+        grid = tuple(float(c) for c in range(1, 21))
+
+        def stub(method, dataset, loss, config):
+            if config.hyper.C == grid[-1]:
+                raise SolverError("round 1: boom")
+            (tmp_path / f"{os.getpid()}-{config.hyper.C!r}").touch()
+            time.sleep(0.3)
+            raise AssertionError("a cell that should not finish did")
+
+        monkeypatch.setattr(trainer, "_fit", stub)
+        config = replace(self.small_config(), C_grid=grid)
+        with pytest.raises(SolverError, match="^round 1: boom$"):
+            run_protocol(self.small_dataset(), ZeroOneLoss(), config,
+                         n_folds=1, methods=("lsvm",), workers=2)
+        assert len(list(tmp_path.iterdir())) <= 8
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_must_be_positive(self):
+        with pytest.raises(ConfigError, match="workers"):
+            run_protocol(self.small_dataset(), ZeroOneLoss(),
+                         self.small_config(), workers=0)
 
     def test_unknown_method_rejected(self):
         from dissim import ConfigError

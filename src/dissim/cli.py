@@ -24,7 +24,7 @@ from .dataio import (
     save_dataset,
     save_model,
     save_results,
-    write_text_atomic,
+    write_atomic,
 )
 from .errors import ConfigError, DissimError, SolverError
 from .losses import LOSS_KINDS, HyperParams, make_loss
@@ -191,7 +191,7 @@ def cmd_experiment(args) -> int:
                     f"method={method} loss={loss_kind} C={point.C!r} "
                     f"mean={point.mean:.4f} std={point.std:.4f}"
                 )
-            write_text_atomic(curve_path, "\n".join(curve_lines) + "\n")
+            write_atomic(curve_path, ["\n".join(curve_lines) + "\n"])
             best = min(curve, key=lambda p: p.mean)
             line = (
                 f"{method} / {loss_kind}: best C {best.C!r} "
@@ -200,7 +200,7 @@ def cmd_experiment(args) -> int:
             summary_lines.append(line)
             print(line)
     save_results(rows, out)
-    write_text_atomic(f"{base}_summary.txt", "\n".join(summary_lines) + "\n")
+    write_atomic(f"{base}_summary.txt", ["\n".join(summary_lines) + "\n"])
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

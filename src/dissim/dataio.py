@@ -1,11 +1,18 @@
 """Text serialization: datasets, trained models, and result tables.
 
 All formats are line-based and self-describing, with a magic first line
-and integer counts up front, so files can be validated while streaming.
+and integer counts up front, so files are validated while streaming.
 Floats are written with ``repr``, which round-trips every finite double
 exactly; loading a saved dataset reproduces the original bit for bit.
 Each distinct double of a sample (or of a model) is formatted once and its
 word reused, which writes the same bytes as formatting every value.
+
+Files stream in both directions.  ``save_dataset`` hands the writer one
+sample's text at a time, and the loaders decode and parse one line at a
+time, so beyond the dataset itself a save or a load holds one sample, not
+the file.  Every writer goes through ``write_atomic``, which writes a
+temporary file with a random name beside the target and replaces the
+target only once that file is complete.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,38 +66,51 @@ def _float_rows(*tables: np.ndarray) -> list[str]:
     return rows
 
 
-def _read_text(path: Path) -> str:
-    """The file decoded as UTF-8, line endings untranslated; bytes that do
-    not decode are an InputError naming the file and line."""
-    raw = path.read_bytes()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = raw.count(b"\n", 0, err.start) + 1
-        raise InputError(f"{path} line {line}: not UTF-8 text ({err})") from err
+def _decoded_lines(handle, path: Path) -> Iterator[str]:
+    """Each ``\\n``-terminated line of an open binary file, decoded as UTF-8
+    with its ending kept; a line that does not decode is an InputError
+    naming the file and the line."""
+    for number, raw in enumerate(handle, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise InputError(f"{path} line {number}: not UTF-8 text ({err})") from err
+        yield line
 
 
 class _LineReader:
-    def __init__(self, path: Path):
+    """The lines of an open binary file as ``str.splitlines`` breaks its
+    text, read one at a time; ``pos`` is the number of the last line read.
+    Splitting each decoded line breaks the text where splitting all of it
+    would: each decoded line ends in the ``\\n`` of a break, so no break,
+    ``\\r\\n`` included, straddles two of them."""
+
+    def __init__(self, path: Path, handle):
         self.path = path
-        self.lines = _read_text(path).splitlines()
+        self.lines = chain.from_iterable(
+            map(str.splitlines, _decoded_lines(handle, path))
+        )
         self.pos = 0
+        self.ahead: str | None = None  # the next non-blank line, once peeked
+        self.blanks = 0  # the blank lines read before it
 
     def next(self) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            if line.strip():
-                return line.rstrip("\n")
-        raise InputError(f"{self.path}: unexpected end of file")
+        line = self.peek()
+        if line is None:
+            raise InputError(f"{self.path}: unexpected end of file")
+        self.pos += self.blanks + 1
+        self.ahead, self.blanks = None, 0
+        return line
 
     def peek(self) -> str | None:
-        pos = self.pos
-        while pos < len(self.lines):
-            if self.lines[pos].strip():
-                return self.lines[pos]
-            pos += 1
-        return None
+        """The next non-blank line, left for ``next``; None at the end."""
+        if self.ahead is None:
+            for line in self.lines:
+                if line.strip():
+                    self.ahead = line
+                    break
+                self.blanks += 1
+        return self.ahead
 
     def expect_end(self, what: str) -> None:
         """Only blank lines are left; anything else is an InputError
@@ -153,26 +174,37 @@ class _LineReader:
         return values
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` as UTF-8 in place of ``path``, whole or not at all.
+def write_atomic(path, chunks: Iterable[str]) -> None:
+    """Write the text of ``chunks`` as UTF-8 in place of ``path``, whole or
+    not at all.
 
-    The text is encoded before anything is opened, then written to a
-    temporary file beside the target, which replaces the target only once
-    it is complete, so a failed save leaves an existing file as it was.
-    A string UTF-8 cannot encode (a lone surrogate) raises InputError.
+    Each chunk is encoded and written in turn to a new temporary file
+    beside the target, named with a random token so that no file left by
+    an earlier run can stand in its way, and created like any other file,
+    so the saved file gets the usual permissions.  The temporary replaces
+    the target only once it is complete: a failed save leaves an existing
+    file as it was and removes the temporary.  A chunk UTF-8 cannot encode
+    (a lone surrogate) raises InputError.
     """
     path = Path(path)
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as err:
-        raise InputError(
-            f"{path}: cannot write {err.object[err.start:err.end]!r} as UTF-8"
-        ) from None
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    handle = open(temporary, "xb")
+    while True:
+        temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            handle = open(temporary, "xb")
+            break
+        except FileExistsError:
+            continue
     try:
         with handle:
-            handle.write(data)
+            for chunk in chunks:
+                try:
+                    data = chunk.encode("utf-8")
+                except UnicodeEncodeError as err:
+                    raise InputError(
+                        f"{path}: cannot write "
+                        f"{err.object[err.start:err.end]!r} as UTF-8"
+                    ) from None
+                handle.write(data)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -180,22 +212,27 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    path = Path(path)
     for s in dataset:
         # the loader reads a sample line's id as one whitespace-split token
         if s.id.split() != [s.id]:
             raise ConfigError(
                 f"sample id {s.id!r} must be one token without whitespace"
             )
-    out = [DATASET_MAGIC]
-    out.append(f"labels {dataset.num_labels}")
-    out.append(f"dw {dataset.d_w}")
-    out.append(f"dtheta {dataset.d_theta}")
-    out.append(f"geometric {1 if dataset.geometric else 0}")
-    out.append(f"samples {len(dataset)}")
+    write_atomic(path, _dataset_chunks(dataset))
+
+
+def _dataset_chunks(dataset: Dataset) -> Iterator[str]:
+    """A dataset file's text: the header, then one chunk per sample."""
+    yield (
+        f"{DATASET_MAGIC}\n"
+        f"labels {dataset.num_labels}\n"
+        f"dw {dataset.d_w}\n"
+        f"dtheta {dataset.d_theta}\n"
+        f"geometric {1 if dataset.geometric else 0}\n"
+        f"samples {len(dataset)}\n"
+    )
     for s in dataset:
-        out.append(f"sample {s.id}")
-        out.append(f"label {s.truth_label}")
+        out = [f"sample {s.id}", f"label {s.truth_label}"]
         if s.truth_latent is not None:
             out.append(f"truth_latent {s.truth_latent}")
         out.append(f"latents {s.num_latents}")
@@ -211,113 +248,116 @@ def save_dataset(dataset: Dataset, path) -> None:
                 out.append(f"psi {y} {k} {next(rows)}")
         for k in range(K):
             out.append(f"phi {k} {next(rows)}")
-    write_text_atomic(path, "\n".join(out) + "\n")
+        yield "\n".join(out) + "\n"
 
 
 def load_dataset(path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise InputError(f"dataset file {path} does not exist")
-    reader = _LineReader(path)
-    magic = reader.next()
-    if magic != DATASET_MAGIC:
-        raise InputError(f"{path}: not a dataset file (magic {magic!r})")
-    num_labels = reader.expect_count("labels")
-    d_w = reader.expect_count("dw")
-    d_theta = reader.expect_count("dtheta")
-    geometric = reader.expect_int("geometric")
-    if geometric not in (0, 1):
-        raise reader.error(f"geometric must be 0 or 1, got {geometric}")
-    latent_fields = 5 if geometric else 1
-    n = reader.expect_count("samples")
-    if n < 1:
-        raise reader.error("samples must be >= 1")
-    samples = []
-    for _ in range(n):
-        parts = reader.expect("sample")
-        if len(parts) != 1:
-            raise reader.error("sample takes one id")
-        sample_id = parts[0]
-        # the checks SampleRecord would make are made row by row here, so
-        # that each error names its line
-        label = reader.expect_int("label")
-        if not 0 <= label < num_labels:
-            raise reader.error(f"label {label} outside [0, {num_labels})")
-        truth_latent = None
-        if (peeked := reader.peek()) is not None and peeked.startswith(
-            "truth_latent"
-        ):
-            truth_latent = reader.expect_int("truth_latent")
-            truth_line = reader.pos
-        K = reader.expect_count("latents")
-        if K < 1:
-            raise reader.error("latents must be >= 1")
-        if truth_latent is not None and not 0 <= truth_latent < K:
-            raise InputError(
-                f"{path} line {truth_line}: truth_latent {truth_latent} "
-                f"outside [0, {K})"
-            )
-        boxes = []
-        for k in range(K):
-            parts = reader.expect("latent")
-            if len(parts) != latent_fields:
-                raise reader.error(
-                    f"latent takes {latent_fields} value(s) in a file with "
-                    f"geometric {geometric}"
+    with open(path, "rb") as handle:
+        reader = _LineReader(path, handle)
+        magic = reader.next()
+        if magic != DATASET_MAGIC:
+            raise InputError(f"{path}: not a dataset file (magic {magic!r})")
+        num_labels = reader.expect_count("labels")
+        d_w = reader.expect_count("dw")
+        d_theta = reader.expect_count("dtheta")
+        geometric = reader.expect_int("geometric")
+        if geometric not in (0, 1):
+            raise reader.error(f"geometric must be 0 or 1, got {geometric}")
+        latent_fields = 5 if geometric else 1
+        n = reader.expect_count("samples")
+        if n < 1:
+            raise reader.error("samples must be >= 1")
+        samples = []
+        for _ in range(n):
+            parts = reader.expect("sample")
+            if len(parts) != 1:
+                raise reader.error("sample takes one id")
+            sample_id = parts[0]
+            # the checks SampleRecord would make are made row by row here, so
+            # that each error names its line
+            label = reader.expect_int("label")
+            if not 0 <= label < num_labels:
+                raise reader.error(f"label {label} outside [0, {num_labels})")
+            truth_latent = None
+            if (peeked := reader.peek()) is not None and peeked.startswith(
+                "truth_latent"
+            ):
+                truth_latent = reader.expect_int("truth_latent")
+                truth_line = reader.pos
+            K = reader.expect_count("latents")
+            if K < 1:
+                raise reader.error("latents must be >= 1")
+            if truth_latent is not None and not 0 <= truth_latent < K:
+                raise InputError(
+                    f"{path} line {truth_line}: truth_latent {truth_latent} "
+                    f"outside [0, {K})"
                 )
-            parts = reader.parse(parts, int)
-            if parts[0] != k:
-                raise reader.error(f"latent index {parts[0]} at position {k}")
-            box = parts[1:]
-            if geometric:
-                if not (-BOX_COORD_LIMIT <= min(box) and max(box) < BOX_COORD_LIMIT):
-                    raise reader.error(
-                        "box coordinates must lie in "
-                        f"[{-BOX_COORD_LIMIT}, {BOX_COORD_LIMIT})"
-                    )
-                if not (box[0] < box[2] and box[1] < box[3]):
-                    raise reader.error(
-                        f"degenerate box {tuple(box)}: need x0 < x1 and y0 < y1"
-                    )
-            boxes.append(box)
-        # the arrays are built from the parsed rows, so a corrupt count
-        # never sizes an allocation; the memo holds this sample's fields
-        memo: dict[str, float] = {}
-        psi_values = []
-        for y in range(num_labels):
+            boxes = []
             for k in range(K):
-                parts = reader.expect("psi")
-                if len(parts) != 2 + d_w:
+                parts = reader.expect("latent")
+                if len(parts) != latent_fields:
                     raise reader.error(
-                        f"psi row needs {2 + d_w} fields, got {len(parts)}"
+                        f"latent takes {latent_fields} value(s) in a file with "
+                        f"geometric {geometric}"
                     )
-                if reader.parse(parts[:2], int) != [y, k]:
-                    raise reader.error("psi rows out of order")
-                psi_values += reader.parse_finite(parts[2:], memo)
-        phi_values = []
-        for k in range(K):
-            parts = reader.expect("phi")
-            if len(parts) != 1 + d_theta:
-                raise reader.error(
-                    f"phi row needs {1 + d_theta} fields, got {len(parts)}"
+                parts = reader.parse(parts, int)
+                if parts[0] != k:
+                    raise reader.error(f"latent index {parts[0]} at position {k}")
+                box = parts[1:]
+                if geometric:
+                    if not (
+                        -BOX_COORD_LIMIT <= min(box) and max(box) < BOX_COORD_LIMIT
+                    ):
+                        raise reader.error(
+                            "box coordinates must lie in "
+                            f"[{-BOX_COORD_LIMIT}, {BOX_COORD_LIMIT})"
+                        )
+                    if not (box[0] < box[2] and box[1] < box[3]):
+                        raise reader.error(
+                            f"degenerate box {tuple(box)}: need x0 < x1 and y0 < y1"
+                        )
+                boxes.append(box)
+            # the arrays are built from the parsed rows, so a corrupt count
+            # never sizes an allocation; the memo holds this sample's fields
+            memo: dict[str, float] = {}
+            psi_values = []
+            for y in range(num_labels):
+                for k in range(K):
+                    parts = reader.expect("psi")
+                    if len(parts) != 2 + d_w:
+                        raise reader.error(
+                            f"psi row needs {2 + d_w} fields, got {len(parts)}"
+                        )
+                    if reader.parse(parts[:2], int) != [y, k]:
+                        raise reader.error("psi rows out of order")
+                    psi_values += reader.parse_finite(parts[2:], memo)
+            phi_values = []
+            for k in range(K):
+                parts = reader.expect("phi")
+                if len(parts) != 1 + d_theta:
+                    raise reader.error(
+                        f"phi row needs {1 + d_theta} fields, got {len(parts)}"
+                    )
+                if reader.parse(parts[:1], int) != [k]:
+                    raise reader.error("phi rows out of order")
+                phi_values += reader.parse_finite(parts[1:], memo)
+            samples.append(
+                SampleRecord(
+                    id=sample_id,
+                    truth_label=label,
+                    psi=np.array(psi_values).reshape(num_labels, K, d_w),
+                    phi=np.array(phi_values).reshape(K, d_theta),
+                    boxes=boxes if geometric else None,
+                    truth_latent=truth_latent,
                 )
-            if reader.parse(parts[:1], int) != [k]:
-                raise reader.error("phi rows out of order")
-            phi_values += reader.parse_finite(parts[1:], memo)
-        samples.append(
-            SampleRecord(
-                id=sample_id,
-                truth_label=label,
-                psi=np.array(psi_values).reshape(num_labels, K, d_w),
-                phi=np.array(phi_values).reshape(K, d_theta),
-                boxes=boxes if geometric else None,
-                truth_latent=truth_latent,
             )
+        reader.expect_end(f"the last of {n} samples")
+        return Dataset(
+            num_labels=num_labels, d_w=d_w, d_theta=d_theta, samples=tuple(samples)
         )
-    reader.expect_end(f"the last of {n} samples")
-    return Dataset(
-        num_labels=num_labels, d_w=d_w, d_theta=d_theta, samples=tuple(samples)
-    )
 
 
 @dataclass
@@ -332,7 +372,6 @@ class ModelRecord:
 
 
 def save_model(record: ModelRecord, path) -> None:
-    path = Path(path)
     if record.termination not in TERMINATIONS:
         raise ConfigError(
             f"termination {record.termination!r} is not one of "
@@ -352,40 +391,41 @@ def save_model(record: ModelRecord, path) -> None:
     out.append(f"theta {theta}")
     out.append(f"trace {len(trace)}")
     out.extend(trace)
-    write_text_atomic(path, "\n".join(out) + "\n")
+    write_atomic(path, ["\n".join(out) + "\n"])
 
 
 def load_model(path) -> ModelRecord:
     path = Path(path)
     if not path.exists():
         raise InputError(f"model file {path} does not exist")
-    reader = _LineReader(path)
-    magic = reader.next()
-    if magic != MODEL_MAGIC:
-        raise InputError(f"{path}: not a model file (magic {magic!r})")
-    method = reader.expect_one("method")
-    loss_kind = reader.expect_one("loss")
-    d_w = reader.expect_count("dw")
-    d_theta = reader.expect_count("dtheta")
-    termination = reader.expect_one("termination")
-    if termination not in TERMINATIONS:
-        raise reader.error(
-            f"termination {termination!r} is not one of {', '.join(TERMINATIONS)}"
+    with open(path, "rb") as handle:
+        reader = _LineReader(path, handle)
+        magic = reader.next()
+        if magic != MODEL_MAGIC:
+            raise InputError(f"{path}: not a model file (magic {magic!r})")
+        method = reader.expect_one("method")
+        loss_kind = reader.expect_one("loss")
+        d_w = reader.expect_count("dw")
+        d_theta = reader.expect_count("dtheta")
+        termination = reader.expect_one("termination")
+        if termination not in TERMINATIONS:
+            raise reader.error(
+                f"termination {termination!r} is not one of {', '.join(TERMINATIONS)}"
+            )
+        w = reader.parse_finite(reader.expect("w"))
+        theta = reader.parse_finite(reader.expect("theta"))
+        if len(w) != d_w or len(theta) != d_theta:
+            raise InputError(f"{path}: parameter vector length mismatch")
+        trace_len = reader.expect_count("trace")
+        trace = [reader.parse_finite([reader.next()])[0] for _ in range(trace_len)]
+        reader.expect_end(f"the last of {trace_len} trace values")
+        return ModelRecord(
+            params=ModelParams(np.array(w), np.array(theta)),
+            method=method,
+            loss_kind=loss_kind,
+            termination=termination,
+            trace=trace,
         )
-    w = reader.parse_finite(reader.expect("w"))
-    theta = reader.parse_finite(reader.expect("theta"))
-    if len(w) != d_w or len(theta) != d_theta:
-        raise InputError(f"{path}: parameter vector length mismatch")
-    trace_len = reader.expect_count("trace")
-    trace = [reader.parse_finite([reader.next()])[0] for _ in range(trace_len)]
-    reader.expect_end(f"the last of {trace_len} trace values")
-    return ModelRecord(
-        params=ModelParams(np.array(w), np.array(theta)),
-        method=method,
-        loss_kind=loss_kind,
-        termination=termination,
-        trace=trace,
-    )
 
 
 @dataclass(frozen=True)
@@ -416,15 +456,19 @@ def save_results(rows: Sequence[ResultRow], path) -> None:
                 ]
             )
         text = handle.getvalue()
-    write_text_atomic(path, text)
+    write_atomic(path, [text])
 
 
 def load_results(path) -> list[ResultRow]:
     path = Path(path)
     if not path.exists():
         raise InputError(f"results file {path} does not exist")
-    with io.StringIO(_read_text(path), newline="") as handle:
-        reader = csv.reader(handle)
+    with open(path, "rb") as handle:
+        # csv reads the lines as a file opened with newline="" gives them,
+        # broken at \n, \r and \r\n only, line endings kept
+        reader = csv.reader(chain.from_iterable(
+            io.StringIO(line, newline="") for line in _decoded_lines(handle, path)
+        ))
         header = tuple(next(reader, ()))
         if header != RESULTS_HEADER:
             raise InputError(f"{path}: unexpected results header {header}")

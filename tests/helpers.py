@@ -4,8 +4,8 @@ dual QP and the theta step that only the tests use, and the oracles the
 src definitions are checked against: each loss pair by pair
 (``scalar_loss``), the dissimilarity objective (a vectorized form and a
 brute-force one), its point-mass restriction, the synthetic task's
-analytic template model, and the dataset and model files laid out value
-by value.
+analytic template model, the dataset and model files laid out value by
+value, and the loaders reading a file's whole text at once.
 
 Instances come in two flavours: abstract (no boxes, suitable for the
 zero-one losses) and geometric (one box per latent value, suitable for
@@ -16,9 +16,11 @@ seed so failures replay exactly.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
+import dissim.dataio as dataio
 import dissim.wsolver as wsolver
 from dissim import (
     ConfigError,
@@ -165,6 +167,55 @@ def reference_model_text(record: ModelRecord) -> str:
            f"trace {len(record.trace)}"]
     out += [repr(float(v)) for v in record.trace]
     return "\n".join(out) + "\n"
+
+
+def reference_read_text(path) -> str:
+    """The file decoded as UTF-8 in one piece, line endings untranslated:
+    the whole-text reading the loaders did before they streamed.  Bytes
+    that do not decode are an InputError naming the line; the codec's
+    position counts from the start of the file."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise InputError(f"{path} line {line}: not UTF-8 text ({err})") from err
+
+
+class ReferenceLineReader(dataio._LineReader):
+    """``dataio._LineReader`` over the list of the whole text's lines, as
+    it read before it streamed; the field parsers are shared."""
+
+    def __init__(self, path, handle):
+        self.path = path
+        self.lines = reference_read_text(path).splitlines()
+        self.pos = 0
+
+    def next(self) -> str:
+        while self.pos < len(self.lines):
+            line = self.lines[self.pos]
+            self.pos += 1
+            if line.strip():
+                return line
+        raise InputError(f"{self.path}: unexpected end of file")
+
+    def peek(self):
+        pos = self.pos
+        while pos < len(self.lines):
+            if self.lines[pos].strip():
+                return self.lines[pos]
+            pos += 1
+        return None
+
+
+def reference_load(load, path):
+    """``load`` (one of the dataio loaders) reading the whole text at
+    once: the dataset and model loaders through ``ReferenceLineReader``,
+    the results loader with csv over the whole text in one piece."""
+    with mock.patch.object(dataio, "_LineReader", ReferenceLineReader), \
+            mock.patch.object(dataio, "_decoded_lines",
+                              lambda handle, path: [reference_read_text(path)]):
+        return load(path)
 
 
 def random_params(rng: np.random.Generator, dataset: Dataset, scale: float = 1.0):

@@ -1,6 +1,12 @@
 """Round-trip and validation tests for the text file formats."""
 
 import dataclasses
+import gc
+import os
+import re
+import stat
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +30,14 @@ from dissim import (
     save_model,
     save_results,
 )
+import dissim.dataio as dataio
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC, RESULTS_HEADER
 from helpers import (
     MUTATION_TOKENS,
     MUTATIONS,
     make_dataset,
     reference_dataset_text,
+    reference_load,
     reference_model_text,
     write_mutated,
 )
@@ -572,3 +580,259 @@ class TestMutatedFiles:
             load(path)
         except (InputError, ConfigError):
             pass
+
+
+class TestTemporaryFiles:
+    """Saves write a temporary file with a random name beside the target."""
+
+    def test_leftover_temporary_does_not_block_a_save(self, tmp_path):
+        """A file left by a killed run under the name a save of this
+        process once used stays as it is, and the save goes through."""
+        dset = make_dataset(2, n=2, num_labels=2, num_latents=2, d_w=2,
+                            d_theta=2)
+        path = tmp_path / "d.txt"
+        leftover = tmp_path / f".d.txt.{os.getpid()}.tmp"
+        leftover.write_text("partial")
+        save_dataset(dset, path)
+        assert path.read_text() == reference_dataset_text(dset)
+        assert leftover.read_text() == "partial"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [leftover.name,
+                                                             "d.txt"]
+
+    def test_taken_name_is_drawn_again(self, tmp_path, monkeypatch):
+        tokens = iter([b"\0" * 8, b"\1" * 8])
+        monkeypatch.setattr(dataio.os, "urandom", lambda n: next(tokens))
+        taken = tmp_path / f".r.csv.{'00' * 8}.tmp"
+        taken.write_text("partial")
+        save_results(TestResults.ROWS, tmp_path / "r.csv")
+        assert load_results(tmp_path / "r.csv") == TestResults.ROWS
+        assert taken.read_text() == "partial"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name,
+                                                             "r.csv"]
+
+    def test_failed_save_after_written_samples(self, tmp_path):
+        """A save that fails on its last sample, after the others were
+        written, keeps the old file and removes its temporary."""
+        dset = make_dataset(2, n=3, num_labels=2, num_latents=2, d_w=2,
+                            d_theta=2)
+        bad = dataclasses.replace(dset.samples[2], id="s\udcff")
+        path = tmp_path / "d.txt"
+        path.write_text("previous contents\n")
+        leftover = tmp_path / f".d.txt.{os.getpid()}.tmp"
+        leftover.write_text("partial")
+        with pytest.raises(InputError, match="UTF-8"):
+            save_dataset(Dataset(2, 2, 2, (*dset.samples[:2], bad)), path)
+        assert path.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [leftover.name,
+                                                             "d.txt"]
+
+    def test_saved_file_has_the_usual_permissions(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        saved = tmp_path / "m.model"
+        save_model(TestModelRoundTrip().make_record(), saved)
+        assert (stat.S_IMODE(saved.stat().st_mode)
+                == stat.S_IMODE(plain.stat().st_mode))
+
+
+def loaded(load, path, read=lambda load, path: load(path)):
+    """What a loader makes of a file, as plain data whose equality is bit
+    equality: its result, or its error's type and message."""
+    try:
+        value = read(load, path)
+    except (InputError, ConfigError) as err:
+        return type(err).__name__, str(err)
+    if isinstance(value, Dataset):
+        return (value.num_labels, value.d_w, value.d_theta,
+                [(s.id, s.truth_label, s.truth_latent,
+                  None if s.boxes is None else s.boxes.tolist(),
+                  s.psi.shape, s.psi.tobytes(), s.phi.shape, s.phi.tobytes())
+                 for s in value])
+    if isinstance(value, ModelRecord):
+        return (value.method, value.loss_kind, value.termination,
+                value.params.w.tobytes(), value.params.theta.tobytes(),
+                [repr(v) for v in value.trace])
+    return [repr(row) for row in value]
+
+
+class TestStreamingReaders:
+    """The streaming loaders make of every file what the whole-text
+    readers made of it: the same values bit for bit, or the same error
+    naming the same line.  The one difference allowed is the codec's byte
+    position inside a UTF-8 message, which now counts from the start of
+    the line the message names."""
+
+    LOADERS = {"dataset": load_dataset, "model": load_model,
+               "results": load_results, "cli-dataset": load_dataset}
+
+    @staticmethod
+    def valid_lines(root, kind):
+        """The valid files the mutation tests of this module and of
+        test_cli start from, as lines."""
+        path = root / kind
+        if kind == "cli-dataset":
+            save_dataset(make_dataset(3, n=4, num_labels=2, num_latents=2,
+                                      d_w=2, d_theta=2, geometric=True), path)
+        else:
+            TestMutatedFiles.valid_files(root)
+        return path.read_text().splitlines()
+
+    @staticmethod
+    def mutations(lines, sep):
+        """Every (op, where, token, replacement) whose mutated file differs
+        from the others: ``write_mutated`` reduces where and token modulo
+        the line and field counts."""
+        for op in MUTATIONS:
+            for where, line in enumerate(lines):
+                if op != "rewrite":
+                    yield op, where, 0, ""
+                    continue
+                for token in range(max(1, len(line.split(sep)) - 1)):
+                    for replacement in MUTATION_TOKENS:
+                        yield op, where, token, replacement
+
+    @staticmethod
+    def line_break_files(lines):
+        """The valid text with its line endings and line contents changed
+        in the ways ``str.splitlines`` and the decoder tell apart, each
+        also with a last line that does not parse, so that an error comes
+        after the change."""
+        text = ("\n".join(lines) + "\n").encode("utf-8")
+        yield text.replace(b"\n", b"\r\n")
+        yield text.replace(b"\n", b"\r")
+        yield text[:-1]
+        yield text + b" \t"
+        yield text + b"\xff"
+        rows = text.split(b"\n")[:-1]
+        for i, row in enumerate(rows):
+            middle = len(row) // 2
+            variants = [row + b"\r", row + b"\r\n", row[:middle] + b"\r\n"
+                        + row[middle:], row + b"\xe2\x82"]
+            for inner in ("\r", " ", "\x1c", "\x85", "\x0b", "\x0c",
+                          "\xff", "é"):
+                data = (inner.encode("utf-8") if inner != "\xff"
+                        else b"\xff")
+                variants.append(row[:middle] + data + row[middle:])
+            for blank in (b"", b" \t ", "　".encode("utf-8")):
+                variants.append(row + b"\n" + blank)
+            for variant in variants:
+                yield b"\n".join(rows[:i] + [variant] + rows[i + 1:]) + b"\n"
+                if i < len(rows) - 1:
+                    yield b"\n".join(rows[:i] + [variant] + rows[i + 1:-1]
+                                     + [b"x 1,2"]) + b"\n"
+
+    @staticmethod
+    def quoted_results(root):
+        """Results files whose quoted fields hold line breaks."""
+        for inner in ("\n", "\r", "\r\n", " ", "\x1c"):
+            path = root / "quoted"
+            save_results([dataclasses.replace(TestResults.ROWS[0],
+                                              method=f"a{inner}b"),
+                          TestResults.ROWS[1]], path)
+            yield path.read_bytes()
+
+    def assert_same(self, load, path, case):
+        new = loaded(load, path)
+        old = loaded(load, path, read=reference_load)
+        if "not UTF-8 text" in str(old[-1]):
+            new, old = [(t, re.sub(r"in position \d+(-\d+)?", "", m))
+                        for t, m in (new, old)]
+        assert new == old, case
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_every_mutated_file(self, tmp_path, kind):
+        lines = self.valid_lines(tmp_path, kind)
+        sep = "," if kind == "results" else " "
+        path = tmp_path / "mutated"
+        for case in self.mutations(lines, sep):
+            write_mutated(path, lines, *case, sep=sep)
+            self.assert_same(self.LOADERS[kind], path, case)
+
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_line_breaks_and_bytes(self, tmp_path, kind):
+        lines = self.valid_lines(tmp_path, kind)
+        files = list(self.line_break_files(lines))
+        if kind == "results":
+            files += list(self.quoted_results(tmp_path))
+        path = tmp_path / "changed"
+        for data in files:
+            path.write_bytes(data)
+            self.assert_same(self.LOADERS[kind], path, data)
+
+    def test_undecodable_byte_names_line_and_position(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(TestModelRoundTrip().make_record(), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"loss \xffoverlap"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(InputError,
+                           match=r"m\.model line 3: not UTF-8 text .* "
+                                 r"in position 5: invalid start byte"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("dataset", b"psi 0 0 1.0 x 2.0"),
+        ("dataset", b"psi 0 0 1.0 \xff 2.0"),
+        ("model", b"w 1.0 x 2.0"),
+        ("results", b"dissim,overlap,1.0,x,1.0,1.0,0.0"),
+        ("results", b"dissim,overlap,1.0,0,1\xff,1.0,0.0"),
+    ])
+    def test_failed_load_closes_its_file(self, tmp_path, monkeypatch, kind,
+                                         bad):
+        """A load that fails mid-file has closed the file when it raises,
+        and leaves no file for the collector to warn about."""
+        TestMutatedFiles.valid_files(tmp_path)
+        lines = (tmp_path / kind).read_bytes().split(b"\n")
+        keyword = bad.split()[0] if kind != "results" else b"dissim,"
+        i = next(i for i, l in enumerate(lines) if l.startswith(keyword))
+        path = tmp_path / "failing"
+        path.write_bytes(b"\n".join(lines[:i] + [bad] + lines[i + 1:]))
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(dataio, "open", tracking_open, raising=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(InputError, match=rf"line {i + 1}"):
+                {"dataset": load_dataset, "model": load_model,
+                 "results": load_results}[kind](path)
+            assert len(opened) == 1 and opened[0].closed
+            del opened[:]
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+
+
+def traced(fn):
+    """fn's result, and the traced memory it allocated at its peak and
+    still holds at its end, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start, current - start
+
+
+class TestMemoryBound:
+    """Beyond the dataset itself, a save or a load holds one sample at a
+    time: growing the file 4x grows neither peak by a sample's text."""
+
+    def test_peaks_do_not_follow_the_file(self, tmp_path):
+        save_peak, load_peak = {}, {}
+        for per_class in (2, 8):
+            dset, _ = generate(TaskSpec(per_class=per_class, seed=4))
+            path = tmp_path / f"{per_class}.txt"
+            _, save_peak[per_class], _ = traced(lambda: save_dataset(dset,
+                                                                     path))
+            back, peak, kept = traced(lambda: load_dataset(path))
+            assert len(back) == len(dset)
+            # the peak above what the returned dataset holds
+            load_peak[per_class] = peak - kept
+        sample_text = path.stat().st_size / len(dset)
+        assert save_peak[8] - save_peak[2] < sample_text
+        assert load_peak[8] - load_peak[2] < sample_text

@@ -48,21 +48,32 @@ TERMINATIONS = ("tolerance", "round_budget", "repeat")
 
 def _float_rows(*tables: np.ndarray) -> list[str]:
     """Every row of the 2-d tables, in order, as the ``repr`` words of its
-    values joined by spaces.  Each distinct double is formatted once; the
-    values are told apart by bit pattern, so -0.0 and 0.0 keep their own
-    words."""
+    values joined by spaces.
+
+    Each distinct double is formatted once; values are told apart by bit
+    pattern, so -0.0 and 0.0 keep their own words.  The values' bits turn
+    in place into token ids: the +0.0s (all bits clear), most of a psi
+    table, keep token 0 where they lie; only the other values are sorted,
+    so that equal bits sit side by side and each run gets the next token.
+    The text is then one gather from the table of words, and one join per
+    row."""
     tables = [np.asarray(t, dtype=np.float64) for t in tables]
-    bits = np.concatenate([t.ravel() for t in tables]).view(np.uint64)
-    distinct, index = np.unique(bits, return_inverse=True)
+    ids = np.concatenate([t.ravel() for t in tables]).view(np.int64)
+    order = ids.nonzero()[0]
+    order = order[ids[order].argsort()]
+    runs = ids[order]
+    first = np.empty(runs.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(runs[1:], runs[:-1], out=first[1:])
+    ids[order] = np.cumsum(first)
     words = np.array(
-        [repr(v) for v in distinct.view(np.float64).tolist()], dtype=object
+        ["0.0", *map(repr, runs[first].view(np.float64).tolist())], dtype=object
     )
-    flat = words[index].tolist()
+    flat = words[ids]
     rows, start = [], 0
     for t in tables:
-        n, d = t.shape
-        rows += [" ".join(flat[start + r * d : start + (r + 1) * d]) for r in range(n)]
-        start += n * d
+        rows += map(" ".join, flat[start : start + t.size].reshape(t.shape).tolist())
+        start += t.size
     return rows
 
 

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 from .model import Dataset, SampleRecord, _frozen_array
@@ -131,6 +132,7 @@ def generate(spec: TaskSpec) -> tuple[Dataset, GroundTruth]:
     boxes_px = spec.candidate_boxes()
     boxes = _frozen_array(boxes_px, dtype=np.int64)
     g, d = spec.grid, spec.feature_dim
+    side, b, stride = math.isqrt(spec.boxes), spec.box_cells, spec.stride
     c = spec.num_classes
     n = c * spec.per_class
     children = np.random.SeedSequence(entropy=spec.seed).spawn(n)
@@ -151,13 +153,23 @@ def generate(spec: TaskSpec) -> tuple[Dataset, GroundTruth]:
             x0, y0, x1, y1 = boxes_px[planted]
             cells[y0:y1, x0:x1] = class_sigs[label]
             cells = cells + spec.noise * cell_noise
-            pooled = np.empty((spec.boxes, d))
-            for k, (bx0, by0, bx1, by1) in enumerate(boxes_px):
-                pooled[k] = cells[by0:by1, bx0:bx1].mean(axis=(0, 1))
-            phi = pooled
+            # every candidate's cells as one (side, side, b, b, d) view, its
+            # boxes one stride apart in the row-major order of boxes_px; the
+            # mean runs over the contiguous feature axis innermost, as a
+            # per-box mean does, so each box's cells are added in the same
+            # order and the bits agree
+            rows, cols, feats = cells.strides
+            windows = as_strided(
+                cells, (side, side, b, b, d),
+                (stride * rows, stride * cols, rows, cols, feats),
+                writeable=False,
+            )
+            phi = windows.mean(axis=(2, 3)).reshape(spec.boxes, d)
             psi = np.zeros((c, spec.boxes, c * d))
             for y in range(c):
-                psi[y, :, y * d : (y + 1) * d] = pooled
+                psi[y, :, y * d : (y + 1) * d] = phi
+            # frozen here, so SampleRecord keeps them without a copy
+            phi.flags.writeable = psi.flags.writeable = False
             sample_id = f"c{label}s{j:03d}"
             samples.append(
                 SampleRecord(

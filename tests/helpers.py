@@ -4,8 +4,9 @@ dual QP and the theta step that only the tests use, and the oracles the
 src definitions are checked against: each loss pair by pair
 (``scalar_loss``), the dissimilarity objective (a vectorized form and a
 brute-force one), its point-mass restriction, the synthetic task's
-analytic template model, the dataset and model files laid out value by
-value, and the loaders reading a file's whole text at once.
+analytic template model, the generator pooling one box at a time, the
+dataset and model files laid out value by value and row by row, and the
+loaders reading a file's whole text at once.
 
 Instances come in two flavours: abstract (no boxes, suitable for the
 zero-one losses) and geometric (one box per latent value, suitable for
@@ -46,7 +47,7 @@ from dissim import (
     slack,
 )
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC
-from dissim.model import _check_theta, _log_sum_exp
+from dissim.model import _check_theta, _frozen_array, _log_sum_exp
 from dissim.synth import _signatures
 
 
@@ -167,6 +168,118 @@ def reference_model_text(record: ModelRecord) -> str:
            f"trace {len(record.trace)}"]
     out += [repr(float(v)) for v in record.trace]
     return "\n".join(out) + "\n"
+
+
+def reference_float_rows(*tables: np.ndarray) -> list[str]:
+    """Every row of the 2-d tables, in order, as the ``repr`` words of its
+    values joined by spaces: the float formatter of the file writers
+    before they laid out a sample's rows as one array of token ids."""
+    tables = [np.asarray(t, dtype=np.float64) for t in tables]
+    bits = np.concatenate([t.ravel() for t in tables]).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    words = np.array(
+        [repr(v) for v in distinct.view(np.float64).tolist()], dtype=object
+    )
+    flat = words[index].tolist()
+    rows, start = [], 0
+    for t in tables:
+        n, d = t.shape
+        rows += [" ".join(flat[start + r * d : start + (r + 1) * d]) for r in range(n)]
+        start += n * d
+    return rows
+
+
+def reference_rows_dataset_text(dataset: Dataset) -> str:
+    """The text ``save_dataset`` writes, laid out row by row with
+    ``reference_float_rows``, as the writer did before."""
+    out = [DATASET_MAGIC, f"labels {dataset.num_labels}", f"dw {dataset.d_w}",
+           f"dtheta {dataset.d_theta}",
+           f"geometric {1 if dataset.geometric else 0}",
+           f"samples {len(dataset)}"]
+    for s in dataset:
+        out += [f"sample {s.id}", f"label {s.truth_label}"]
+        if s.truth_latent is not None:
+            out.append(f"truth_latent {s.truth_latent}")
+        out.append(f"latents {s.num_latents}")
+        if s.geometric:
+            for k, (x0, y0, x1, y1) in enumerate(s.boxes.tolist()):
+                out.append(f"latent {k} {x0} {y0} {x1} {y1}")
+        else:
+            out.extend(f"latent {k}" for k in range(s.num_latents))
+        L, K, d_w = s.psi.shape
+        rows = iter(reference_float_rows(s.psi.reshape(L * K, d_w), s.phi))
+        for y in range(L):
+            for k in range(K):
+                out.append(f"psi {y} {k} {next(rows)}")
+        for k in range(K):
+            out.append(f"phi {k} {next(rows)}")
+    return "\n".join(out) + "\n"
+
+
+def reference_rows_model_text(record: ModelRecord) -> str:
+    """The text ``save_model`` writes, laid out row by row with
+    ``reference_float_rows``, as the writer did before."""
+    out = [MODEL_MAGIC, f"method {record.method}", f"loss {record.loss_kind}",
+           f"dw {record.params.w.size}", f"dtheta {record.params.theta.size}",
+           f"termination {record.termination}"]
+    w, theta, *trace = reference_float_rows(
+        record.params.w[None], record.params.theta[None],
+        np.reshape(record.trace, (-1, 1)),
+    )
+    out += [f"w {w}", f"theta {theta}", f"trace {len(trace)}", *trace]
+    return "\n".join(out) + "\n"
+
+
+def reference_generate(spec: TaskSpec) -> tuple[Dataset, dict[str, int]]:
+    """``synth.generate`` as it was before it pooled the candidate boxes
+    through one window view: one ``mean`` per box."""
+    class_sigs, bg_sig = _signatures(spec)
+    boxes_px = spec.candidate_boxes()
+    boxes = _frozen_array(boxes_px, dtype=np.int64)
+    g, d = spec.grid, spec.feature_dim
+    c = spec.num_classes
+    n = c * spec.per_class
+    children = np.random.SeedSequence(entropy=spec.seed).spawn(n)
+    samples = []
+    truth = {}
+    index = 0
+    for label in range(c):
+        for j in range(spec.per_class):
+            rng = np.random.default_rng(children[index])
+            index += 1
+            planted = int(rng.integers(spec.boxes))
+            cell_noise = rng.standard_normal((g, g, d))
+            clutter_draw = rng.random((g, g))
+            clutter_class = rng.integers(0, c, size=(g, g))
+            cells = np.tile(bg_sig, (g, g, 1))
+            clutter_mask = clutter_draw < spec.clutter
+            cells[clutter_mask] = class_sigs[clutter_class[clutter_mask]]
+            x0, y0, x1, y1 = boxes_px[planted]
+            cells[y0:y1, x0:x1] = class_sigs[label]
+            cells = cells + spec.noise * cell_noise
+            pooled = np.empty((spec.boxes, d))
+            for k, (bx0, by0, bx1, by1) in enumerate(boxes_px):
+                pooled[k] = cells[by0:by1, bx0:bx1].mean(axis=(0, 1))
+            phi = pooled
+            psi = np.zeros((c, spec.boxes, c * d))
+            for y in range(c):
+                psi[y, :, y * d : (y + 1) * d] = pooled
+            sample_id = f"c{label}s{j:03d}"
+            samples.append(
+                SampleRecord(
+                    id=sample_id,
+                    truth_label=label,
+                    psi=psi,
+                    phi=phi,
+                    boxes=boxes,
+                    truth_latent=planted,
+                )
+            )
+            truth[sample_id] = planted
+    dataset = Dataset(
+        num_labels=c, d_w=c * d, d_theta=d, samples=tuple(samples)
+    )
+    return dataset, truth
 
 
 def reference_read_text(path) -> str:

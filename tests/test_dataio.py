@@ -2,11 +2,13 @@
 
 import dataclasses
 import gc
+import io
 import os
 import re
 import stat
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,8 @@ from helpers import (
     reference_dataset_text,
     reference_load,
     reference_model_text,
+    reference_rows_dataset_text,
+    reference_rows_model_text,
     write_mutated,
 )
 
@@ -286,6 +290,96 @@ class TestWrittenBytes:
             assert np.signbit(back.params.theta).tolist() == [False, False,
                                                               True]
             assert np.array(back.trace).tobytes() == np.array(trace).tobytes()
+
+
+# doubles drawn for the formatter tests: the edge values, the smallest
+# normal and largest subnormal, and any other finite double
+DRAWN_DOUBLES = st.one_of(
+    st.sampled_from(EDGE_VALUES + (2.2250738585072014e-308,
+                                   2.225073858507201e-308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def drawn_values(draw, n):
+    """n doubles: all distinct by bit pattern, drawn from a pool of at
+    most three (mostly repeats), or freely (some repeats, some not)."""
+    kind = draw(st.sampled_from(["distinct", "repeated", "free"]))
+    if kind == "distinct":
+        values = st.lists(DRAWN_DOUBLES, min_size=n, max_size=n,
+                          unique_by=lambda v: np.float64(v).tobytes())
+    elif kind == "repeated":
+        pool = draw(st.lists(DRAWN_DOUBLES, min_size=1, max_size=3))
+        values = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    else:
+        values = st.lists(DRAWN_DOUBLES, min_size=n, max_size=n)
+    return np.array(draw(values), dtype=np.float64)
+
+
+@st.composite
+def drawn_datasets(draw):
+    """Small datasets of drawn doubles: geometric or not, K = 1 or ragged
+    K, d_theta = 1 among the dimensions, truth latents or none."""
+    num_labels = draw(st.integers(2, 3))
+    d_w, d_theta = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    geometric = draw(st.booleans())
+    samples = []
+    for i in range(draw(st.integers(1, 3))):
+        K = draw(st.integers(1, 4))
+        psi = draw(drawn_values(num_labels * K * d_w))
+        phi = draw(drawn_values(K * d_theta))
+        boxes = [(k, 0, k + 1, 2) for k in range(K)] if geometric else None
+        truth = draw(st.none() | st.integers(0, K - 1))
+        samples.append(SampleRecord(
+            id=f"s{i}", truth_label=draw(st.integers(0, num_labels - 1)),
+            psi=psi.reshape(num_labels, K, d_w), phi=phi.reshape(K, d_theta),
+            boxes=boxes, truth_latent=truth))
+    return Dataset(num_labels, d_w, d_theta, tuple(samples))
+
+
+class TestFormatterMatchesReference:
+    """save_dataset and save_model write the bytes of the row-by-row
+    writer in helpers (one np.unique per sample, one join per row) and of
+    the value-by-value layout, on drawn tables."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dset=drawn_datasets())
+    def test_dataset(self, tmp_path, dset):
+        path = tmp_path / "d.txt"
+        save_dataset(dset, path)
+        assert path.read_bytes() == reference_rows_dataset_text(dset).encode()
+        assert path.read_bytes() == reference_dataset_text(dset).encode()
+        assert_same_doubles(dset, load_dataset(path))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), d_w=st.integers(1, 6), d_theta=st.integers(1, 4),
+           trace_len=st.integers(0, 5))
+    def test_model(self, tmp_path, data, d_w, d_theta, trace_len):
+        values = data.draw(drawn_values(d_w + d_theta + trace_len))
+        rec = ModelRecord(ModelParams(values[:d_w], values[d_w:d_w + d_theta]),
+                          "dissim", "zero_one", "tolerance",
+                          values[d_w + d_theta:].tolist())
+        path = tmp_path / "m.txt"
+        save_model(rec, path)
+        assert path.read_bytes() == reference_rows_model_text(rec).encode()
+        assert path.read_bytes() == reference_model_text(rec).encode()
+
+    def test_rows_without_values(self, tmp_path):
+        """A table with no columns writes its labels with the space after
+        them, as the row-by-row writer does."""
+        sample = SampleRecord(id="a", truth_label=0, psi=np.zeros((2, 3, 0)),
+                              phi=np.zeros((3, 0)))
+        dset = Dataset(2, 0, 0, (sample,))
+        path = tmp_path / "d.txt"
+        save_dataset(dset, path)
+        assert path.read_bytes() == reference_rows_dataset_text(dset).encode()
+        rec = ModelRecord(ModelParams(np.zeros(0), np.zeros(0)), "dissim",
+                          "zero_one", "tolerance", [])
+        save_model(rec, path)
+        assert path.read_bytes() == reference_rows_model_text(rec).encode()
 
 
 class TestOnlyDeclaredRecords:
@@ -803,6 +897,26 @@ class TestStreamingReaders:
             del opened[:]
             gc.collect()
         assert not [w for w in caught if w.category is ResourceWarning]
+
+
+class TestLoadMemo:
+    """The dataset loader's per-sample memo (field -> value) never changes
+    which error a line raises, and never learns a field of a line that
+    failed."""
+
+    @staticmethod
+    def reader():
+        return dataio._LineReader(Path("memo.txt"), io.BytesIO(b""))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "values must be finite"), ("1e999", "values must be finite"),
+        ("x", "bad float field"),
+    ])
+    def test_errors_do_not_depend_on_the_memo(self, bad, message):
+        for memo in (None, {}, {"0.0": 0.0, "0.5": 0.5}):
+            with pytest.raises(InputError, match=f"memo.txt line 0: {message}"):
+                self.reader().parse_finite(["0.0", bad, "0.5"], memo)
+            assert memo is None or bad not in memo
 
 
 def traced(fn):

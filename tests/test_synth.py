@@ -19,6 +19,7 @@ from helpers import (
     dissimilarity_objective,
     make_dataset,
     oracle_objective,
+    reference_generate,
     template_model,
 )
 
@@ -110,6 +111,47 @@ class TestGenerate:
         dset, _ = generate(SMALL)
         counts = np.bincount([s.truth_label for s in dset], minlength=3)
         np.testing.assert_array_equal(counts, [4, 4, 4])
+
+
+# layouts for the pooling check: 1, 4, 9, 16, 25 and 64 boxes at strides
+# 1, 2 and 4, a box as large as the grid, 12 classes of dimension 13, and
+# noise-free grids without clutter and all clutter
+POOLING_LAYOUTS = [
+    dict(boxes=1),
+    dict(boxes=1, box_cells=8),
+    dict(boxes=4, box_cells=4),
+    dict(boxes=4, box_cells=6),
+    dict(boxes=9, box_cells=4),
+    dict(boxes=9, grid=9, box_cells=1),
+    dict(boxes=16),
+    dict(boxes=16, grid=13, box_cells=1),
+    dict(boxes=25, box_cells=4),
+    dict(boxes=25, grid=12, box_cells=4),
+    dict(boxes=64, box_cells=1),
+    dict(num_classes=12, feature_dim=13),
+    dict(noise=0.0, clutter=0.0),
+    dict(noise=0.0, clutter=1.0),
+]
+
+
+class TestPoolingMatchesReference:
+    """generate pools every candidate box through one window view, and
+    gives the bits the per-box loop in helpers gives."""
+
+    @pytest.mark.parametrize("layout", POOLING_LAYOUTS,
+                             ids=lambda kw: "-".join(f"{k}{v}" for k, v in
+                                                     kw.items()))
+    def test_bit_equal(self, layout):
+        spec = TaskSpec(per_class=3, seed=11, **layout)
+        (dset, truth), (ref, ref_truth) = generate(spec), reference_generate(spec)
+        assert truth == ref_truth
+        for s, r in zip(dset, ref, strict=True):
+            assert (s.id, s.truth_label, s.truth_latent) == (
+                r.id, r.truth_label, r.truth_latent)
+            assert s.psi.tobytes() == r.psi.tobytes()
+            assert s.phi.tobytes() == r.phi.tobytes()
+            assert s.boxes.tobytes() == r.boxes.tobytes()
+            assert not (s.psi.flags.writeable or s.phi.flags.writeable)
 
 
 class TestTemplateModel:

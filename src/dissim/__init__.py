@@ -59,10 +59,8 @@ from .trainer import (
     DEFAULT_C_GRID,
     METHODS,
     CurvePoint,
-    FoldResult,
     ProtocolResult,
     TrainConfig,
-    TrainedModel,
     evaluate,
     run_protocol,
     stratified_split,
@@ -81,4 +79,8 @@ from .dataio import (
     save_results,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the submodules stay out, so that a star import binds no module
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -15,17 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .dataio import (
-    ModelRecord,
-    ResultRow,
-    load_dataset,
-    save_dataset,
-    save_model,
-    save_results,
-    write_atomic,
-)
+from .dataio import load_dataset, save_dataset, save_model, save_results, write_atomic
 from .errors import ConfigError, DissimError, SolverError
 from .losses import LOSS_KINDS, HyperParams, make_loss
 from .model import Dataset
@@ -74,49 +67,42 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _hyper_from_args(args, method: str) -> HyperParams:
-    """HyperParams from the flags; J and beta left unset keep their
-    defaults, and set for a baseline they draw a warning."""
+def _train_config(args, methods: list[str], c_grid: tuple[float, ...]) -> TrainConfig:
+    """The TrainConfig of train and experiment, at the first C of the grid.
+    J and beta left unset keep their defaults; set while no fitted method
+    is dissim, they draw a warning."""
     given = {}
     for flag in ("J", "beta"):
         value = getattr(args, flag)
         if value is None:
             continue
-        if method != "dissim":
+        if "dissim" not in methods:
             print(
-                f"warning: --{flag} has no effect for method {method}",
+                f"warning: --{flag} has no effect for method {', '.join(methods)}",
                 file=sys.stderr,
             )
         given[flag] = value
-    return HyperParams(C=args.C, epsilon=args.epsilon, **given)
+    return TrainConfig(
+        hyper=HyperParams(C=c_grid[0], epsilon=args.epsilon, **given),
+        ssd=SSDConfig(steps_per_sample=args.ssd_factor, seed=args.seed),
+        inner_tol=args.inner_tol,
+        max_outer_rounds=args.max_rounds,
+        C_grid=c_grid,
+        split_seed=args.seed,
+    )
 
 
 def cmd_train(args) -> int:
     _check_out(args.out)
     dataset = load_dataset(args.data)
     _check_loss_compatible(args.loss, dataset)
-    loss = make_loss(args.loss)
-    hyper = _hyper_from_args(args, args.method)
-    config = TrainConfig(
-        hyper=hyper,
-        ssd=SSDConfig(steps_per_sample=args.ssd_factor, seed=args.seed),
-        inner_tol=args.inner_tol,
-        max_outer_rounds=args.max_rounds,
-    )
-    params, trace, termination = _fit(args.method, dataset, loss, config)
-    save_model(
-        ModelRecord(
-            params=params,
-            method=args.method,
-            loss_kind=args.loss,
-            termination=termination,
-            trace=trace,
-        ),
-        args.out,
-    )
+    config = _train_config(args, [args.method], (args.C,))
+    record = _fit(args.method, dataset, make_loss(args.loss), config)
+    save_model(record, args.out)
     print(
         f"{args.method} trained on {len(dataset)} samples: "
-        f"objective {trace[-1]:.6f}, {termination}, model at {args.out}"
+        f"objective {record.trace[-1]:.6f}, {record.termination}, "
+        f"model at {args.out}"
     )
     return 0
 
@@ -143,17 +129,10 @@ def cmd_experiment(args) -> int:
         c_grid = tuple(float(v) for v in args.C_grid.split(","))
     except ValueError as err:
         raise ConfigError(f"--C-grid: {err}") from err
-    config = TrainConfig(
-        hyper=HyperParams(C=c_grid[0], J=args.J, beta=args.beta, epsilon=args.epsilon),
-        ssd=SSDConfig(steps_per_sample=args.ssd_factor, seed=args.seed),
-        inner_tol=args.inner_tol,
-        max_outer_rounds=args.max_rounds,
-        C_grid=c_grid,
-        split_seed=args.seed,
-    )
+    config = _train_config(args, methods, c_grid)
     out = Path(args.out)
     base = out.with_suffix("")
-    rows: list[ResultRow] = []
+    rows = []
     summary_lines: list[str] = []
     results = run_protocols(
         dataset,
@@ -165,20 +144,11 @@ def cmd_experiment(args) -> int:
         workers=args.workers,
     )
     for loss_kind, result in zip(losses, results):
-        for r in result.rows:
-            rows.append(
-                ResultRow(
-                    method=r.method,
-                    loss_kind=loss_kind,
-                    C=r.C,
-                    fold=r.fold,
-                    test_loss=r.test_loss,
-                    train_objective=r.train_objective,
-                    wallclock_seconds=0.0
-                    if args.no_timings
-                    else r.wallclock_seconds,
-                )
-            )
+        rows += (
+            [replace(r, wallclock_seconds=0.0) for r in result.rows]
+            if args.no_timings
+            else result.rows
+        )
         for method in methods:
             curve = [p for p in result.summary if p.method == method]
             curve_path = Path(f"{base}_curve_{loss_kind}_{method}.tsv")
@@ -237,9 +207,17 @@ def _worker_count(text: str) -> int:
     return count
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    """The solver flags of train and experiment, defaulting to the config
-    dataclasses' own defaults."""
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    """The flags train and experiment share, defaulting to the config
+    dataclasses' own defaults; --J and --beta default to None, so that
+    ``_train_config`` tells a flag given from one left unset."""
+    p.add_argument("--data", required=True, help="dataset path")
+    p.add_argument(
+        "--J", type=float, default=None, help="theta regularizer weight"
+    )
+    p.add_argument(
+        "--beta", type=float, default=None, help="self-term weight in (0, 1)"
+    )
     p.add_argument(
         "--epsilon", type=float, default=HyperParams.epsilon, help="stop tolerance"
     )
@@ -260,6 +238,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=TrainConfig.max_outer_rounds,
         help="outer round budget",
+    )
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="stochastic solver seed (for experiment, also the split seed)",
     )
 
 
@@ -291,25 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train one model")
-    p.add_argument("--data", required=True, help="dataset path")
+    _add_fit_flags(p)
     p.add_argument("--method", choices=METHODS, default="dissim")
     p.add_argument("--loss", choices=LOSS_KINDS, default="zero_one")
     p.add_argument("--C", type=float, default=HyperParams.C, help="loss weight")
-    p.add_argument(
-        "--J", type=float, default=None, help="theta regularizer weight"
-    )
-    p.add_argument(
-        "--beta", type=float, default=None, help="self-term weight in (0, 1)"
-    )
-    _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="stochastic solver seed")
     p.add_argument("--out", required=True, help="output model path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
         "experiment", help="cross-validated C sweep over methods and losses"
     )
-    p.add_argument("--data", required=True, help="dataset path")
+    _add_fit_flags(p)
     p.add_argument(
         "--methods", default="dissim,lsvm,ilsvm", help="comma-separated methods"
     )
@@ -326,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--split", type=float, default=0.6, help="training fraction per fold"
     )
-    p.add_argument("--J", type=float, default=HyperParams.J)
-    p.add_argument("--beta", type=float, default=HyperParams.beta)
-    _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="split and solver seed")
     p.add_argument(
         "--workers",
         type=_worker_count,

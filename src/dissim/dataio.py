@@ -355,13 +355,20 @@ def load_dataset(path) -> Dataset:
                 if reader.parse(parts[:1], int) != [k]:
                     raise reader.error("phi rows out of order")
                 phi_values += reader.parse_finite(parts[1:], memo)
+            # frozen here, so SampleRecord keeps them without a copy
+            psi = np.array(psi_values).reshape(num_labels, K, d_w)
+            phi = np.array(phi_values).reshape(K, d_theta)
+            psi.flags.writeable = phi.flags.writeable = False
+            boxes = np.array(boxes, dtype=np.int64) if geometric else None
+            if geometric:
+                boxes.flags.writeable = False
             samples.append(
                 SampleRecord(
                     id=sample_id,
                     truth_label=label,
-                    psi=np.array(psi_values).reshape(num_labels, K, d_w),
-                    phi=np.array(phi_values).reshape(K, d_theta),
-                    boxes=boxes if geometric else None,
+                    psi=psi,
+                    phi=phi,
+                    boxes=boxes,
                     truth_latent=truth_latent,
                 )
             )

@@ -210,8 +210,13 @@ class LossFunction:
     entirely; the per-sample core (``_SampleView``) then shortcuts
     expectations (the expectation of a constant is the constant, exactly)
     and returns exact zero gradients.
+
+    ``kind`` names the loss in model and results files, as one
+    whitespace-free token; ``make_loss`` builds the kinds in
+    ``LOSS_KINDS`` from it.
     """
 
+    kind: str = "custom"
     latent_dependent: bool = True
 
     def __init__(self):
@@ -266,6 +271,7 @@ class LossFunction:
 class ZeroOneLoss(LossFunction):
     """Zero exactly when both label and latent index match."""
 
+    kind = "zero_one"
     latent_dependent = True
 
     def pair_matrix(self, sample, y1, y2):
@@ -284,6 +290,7 @@ class LabelOnlyZeroOneLoss(LossFunction):
     only ``LOSS_KINDS``.
     """
 
+    kind = "label_zero_one"
     latent_dependent = False
 
     def pair_matrix(self, sample, y1, y2):
@@ -297,6 +304,7 @@ class OverlapLoss(LossFunction):
     Requires geometric samples (every latent value carries a box).
     """
 
+    kind = "overlap"
     latent_dependent = True
 
     def pair_matrix(self, sample, y1, y2):
@@ -310,16 +318,15 @@ class OverlapLoss(LossFunction):
         return 1.0 - iou_matrix(sample.boxes)
 
 
-LOSS_KINDS = ("zero_one", "overlap")
+_LOSSES = {cls.kind: cls for cls in (ZeroOneLoss, OverlapLoss)}
+LOSS_KINDS = tuple(_LOSSES)
 
 
 def make_loss(kind: str) -> LossFunction:
     """Loss factory for the command line and the protocol harness."""
-    if kind == "zero_one":
-        return ZeroOneLoss()
-    if kind == "overlap":
-        return OverlapLoss()
-    raise ConfigError(f"unknown loss kind {kind!r}")
+    if kind not in _LOSSES:
+        raise ConfigError(f"unknown loss kind {kind!r}")
+    return _LOSSES[kind]()
 
 
 def _loss_column(view: _SampleView, y: int, k: int) -> np.ndarray:

@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .baselines import ilsvm_train, lsvm_train
+from .dataio import ModelRecord, ResultRow
 from .errors import ConfigError, InputError, SolverError
 from .losses import HyperParams, LossFunction, regularized_objective
 from .model import Dataset, ModelParams, _score_stack
@@ -74,23 +75,6 @@ class TrainConfig:
             raise ConfigError(f"split_seed must be >= 0, got {self.split_seed}")
 
 
-@dataclass
-class TrainedModel:
-    params: ModelParams
-    trace: list[float] = field(default_factory=list)
-    termination: str = "tolerance"  # "tolerance" or "round_budget"
-
-
-@dataclass(frozen=True)
-class FoldResult:
-    method: str
-    C: float
-    fold: int
-    test_loss: float  # in [0, 100]
-    train_objective: float
-    wallclock_seconds: float = 0.0
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     method: str
@@ -101,7 +85,7 @@ class CurvePoint:
 
 @dataclass
 class ProtocolResult:
-    rows: list[FoldResult]
+    rows: list[ResultRow]
     summary: list[CurvePoint]
 
 
@@ -111,8 +95,9 @@ def _round_seed(base: int, round_index: int) -> int:
     )
 
 
-def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> TrainedModel:
-    """Block-coordinate descent on the regularized objective.
+def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> ModelRecord:
+    """Block-coordinate descent on the regularized objective; the record's
+    termination is "tolerance" or "round_budget".
 
     Deterministic given the config: the theta-step seed for round r is
     derived from the configured seed and r.
@@ -162,11 +147,8 @@ def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> TrainedM
             if decrease < hyper.C * hyper.epsilon:
                 termination = "tolerance"
                 break
-    return TrainedModel(
-        params=ModelParams(best_w, best_theta),
-        trace=trace,
-        termination=termination,
-    )
+    return ModelRecord(ModelParams(best_w, best_theta), "dissim", loss.kind,
+                       termination, trace)
 
 
 def evaluate(params: ModelParams, dataset: Dataset, loss: LossFunction) -> float:
@@ -223,15 +205,15 @@ def stratified_split(
     return subset(train_idx), subset(test_idx)
 
 
-def _fit(method: str, dataset: Dataset, loss: LossFunction, config: TrainConfig):
-    """Train one model by the named method; returns (params, objective
-    trace, termination reason).  The reason is "tolerance" or
-    "round_budget" for dissim and "tolerance" or "repeat" for the
-    baselines.  The command line and the protocol both dispatch through
-    here."""
+def _fit(
+    method: str, dataset: Dataset, loss: LossFunction, config: TrainConfig
+) -> ModelRecord:
+    """Train one model by the named method.  The termination reason is
+    "tolerance" or "round_budget" for dissim and "tolerance" or "repeat"
+    for the baselines.  The command line and the protocol both dispatch
+    through here."""
     if method == "dissim":
-        model = train(dataset, loss, config)
-        return model.params, model.trace, model.termination
+        return train(dataset, loss, config)
     if method == "lsvm":
         fit = lsvm_train
     elif method == "ilsvm":
@@ -240,7 +222,7 @@ def _fit(method: str, dataset: Dataset, loss: LossFunction, config: TrainConfig)
         raise ConfigError(f"unknown method {method!r}; pick one of {METHODS}")
     hyper = config.hyper
     params, report = fit(dataset, loss, hyper.C, hyper.epsilon, config.inner_tol)
-    return params, report.trace, report.termination
+    return ModelRecord(params, method, loss.kind, report.termination, report.trace)
 
 
 def run_protocol(
@@ -329,7 +311,7 @@ class _Cells:
         self.keys = [(l, fold, C) for l in range(len(losses))
                      for fold in range(n_folds) for C in config.C_grid]
 
-    def fit(self, index: int) -> list[FoldResult]:
+    def fit(self, index: int) -> list[ResultRow]:
         which, fold, C = self.keys[index]
         loss = self.losses[which]
         rng = np.random.default_rng(
@@ -340,17 +322,11 @@ class _Cells:
         rows = []
         for method in self.methods:
             started = time.perf_counter()
-            params, trace, _ = _fit(method, train_ds, loss, cfg)
-            test_loss = evaluate(params, test_ds, loss)
+            record = _fit(method, train_ds, loss, cfg)
+            test_loss = evaluate(record.params, test_ds, loss)
             rows.append(
-                FoldResult(
-                    method=method,
-                    C=C,
-                    fold=fold,
-                    test_loss=test_loss,
-                    train_objective=trace[-1],
-                    wallclock_seconds=time.perf_counter() - started,
-                )
+                ResultRow(method, loss.kind, C, fold, test_loss,
+                          record.trace[-1], time.perf_counter() - started)
             )
         return rows
 
@@ -363,11 +339,11 @@ def _adopt(cells: _Cells) -> None:
     _worker_cells = cells
 
 
-def _fit_cell(index: int) -> list[FoldResult]:
+def _fit_cell(index: int) -> list[ResultRow]:
     return _worker_cells.fit(index)
 
 
-def _map_cells(cells: _Cells, workers: int) -> list[list[FoldResult]]:
+def _map_cells(cells: _Cells, workers: int) -> list[list[ResultRow]]:
     """Every cell's rows, in cell order.  More than one worker forks a
     pool: the workers inherit ``cells`` (losses cannot be pickled), and
     the first error a cell raises is re-raised here once the queued cells

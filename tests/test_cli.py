@@ -350,6 +350,29 @@ class TestExperiment:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
         assert multiprocessing.active_children() == []
 
+    def test_inert_flags_warn_and_change_no_file(self, tmp_path, capsys):
+        """Without dissim among the methods, --J and --beta draw one
+        warning each and the files are those of the run without them."""
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        errors = []
+        for where, extra in ((plain, ()),
+                             (flagged, ("--J", "0.5", "--beta", "0.2"))):
+            where.mkdir()
+            self.run(where, extra=("--methods", "lsvm,ilsvm", *extra))
+            errors.append(capsys.readouterr().err.splitlines())
+        assert errors[0] == []
+        assert [("--J" in e, "--beta" in e, "no effect" in e)
+                for e in errors[1]] == [(True, False, True), (False, True, True)]
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in flagged.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (flagged / name).read_bytes()
+
+    def test_no_warning_with_dissim(self, tmp_path, capsys):
+        self.run(tmp_path, extra=("--methods", "lsvm,dissim", "--J", "0.5",
+                                  "--beta", "0.2"))
+        assert "no effect" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("error, code, message", [
         (SolverError("round 2: budget exhausted"), 3,
          "solver failure: round 2: budget exhausted"),
@@ -599,3 +622,11 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "generate" in proc.stdout and "experiment" in proc.stdout
+
+    def test_star_import_binds_no_module(self):
+        import types
+
+        names = {}
+        exec("from dissim import *", names)
+        assert not [name for name, value in names.items()
+                    if isinstance(value, types.ModuleType)]

@@ -33,6 +33,7 @@ from dissim import (
     save_results,
 )
 import dissim.dataio as dataio
+import dissim.model as model
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC, RESULTS_HEADER
 from helpers import (
     MUTATION_TOKENS,
@@ -897,6 +898,24 @@ class TestStreamingReaders:
             del opened[:]
             gc.collect()
         assert not [w for w in caught if w.category is ResourceWarning]
+
+
+def test_loaded_sample_keeps_the_loader_arrays(tmp_path, monkeypatch):
+    """load_dataset hands SampleRecord read-only psi, phi and boxes arrays,
+    which the record keeps rather than copies."""
+    dataset, _ = generate(TaskSpec(num_classes=2, per_class=2, seed=0))
+    save_dataset(dataset, tmp_path / "d.txt")
+    kept = []
+    frozen = model._frozen_array
+
+    def spy(values, dtype=np.float64):
+        arr = frozen(values, dtype)
+        kept.append(arr is values)
+        return arr
+
+    monkeypatch.setattr(model, "_frozen_array", spy)
+    load_dataset(tmp_path / "d.txt")
+    assert kept == [True] * 3 * len(dataset)
 
 
 class TestLoadMemo:

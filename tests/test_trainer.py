@@ -14,6 +14,7 @@ from dissim import (
     HyperParams,
     InputError,
     LabelOnlyZeroOneLoss,
+    LossFunction,
     ModelParams,
     OverlapLoss,
     ResultRow,
@@ -23,9 +24,12 @@ from dissim import (
     TrainConfig,
     ZeroOneLoss,
     evaluate,
+    load_model,
+    load_results,
     predict,
     regularized_objective,
     run_protocol,
+    save_model,
     save_results,
     stratified_split,
     train,
@@ -92,7 +96,7 @@ class TestTrain:
             for epsilon, reason in ((1e-3, "repeat"), (1e2, "tolerance")):
                 cfg = replace(quick_config(),
                               hyper=HyperParams(C=1.0, epsilon=epsilon))
-                _, _, termination = _fit(method, dset, ZeroOneLoss(), cfg)
+                termination = _fit(method, dset, ZeroOneLoss(), cfg).termination
                 assert termination == reason
 
     def test_single_latent_label_only_closed_form(self):
@@ -397,6 +401,57 @@ class TestRunProtocol:
         with pytest.raises(ConfigError):
             run_protocol(self.small_dataset(), ZeroOneLoss(),
                          self.small_config(), n_folds=2, methods=("svm",))
+
+
+class NamelessLoss(LossFunction):
+    """A user's own loss that sets no ``kind``: zero-one, written out."""
+
+    def pair_matrix(self, sample, y1, y2):
+        K = sample.num_latents
+        return np.ones((K, K)) - (y1 == y2) * np.eye(K)
+
+
+class TestRecords:
+    """A fit is a ModelRecord and a protocol row a ResultRow, each named by
+    its loss's kind, and each comes back equal from its file."""
+
+    LOSSES = (ZeroOneLoss(), OverlapLoss(), LabelOnlyZeroOneLoss(),
+              NamelessLoss())
+
+    def dataset(self):
+        return make_dataset(52, n=8, num_labels=2, num_latents=3, d_w=4,
+                            d_theta=2, geometric=True)
+
+    def config(self):
+        return TrainConfig(ssd=SSDConfig(steps_per_sample=3, seed=0),
+                           inner_tol=1e-2, max_outer_rounds=2,
+                           C_grid=(0.1, 1.0))
+
+    def test_kinds(self):
+        assert [loss.kind for loss in self.LOSSES] == [
+            "zero_one", "overlap", "label_zero_one", "custom"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+    def test_fit_record_round_trips(self, tmp_path, method, loss):
+        record = _fit(method, self.dataset(), loss, self.config())
+        assert (record.method, record.loss_kind) == (method, loss.kind)
+        save_model(record, tmp_path / "m.txt")
+        back = load_model(tmp_path / "m.txt")
+        assert back.params.w.tobytes() == record.params.w.tobytes()
+        assert back.params.theta.tobytes() == record.params.theta.tobytes()
+        assert replace(back, params=record.params) == record
+
+    def test_protocol_rows_round_trip(self, tmp_path):
+        results = run_protocols(self.dataset(), self.LOSSES, self.config(),
+                                n_folds=2, methods=METHODS, workers=1)
+        rows = []
+        for loss, result in zip(self.LOSSES, results):
+            assert all(type(r) is ResultRow and r.loss_kind == loss.kind
+                       for r in result.rows)
+            rows += result.rows
+        save_results(rows, tmp_path / "r.csv")
+        assert load_results(tmp_path / "r.csv") == rows
 
 
 def test_default_c_grid_matches_protocol():

@@ -26,11 +26,36 @@ every method on one split per fold to get that reuse.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .losses import LossFunction
 from .model import Dataset, ModelParams
 from .wsolver import WSolverReport, _cccp_loop
+
+
+def _latent_svm_train(
+    dataset: Dataset,
+    loss: LossFunction,
+    C: float,
+    epsilon: float,
+    inner_tol: float,
+    references: Callable[[np.ndarray, list[int]], list[int]],
+) -> tuple[ModelParams, WSolverReport]:
+    """The CCCP run both baselines make: the loss is measured against
+    ``references(w, imputed)``, one latent index per sample, and a
+    subproblem is keyed by the anchors plus those references."""
+
+    stack = loss.stack(dataset)
+
+    def build(w, imputed):
+        refs = references(w, imputed)
+        return stack.pointwise(refs), tuple(refs)
+
+    solved = stack.solves.setdefault((C, inner_tol), {})
+    w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None, solved)
+    return ModelParams(w, np.zeros(dataset.d_theta)), report
 
 
 def lsvm_train(
@@ -41,15 +66,9 @@ def lsvm_train(
     inner_tol: float = 1e-4,
 ) -> tuple[ModelParams, WSolverReport]:
     """Latent SVM: impute the latent by score, measure loss against it."""
-
-    stack = loss.stack(dataset)
-
-    def build(w, imputed):
-        return stack.pointwise(imputed), tuple(imputed)
-
-    solved = stack.solves.setdefault((C, inner_tol), {})
-    w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None, solved)
-    return ModelParams(w, np.zeros(dataset.d_theta)), report
+    return _latent_svm_train(
+        dataset, loss, C, epsilon, inner_tol, lambda w, imputed: imputed
+    )
 
 
 def ilsvm_latent_estimates(
@@ -74,15 +93,10 @@ def ilsvm_train(
     """Iterative latent SVM: estimate the latent reference by minimizing
     the loss against the prediction, then solve the convex problem with
     the loss measured against that reference."""
-
-    stack = loss.stack(dataset)
-
-    def build(w, imputed):
-        refs = ilsvm_latent_estimates(w, dataset, loss)
-        # the argmin never picks the higher of two rows with equal tables,
-        # so refs identify the tables for the repeat check
-        return stack.pointwise(refs), tuple(refs)
-
-    solved = stack.solves.setdefault((C, inner_tol), {})
-    w, report = _cccp_loop(dataset, build, C, epsilon, inner_tol, None, solved)
-    return ModelParams(w, np.zeros(dataset.d_theta)), report
+    # the argmin never picks the higher of two rows with equal tables, so
+    # refs identify the tables for the repeat check; the estimates are
+    # looked up in this module each round, where a tracer may wrap them
+    return _latent_svm_train(
+        dataset, loss, C, epsilon, inner_tol,
+        lambda w, imputed: ilsvm_latent_estimates(w, dataset, loss),
+    )

@@ -1,10 +1,10 @@
 """Finite-difference verification of the analytic theta gradients.
 
 Central differences with step h have truncation error O(h^2); with
-h = 1e-5 the checked gradients agree to well below the 1e-6 relative
-tolerance whenever the quantity is smooth at the draw.  The slack term is
-only piecewise smooth, so draws whose loss-augmented argmax is within a
-1e-3 margin of the runner-up are skipped and redrawn.
+h = STEP = 1e-5 the checked gradients agree to well below the relative
+TOLERANCE of 1e-6 whenever the quantity is smooth at the draw.  The
+slack term is only piecewise smooth, so draws whose loss-augmented argmax
+is within a 1e-3 margin of the runner-up are skipped and redrawn.
 
 Relative error uses a norm floor so near-zero gradients are compared
 absolutely:  |analytic - numeric| / max(|numeric|, 1e-3).
@@ -28,6 +28,8 @@ from .losses import (
 from .model import Dataset, latent_posterior, score_table
 from .thetasolver import grad_expected_loss, grad_self_diversity, grad_slack
 
+STEP = 1e-5
+TOLERANCE = 1e-6
 TIE_MARGIN = 1e-3
 NORM_FLOOR = 1e-3
 
@@ -67,8 +69,6 @@ def run_gradient_checks(
     loss: LossFunction,
     seed: int = 0,
     draws: int = 50,
-    step: float = 1e-5,
-    tolerance: float = 1e-6,
     corrupt: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> GradCheckResult:
     """Check all three analytic gradients on random draws.
@@ -82,7 +82,7 @@ def run_gradient_checks(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     samples = list(dataset)
-    result = GradCheckResult(draws=draws, tolerance=tolerance)
+    result = GradCheckResult(draws=draws, tolerance=TOLERANCE)
     worst = {term: 0.0 for term in TERMS}
     checked = 0
     attempts = 0
@@ -119,13 +119,13 @@ def run_gradient_checks(
 
         numeric = {
             "expected_loss": central_difference(
-                lambda th: expected_loss(th, sample, y, k, loss), theta, step
+                lambda th: expected_loss(th, sample, y, k, loss), theta, STEP
             ),
             "self_diversity": central_difference(
-                lambda th: self_diversity(th, sample, loss), theta, step
+                lambda th: self_diversity(th, sample, loss), theta, STEP
             ),
             "slack": central_difference(
-                lambda th: slack(w, th, sample, loss), theta, step
+                lambda th: slack(w, th, sample, loss), theta, STEP
             ),
         }
         for term in TERMS:

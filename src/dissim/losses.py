@@ -35,6 +35,7 @@ from .model import (
     FiniteDistribution,
     SampleRecord,
     _score_stack,
+    _vector,
     latent_posterior,
     score_table,
 )
@@ -140,11 +141,7 @@ class _SetView:
 
     def posteriors(self, theta: np.ndarray) -> list[np.ndarray]:
         """Per group, every sample's latent conditional, (n_g, K)."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.d_theta,):
-            raise ConfigError(
-                f"theta has shape {theta.shape}, expected ({self.d_theta},)"
-            )
+        theta = _vector("theta", theta, self.d_theta)
         out = []
         for g in self.blocks:
             n_g, K, d = g.phi.shape

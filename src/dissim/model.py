@@ -228,28 +228,19 @@ class FiniteDistribution:
         return self.probs.size
 
 
-def _check_w(w: np.ndarray, sample: SampleRecord) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (sample.psi.shape[2],):
-        raise ConfigError(
-            f"w has shape {w.shape}, expected ({sample.psi.shape[2]},)"
-        )
-    return w
-
-
-def _check_theta(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (sample.phi.shape[1],):
-        raise ConfigError(
-            f"theta has shape {theta.shape}, expected ({sample.phi.shape[1]},)"
-        )
-    return theta
+def _vector(name: str, values, size: int) -> np.ndarray:
+    """values as a float64 vector of this size; ConfigError naming the
+    parameter otherwise."""
+    vec = np.asarray(values, dtype=np.float64)
+    if vec.shape != (size,):
+        raise ConfigError(f"{name} has shape {vec.shape}, expected ({size},)")
+    return vec
 
 
 def score_table(w: np.ndarray, sample: SampleRecord) -> np.ndarray:
     """All candidate scores at once, shape (num_labels, K)."""
-    w = _check_w(w, sample)
     num_labels, K, d_w = sample.psi.shape
+    w = _vector("w", w, d_w)
     return (sample.psi.reshape(num_labels * K, d_w) @ w).reshape(num_labels, K)
 
 
@@ -301,10 +292,7 @@ class _ScoreStack:
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         """All candidate scores, shape (n, labels, K)."""
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.d_w,):
-            raise ConfigError(f"w has shape {w.shape}, expected ({self.d_w},)")
-        return (self.psi_rows @ w).reshape(self.shape)
+        return (self.psi_rows @ _vector("w", w, self.d_w)).reshape(self.shape)
 
     def impute(self, scores: np.ndarray) -> list[int]:
         """Per sample, the best-scoring latent index at the truth label;
@@ -318,17 +306,6 @@ class _ScoreStack:
         n, L, K = self.shape
         flat = np.argmax((scores + self.mask[:, None, :]).reshape(n, L * K), axis=1)
         return np.divmod(flat, K)
-
-    def pad(self, tables) -> np.ndarray:
-        """Augmentation tables as one (n, labels, K) array, -inf at the
-        padded candidates.  Given one (labels, K_i) table per sample;
-        an array already padded so is returned as is."""
-        if isinstance(tables, np.ndarray):
-            return tables
-        out = np.full(self.shape, -np.inf)
-        for i, table in enumerate(tables):
-            out[i, :, : table.shape[1]] = table
-        return out
 
     def ungroup(self, parts: list[np.ndarray]) -> np.ndarray:
         """Per-group values back in dataset order: (n_g,) parts as one
@@ -379,4 +356,4 @@ def _posterior(phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def latent_posterior(theta: np.ndarray, sample: SampleRecord) -> np.ndarray:
     """Log-linear latent distribution as a bare probability vector."""
-    return _posterior(sample.phi, _check_theta(theta, sample))
+    return _posterior(sample.phi, _vector("theta", theta, sample.phi.shape[1]))

@@ -39,7 +39,14 @@ from .losses import (  # noqa: F401  (expected_loss_table: perfbench wraps this 
     expected_loss_table,
     upper_bound,
 )
-from .model import Dataset, SampleRecord, _posterior, latent_posterior, score_table
+from .model import (
+    Dataset,
+    SampleRecord,
+    _posterior,
+    _vector,
+    latent_posterior,
+    score_table,
+)
 
 
 @dataclass(frozen=True)
@@ -187,11 +194,7 @@ def ssd_theta(
     lam = hyper.J / hyper.C
     if not lam > 0:
         raise ConfigError(f"shrinkage weight must be positive, got {lam}")
-    theta = np.array(theta_init, dtype=np.float64)
-    if theta.shape != (dataset.d_theta,):
-        raise ConfigError(
-            f"theta has shape {theta.shape}, expected ({dataset.d_theta},)"
-        )
+    theta = _vector("theta", theta_init, dataset.d_theta)
     beta = hyper.beta
     stack = loss.stack(dataset)
     scores = stack.scoring.scores(w)

@@ -37,6 +37,9 @@ from .errors import SolverError
 from .losses import LossFunction
 from .model import Dataset, SampleRecord, _score_stack, score_table
 
+# Budgets of the dual QP's passes, the cutting planes of one convex
+# solve, and the CCCP rounds of one run; each is read at call time.
+DEFAULT_QP_PASSES = 10_000
 DEFAULT_PLANE_BUDGET = 500
 DEFAULT_CCCP_BUDGET = 1000
 
@@ -76,17 +79,18 @@ class _InnerData:
     and anchors.
     """
 
-    def __init__(self, dataset: Dataset, tables, anchors):
+    def __init__(self, dataset: Dataset, tables: np.ndarray, anchors):
         self.stack = _score_stack(dataset)
         n, L, K = self.stack.shape
         self.psi_stack = self.stack.psi_rows.reshape(n, L * K, -1)
         self.set_round(tables, anchors)
 
-    def set_round(self, tables, anchors) -> None:
-        """Use these augmentation tables (see ``_ScoreStack.pad``) and
-        anchor latent indices."""
+    def set_round(self, tables: np.ndarray, anchors) -> None:
+        """Use these augmentation tables, one (n, labels, K) array with
+        -inf at the padded candidates as ``_ScoreStack.ungroup`` returns
+        it, and anchor latent indices."""
         n, L, K = self.stack.shape
-        self.aug_stack = self.stack.pad(tables).reshape(n, L * K)
+        self.aug_stack = tables.reshape(n, L * K)
         rows = np.arange(n)
         self.anchor_rows = self.psi_stack[
             rows, self.stack.truth_labels * K + np.asarray(anchors)
@@ -122,7 +126,6 @@ def _qp_coordinate_ascent(
     C: float,
     alpha: np.ndarray,
     tol: float,
-    max_passes: int = 10_000,
 ) -> np.ndarray:
     """Maximize  b . alpha - alpha^T G alpha / 2  over alpha >= 0 with
     sum(alpha) <= C, by coordinate ascent; alpha is updated in place.
@@ -133,7 +136,7 @@ def _qp_coordinate_ascent(
 
     The iteration stops once no move in a pass exceeds tol.  On the
     budget face rounding can keep moves just above a tol near machine
-    precision, so after max_passes passes the Frank-Wolfe duality gap,
+    precision, so after DEFAULT_QP_PASSES passes the Frank-Wolfe duality gap,
     which bounds how far the objective is below its maximum, decides:
     alpha is returned if the gap is at most 1e-9 * max(1, C), and
     SolverError is raised otherwise.
@@ -167,7 +170,7 @@ def _qp_coordinate_ascent(
     total = _numpy_sum(a)
     # diffs[j][l], l < j: G[:, j] - G[:, l] once the pair has moved
     diffs = [[None] * j for j in range(m)]
-    for _ in range(max_passes):
+    for _ in range(DEFAULT_QP_PASSES):
         biggest = 0.0
         for j in range(m):
             aj = a[j]
@@ -232,7 +235,7 @@ def _qp_coordinate_ascent(
     if gap <= 1e-9 * max(1.0, C):
         return alpha
     raise SolverError(
-        f"dual QP not converged after {max_passes} passes "
+        f"dual QP not converged after {DEFAULT_QP_PASSES} passes "
         f"(duality gap {gap:.3e})",
         last_iterate=alpha,
     )
@@ -280,14 +283,13 @@ def _solve_inner(
     data: _InnerData,
     C: float,
     inner_tol: float,
-    plane_budget: int = DEFAULT_PLANE_BUDGET,
 ):
     """Cutting-plane loop for the one-slack convex problem.
 
     Returns w.  Every plane in the working set was violated by more than
     inner_tol when added, and no assignment is added twice.  On return
     the true aggregate slack exceeds the QP slack variable by less than
-    inner_tol.  Raises SolverError once plane_budget planes are not
+    inner_tol.  Raises SolverError once DEFAULT_PLANE_BUDGET planes are not
     enough, or when the planes' Gram matrix overflows.
     """
     d_w = data.stack.d_w
@@ -303,9 +305,9 @@ def _solve_inner(
         violation = offset - float(direction @ w)
         if violation <= xi + inner_tol or key in seen:
             return w
-        if offsets.size >= plane_budget:
+        if offsets.size >= DEFAULT_PLANE_BUDGET:
             raise SolverError(
-                f"cutting-plane budget {plane_budget} exhausted "
+                f"cutting-plane budget {DEFAULT_PLANE_BUDGET} exhausted "
                 f"(violation still {violation - xi:.3e} above slack)",
                 last_iterate=w,
             )
@@ -333,7 +335,6 @@ def _cccp_loop(
     inner_tol: float,
     w_init: Optional[np.ndarray],
     solved: Optional[dict] = None,
-    max_iterations: int = DEFAULT_CCCP_BUDGET,
 ):
     """Generic CCCP alternation shared by the dissimilarity solver and the
     latent-SVM style baselines.
@@ -351,7 +352,8 @@ def _cccp_loop(
     The alternation always proceeds from the newest iterate; the best
     iterate seen is what gets reported and returned.  Stops once a round
     improves the best objective by a non-negative amount below
-    C * epsilon, or once a subproblem repeats within the run.
+    C * epsilon, or once a subproblem repeats within the run, and raises
+    SolverError once DEFAULT_CCCP_BUDGET rounds have not stopped it.
 
     Each iterate's scores are one product over the dataset's score stack,
     read by both the imputation and the objective.
@@ -359,22 +361,24 @@ def _cccp_loop(
 
     stack = _score_stack(dataset)
     w = np.zeros(dataset.d_w) if w_init is None else np.array(w_init, dtype=np.float64)
+    # every iterate is read-only, so the report and the result share them
+    w.flags.writeable = False
     solved = {} if solved is None else solved
     scores = stack.scores(w)
     imputed = stack.impute(scores)
     tables, refs = build_round(w, imputed)
     data = _InnerData(dataset, tables, imputed)
-    best_w = w.copy()
+    best_w = w
     best = data.true_objective(w, C, scores)
     trace = [best]
-    iterates = [w.copy()]
+    iterates = [w]
     key = (tuple(imputed), refs)
     seen = {key}
     iterations = 0
     while True:
-        if iterations >= max_iterations:
+        if iterations >= DEFAULT_CCCP_BUDGET:
             raise SolverError(
-                f"CCCP budget {max_iterations} exhausted", last_iterate=best_w
+                f"CCCP budget {DEFAULT_CCCP_BUDGET} exhausted", last_iterate=best_w
             )
         w_new = solved.get(key)
         if w_new is None:
@@ -389,9 +393,9 @@ def _cccp_loop(
         obj_new = data.true_objective(w_new, C, scores)
         improvement = best - obj_new
         if obj_new < best:
-            best_w, best = w_new.copy(), obj_new
+            best_w, best = w_new, obj_new
             trace.append(obj_new)
-            iterates.append(w_new.copy())
+            iterates.append(w_new)
         if 0.0 <= improvement < C * epsilon:
             termination = "tolerance"
             break

@@ -47,7 +47,7 @@ from dissim import (
     slack,
 )
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC
-from dissim.model import _check_theta, _frozen_array, _log_sum_exp
+from dissim.model import _frozen_array, _log_sum_exp, _vector
 from dissim.synth import _signatures
 
 
@@ -344,7 +344,7 @@ def brute_distribution(rng: np.random.Generator, k: int) -> np.ndarray:
 
 def log_partition(theta: np.ndarray, sample: SampleRecord) -> float:
     """Log normalizer of the latent conditional."""
-    return _log_sum_exp(sample.phi @ _check_theta(theta, sample))
+    return _log_sum_exp(sample.phi @ _vector("theta", theta, sample.phi.shape[1]))
 
 
 def score(w: np.ndarray, sample: SampleRecord, y: int, k: int) -> float:
@@ -390,15 +390,24 @@ def solve_inner_convex(
     loss: LossFunction,
     C: float,
     inner_tol: float = 1e-4,
-    plane_budget: int = wsolver.DEFAULT_PLANE_BUDGET,
 ) -> np.ndarray:
     """The w-step's convex subproblem with expected-loss augmentation
     under theta and the given frozen anchor latents."""
     tables = [
         expected_loss_table(latent_posterior(theta, s), s, loss) for s in dataset
     ]
-    data = wsolver._InnerData(dataset, tables, imputed)
-    return wsolver._solve_inner(data, C, inner_tol, plane_budget)
+    data = wsolver._InnerData(dataset, pad_tables(dataset, tables), imputed)
+    return wsolver._solve_inner(data, C, inner_tol)
+
+
+def pad_tables(dataset: Dataset, tables) -> np.ndarray:
+    """One (labels, K_i) table per sample as the (n, labels, K) array
+    ``wsolver._InnerData`` takes: -inf at the padded candidates."""
+    K = max(s.num_latents for s in dataset)
+    out = np.full((len(dataset), dataset.num_labels, K), -np.inf)
+    for i, table in enumerate(tables):
+        out[i, :, : table.shape[1]] = table
+    return out
 
 
 def _check_pair(sample: SampleRecord, y: int, k: int) -> None:
@@ -414,7 +423,6 @@ def reference_qp_coordinate_ascent(
     C: float,
     alpha: np.ndarray,
     tol: float,
-    max_passes: int = 10_000,
 ) -> np.ndarray:
     """The dual QP of ``wsolver._qp_coordinate_ascent`` on numpy arrays
     and scalars, kept as the reference its Python-float loops must match
@@ -429,11 +437,12 @@ def reference_qp_coordinate_ascent(
 
     The iteration stops once no move in a pass exceeds tol.  On the
     budget face rounding can keep moves just above a tol near machine
-    precision, so after max_passes passes the Frank-Wolfe duality gap,
-    which bounds how far the objective is below its maximum, decides:
-    alpha is returned if the gap is at most 1e-9 * max(1, C), and
-    SolverError is raised otherwise.
+    precision, so after ``wsolver.DEFAULT_QP_PASSES`` passes (read at call
+    time) the Frank-Wolfe duality gap, which bounds how far the objective
+    is below its maximum, decides: alpha is returned if the gap is at most
+    1e-9 * max(1, C), and SolverError is raised otherwise.
     """
+    max_passes = wsolver.DEFAULT_QP_PASSES
     m = b.size
     q = G @ alpha
     for _ in range(max_passes):

@@ -28,6 +28,7 @@ from helpers import (
     loss_augmented_argmax,
     make_dataset,
     make_sample,
+    pad_tables,
     reference_cccp_tables,
     reference_impute,
     reference_qp_coordinate_ascent,
@@ -172,12 +173,13 @@ class TestInnerSolver:
         _, ref = projected_subgradient_oracle(dset, theta, imputed, loss, C)
         assert ours <= ref * (1.0 + 1e-3) + 1e-9
 
-    def test_plane_budget_raises_solver_error(self):
+    def test_plane_budget_raises_solver_error(self, monkeypatch):
         dset = make_dataset(7, n=6, num_labels=3, num_latents=4)
         imputed = [0] * len(dset)
-        with pytest.raises(SolverError) as info:
+        monkeypatch.setattr(wsolver, "DEFAULT_PLANE_BUDGET", 2)
+        with pytest.raises(SolverError, match="cutting-plane budget 2") as info:
             solve_inner_convex(dset, np.zeros(3), imputed, ZeroOneLoss(),
-                               C=100.0, inner_tol=1e-10, plane_budget=2)
+                               C=100.0, inner_tol=1e-10)
         assert info.value.last_iterate is not None
 
 
@@ -216,6 +218,17 @@ class TestCCCP:
             )
             assert oi == pytest.approx(direct, abs=1e-10)
 
+    def test_iterates_are_shared_and_read_only(self):
+        # the loop keeps no copies: the returned w is the last iterate, and
+        # no iterate (a fresh solve is the solve store's own array) can be
+        # written through the result
+        dset = make_dataset(9, n=4)
+        theta = np.random.default_rng(9).standard_normal(3)
+        w, report = cccp_w(dset, theta, None, ZeroOneLoss(), C=1.0)
+        assert len(report.iterates) > 1
+        assert w is report.iterates[-1]
+        assert not any(wi.flags.writeable for wi in report.iterates)
+
     def test_epsilon_scales_with_c(self):
         # a large C * epsilon makes the loop stop at the first round
         dset = make_dataset(10, n=3)
@@ -237,7 +250,7 @@ class TestCCCP:
                             epsilon=0.0)
         assert patient.termination == "repeat"
 
-    def test_cccp_budget_raises(self):
+    def test_cccp_budget_raises(self, monkeypatch):
         dset = make_dataset(11, n=3)
         rng = np.random.default_rng(11)
         theta = rng.standard_normal(3)
@@ -245,29 +258,32 @@ class TestCCCP:
         from dissim.losses import expected_loss_table as elt
 
         def build(w, imputed):
-            return [elt(latent_posterior(theta, s), s, ZeroOneLoss())
-                    for s in dset], ()
+            return pad_tables(dset, [elt(latent_posterior(theta, s), s,
+                                         ZeroOneLoss()) for s in dset]), ()
 
-        with pytest.raises(SolverError) as info:
+        monkeypatch.setattr(wsolver, "DEFAULT_CCCP_BUDGET", 0)
+        with pytest.raises(SolverError, match="CCCP budget 0") as info:
             _cccp_loop(dset, build, C=1.0, epsilon=1e-3, inner_tol=1e-4,
-                       w_init=None, max_iterations=0)
+                       w_init=None)
         assert info.value.last_iterate is not None
 
 
 class TestDualQP:
-    def test_pass_cap_raises_instead_of_returning(self):
+    def test_pass_cap_raises_instead_of_returning(self, monkeypatch):
         G = np.array([[2.0, 1.0], [1.0, 2.0]])
+        monkeypatch.setattr(wsolver, "DEFAULT_QP_PASSES", 1)
         # one pass moves alpha from 0 to (0.5, 0.25): not converged
-        with pytest.raises(SolverError, match="1 passes") as info:
+        with pytest.raises(SolverError, match="after 1 passes") as info:
             wsolver._qp_coordinate_ascent(G, np.ones(2), 10.0, np.zeros(2),
-                                          1e-13, max_passes=1)
+                                          1e-13)
         assert info.value.last_iterate is not None
 
-    def test_pass_cap_returns_when_gap_certifies_optimum(self):
+    def test_pass_cap_returns_when_gap_certifies_optimum(self, monkeypatch):
         # with G = I one pass lands on the optimum alpha = b, but its moves
         # exceed tol; the zero duality gap certifies it
+        monkeypatch.setattr(wsolver, "DEFAULT_QP_PASSES", 1)
         alpha = wsolver._qp_coordinate_ascent(np.eye(2), np.ones(2), 10.0,
-                                              np.zeros(2), 1e-13, max_passes=1)
+                                              np.zeros(2), 1e-13)
         np.testing.assert_array_equal(alpha, [1.0, 1.0])
 
 
@@ -308,12 +324,13 @@ def degenerate_qp(rng, m, kind):
     return G, b, C, alpha
 
 
-def qp_outcome(solve, G, b, C, alpha, max_passes):
+def qp_outcome(solve, G, b, C, alpha):
     """Bytes of the returned alpha, or the error message and the bytes of
-    its last iterate."""
+    its last iterate.  Both solvers read their pass cap from
+    ``wsolver.DEFAULT_QP_PASSES``."""
     alpha = alpha.copy()
     try:
-        out = solve(G, b, C, alpha, 1e-13 * max(1.0, C), max_passes=max_passes)
+        out = solve(G, b, C, alpha, 1e-13 * max(1.0, C))
     except SolverError as err:
         return str(err), err.last_iterate.tobytes()
     assert out is alpha
@@ -321,44 +338,46 @@ def qp_outcome(solve, G, b, C, alpha, max_passes):
 
 
 class TestDualQPMatchesReference:
-    def test_alpha_bytes_equal_reference(self):
+    def test_alpha_bytes_equal_reference(self, monkeypatch):
         rng = np.random.default_rng(20240)
         on_face = 0
+        # a pass cap of 300 keeps the slowly converging instances cheap;
+        # the ones that reach it compare their SolverError
+        monkeypatch.setattr(wsolver, "DEFAULT_QP_PASSES", 300)
         for m in [int(m) for m in rng.integers(1, 41, size=60)]:
             G, b, C, alpha = random_qp(rng, m)
-            # a pass cap of 300 keeps the slowly converging instances
-            # cheap; the ones that reach it compare their SolverError
-            expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C,
-                                alpha, 300)
+            expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C, alpha)
             assert qp_outcome(wsolver._qp_coordinate_ascent, G, b, C,
-                              alpha, 300) == expect
+                              alpha) == expect
             if isinstance(expect, bytes):
                 on_face += np.frombuffer(expect).sum() >= C * (1.0 - 1e-12)
         assert on_face >= 10
 
     @pytest.mark.parametrize("kind", ["zero", "duplicate"])
-    def test_degenerate_plane_alpha_bytes_equal_reference(self, kind):
+    def test_degenerate_plane_alpha_bytes_equal_reference(self, kind,
+                                                          monkeypatch):
         # the zero-curvature branches: a zero diagonal in the single moves,
         # and a pair with curvature 0 in the pairwise exchanges
         rng = np.random.default_rng(20241 if kind == "zero" else 20242)
         on_face = 0
+        monkeypatch.setattr(wsolver, "DEFAULT_QP_PASSES", 300)
         for m in [int(m) for m in rng.integers(2, 25, size=40)]:
             G, b, C, alpha = degenerate_qp(rng, m, kind)
-            expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C,
-                                alpha, 300)
+            expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C, alpha)
             assert qp_outcome(wsolver._qp_coordinate_ascent, G, b, C,
-                              alpha, 300) == expect
+                              alpha) == expect
             if isinstance(expect, bytes):
                 on_face += np.frombuffer(expect).sum() >= C * (1.0 - 1e-12)
         assert on_face >= 10
 
-    def test_more_than_128_planes(self):
+    def test_more_than_128_planes(self, monkeypatch):
         # alpha's sum takes numpy's recursive branch above 128 values
         rng = np.random.default_rng(140)
         G, b, C, alpha = random_qp(rng, 140, C=0.05)
-        expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C, alpha, 3)
-        assert qp_outcome(wsolver._qp_coordinate_ascent, G, b, C, alpha,
-                          3) == expect
+        monkeypatch.setattr(wsolver, "DEFAULT_QP_PASSES", 3)
+        expect = qp_outcome(reference_qp_coordinate_ascent, G, b, C, alpha)
+        assert qp_outcome(wsolver._qp_coordinate_ascent, G, b, C,
+                          alpha) == expect
 
     def test_sum_replica_matches_numpy(self):
         rng = np.random.default_rng(300)
@@ -376,7 +395,7 @@ class TestInnerData:
         rng = np.random.default_rng(7)
         tables = [rng.random((3, s.num_latents)) for s in dset]
         anchors = [int(rng.integers(s.num_latents)) for s in dset]
-        data = _InnerData(dset, tables, anchors)
+        data = _InnerData(dset, pad_tables(dset, tables), anchors)
         C = 2.0
         for _ in range(20):
             w = rng.standard_normal(4)
@@ -447,8 +466,9 @@ class TestStackedRound:
         rng = np.random.default_rng(seed)
         theta = rng.standard_normal(dset.d_theta)
         w = rng.standard_normal(dset.d_w)
-        per_sample = _InnerData(dset, reference_cccp_tables(theta, dset, loss),
-                                reference_impute(w, dset))
+        per_sample = _InnerData(
+            dset, pad_tables(dset, reference_cccp_tables(theta, dset, loss)),
+            reference_impute(w, dset))
         tables = scoring.ungroup(stack.expected_losses(stack.posteriors(theta)))
         stacked = _InnerData(dset, tables, scoring.impute(scoring.scores(w)))
         assert stacked.aug_stack.tobytes() == per_sample.aug_stack.tobytes()

@@ -272,6 +272,8 @@ def load_dataset(path) -> Dataset:
         if magic != DATASET_MAGIC:
             raise InputError(f"{path}: not a dataset file (magic {magic!r})")
         num_labels = reader.expect_count("labels")
+        if num_labels < 2:
+            raise reader.error(f"labels must be >= 2, got {num_labels}")
         d_w = reader.expect_count("dw")
         d_theta = reader.expect_count("dtheta")
         geometric = reader.expect_int("geometric")
@@ -281,14 +283,17 @@ def load_dataset(path) -> Dataset:
         n = reader.expect_count("samples")
         if n < 1:
             raise reader.error("samples must be >= 1")
-        samples = []
+        samples, seen_ids = [], set()
         for _ in range(n):
             parts = reader.expect("sample")
             if len(parts) != 1:
                 raise reader.error("sample takes one id")
             sample_id = parts[0]
-            # the checks SampleRecord would make are made row by row here, so
-            # that each error names its line
+            # the checks Dataset and SampleRecord would make are made row by
+            # row here, so that each error names its line
+            if sample_id in seen_ids:
+                raise reader.error(f"duplicate sample id {sample_id!r}")
+            seen_ids.add(sample_id)
             label = reader.expect_int("label")
             if not 0 <= label < num_labels:
                 raise reader.error(f"label {label} outside [0, {num_labels})")
@@ -378,7 +383,7 @@ def load_dataset(path) -> Dataset:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelRecord:
     """A trained model as stored on disk."""
 

@@ -12,7 +12,7 @@ absolutely:  |analytic - numeric| / max(|numeric|, 1e-3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,11 +36,11 @@ NORM_FLOOR = 1e-3
 TERMS = ("expected_loss", "self_diversity", "slack")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradCheckResult:
     draws: int
     tolerance: float
-    worst: dict[str, float] = field(default_factory=dict)
+    worst: dict[str, float]
     skipped_ties: int = 0
 
     @property
@@ -82,8 +82,8 @@ def run_gradient_checks(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     samples = list(dataset)
-    result = GradCheckResult(draws=draws, tolerance=TOLERANCE)
     worst = {term: 0.0 for term in TERMS}
+    skipped_ties = 0
     checked = 0
     attempts = 0
     max_attempts = 50 * draws
@@ -106,7 +106,7 @@ def run_gradient_checks(
         table = _augmented(loss.view(sample), score_table(w, sample), probs)
         flat = np.sort(table.ravel())
         if flat.size > 1 and flat[-1] - flat[-2] <= TIE_MARGIN:
-            result.skipped_ties += 1
+            skipped_ties += 1
             continue
 
         analytic = {
@@ -133,5 +133,4 @@ def run_gradient_checks(
                 worst[term], _relative_error(analytic[term], numeric[term])
             )
         checked += 1
-    result.worst = worst
-    return result
+    return GradCheckResult(draws, TOLERANCE, worst, skipped_ties)

@@ -34,7 +34,6 @@ from .model import (
     Dataset,
     FiniteDistribution,
     SampleRecord,
-    _score_stack,
     _vector,
     latent_posterior,
     score_table,
@@ -125,9 +124,8 @@ class _SetView:
     """
 
     def __init__(self, dataset: Dataset, loss: "LossFunction"):
-        self.scoring = scoring = _score_stack(dataset)
-        self.samples = scoring.samples
-        self.views = views = [loss.view(s) for s in self.samples]
+        self.scoring = scoring = dataset._score_stack
+        self.views = views = [loss.view(s) for s in dataset.samples]
         self.latent_dependent = loss.latent_dependent
         self.d_theta = dataset.d_theta
         self.solves: dict = {}
@@ -250,12 +248,10 @@ class LossFunction:
         """The set-level twin of ``view``: the dataset's samples stacked
         for batched scoring, imputation and loss terms.
 
-        Built once per dataset and kept for as long as the dataset lives;
-        rebuilt if ``dataset.samples`` is no longer the tuple it was
-        built from.
+        Built once per dataset and kept for as long as the dataset lives.
         """
         stack = self._stacks.get(dataset)
-        if stack is None or stack.samples is not dataset.samples:
+        if stack is None:
             stack = self._stacks[dataset] = _SetView(dataset, self)
         return stack
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -46,7 +47,7 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SampleRecord:
     """A weakly supervised sample: label observed, latent value unobserved.
 
@@ -70,8 +71,8 @@ class SampleRecord:
     def __post_init__(self):
         if not self.id:
             raise InputError("sample id must be a non-empty string")
-        self.psi = _frozen_array(self.psi)
-        self.phi = _frozen_array(self.phi)
+        object.__setattr__(self, "psi", _frozen_array(self.psi))
+        object.__setattr__(self, "phi", _frozen_array(self.phi))
         if self.psi.ndim != 3:
             raise ConfigError(f"sample {self.id}: psi must be 3-d (labels, K, d_w)")
         if self.phi.ndim != 2:
@@ -112,7 +113,8 @@ class SampleRecord:
         # and no fraction either: the cast would truncate it
         if boxes.dtype.kind not in "iub" and not np.array_equal(boxes, np.floor(boxes)):
             raise InputError(f"sample {self.id}: box coordinates must be integers")
-        self.boxes = boxes = _frozen_array(boxes, dtype=np.int64)
+        boxes = _frozen_array(boxes, dtype=np.int64)
+        object.__setattr__(self, "boxes", boxes)
         degenerate = (boxes[:, 0] >= boxes[:, 2]) | (boxes[:, 1] >= boxes[:, 3])
         if degenerate.any():
             k = int(np.argmax(degenerate))
@@ -130,9 +132,11 @@ class SampleRecord:
         return self.boxes is not None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A collection of samples sharing label count and feature dimensions."""
+    """A collection of samples sharing label count and feature dimensions.
+    Frozen, as every record is, so what is derived from it (the score
+    stack, a loss's stacked view) is built once and lives as long as it."""
 
     num_labels: int
     d_w: int
@@ -142,7 +146,7 @@ class Dataset:
     def __post_init__(self):
         if self.num_labels < 2:
             raise ConfigError(f"need at least 2 labels, got {self.num_labels}")
-        self.samples = tuple(self.samples)
+        object.__setattr__(self, "samples", tuple(self.samples))
         if not self.samples:
             raise InputError("dataset must contain at least one sample")
         seen_ids = set()
@@ -181,8 +185,13 @@ class Dataset:
     def geometric(self) -> bool:
         return self.samples[0].geometric
 
+    @cached_property
+    def _score_stack(self) -> _ScoreStack:
+        """The set's score stack, one per dataset whatever the loss."""
+        return _ScoreStack(self)
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """The two linear parameter vectors of a trained model."""
 
@@ -190,22 +199,22 @@ class ModelParams:
     theta: np.ndarray
 
     def __post_init__(self):
-        self.w = _frozen_array(self.w)
-        self.theta = _frozen_array(self.theta)
+        object.__setattr__(self, "w", _frozen_array(self.w))
+        object.__setattr__(self, "theta", _frozen_array(self.theta))
         if self.w.ndim != 1 or self.theta.ndim != 1:
             raise ConfigError("w and theta must be vectors")
         if not np.all(np.isfinite(self.w)) or not np.all(np.isfinite(self.theta)):
             raise InputError("model parameters must be finite")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """A probability vector over a finite latent space."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        self.probs = _frozen_array(self.probs)
+        object.__setattr__(self, "probs", _frozen_array(self.probs))
         if self.probs.ndim != 1 or self.probs.size < 1:
             raise InputError("probability vector must be a non-empty 1-d array")
         if np.any(self.probs < 0.0) or np.any(self.probs > 1.0):
@@ -267,7 +276,7 @@ class _ScoreStack:
     """
 
     def __init__(self, dataset: Dataset):
-        self.samples = samples = dataset.samples
+        samples = dataset.samples
         n, L, d = len(samples), dataset.num_labels, dataset.d_w
         sizes = [s.num_latents for s in samples]
         K = max(sizes)
@@ -322,19 +331,6 @@ class _ScoreStack:
             for (K, rows), part in zip(self.groups, parts):
                 out[rows, :, :K] = part
         return out
-
-
-def _score_stack(dataset: Dataset) -> _ScoreStack:
-    """The dataset's score stack, one per dataset whatever the loss.
-
-    Kept on the dataset object itself, so it is freed with the dataset;
-    rebuilt if ``dataset.samples`` is no longer the tuple it was built
-    from.
-    """
-    stack = getattr(dataset, "_scores", None)
-    if stack is None or stack.samples is not dataset.samples:
-        stack = dataset._scores = _ScoreStack(dataset)
-    return stack
 
 
 def _log_sum_exp(activations: np.ndarray) -> float:

@@ -35,7 +35,7 @@ from .baselines import ilsvm_train, lsvm_train
 from .dataio import ModelRecord, ResultRow
 from .errors import ConfigError, InputError, SolverError
 from .losses import HyperParams, LossFunction, regularized_objective
-from .model import Dataset, ModelParams, _score_stack
+from .model import Dataset, ModelParams
 from .thetasolver import SSDConfig, ssd_theta
 from .wsolver import cccp_w
 
@@ -83,7 +83,7 @@ class CurvePoint:
     std: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolResult:
     rows: list[ResultRow]
     summary: list[CurvePoint]
@@ -142,7 +142,7 @@ def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> ModelRec
             decrease = best_obj - min(best_obj, obj)
             if obj < best_obj:
                 best_obj = obj
-                best_w, best_theta = w.copy(), theta.copy()
+                best_w, best_theta = w, theta
             trace.append(best_obj)
             if decrease < hyper.C * hyper.epsilon:
                 termination = "tolerance"
@@ -158,7 +158,7 @@ def evaluate(params: ModelParams, dataset: Dataset, loss: LossFunction) -> float
             raise InputError(
                 f"sample {sample.id} has no ground-truth latent annotation"
             )
-    scoring = _score_stack(dataset)
+    scoring = dataset._score_stack
     labels, latents = scoring.predict(scoring.scores(params.w))
     total = 0.0
     for sample, y, k in zip(dataset, labels.tolist(), latents.tolist()):

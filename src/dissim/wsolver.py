@@ -28,14 +28,14 @@ best value by less than C * epsilon, when a convex subproblem repeats
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import SolverError
 from .losses import LossFunction
-from .model import Dataset, SampleRecord, _score_stack, score_table
+from .model import Dataset, SampleRecord, score_table
 
 # Budgets of the dual QP's passes, the cutting planes of one convex
 # solve, and the CCCP rounds of one run; each is read at call time.
@@ -44,7 +44,7 @@ DEFAULT_PLANE_BUDGET = 500
 DEFAULT_CCCP_BUDGET = 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class WSolverReport:
     """Outcome of a CCCP run.
 
@@ -59,8 +59,8 @@ class WSolverReport:
 
     iterations: int
     termination: str
-    trace: list[float] = field(default_factory=list)
-    iterates: list[np.ndarray] = field(default_factory=list)
+    trace: list[float]
+    iterates: list[np.ndarray]
 
 
 def latent_impute(w: np.ndarray, sample: SampleRecord) -> int:
@@ -80,7 +80,7 @@ class _InnerData:
     """
 
     def __init__(self, dataset: Dataset, tables: np.ndarray, anchors):
-        self.stack = _score_stack(dataset)
+        self.stack = dataset._score_stack
         n, L, K = self.stack.shape
         self.psi_stack = self.stack.psi_rows.reshape(n, L * K, -1)
         self.set_round(tables, anchors)
@@ -359,7 +359,7 @@ def _cccp_loop(
     read by both the imputation and the objective.
     """
 
-    stack = _score_stack(dataset)
+    stack = dataset._score_stack
     w = np.zeros(dataset.d_w) if w_init is None else np.array(w_init, dtype=np.float64)
     # every iterate is read-only, so the report and the result share them
     w.flags.writeable = False
@@ -404,13 +404,7 @@ def _cccp_loop(
             termination = "repeat"
             break
         seen.add(key)
-    report = WSolverReport(
-        iterations=iterations,
-        termination=termination,
-        trace=trace,
-        iterates=iterates,
-    )
-    return best_w, report
+    return best_w, WSolverReport(iterations, termination, trace, iterates)
 
 
 def cccp_w(

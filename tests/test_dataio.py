@@ -157,6 +157,8 @@ class TestDatasetRoundTrip:
                                 d_theta=2)
         geometric = make_dataset(6, n=1, num_labels=2, num_latents=2, d_w=3,
                                  d_theta=2, geometric=True)
+        pair = make_dataset(6, n=2, num_labels=2, num_latents=2, d_w=3,
+                            d_theta=2)
         path = tmp_path / "c.txt"
         for dset, keyword, corrupt in (
             (abstract, "psi", "psi 0 0 1.0"),
@@ -172,6 +174,9 @@ class TestDatasetRoundTrip:
             (abstract, "dtheta", "dtheta -2"),
             (abstract, "latents", "latents -1"),
             (abstract, "samples", "samples 0"),
+            # checks Dataset makes, named by their line too
+            (abstract, "labels", "labels 1"),
+            (pair, "sample s1", "sample s0"),
             (abstract, "phi", "phi 0 1.0 \udcff2.0"),
             # checks SampleRecord makes, named by the row that fails them
             (abstract, "label", "label 2"),

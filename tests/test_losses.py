@@ -1,5 +1,6 @@
 """Loss functions, diversity and dissimilarity coefficients, bounds."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dissim import (
     ConfigError,
+    Dataset,
     FiniteDistribution,
     HyperParams,
     InputError,
@@ -694,22 +696,36 @@ class TestStack:
         assert stack() is None and scoring() is None
         assert len(loss._stacks) == 0
 
-    def test_reassigned_samples_rebuild(self):
+    def test_new_dataset_over_same_samples(self):
+        """A set of the same samples, reordered or cut, is a new dataset
+        with its own stack; the per-sample views are shared."""
         dset = stack_case(2, False)
         loss = ZeroOneLoss()
         rng = np.random.default_rng(2)
         w, theta = rng.standard_normal(dset.d_w), rng.standard_normal(dset.d_theta)
         first = loss.stack(dset)
-        dset.samples = tuple(reversed(dset.samples))
-        second = loss.stack(dset)
-        assert second is not first and second.samples is dset.samples
-        assert second.scoring is not first.scoring
-        assert second.scoring.samples is dset.samples
-        got = upper_bound(w, theta, dset, loss, 0.3)
-        assert got == reference_upper_bound(w, theta, dset, loss, 0.3)
-        dset.samples = dset.samples[:3]
-        assert upper_bound(w, theta, dset, loss, 0.3) == reference_upper_bound(
-            w, theta, dset, loss, 0.3)
+        for samples in (tuple(reversed(dset.samples)), dset.samples[:3]):
+            other = Dataset(dset.num_labels, dset.d_w, dset.d_theta, samples)
+            stack = loss.stack(other)
+            assert stack is not first and stack.scoring is not first.scoring
+            assert stack.views == [loss.view(s) for s in samples]
+            assert upper_bound(w, theta, other, loss, 0.3) == reference_upper_bound(
+                w, theta, other, loss, 0.3)
+        assert loss.stack(dset) is first
+
+    def test_built_records_cannot_go_stale(self):
+        """After a stack is built, neither the set nor a sample's features
+        can change under it."""
+        dset = stack_case(3, False)
+        loss = OverlapLoss()
+        w, theta = np.ones(dset.d_w), np.ones(dset.d_theta)
+        before = upper_bound(w, theta, dset, loss, 0.3)
+        sample = dset.samples[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.phi = np.zeros_like(sample.phi)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dset.samples = dset.samples[:3]
+        assert upper_bound(w, theta, dset, loss, 0.3) == before
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_wrong_shapes_raise_config_error(self, uniform):

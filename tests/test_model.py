@@ -1,10 +1,16 @@
 """Data model, scoring, prediction, and latent conditional."""
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dissim
 from dissim import (
     ConfigError,
     Dataset,
@@ -168,6 +174,31 @@ class TestValidation:
         with pytest.raises(InputError):
             FiniteDistribution(np.array([0.5, 0.4]))
         FiniteDistribution(np.array([0.5, 0.5]))
+
+
+def test_every_record_is_frozen():
+    """Every dataclass of the package is frozen: no field of a built
+    record can be assigned."""
+    found = {}
+    for info in pkgutil.iter_modules(dissim.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"dissim.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__:
+                found[name] = cls
+    assert {"SampleRecord", "Dataset", "ModelParams", "FiniteDistribution",
+            "ModelRecord", "WSolverReport", "GradCheckResult",
+            "ProtocolResult"} <= found.keys()
+    for name, cls in found.items():
+        assert cls.__dataclass_params__.frozen, name
+        record = object.__new__(cls)  # no need for valid field values
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, None)
+    sample = tiny_sample()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample.truth_label = 5
 
 
 class TestScore:

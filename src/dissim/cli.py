@@ -5,10 +5,13 @@ malformed flags, which argparse reports by flag name, and files that
 cannot be read or written), 3 on solver failures.  Every command is
 deterministic given identical flags, except that experiment rows carry
 measured wallclock times unless --no-timings is passed.  experiment fits
-the (loss, fold, C) cells of all its losses in one pool of --workers
-forked processes (default: the usable CPUs); its files are the same for
-any worker count.  Every file is written whole or not at all: the text is
-encoded first, then written to a temporary file that replaces the target.
+the (loss, fold, C) cells of all its losses in --workers children started
+by os.fork (default: the usable CPUs), which read the cells from one
+queue; its files are the same for any worker count, a failing cell ends
+it with that cell's exit code, and a child that dies without replying
+with exit 2 (out of memory).  Every file is written whole or not at all:
+the text is encoded first, then written to a new file (unnamed until
+complete, on Linux) that replaces the target.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ word reused, which writes the same bytes as formatting every value.
 Files stream in both directions.  ``save_dataset`` hands the writer one
 sample's text at a time, and the loaders decode and parse one line at a
 time, so beyond the dataset itself a save or a load holds one sample, not
-the file.  Every writer goes through ``write_atomic``, which writes a
-temporary file with a random name beside the target and replaces the
-target only once that file is complete.
+the file.  Every writer goes through ``write_atomic``, which writes a new
+file beside the target (an unnamed ``O_TMPFILE`` on Linux) and replaces
+the target with it only once that file is complete.
 """
 
 from __future__ import annotations
@@ -189,22 +189,24 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
     """Write the text of ``chunks`` as UTF-8 in place of ``path``, whole or
     not at all.
 
-    Each chunk is encoded and written in turn to a new temporary file
-    beside the target, named with a random token so that no file left by
-    an earlier run can stand in its way, and created like any other file,
-    so the saved file gets the usual permissions.  The temporary replaces
-    the target only once it is complete: a failed save leaves an existing
-    file as it was and removes the temporary.  A chunk UTF-8 cannot encode
-    (a lone surrogate) raises InputError.
+    Each chunk is encoded and written in turn to a new file beside the
+    target, created like any other file, so the saved file gets the usual
+    permissions.  On Linux that file is an unnamed ``O_TMPFILE``, so a save
+    killed while writing leaves nothing behind; once complete it is linked
+    under a temporary name, which then replaces the target.  Where the
+    system or the file system refuses ``O_TMPFILE``, the file is made under
+    the temporary name from the start.  The name carries a random token,
+    so that no file left by an earlier run can stand in its way.  A failed
+    save leaves an existing file as it was and removes its temporary.  A
+    chunk UTF-8 cannot encode (a lone surrogate) raises InputError.
     """
     path = Path(path)
-    while True:
-        temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-        try:
-            handle = open(temporary, "xb")
-            break
-        except FileExistsError:
-            continue
+    temporary = None
+    try:
+        handle = open(os.open(path.parent, os.O_TMPFILE | os.O_WRONLY, 0o666),
+                      "wb")
+    except (AttributeError, OSError):  # no O_TMPFILE here
+        temporary, handle = _draw_name(path, lambda name: open(name, "xb"))
     try:
         with handle:
             for chunk in chunks:
@@ -216,10 +218,32 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
                         f"{err.object[err.start:err.end]!r} as UTF-8"
                     ) from None
                 handle.write(data)
+            if temporary is None:
+                handle.flush()
+                fds = os.open("/proc/self/fd", os.O_RDONLY | os.O_DIRECTORY)
+                try:
+                    # os.link follows this process's link to the open file
+                    # only when the source is relative to a directory fd
+                    temporary, _ = _draw_name(path, lambda name: os.link(
+                        str(handle.fileno()), name, src_dir_fd=fds))
+                finally:
+                    os.close(fds)
         os.replace(temporary, path)
     except BaseException:
-        temporary.unlink(missing_ok=True)
+        if temporary is not None:
+            temporary.unlink(missing_ok=True)
         raise
+
+
+def _draw_name(path: Path, make):
+    """A temporary name beside ``path``, drawn again until ``make(name)``
+    finds it free, and what ``make`` returned."""
+    while True:
+        temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            return temporary, make(temporary)
+        except FileExistsError:
+            continue
 
 
 def save_dataset(dataset: Dataset, path) -> None:

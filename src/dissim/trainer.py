@@ -15,19 +15,25 @@ annotations, and reports fold rows plus per-C mean and standard deviation
 Its unit of work is a (loss, fold, C) cell: the cell splits its fold and
 fits every method at its C on that split, so the baselines share their
 solved subproblems (see ``baselines``).  Cells are independent, so
-``run_protocols`` fits the cells of one or more losses in a pool of forked
-worker processes, largest C first, and puts the rows back in order: the
-results are the same bit for bit for any number of workers, and each
-row's wallclock time is its fit's own, measured in its worker.
+``run_protocols`` fits the cells of one or more losses in ``workers``
+children started by ``os.fork``.  The parent writes the cell indices into
+one pipe, largest C first; each child reads them one at a time, fits its
+cells, and pickles its rows back through a pipe of its own, and the parent
+puts the rows back in order.  The parent starts no thread and imports no
+``multiprocessing``.  The results are the same bit for bit for any number
+of workers, and each row's wallclock time is its fit's own, measured in
+its child.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -331,47 +337,89 @@ class _Cells:
         return rows
 
 
-_worker_cells: Optional[_Cells] = None  # set in each pool worker only
-
-
-def _adopt(cells: _Cells) -> None:
-    global _worker_cells
-    _worker_cells = cells
-
-
-def _fit_cell(index: int) -> list[ResultRow]:
-    return _worker_cells.fit(index)
-
-
 def _map_cells(cells: _Cells, workers: int) -> list[list[ResultRow]]:
-    """Every cell's rows, in cell order.  More than one worker forks a
-    pool: the workers inherit ``cells`` (losses cannot be pickled), and
-    the first error a cell raises is re-raised here once the queued cells
-    are cancelled and the running ones have ended.  A worker killed
-    outright, as the kernel's out-of-memory killer does, is a MemoryError."""
+    """Every cell's rows, in cell order.  More than one worker forks that
+    many children, which inherit ``cells`` (losses cannot be pickled) and
+    read cell indices from one pipe, largest C first.  A cell's error
+    drains the queue, so the cells still queued never run; once the
+    running cells have ended, the error of the failing cell that went out
+    first is re-raised here.  A child that dies without replying, as one
+    killed by the kernel's out-of-memory killer does, is a MemoryError.
+    Every child is reaped before this returns or raises."""
+    n = len(cells.keys)
     if workers <= 1:
-        return [cells.fit(i) for i in range(len(cells.keys))]
-    # imported only here, so that a serial run does not pay their memory
-    import multiprocessing
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt,
-        initargs=(cells,),
-    )
+        return [cells.fit(i) for i in range(n)]
+    largest_first = sorted(range(n), key=lambda i: -cells.keys[i][2])
+    read_end, write_end = os.pipe()
+    queue, feed = open(read_end, "rb", 0), open(write_end, "wb", 0)
+    children = {}  # pid -> the read end of its reply pipe
     try:
-        largest_first = sorted(
-            range(len(cells.keys)), key=lambda i: -cells.keys[i][2]
-        )
-        futures = {i: pool.submit(_fit_cell, i) for i in largest_first}
-        done, _ = wait(futures.values(), return_when=FIRST_EXCEPTION)
-        for future in done:
-            future.result()  # raises a cell's error, if one failed
-        return [futures[i].result() for i in range(len(cells.keys))]
-    except BrokenProcessPool:
-        raise MemoryError("a worker process was killed") from None
+        for _ in range(workers):
+            reply, answer = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child, which must never return from here
+                code = 1
+                try:
+                    feed.close()  # else its queue never ends
+                    _serve(cells, queue, answer)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(answer)
+            children[pid] = open(reply, "rb")
+        queue.close()
+        try:
+            for i in largest_first:
+                # a record is smaller than PIPE_BUF, so a read gets all of it
+                feed.write(i.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # every child has died; its exit status tells below
+        feed.close()
+        rows, errors, lost = {}, [], False
+        for pid in list(children):
+            data = children[pid].read()
+            children.pop(pid).close()
+            if os.waitpid(pid, 0)[1] != 0:
+                lost = True
+                continue
+            done, failed = pickle.loads(data)
+            rows.update(done)
+            if failed is not None:
+                errors.append(failed)
     finally:
-        pool.shutdown(cancel_futures=True)
+        queue.close()
+        feed.close()
+        for pid, pipe in children.items():  # left only by an error here
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if lost:
+        raise MemoryError("a worker process was killed")
+    if errors:
+        raise min(errors, key=lambda f: largest_first.index(f[0]))[1]
+    return [rows[i] for i in range(n)]
+
+
+def _serve(cells: _Cells, queue: BinaryIO, answer: int) -> None:
+    """A forked child's work: fit the cells whose 4-byte indices it reads
+    from ``queue`` until the queue ends, then pickle its rows, and the
+    index and error of its failed cell if one failed, into ``answer``.
+    After a failure it reads the queue to its end and fits nothing more.
+    An error that cannot be pickled goes back as a RuntimeError naming its
+    type and message."""
+    done, failed = {}, None
+    while record := queue.read(4):
+        if failed is None:
+            index = int.from_bytes(record, "little")
+            try:
+                done[index] = cells.fit(index)
+            except Exception as err:
+                failed = (index, err)
+    try:
+        reply = pickle.dumps((done, failed))
+    except Exception:
+        index, err = failed
+        stand_in = RuntimeError(f"{type(err).__name__}: {err}")
+        reply = pickle.dumps((done, (index, stand_in)))
+    with open(answer, "wb") as pipe:
+        pipe.write(reply)

@@ -5,8 +5,10 @@ src definitions are checked against: each loss pair by pair
 (``scalar_loss``), the dissimilarity objective (a vectorized form and a
 brute-force one), its point-mass restriction, the synthetic task's
 analytic template model, the generator pooling one box at a time, the
-dataset and model files laid out value by value and row by row, and the
-loaders reading a file's whole text at once.
+dataset and model files laid out value by value and row by row, the
+loaders reading a file's whole text at once, and what tests that start
+processes need: a check that no child is left, and a subprocess
+environment that imports this ``dissim``.
 
 Instances come in two flavours: abstract (no boxes, suitable for the
 zero-one losses) and geometric (one box per latent value, suitable for
@@ -17,10 +19,13 @@ seed so failures replay exactly.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
+import dissim
 import dissim.dataio as dataio
 import dissim.wsolver as wsolver
 from dissim import (
@@ -49,6 +54,27 @@ from dissim import (
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC
 from dissim.model import _frozen_array, _log_sum_exp, _vector
 from dissim.synth import _signatures
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped.
+    ``multiprocessing.active_children()`` lists only the children that
+    ``multiprocessing`` started, so it cannot see ``os.fork`` children."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def src_env() -> dict:
+    """This process's environment, with the ``src`` that ``dissim`` was
+    imported from first on ``PYTHONPATH``, for a Python subprocess."""
+    env = dict(os.environ)
+    src = str(Path(dissim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def make_sample(

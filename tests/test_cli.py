@@ -19,7 +19,13 @@ from dissim import (
     load_results,
     save_dataset,
 )
-from helpers import MUTATION_TOKENS, MUTATIONS, make_dataset, write_mutated
+from helpers import (
+    MUTATION_TOKENS,
+    MUTATIONS,
+    make_dataset,
+    no_child_left,
+    write_mutated,
+)
 
 
 TINY = [
@@ -349,6 +355,7 @@ class TestExperiment:
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
         assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_inert_flags_warn_and_change_no_file(self, tmp_path, capsys):
         """Without dissim among the methods, --J and --beta draw one
@@ -398,6 +405,7 @@ class TestExperiment:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
         assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_killed_worker_exits_2(self, tmp_path, capsys, monkeypatch):
         """A worker killed outright, as the out-of-memory killer does,
@@ -421,6 +429,7 @@ class TestExperiment:
             "error: out of memory: a worker process was killed"]
         assert not out.exists()
         assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, value):

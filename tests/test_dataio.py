@@ -5,7 +5,10 @@ import gc
 import io
 import os
 import re
+import signal
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -44,6 +47,7 @@ from helpers import (
     reference_model_text,
     reference_rows_dataset_text,
     reference_rows_model_text,
+    src_env,
     write_mutated,
 )
 
@@ -733,6 +737,60 @@ class TestTemporaryFiles:
         save_model(TestModelRoundTrip().make_record(), saved)
         assert (stat.S_IMODE(saved.stat().st_mode)
                 == stat.S_IMODE(plain.stat().st_mode))
+
+
+class TestKilledSave:
+    """A save killed outright leaves the old file and no temporary."""
+
+    SAVE = """
+import sys, time
+from dissim.dataio import write_atomic
+
+def chunks():
+    yield "x" * 100_000  # more than a buffer's worth, so bytes reach the file
+    print("writing", flush=True)
+    time.sleep(60)
+    yield "never written"
+
+write_atomic(sys.argv[1], chunks())
+"""
+
+    def test_sigkill_mid_save_leaves_nothing(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("previous contents\n")
+        proc = subprocess.Popen([sys.executable, "-c", self.SAVE, str(path)],
+                                stdout=subprocess.PIPE, text=True,
+                                env=src_env())
+        try:
+            assert proc.stdout.readline() == "writing\n"
+            # the file being written has no name yet
+            assert [p.name for p in tmp_path.iterdir()] == ["d.txt"]
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert proc.returncode == -signal.SIGKILL
+        assert [p.name for p in tmp_path.iterdir()] == ["d.txt"]
+        assert path.read_text() == "previous contents\n"
+
+    def test_named_temporary_where_o_tmpfile_is_refused(self, tmp_path,
+                                                        monkeypatch):
+        """Without O_TMPFILE the save writes under a temporary name, and
+        leaves only the target once it is done."""
+        made = []
+        real_open = open
+
+        def watched_open(file, mode="r", *args, **kwargs):
+            made.append((Path(file).name, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.delattr(dataio.os, "O_TMPFILE", raising=False)
+        monkeypatch.setattr(dataio, "open", watched_open, raising=False)
+        save_results(TestResults.ROWS, tmp_path / "r.csv")
+        assert len(made) == 1
+        assert re.fullmatch(r"\.r\.csv\.[0-9a-f]{16}\.tmp", made[0][0])
+        assert made[0][1] == "xb"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        assert load_results(tmp_path / "r.csv") == TestResults.ROWS
 
 
 def loaded(load, path, read=lambda load, path: load(path)):

@@ -2,6 +2,10 @@
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -39,8 +43,10 @@ from dissim.trainer import DEFAULT_C_GRID, METHODS, _fit, run_protocols
 from helpers import (
     make_dataset,
     make_sample,
+    no_child_left,
     reference_evaluate,
     scalar_loss,
+    src_env,
     stack_case,
 )
 
@@ -357,6 +363,7 @@ class TestRunProtocol:
         assert got[1] == got[0]
         assert got[2] == got[0]
         assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_losses_pooled_as_one_call_per_loss(self):
         dset = self.small_dataset()
@@ -389,6 +396,93 @@ class TestRunProtocol:
                          n_folds=1, methods=("lsvm",), workers=2)
         assert len(list(tmp_path.iterdir())) <= 8
         assert multiprocessing.active_children() == []
+        assert no_child_left()
+
+    def test_first_out_error_wins(self, tmp_path, monkeypatch):
+        """Two cells fail, each in its own worker.  The cell that went out
+        second fails first in time, yet the error re-raised is that of the
+        cell that went out first, the larger C."""
+        started = tmp_path / "second-out-started"
+
+        def stub(method, dataset, loss, config):
+            if config.hyper.C == 1.0:
+                started.touch()
+                raise SolverError("went out second")
+            deadline = time.monotonic() + 30.0
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise SolverError("went out first")
+
+        monkeypatch.setattr(trainer, "_fit", stub)
+        config = replace(self.small_config(), C_grid=(1.0, 2.0))
+        with pytest.raises(SolverError, match="^went out first$"):
+            run_protocol(self.small_dataset(), ZeroOneLoss(), config,
+                         n_folds=1, methods=("lsvm",), workers=2)
+        assert started.exists()
+        assert no_child_left()
+
+    def test_unpicklable_error_keeps_its_name(self, monkeypatch):
+        """A cell's error that cannot be pickled comes back from a worker
+        as a RuntimeError naming it, not as a lost worker."""
+        def stub(method, dataset, loss, config):
+            raise Unpicklable()
+
+        monkeypatch.setattr(trainer, "_fit", stub)
+        with pytest.raises(RuntimeError, match="^Unpicklable: holds a lock$"):
+            run_protocol(self.small_dataset(), ZeroOneLoss(),
+                         self.small_config(), n_folds=1, methods=("lsvm",),
+                         workers=2)
+        assert no_child_left()
+
+    def test_interrupt_reaps_running_workers(self, monkeypatch):
+        """An interrupt in the parent while cells run stops and reaps the
+        workers at once, rather than waiting for their cells."""
+        def stub(method, dataset, loss, config):
+            time.sleep(60.0)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(trainer, "_fit", stub)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        started = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_protocol(self.small_dataset(), ZeroOneLoss(),
+                             self.small_config(), n_folds=1,
+                             methods=("lsvm",), workers=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30.0
+        assert no_child_left()
+
+    def test_pool_imports_no_executor(self):
+        """Two forked workers fit the cells, and the parent never imports
+        multiprocessing or concurrent.futures."""
+        code = """
+import os, sys
+from dissim import OverlapLoss, TaskSpec, TrainConfig, generate
+from dissim.trainer import run_protocols
+from dissim.thetasolver import SSDConfig
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+data, _ = generate(TaskSpec(num_classes=2, per_class=3, grid=4, boxes=4,
+                            box_cells=3, seed=0))
+config = TrainConfig(ssd=SSDConfig(steps_per_sample=2, seed=0),
+                     inner_tol=1e-2, max_outer_rounds=2, C_grid=(0.1, 1.0))
+result, = run_protocols(data, [OverlapLoss()], config, n_folds=1,
+                        methods=("dissim", "lsvm"), workers=2)
+print(len(forks), len(result.rows))
+print(*sorted(m for m in ("multiprocessing", "concurrent.futures")
+              if m in sys.modules))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["2 4", ""]
 
     def test_worker_count_must_be_positive(self):
         with pytest.raises(ConfigError, match="workers"):
@@ -401,6 +495,14 @@ class TestRunProtocol:
         with pytest.raises(ConfigError):
             run_protocol(self.small_dataset(), ZeroOneLoss(),
                          self.small_config(), n_folds=2, methods=("svm",))
+
+
+class Unpicklable(Exception):
+    """An error that pickle refuses: it holds a lock."""
+
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
 
 
 class NamelessLoss(LossFunction):

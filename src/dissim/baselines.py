@@ -30,9 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .losses import LossFunction
+from .losses import HyperParams, LossFunction
 from .model import Dataset, ModelParams
-from .wsolver import WSolverReport, _cccp_loop
+from .wsolver import DEFAULT_INNER_TOL, WSolverReport, _cccp_loop
 
 
 def _latent_svm_train(
@@ -62,8 +62,8 @@ def lsvm_train(
     dataset: Dataset,
     loss: LossFunction,
     C: float,
-    epsilon: float = 1e-3,
-    inner_tol: float = 1e-4,
+    epsilon: float = HyperParams.epsilon,
+    inner_tol: float = DEFAULT_INNER_TOL,
 ) -> tuple[ModelParams, WSolverReport]:
     """Latent SVM: impute the latent by score, measure loss against it."""
     return _latent_svm_train(
@@ -78,17 +78,15 @@ def ilsvm_latent_estimates(
     prediction; ties break to the smallest index."""
     stack = loss.stack(dataset)
     scoring = stack.scoring
-    labels, latents = scoring.predict(scoring.scores(w))
-    columns = stack.loss_columns(labels, latents)
-    return scoring.ungroup([np.argmin(c, axis=1) for c in columns]).tolist()
+    return stack.closest_latents(*scoring.predict(scoring.scores(w)))
 
 
 def ilsvm_train(
     dataset: Dataset,
     loss: LossFunction,
     C: float,
-    epsilon: float = 1e-3,
-    inner_tol: float = 1e-4,
+    epsilon: float = HyperParams.epsilon,
+    inner_tol: float = DEFAULT_INNER_TOL,
 ) -> tuple[ModelParams, WSolverReport]:
     """Iterative latent SVM: estimate the latent reference by minimizing
     the loss against the prediction, then solve the convex problem with

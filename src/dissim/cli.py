@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .dataio import load_dataset, save_dataset, save_model, save_results, write_atomic
 from .errors import ConfigError, DissimError, SolverError
 from .losses import LOSS_KINDS, HyperParams, make_loss
 from .model import Dataset
-from .gradcheck import run_gradient_checks
+from .gradcheck import DEFAULT_DRAWS, DEFAULT_SEED, run_gradient_checks
 from .synth import TaskSpec, generate
 from .thetasolver import SSDConfig
-from .trainer import DEFAULT_C_GRID, METHODS, TrainConfig, _fit, run_protocols
+from .trainer import (DEFAULT_C_GRID, DEFAULT_FOLDS, DEFAULT_SPLIT, METHODS,
+                      TrainConfig, _fit, run_protocols)
 
 
 def _check_loss_compatible(loss_kind: str, dataset: Dataset) -> None:
@@ -50,17 +51,7 @@ def _check_out(out: str) -> None:
 
 def cmd_generate(args) -> int:
     _check_out(args.out)
-    spec = TaskSpec(
-        num_classes=args.classes,
-        per_class=args.per_class,
-        grid=args.grid,
-        boxes=args.boxes,
-        box_cells=args.box_cells,
-        feature_dim=args.feature_dim,
-        clutter=args.clutter,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    spec = TaskSpec(**{f.name: getattr(args, f.name) for f in fields(TaskSpec)})
     dataset, _ = generate(spec)
     save_dataset(dataset, args.out)
     print(
@@ -221,33 +212,16 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--beta", type=float, default=None, help="self-term weight in (0, 1)"
     )
-    p.add_argument(
-        "--epsilon", type=float, default=HyperParams.epsilon, help="stop tolerance"
-    )
-    p.add_argument(
-        "--inner-tol",
-        type=float,
-        default=TrainConfig.inner_tol,
-        help="cutting-plane tolerance",
-    )
-    p.add_argument(
-        "--ssd-factor",
-        type=int,
-        default=SSDConfig.steps_per_sample,
-        help="subgradient steps per training sample",
-    )
-    p.add_argument(
-        "--max-rounds",
-        type=int,
-        default=TrainConfig.max_outer_rounds,
-        help="outer round budget",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="stochastic solver seed (for experiment, also the split seed)",
-    )
+    for flag, default, text in (
+        ("--epsilon", HyperParams.epsilon, "stop tolerance"),
+        ("--inner-tol", TrainConfig.inner_tol, "cutting-plane tolerance"),
+        ("--ssd-factor", SSDConfig.steps_per_sample,
+         "subgradient steps per training sample"),
+        ("--max-rounds", TrainConfig.max_outer_rounds, "outer round budget"),
+        ("--seed", SSDConfig.seed,
+         "stochastic solver seed (for experiment, also the split seed)"),
+    ):
+        p.add_argument(flag, type=type(default), default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,19 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic dataset")
-    p.add_argument("--classes", type=int, default=6, help="number of classes")
-    p.add_argument("--per-class", type=int, default=45, help="samples per class")
-    p.add_argument("--grid", type=int, default=8, help="grid side, in cells")
-    p.add_argument(
-        "--boxes", type=int, default=16, help="candidate boxes (perfect square)"
-    )
-    p.add_argument("--box-cells", type=int, default=5, help="box side, in cells")
-    p.add_argument("--feature-dim", type=int, default=8, help="cell feature dim")
-    p.add_argument(
-        "--clutter", type=float, default=0.3, help="decoy cell probability"
-    )
-    p.add_argument("--noise", type=float, default=0.5, help="feature noise scale")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    # one flag per TaskSpec field, typed and defaulted as the field is
+    for flag, field, text in (
+        ("--classes", "num_classes", "number of classes"),
+        ("--per-class", "per_class", "samples per class"),
+        ("--grid", "grid", "grid side, in cells"),
+        ("--boxes", "boxes", "candidate boxes (perfect square)"),
+        ("--box-cells", "box_cells", "box side, in cells"),
+        ("--feature-dim", "feature_dim", "cell feature dim"),
+        ("--clutter", "clutter", "decoy cell probability"),
+        ("--noise", "noise", "feature noise scale"),
+        ("--seed", "seed", "generator seed"),
+    ):
+        default = getattr(TaskSpec, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default,
+                       metavar=flag[2:].upper().replace("-", "_"), help=text)
     p.add_argument("--out", required=True, help="output dataset path")
     p.set_defaults(func=cmd_generate)
 
@@ -290,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fit_flags(p)
     p.add_argument(
-        "--methods", default="dissim,lsvm,ilsvm", help="comma-separated methods"
+        "--methods", default=",".join(METHODS), help="comma-separated methods"
     )
     p.add_argument(
-        "--losses", default="zero_one,overlap", help="comma-separated losses"
+        "--losses", default=",".join(LOSS_KINDS), help="comma-separated losses"
     )
     p.add_argument(
         "--C-grid",
@@ -301,9 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(repr(c) for c in DEFAULT_C_GRID),
         help="comma-separated C values, increasing",
     )
-    p.add_argument("--folds", type=int, default=5, help="number of folds")
     p.add_argument(
-        "--split", type=float, default=0.6, help="training fraction per fold"
+        "--folds", type=int, default=DEFAULT_FOLDS, help="number of folds"
+    )
+    p.add_argument(
+        "--split", type=float, default=DEFAULT_SPLIT, help="training fraction per fold"
     )
     p.add_argument(
         "--workers",
@@ -323,8 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients")
     p.add_argument("--data", required=True, help="dataset path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=50, help="checked draws per term")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument(
+        "--draws", type=int, default=DEFAULT_DRAWS, help="checked draws per term"
+    )
     p.add_argument(
         "--corrupt",
         action="store_true",

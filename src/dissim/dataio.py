@@ -11,8 +11,10 @@ Files stream in both directions.  ``save_dataset`` hands the writer one
 sample's text at a time, and the loaders decode and parse one line at a
 time, so beyond the dataset itself a save or a load holds one sample, not
 the file.  Every writer goes through ``write_atomic``, which writes a new
-file beside the target (an unnamed ``O_TMPFILE`` on Linux) and replaces
-the target with it only once that file is complete.
+file beside the target (an unnamed ``O_TMPFILE`` on Linux, where
+``/proc`` is mounted) and replaces the target with it only once that file
+is complete.  A results file is csv with one column per ``ResultRow``
+field, in field order, so the record alone defines its layout.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -33,15 +35,6 @@ from .model import BOX_COORD_LIMIT, Dataset, ModelParams, SampleRecord
 
 DATASET_MAGIC = "dissim-dataset 1"
 MODEL_MAGIC = "dissim-model 1"
-RESULTS_HEADER = (
-    "method",
-    "loss_kind",
-    "C",
-    "fold",
-    "test_loss",
-    "train_objective",
-    "wallclock_seconds",
-)
 # why training stopped, as a model file's termination line gives it
 TERMINATIONS = ("tolerance", "round_budget", "repeat")
 
@@ -193,21 +186,24 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
     target, created like any other file, so the saved file gets the usual
     permissions.  On Linux that file is an unnamed ``O_TMPFILE``, so a save
     killed while writing leaves nothing behind; once complete it is linked
-    under a temporary name, which then replaces the target.  Where the
-    system or the file system refuses ``O_TMPFILE``, the file is made under
-    the temporary name from the start.  The name carries a random token,
+    under a temporary name, through ``/proc/self/fd``, and that name then
+    replaces the target.  Where the system or the file system refuses
+    ``O_TMPFILE``, or ``/proc`` is not mounted, the file is made under the
+    temporary name from the start.  The name carries a random token,
     so that no file left by an earlier run can stand in its way.  A failed
     save leaves an existing file as it was and removes its temporary.  A
     chunk UTF-8 cannot encode (a lone surrogate) raises InputError.
     """
     path = Path(path)
-    temporary = None
+    temporary = fds = None
     try:
-        handle = open(os.open(path.parent, os.O_TMPFILE | os.O_WRONLY, 0o666),
-                      "wb")
-    except (AttributeError, OSError):  # no O_TMPFILE here
-        temporary, handle = _draw_name(path, lambda name: open(name, "xb"))
-    try:
+        try:
+            # both opened first, so a refusal of either names the file at once
+            fds = os.open("/proc/self/fd", os.O_RDONLY | os.O_DIRECTORY)
+            handle = open(os.open(path.parent, os.O_TMPFILE | os.O_WRONLY, 0o666),
+                          "wb")
+        except (AttributeError, OSError):  # no O_TMPFILE or no /proc here
+            temporary, handle = _draw_name(path, lambda name: open(name, "xb"))
         with handle:
             for chunk in chunks:
                 try:
@@ -220,19 +216,18 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
                 handle.write(data)
             if temporary is None:
                 handle.flush()
-                fds = os.open("/proc/self/fd", os.O_RDONLY | os.O_DIRECTORY)
-                try:
-                    # os.link follows this process's link to the open file
-                    # only when the source is relative to a directory fd
-                    temporary, _ = _draw_name(path, lambda name: os.link(
-                        str(handle.fileno()), name, src_dir_fd=fds))
-                finally:
-                    os.close(fds)
+                # os.link follows this process's link to the open file only
+                # when the source is relative to a directory fd
+                temporary, _ = _draw_name(path, lambda name: os.link(
+                    str(handle.fileno()), name, src_dir_fd=fds))
         os.replace(temporary, path)
     except BaseException:
         if temporary is not None:
             temporary.unlink(missing_ok=True)
         raise
+    finally:
+        if fds is not None:
+            os.close(fds)
 
 
 def _draw_name(path: Path, make):
@@ -486,22 +481,20 @@ class ResultRow:
     wallclock_seconds: float
 
 
+# a results file's columns: ResultRow's fields, each float as its repr
+_RESULT_COLUMNS = tuple(get_type_hints(ResultRow).items())
+RESULTS_HEADER = tuple(name for name, _ in _RESULT_COLUMNS)
+
+
 def save_results(rows: Sequence[ResultRow], path) -> None:
     with io.StringIO(newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RESULTS_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.method,
-                    r.loss_kind,
-                    repr(r.C),
-                    r.fold,
-                    repr(r.test_loss),
-                    repr(r.train_objective),
-                    repr(r.wallclock_seconds),
-                ]
-            )
+        writer.writerows(
+            [repr(getattr(r, name)) if kind is float else getattr(r, name)
+             for name, kind in _RESULT_COLUMNS]
+            for r in rows
+        )
         text = handle.getvalue()
     write_atomic(path, [text])
 
@@ -526,17 +519,9 @@ def load_results(path) -> list[ResultRow]:
             if len(parts) != len(RESULTS_HEADER):
                 raise InputError(f"{path}: malformed results row {parts}")
             try:
-                rows.append(
-                    ResultRow(
-                        method=parts[0],
-                        loss_kind=parts[1],
-                        C=float(parts[2]),
-                        fold=int(parts[3]),
-                        test_loss=float(parts[4]),
-                        train_objective=float(parts[5]),
-                        wallclock_seconds=float(parts[6]),
-                    )
-                )
+                rows.append(ResultRow(*(
+                    kind(part) for (_, kind), part in zip(_RESULT_COLUMNS, parts)
+                )))
             except ValueError as err:
                 raise InputError(
                     f"{path} line {reader.line_num}: bad results field ({err})"

@@ -32,6 +32,8 @@ STEP = 1e-5
 TOLERANCE = 1e-6
 TIE_MARGIN = 1e-3
 NORM_FLOOR = 1e-3
+DEFAULT_DRAWS = 50
+DEFAULT_SEED = 0
 
 TERMS = ("expected_loss", "self_diversity", "slack")
 
@@ -67,8 +69,8 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def run_gradient_checks(
     dataset: Dataset,
     loss: LossFunction,
-    seed: int = 0,
-    draws: int = 50,
+    seed: int = DEFAULT_SEED,
+    draws: int = DEFAULT_DRAWS,
     corrupt: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> GradCheckResult:
     """Check all three analytic gradients on random draws.

@@ -110,10 +110,13 @@ class _SetView:
     once by ``LossFunction.stack``: the set's score stack
     (``model._ScoreStack``, shared by every loss), the per-sample views,
     and their phi, ``by_label`` and ``at_truth`` stacked per latent-space
-    size K (``blocks``, in the order of ``scoring.groups``).  ``solves``
-    is the baselines' store of solved convex subproblems on this set:
-    keyed by (C, inner_tol), then by (anchors, refs) (see
-    ``wsolver._cccp_loop``), it lives as long as the view does.
+    size K (``blocks``, in the order of ``scoring.groups``).  The groups
+    stay inside: each term but ``posteriors``, whose per-group result
+    only feeds the others, returns one array in dataset order, padded as
+    ``scoring.ungroup`` pads it.  ``solves`` is the baselines' store of
+    solved convex subproblems on this set: keyed by (C, inner_tol), then
+    by (anchors, refs) (see ``wsolver._cccp_loop``), it lives as long as
+    the view does.
 
     Each batched term makes the per-sample core's IEEE operations on each
     row: the products are the same BLAS kernels per row (``probs @
@@ -150,41 +153,44 @@ class _SetView:
             out.append(np.exp(activations - log_z[:, None]))
         return out
 
-    def expected_losses(self, probs: list[np.ndarray]) -> list[np.ndarray]:
-        """Per group, every sample's expected-loss table, (n_g, labels, K);
-        the constant itself, exactly, for a latent-independent loss."""
-        if not self.latent_dependent:
-            return [g.by_label[:, :, 0, :] for g in self.blocks]
-        return [
-            (p[:, None, None, :] @ g.by_label)[:, :, 0, :]
+    def expected_losses(self, probs: list[np.ndarray]) -> np.ndarray:
+        """Every sample's expected-loss table, one (n, labels, K) array in
+        dataset order, -inf at the padded candidates; the constant itself,
+        exactly, for a latent-independent loss."""
+        return self.scoring.ungroup([
+            (p[:, None, None, :] @ g.by_label)[:, :, 0, :] if self.latent_dependent
+            else g.by_label[:, :, 0, :]
             for p, g in zip(probs, self.blocks)
-        ]
+        ])
 
-    def self_diversities(self, probs: list[np.ndarray]) -> list[np.ndarray]:
-        """Per group, every sample's self diversity, (n_g,)."""
+    def self_diversities(self, probs: list[np.ndarray]) -> np.ndarray:
+        """Every sample's self diversity, one (n,) array in dataset order."""
         if not self.latent_dependent:
-            return [np.zeros(len(p)) for p in probs]
-        return [
+            return np.zeros(self.scoring.shape[0])
+        return self.scoring.ungroup([
             (p[:, None, :] @ g.at_truth @ p[:, :, None])[:, 0, 0]
             for p, g in zip(probs, self.blocks)
-        ]
+        ])
 
     def pointwise(self, refs) -> np.ndarray:
         """The tables T_i[refs_i] (labels, K), the loss of every candidate
-        against one latent per sample, padded as ``scoring.ungroup``
-        pads them."""
+        against one latent per sample, padded as ``expected_losses`` pads
+        them."""
         refs = np.asarray(refs)
         return self.scoring.ungroup([
             g.by_label[np.arange(len(g.by_label)), :, refs[g.rows], :]
             for g in self.blocks
         ])
 
-    def loss_columns(self, labels: np.ndarray, latents: np.ndarray):
-        """Per group, every sample's T_i[:, labels_i, latents_i], (n_g, K)."""
-        return [
-            g.by_label[np.arange(len(g.by_label)), labels[g.rows], :, latents[g.rows]]
+    def closest_latents(self, labels: np.ndarray, latents: np.ndarray) -> list[int]:
+        """Per sample, in dataset order, the latent j minimizing
+        T_i[j, labels_i, latents_i], the loss against candidate
+        (labels_i, latents_i); ties break to the smallest j."""
+        return self.scoring.ungroup([
+            np.argmin(g.by_label[np.arange(len(g.by_label)), labels[g.rows], :,
+                                 latents[g.rows]], axis=1)
             for g in self.blocks
-        ]
+        ]).tolist()
 
 
 class LossFunction:
@@ -447,23 +453,17 @@ def upper_bound(
     beta: float,
 ) -> float:
     """Convex-in-w surrogate of the dissimilarity objective:
-    mean slack minus beta times mean self diversity."""
+    mean slack minus beta times mean self diversity.  Each slack is
+    ``model._ScoreStack.slacks``, the one the w-step's objective reads."""
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
     stack = loss.stack(dataset)
-    scoring = stack.scoring
     probs = stack.posteriors(theta)
-    scores = scoring.scores(w)
-    parts = []
-    for (K, rows), expected, selfdiv in zip(
-        scoring.groups, stack.expected_losses(probs), stack.self_diversities(probs)
-    ):
-        group_scores, n_g = scores[rows, :, :K], len(selfdiv)
-        hinge = (group_scores + expected).reshape(n_g, -1).max(axis=1)
-        truth = group_scores[np.arange(n_g), scoring.truth_labels[rows]].max(axis=1)
-        parts.append((hinge - truth) - beta * selfdiv)
+    scores = stack.scoring.scores(w)
+    terms = stack.scoring.slacks(scores, stack.expected_losses(probs))
     total = 0.0
-    for term in scoring.ungroup(parts).tolist():  # a sequential sum, in order
+    # a sequential sum, in dataset order
+    for term in (terms - beta * stack.self_diversities(probs)).tolist():
         total += term
     return total / len(dataset)
 

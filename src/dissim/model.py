@@ -316,6 +316,15 @@ class _ScoreStack:
         flat = np.argmax((scores + self.mask[:, None, :]).reshape(n, L * K), axis=1)
         return np.divmod(flat, K)
 
+    def slacks(self, scores: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """Per sample, the max of ``scores + tables`` (-inf at the padded
+        candidates) minus the best truth-label score: the slack.  A max is
+        exact in any layout, so each equals its per-sample form."""
+        n = self.shape[0]
+        hinge = (scores + tables).reshape(n, -1).max(axis=1)
+        truth = scores[np.arange(n), self.truth_labels]
+        return hinge - (truth + self.mask).max(axis=1)
+
     def ungroup(self, parts: list[np.ndarray]) -> np.ndarray:
         """Per-group values back in dataset order: (n_g,) parts as one
         (n,) array, (n_g, labels, K) tables as one (n, labels, K) array

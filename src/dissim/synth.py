@@ -148,8 +148,8 @@ def generate(spec: TaskSpec) -> tuple[Dataset, GroundTruth]:
             clutter_draw = rng.random((g, g))
             clutter_class = rng.integers(0, c, size=(g, g))
             cells = np.tile(bg_sig, (g, g, 1))
-            clutter_mask = clutter_draw < spec.clutter
-            cells[clutter_mask] = class_sigs[clutter_class[clutter_mask]]
+            decoys = clutter_draw < spec.clutter
+            cells[decoys] = class_sigs[clutter_class[decoys]]
             x0, y0, x1, y1 = boxes_px[planted]
             cells[y0:y1, x0:x1] = class_sigs[label]
             cells = cells + spec.noise * cell_noise

@@ -159,12 +159,12 @@ _INDEX_BLOCK = 4096
 
 
 def _step_indices(rng: np.random.Generator, n: int, steps: int):
-    """``steps`` uniform sample indices in [0, n), drawn in blocks of at
-    most ``_INDEX_BLOCK``.
+    """``steps`` uniform sample indices in [0, n), drawn at most
+    ``_INDEX_BLOCK`` at a time.
 
-    A block draw ``rng.integers(n, size=b)`` yields the same indices as b
-    scalar draws ``rng.integers(n)`` (the tests pin this); blocks keep the
-    memory bounded for any budget.
+    One draw ``rng.integers(n, size=b)`` yields the same indices as b
+    scalar draws ``rng.integers(n)`` (the tests pin this); drawing in
+    batches keeps the memory bounded for any budget.
     """
     for start in range(0, steps, _INDEX_BLOCK):
         size = min(_INDEX_BLOCK, steps - start)

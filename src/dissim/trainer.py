@@ -43,9 +43,12 @@ from .errors import ConfigError, InputError, SolverError
 from .losses import HyperParams, LossFunction, regularized_objective
 from .model import Dataset, ModelParams
 from .thetasolver import SSDConfig, ssd_theta
-from .wsolver import cccp_w
+from .wsolver import DEFAULT_INNER_TOL, cccp_w
 
 DEFAULT_C_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
+# the protocol's folds, and the training fraction of each
+DEFAULT_FOLDS = 5
+DEFAULT_SPLIT = 0.6
 METHODS = ("dissim", "lsvm", "ilsvm")
 
 
@@ -55,7 +58,7 @@ class TrainConfig:
 
     hyper: HyperParams = HyperParams()
     ssd: SSDConfig = SSDConfig()
-    inner_tol: float = 1e-4
+    inner_tol: float = DEFAULT_INNER_TOL
     max_outer_rounds: int = 40
     C_grid: tuple[float, ...] = DEFAULT_C_GRID
     split_seed: int = 0
@@ -177,8 +180,7 @@ def stratified_split(
 ) -> tuple[Dataset, Dataset]:
     """Per-class shuffle split; every class keeps at least one sample on
     each side, so classes need at least two samples."""
-    if not 0.0 < split < 1.0:
-        raise ConfigError(f"split fraction must lie in (0, 1), got {split}")
+    _check_split(split)
     by_label: dict[int, list[int]] = {}
     for idx, sample in enumerate(dataset):
         by_label.setdefault(sample.truth_label, []).append(idx)
@@ -211,6 +213,11 @@ def stratified_split(
     return subset(train_idx), subset(test_idx)
 
 
+def _check_split(split: float) -> None:
+    if not 0.0 < split < 1.0:
+        raise ConfigError(f"split fraction must lie in (0, 1), got {split}")
+
+
 def _fit(
     method: str, dataset: Dataset, loss: LossFunction, config: TrainConfig
 ) -> ModelRecord:
@@ -235,8 +242,8 @@ def run_protocol(
     dataset: Dataset,
     loss: LossFunction,
     config: TrainConfig,
-    n_folds: int = 5,
-    split: float = 0.6,
+    n_folds: int = DEFAULT_FOLDS,
+    split: float = DEFAULT_SPLIT,
     methods: tuple[str, ...] = ("dissim",),
     workers: Optional[int] = None,
 ) -> ProtocolResult:
@@ -259,8 +266,8 @@ def run_protocols(
     dataset: Dataset,
     losses: Sequence[LossFunction],
     config: TrainConfig,
-    n_folds: int = 5,
-    split: float = 0.6,
+    n_folds: int = DEFAULT_FOLDS,
+    split: float = DEFAULT_SPLIT,
     methods: tuple[str, ...] = ("dissim",),
     workers: Optional[int] = None,
 ) -> list[ProtocolResult]:
@@ -274,6 +281,7 @@ def run_protocols(
     """
     if n_folds < 1:
         raise ConfigError(f"n_folds must be >= 1, got {n_folds}")
+    _check_split(split)
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     cells = _Cells(dataset, tuple(losses), config, n_folds, split, methods)
@@ -356,7 +364,12 @@ def _map_cells(cells: _Cells, workers: int) -> list[list[ResultRow]]:
     try:
         for _ in range(workers):
             reply, answer = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(reply)
+                os.close(answer)
+                raise
             if pid == 0:  # the child, which must never return from here
                 code = 1
                 try:

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SolverError
-from .losses import LossFunction
+from .losses import HyperParams, LossFunction
 from .model import Dataset, SampleRecord, score_table
 
 # Budgets of the dual QP's passes, the cutting planes of one convex
@@ -42,6 +42,8 @@ from .model import Dataset, SampleRecord, score_table
 DEFAULT_QP_PASSES = 10_000
 DEFAULT_PLANE_BUDGET = 500
 DEFAULT_CCCP_BUDGET = 1000
+# the cutting-plane tolerance of a convex solve
+DEFAULT_INNER_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ class _InnerData:
     dataset's ``model._ScoreStack``): padded candidates score 0 and carry
     -inf augmentation entries, so they never win.  Ties break row-major
     (smallest label, then latent).  ``set_round`` replaces the tables
-    and anchors.
+    and anchors.  The objective's slacks are the score stack's, the same
+    ones ``losses.upper_bound`` sums.
     """
 
     def __init__(self, dataset: Dataset, tables: np.ndarray, anchors):
@@ -87,9 +90,10 @@ class _InnerData:
 
     def set_round(self, tables: np.ndarray, anchors) -> None:
         """Use these augmentation tables, one (n, labels, K) array with
-        -inf at the padded candidates as ``_ScoreStack.ungroup`` returns
-        it, and anchor latent indices."""
+        -inf at the padded candidates as ``loss.stack(dataset)`` returns
+        them, and anchor latent indices."""
         n, L, K = self.stack.shape
+        self.tables = tables
         self.aug_stack = tables.reshape(n, L * K)
         rows = np.arange(n)
         self.anchor_rows = self.psi_stack[
@@ -111,13 +115,8 @@ class _InnerData:
         """Value of the unconvexified problem at w with these tables:
         regularizer plus C times the mean of (loss-augmented max minus
         the best truth-label score); ``scores`` is ``stack.scores(w)``."""
-        stack = self.stack
-        n = len(scores)
         reg = 0.5 * float(w @ w)
-        hinge = (scores.reshape(n, -1) + self.aug_stack).max(axis=1)
-        truth = scores[np.arange(n), stack.truth_labels]
-        ref = (truth + stack.mask).max(axis=1)
-        return reg + C * float((hinge - ref).mean())
+        return reg + C * float(self.stack.slacks(scores, self.tables).mean())
 
 
 def _qp_coordinate_ascent(
@@ -413,8 +412,8 @@ def cccp_w(
     w_init: Optional[np.ndarray],
     loss: LossFunction,
     C: float,
-    epsilon: float = 1e-3,
-    inner_tol: float = 1e-4,
+    epsilon: float = HyperParams.epsilon,
+    inner_tol: float = DEFAULT_INNER_TOL,
 ) -> tuple[np.ndarray, WSolverReport]:
     """CCCP descent on the prediction parameters at fixed theta.
 
@@ -423,7 +422,7 @@ def cccp_w(
     over ``loss.stack(dataset)``.
     """
     stack = loss.stack(dataset)
-    tables = stack.scoring.ungroup(stack.expected_losses(stack.posteriors(theta)))
+    tables = stack.expected_losses(stack.posteriors(theta))
 
     def build(w, imputed):
         return tables, ()

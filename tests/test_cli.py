@@ -1,5 +1,7 @@
 """Exercises the command line harness end to end, in process."""
 
+import dataclasses
+import inspect
 import multiprocessing
 
 import numpy as np
@@ -10,15 +12,28 @@ from hypothesis import strategies as st
 import dissim.cli as cli
 import dissim.trainer as trainer
 from dissim import (
+    DEFAULT_C_GRID,
+    LOSS_KINDS,
+    METHODS,
     ConfigError,
     Dataset,
+    HyperParams,
     SampleRecord,
     SolverError,
+    SSDConfig,
+    TaskSpec,
+    TrainConfig,
+    cccp_w,
+    ilsvm_train,
     load_dataset,
     load_model,
     load_results,
+    lsvm_train,
+    run_gradient_checks,
+    run_protocol,
     save_dataset,
 )
+from dissim.trainer import run_protocols
 from helpers import (
     MUTATION_TOKENS,
     MUTATIONS,
@@ -610,6 +625,68 @@ class TestMutatedDataset:
             if command[0] == "train":
                 argv += [*self.TRAIN_FLAGS, "--out", str(tmp_path / "m.model")]
             assert cli.main(argv) in codes, argv
+
+
+class TestDefaults:
+    """Each flag left unset parses to the record field, function default
+    or constant it feeds: every default is written in one place."""
+
+    @staticmethod
+    def parse(*argv):
+        return cli.build_parser().parse_args(list(argv))
+
+    @staticmethod
+    def defaults(function):
+        return {name: p.default
+                for name, p in inspect.signature(function).parameters.items()}
+
+    def test_generate(self):
+        args = self.parse("generate", "--out", "d.txt")
+        for field in dataclasses.fields(TaskSpec):
+            assert getattr(args, field.name) == field.default, field.name
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_fit_flags(self, command):
+        args = self.parse(command, "--data", "d.txt", "--out", "out")
+        assert args.J is None and args.beta is None
+        assert args.epsilon == HyperParams.epsilon
+        assert args.inner_tol == TrainConfig.inner_tol
+        assert args.ssd_factor == SSDConfig.steps_per_sample
+        assert args.max_rounds == TrainConfig.max_outer_rounds
+        assert args.seed == SSDConfig.seed == TrainConfig.split_seed
+
+    def test_train(self):
+        args = self.parse("train", "--data", "d.txt", "--out", "m.model")
+        assert args.C == HyperParams.C
+        config = cli._train_config(args, [args.method], (args.C,))
+        assert config == TrainConfig(C_grid=(HyperParams.C,))
+
+    def test_experiment(self):
+        args = self.parse("experiment", "--data", "d.txt", "--out", "r.csv")
+        assert args.methods == ",".join(METHODS)
+        assert args.losses == ",".join(LOSS_KINDS)
+        c_grid = tuple(float(c) for c in args.C_grid.split(","))
+        assert c_grid == DEFAULT_C_GRID == TrainConfig.C_grid
+        for protocol in (run_protocol, run_protocols):
+            assert self.defaults(protocol)["n_folds"] == args.folds
+            assert self.defaults(protocol)["split"] == args.split
+        assert (args.folds, args.split) == (trainer.DEFAULT_FOLDS,
+                                            trainer.DEFAULT_SPLIT)
+        assert args.workers is None and not args.no_timings
+        config = cli._train_config(args, METHODS, c_grid)
+        assert config == TrainConfig(hyper=HyperParams(C=c_grid[0]))
+
+    def test_gradcheck(self):
+        args = self.parse("gradcheck", "--data", "d.txt")
+        checks = self.defaults(run_gradient_checks)
+        assert (args.seed, args.draws) == (checks["seed"], checks["draws"])
+        assert not args.corrupt
+
+    @pytest.mark.parametrize("fit", [cccp_w, lsvm_train, ilsvm_train])
+    def test_solver_tolerances(self, fit):
+        """The solvers' own defaults are the ones the fit flags give."""
+        assert self.defaults(fit)["epsilon"] == HyperParams.epsilon
+        assert self.defaults(fit)["inner_tol"] == TrainConfig.inner_tol
 
 
 class TestEntryPoint:

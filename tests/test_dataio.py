@@ -792,6 +792,31 @@ write_atomic(sys.argv[1], chunks())
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         assert load_results(tmp_path / "r.csv") == TestResults.ROWS
 
+    def test_named_temporary_where_proc_is_refused(self, tmp_path,
+                                                   monkeypatch):
+        """Without /proc the unnamed file could never be linked, so the
+        save writes under a temporary name from the start: the same bytes,
+        and no temporary left."""
+        dset = make_dataset(3, n=4, num_labels=2, num_latents=3, d_w=2,
+                            d_theta=2)
+        save_dataset(dset, tmp_path / "want.txt")
+        refused = []
+        real_open = os.open
+
+        def no_proc(file, *args, **kwargs):
+            if file == "/proc/self/fd":
+                refused.append(file)
+                raise FileNotFoundError(2, "No such file or directory", file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(dataio.os, "open", no_proc)
+        save_dataset(dset, tmp_path / "d.txt")
+        assert refused
+        assert ((tmp_path / "d.txt").read_bytes()
+                == (tmp_path / "want.txt").read_bytes())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt",
+                                                             "want.txt"]
+
 
 def loaded(load, path, read=lambda load, path: load(path)):
     """What a loader makes of a file, as plain data whose equality is bit

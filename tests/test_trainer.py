@@ -484,6 +484,44 @@ print(*sorted(m for m in ("multiprocessing", "concurrent.futures")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["2 4", ""]
 
+    def test_failed_fork_leaks_nothing(self, monkeypatch):
+        """A fork that fails after one worker started: its error comes
+        through, the started worker is reaped, and no descriptor is left
+        open, the failed fork's reply pipe included."""
+        def stub(method, dataset, loss, config):
+            time.sleep(60.0)
+
+        forks = []
+        real_fork = os.fork
+
+        def fork_once():
+            forks.append(1)
+            if len(forks) > 1:
+                raise OSError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(trainer, "_fit", stub)
+        monkeypatch.setattr(trainer.os, "fork", fork_once)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="temporarily unavailable"):
+            run_protocol(self.small_dataset(), ZeroOneLoss(),
+                         self.small_config(), n_folds=1, methods=("lsvm",),
+                         workers=2)
+        assert len(forks) == 2
+        assert no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("split", [0.0, 1.0, float("nan")])
+    def test_bad_split_refused_before_any_fork(self, monkeypatch, split):
+        def no_fork():
+            raise AssertionError("forked before checking the split")
+
+        monkeypatch.setattr(trainer.os, "fork", no_fork)
+        with pytest.raises(ConfigError,
+                           match=r"^split fraction must lie in \(0, 1\)"):
+            run_protocols(self.small_dataset(), [ZeroOneLoss()],
+                          self.small_config(), split=split, workers=2)
+
     def test_worker_count_must_be_positive(self):
         with pytest.raises(ConfigError, match="workers"):
             run_protocol(self.small_dataset(), ZeroOneLoss(),

@@ -448,7 +448,7 @@ class TestStackedRound:
         for scale in (0.1, 1.0, 10.0):
             theta = scale * rng.standard_normal(dset.d_theta)
             probs = stack.posteriors(theta)
-            tables = stack.scoring.ungroup(stack.expected_losses(probs))
+            tables = stack.expected_losses(probs)
             assert tables.shape == stack.scoring.shape
             want = reference_cccp_tables(theta, dset, loss)
             for i, (s, table) in enumerate(zip(dset, want)):
@@ -469,7 +469,7 @@ class TestStackedRound:
         per_sample = _InnerData(
             dset, pad_tables(dset, reference_cccp_tables(theta, dset, loss)),
             reference_impute(w, dset))
-        tables = scoring.ungroup(stack.expected_losses(stack.posteriors(theta)))
+        tables = stack.expected_losses(stack.posteriors(theta))
         stacked = _InnerData(dset, tables, scoring.impute(scoring.scores(w)))
         assert stacked.aug_stack.tobytes() == per_sample.aug_stack.tobytes()
         assert stacked.anchor_rows.tobytes() == per_sample.anchor_rows.tobytes()

@@ -60,8 +60,13 @@ class HyperParams:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
+        _check_beta(self.beta)
+
+
+def _check_beta(beta: float) -> None:
+    """ConfigError unless beta lies in the open interval (0, 1)."""
+    if not 0.0 < beta < 1.0:
+        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
 
 
 def iou_matrix(boxes: np.ndarray) -> np.ndarray:
@@ -422,8 +427,7 @@ def dissimilarity(
     beta: float,
 ) -> float:
     """Jensen-difference dissimilarity coefficient between P and Q."""
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    _check_beta(beta)
     matrix = _as_loss_matrix(pairwise_loss, len(p))
     return (
         diversity(p, q, matrix)
@@ -455,8 +459,7 @@ def upper_bound(
     """Convex-in-w surrogate of the dissimilarity objective:
     mean slack minus beta times mean self diversity.  Each slack is
     ``model._ScoreStack.slacks``, the one the w-step's objective reads."""
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    _check_beta(beta)
     stack = loss.stack(dataset)
     probs = stack.posteriors(theta)
     scores = stack.scoring.scores(w)

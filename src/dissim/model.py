@@ -33,9 +33,20 @@ BOX_COORD_LIMIT = 2**25
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    """A read-only contiguous array of values.  A writeable array of the
-    caller's is copied, not frozen under the caller's hands; an array
-    built here from other values is frozen as is."""
+    """A read-only array of values.  A read-only array of this dtype whose
+    innermost axis is contiguous is kept as is (a strided window such as
+    ``synth``'s psi included), so every vector is contiguous; anything else
+    becomes a contiguous array.  A writeable array of the caller's is
+    copied, not frozen under the caller's hands; an array built here from
+    other values is frozen as is."""
+    if (
+        isinstance(values, np.ndarray)
+        and not values.flags.writeable
+        and values.dtype == dtype
+        and values.ndim > 0
+        and values.strides[-1] == values.itemsize
+    ):
+        return values
     arr = np.ascontiguousarray(values, dtype=dtype)
     if (
         isinstance(values, np.ndarray)

@@ -121,6 +121,29 @@ def _signatures(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
     return basis[: spec.num_classes], basis[spec.num_classes]
 
 
+def _block_embedding(phi: np.ndarray, labels: int) -> np.ndarray:
+    """psi of a sample with these pooled features: psi[y, k] is phi[k] in
+    block y of length d and zeros elsewhere, shape (labels, K, labels * d).
+
+    Returned as a read-only window on one buffer of (labels - 1) * d +
+    K * labels * d doubles: (labels - 1) * d zeros, then per latent k the
+    row phi[k] followed by (labels - 1) * d zeros.  Label y's view starts
+    y * d doubles before row 0, so its block y lands on phi and every
+    other block on zeros; the dense array would hold about labels times
+    more.
+    """
+    K, d = phi.shape
+    width = labels * d
+    buffer = np.zeros((labels - 1) * d + K * width)
+    start = (labels - 1) * d
+    buffer[start:].reshape(K, width)[:, :d] = phi
+    step = buffer.itemsize
+    return as_strided(
+        buffer[start:], (labels, K, width), (-d * step, width * step, step),
+        writeable=False,
+    )
+
+
 def generate(spec: TaskSpec) -> tuple[Dataset, GroundTruth]:
     """Build the benchmark dataset and its ground-truth latent map.
 
@@ -165,11 +188,9 @@ def generate(spec: TaskSpec) -> tuple[Dataset, GroundTruth]:
                 writeable=False,
             )
             phi = windows.mean(axis=(2, 3)).reshape(spec.boxes, d)
-            psi = np.zeros((c, spec.boxes, c * d))
-            for y in range(c):
-                psi[y, :, y * d : (y + 1) * d] = phi
-            # frozen here, so SampleRecord keeps them without a copy
-            phi.flags.writeable = psi.flags.writeable = False
+            psi = _block_embedding(phi, c)
+            # frozen here, so SampleRecord keeps it without a copy
+            phi.flags.writeable = False
             sample_id = f"c{label}s{j:03d}"
             samples.append(
                 SampleRecord(

@@ -28,7 +28,12 @@ best value by less than C * epsilon, when a convex subproblem repeats
 
 from __future__ import annotations
 
+import ctypes
+import os
+import platform
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,6 +124,67 @@ class _InnerData:
         return reg + C * float(self.stack.slacks(scores, self.tables).mean())
 
 
+# Contraction must be off: GCC on aarch64 fuses a*b+c into one rounding
+# by default, which would move the iterates; nothing reorders a sum
+# without -ffast-math.
+_QP_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _load_kernel():
+    """The compiled dual QP (``_qp.c`` beside this file) as a ctypes
+    library, or None where no C compiler builds it or it does not load.
+
+    The compiler is Python's own (``sysconfig``'s CC, else ``cc``) with
+    ``_QP_FLAGS``.  The library is built once per source and flags into
+    ``__pycache__/_qp-<machine>-<crc32>.so``, written under a temporary
+    name and moved into place, so concurrent first imports each see a
+    whole file.  The compiler's output is captured, so a failed build
+    prints nothing and leaves the Python loop.
+    """
+    source = Path(__file__).with_name("_qp.c")
+    try:
+        tag = zlib.crc32(source.read_bytes() + " ".join(_QP_FLAGS).encode())
+    except OSError:
+        return None
+    path = source.parent / "__pycache__" / f"_qp-{platform.machine()}-{tag:08x}.so"
+    if not path.exists():
+        # imported here: only a build needs them, and sysconfig's data
+        # and subprocess would add 0.6 MB to every process's peak memory
+        import shlex
+        import subprocess
+        import sysconfig
+
+        command = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        temporary = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
+        try:
+            path.parent.mkdir(exist_ok=True)
+            subprocess.run(
+                [*command, *_QP_FLAGS, "-o", str(temporary), str(source)],
+                capture_output=True, check=True, timeout=120,
+            )
+            os.replace(temporary, path)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        finally:
+            temporary.unlink(missing_ok=True)
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError:
+        return None
+    pointer, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.dissim_qp_ascent.argtypes = [
+        size, pointer, pointer, real, pointer, pointer, real, size,
+    ]
+    lib.dissim_qp_ascent.restype = ctypes.c_int
+    lib.dissim_qp_sum.argtypes = [pointer, size]
+    lib.dissim_qp_sum.restype = real
+    return lib
+
+
+# loaded at import, so forked workers inherit it
+_KERNEL = _load_kernel()
+
+
 def _qp_coordinate_ascent(
     G: np.ndarray,
     b: np.ndarray,
@@ -139,6 +205,29 @@ def _qp_coordinate_ascent(
     which bounds how far the objective is below its maximum, decides:
     alpha is returned if the gap is at most 1e-9 * max(1, C), and
     SolverError is raised otherwise.
+
+    The passes run in the compiled kernel where it loaded, else in the
+    Python loop (``_qp_passes``); both return the same alpha bit for bit.
+    """
+    if _qp_passes(G, b, C, alpha, tol, DEFAULT_QP_PASSES):
+        return alpha
+    grad = b - G @ alpha
+    gap = max(0.0, C * float(grad.max())) - float(grad @ alpha)
+    if gap <= 1e-9 * max(1.0, C):
+        return alpha
+    raise SolverError(
+        f"dual QP not converged after {DEFAULT_QP_PASSES} passes "
+        f"(duality gap {gap:.3e})",
+        last_iterate=alpha,
+    )
+
+
+def _qp_python(
+    G: np.ndarray, b: np.ndarray, C: float, alpha: np.ndarray, tol: float,
+    passes: int,
+) -> bool:
+    """At most ``passes`` passes of ``_qp_coordinate_ascent``'s moves on
+    alpha, in place; True once a pass moves nothing by more than tol.
 
     The loops run on Python floats, which the interpreter steps through
     several times faster than numpy scalars, and make the IEEE operations
@@ -169,7 +258,7 @@ def _qp_coordinate_ascent(
     total = _numpy_sum(a)
     # diffs[j][l], l < j: G[:, j] - G[:, l] once the pair has moved
     diffs = [[None] * j for j in range(m)]
-    for _ in range(DEFAULT_QP_PASSES):
+    for _ in range(passes):
         biggest = 0.0
         for j in range(m):
             aj = a[j]
@@ -227,17 +316,45 @@ def _qp_coordinate_ascent(
             total = _numpy_sum(a)
         if biggest <= tol:
             alpha[:] = a
-            return alpha
+            return True
     alpha[:] = a
-    grad = b - G @ alpha
-    gap = max(0.0, C * float(grad.max())) - float(grad @ alpha)
-    if gap <= 1e-9 * max(1.0, C):
-        return alpha
-    raise SolverError(
-        f"dual QP not converged after {DEFAULT_QP_PASSES} passes "
-        f"(duality gap {gap:.3e})",
-        last_iterate=alpha,
-    )
+    return False
+
+
+def _qp_kernel(
+    G: np.ndarray, b: np.ndarray, C: float, alpha: np.ndarray, tol: float,
+    passes: int,
+) -> bool:
+    """``_qp_python`` in the compiled kernel (``_qp.c``), which makes the
+    same IEEE operations in the same order on the arrays themselves."""
+    m = b.size
+    q = G @ alpha
+    return bool(_KERNEL.dissim_qp_ascent(
+        m, _address(G, (m, m), writes=False), _address(b, (m,), writes=False),
+        C, _address(alpha, (m,), writes=True), _address(q, (m,), writes=True),
+        tol, passes,
+    ))
+
+
+def _address(arr: np.ndarray, shape: tuple, writes: bool) -> int:
+    """The data address of arr, once it is a C-contiguous float64 array
+    of this shape, and writeable where the kernel writes it."""
+    if (
+        arr.dtype != np.float64
+        or arr.shape != shape
+        or not arr.flags.c_contiguous
+        or (writes and not arr.flags.writeable)
+    ):
+        raise ValueError(
+            f"the QP kernel needs a C-contiguous float64 array of shape "
+            f"{shape}{', writeable' if writes else ''}; got {arr.dtype} "
+            f"{arr.shape}"
+        )
+    return arr.ctypes.data
+
+
+# one QP path per platform: the kernel where it loaded, else the loop
+_qp_passes = _qp_python if _KERNEL is None else _qp_kernel
 
 
 def _numpy_sum(values: list) -> float:

@@ -22,7 +22,7 @@ from dissim import (
     predict,
     score_table,
 )
-from dissim.model import _log_sum_exp
+from dissim.model import _frozen_array, _log_sum_exp
 from helpers import (
     _reference_log_sum_exp,
     _reference_posterior,
@@ -199,6 +199,36 @@ def test_every_record_is_frozen():
     sample = tiny_sample()
     with pytest.raises(dataclasses.FrozenInstanceError):
         sample.truth_label = 5
+
+
+class TestFrozenArray:
+    def test_keeps_a_read_only_array_with_a_contiguous_inner_axis(self):
+        base = np.arange(24.0)
+        base.flags.writeable = False
+        window = np.lib.stride_tricks.as_strided(
+            base[8:], (3, 2, 4), (-32, 64, 8), writeable=False)
+        for arr in (base, base.reshape(4, 6)[::2], window):
+            assert _frozen_array(arr) is arr
+
+    def test_copies_a_writeable_array(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        frozen = _frozen_array(arr)
+        assert not frozen.flags.writeable
+        assert not np.may_share_memory(frozen, arr)
+        np.testing.assert_array_equal(frozen, arr)
+
+    def test_copies_a_strided_inner_axis(self):
+        arr = np.arange(12.0).reshape(3, 4)[:, ::2]
+        arr.flags.writeable = False
+        frozen = _frozen_array(arr)
+        assert frozen.flags.c_contiguous and not frozen.flags.writeable
+        np.testing.assert_array_equal(frozen, arr)
+
+    def test_converts_another_dtype(self):
+        arr = np.arange(3, dtype=np.int64)
+        arr.flags.writeable = False
+        frozen = _frozen_array(arr)
+        assert frozen.dtype == np.float64 and not frozen.flags.writeable
 
 
 class TestScore:

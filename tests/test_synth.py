@@ -154,6 +154,47 @@ class TestPoolingMatchesReference:
             assert not (s.psi.flags.writeable or s.phi.flags.writeable)
 
 
+# the generate flag sets whose files CI compares with the base commit's
+GENERATE_FLAG_SETS = [
+    dict(),
+    dict(noise=0.0, clutter=0.0),
+    dict(boxes=9, box_cells=4),
+    dict(boxes=1, box_cells=8),
+    dict(num_classes=12, feature_dim=13),
+    dict(per_class=225),
+]
+
+
+def owning_array(arr):
+    """The array that owns arr's memory, found through its bases."""
+    while not (isinstance(arr, np.ndarray) and arr.flags.owndata):
+        arr = arr.base
+    return arr
+
+
+class TestPsiWindows:
+    """generate stores each sample's psi as a read-only window on one
+    buffer: the dense block embedding's bits in a labels-fold smaller
+    buffer."""
+
+    @pytest.mark.parametrize("flags", GENERATE_FLAG_SETS,
+                             ids=lambda kw: "-".join(f"{k}{v}" for k, v in
+                                                     kw.items()) or "default")
+    def test_window_is_the_dense_embedding(self, flags):
+        spec = TaskSpec(seed=0, **flags)
+        dset, _ = generate(spec)
+        L, d = spec.num_classes, spec.feature_dim
+        for s in dset:
+            K = s.num_latents
+            dense = np.zeros((L, K, L * d))
+            for y in range(L):
+                dense[y, :, y * d : (y + 1) * d] = s.phi
+            assert s.psi.shape == dense.shape
+            assert np.ascontiguousarray(s.psi).tobytes() == dense.tobytes()
+            assert not s.psi.flags.writeable
+            assert owning_array(s.psi).size == (L - 1) * d + K * L * d
+
+
 class TestTemplateModel:
     def test_perfect_on_clean_data(self):
         dset, _ = generate(SMALL)

@@ -1,5 +1,10 @@
 """Cutting-plane inner solver and the CCCP outer loop."""
 
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +38,7 @@ from helpers import (
     reference_impute,
     reference_qp_coordinate_ascent,
     solve_inner_convex,
+    src_env,
     stack_case,
 )
 
@@ -338,6 +344,9 @@ def qp_outcome(solve, G, b, C, alpha):
 
 
 class TestDualQPMatchesReference:
+    """As ``TestDualQP``: on the selected path here, and on the Python
+    loop in ``TestDualQPMatchesReferenceOnPythonLoop``."""
+
     def test_alpha_bytes_equal_reference(self, monkeypatch):
         rng = np.random.default_rng(20240)
         on_face = 0
@@ -380,11 +389,17 @@ class TestDualQPMatchesReference:
                           alpha) == expect
 
     def test_sum_replica_matches_numpy(self):
+        # the Python loop's replica, and the kernel's where it loaded
+        replicas = [lambda x: wsolver._numpy_sum(x.tolist())]
+        if wsolver._KERNEL is not None:
+            replicas.append(
+                lambda x: wsolver._KERNEL.dissim_qp_sum(x.ctypes.data, x.size))
         rng = np.random.default_rng(300)
         for n in range(301):
             x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
-            got = np.float64(wsolver._numpy_sum(x.tolist())).tobytes()
-            assert got == np.float64(np.sum(x)).tobytes(), n
+            expect = np.float64(np.sum(x)).tobytes()
+            for replica in replicas:
+                assert np.float64(replica(x)).tobytes() == expect, n
 
 
 class TestInnerData:
@@ -485,3 +500,63 @@ class TestStackedRound:
             cccp_w(dset, np.zeros(dset.d_theta + 1), None, loss, C=1.0)
         with pytest.raises(ConfigError, match="w has shape"):
             cccp_w(dset, np.zeros(dset.d_theta), np.zeros(2), loss, C=1.0)
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    monkeypatch.setattr(wsolver, "_qp_passes", wsolver._qp_python)
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestDualQPOnPythonLoop(TestDualQP):
+    """``TestDualQP`` on the Python loop, the path where no C compiler
+    builds the kernel."""
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestDualQPMatchesReferenceOnPythonLoop(TestDualQPMatchesReference):
+    """``TestDualQPMatchesReference`` on the Python loop."""
+
+
+class TestQPKernel:
+    def test_refuses_arrays_it_cannot_read_in_place(self):
+        # the kernel reads raw pointers, so every array is checked first
+        if wsolver._KERNEL is None:
+            pytest.skip("no C compiler built the QP kernel")
+        G, b = np.eye(3), np.ones(3)
+        bad = [
+            (np.asfortranarray(np.arange(9.0).reshape(3, 3)), b, np.zeros(3)),
+            (G[:, :2], b[:2], np.zeros(2)),
+            (G, b.astype(np.float32), np.zeros(3)),
+            (G, b, np.zeros(6)[::2]),
+        ]
+        frozen = np.zeros(3)
+        frozen.flags.writeable = False
+        bad.append((G, b, frozen))
+        for G_bad, b_bad, alpha in bad:
+            with pytest.raises(ValueError, match="QP kernel needs"):
+                wsolver._qp_kernel(G_bad, b_bad, 1.0, alpha, 1e-13, 10)
+
+    @pytest.mark.parametrize("cc", ["/nonexistent/cc", "false"])
+    def test_without_a_compiler_the_python_loop_runs_silently(self, cc,
+                                                               tmp_path):
+        # a compiler that is missing, or that fails, leaves the Python
+        # loop, with nothing printed and no file left behind; the package
+        # is imported from a copy with no built kernel
+        package = Path(wsolver.__file__).parent
+        shutil.copytree(package, tmp_path / "dissim",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        code = (
+            "import sysconfig\n"
+            "get = sysconfig.get_config_var\n"
+            f"sysconfig.get_config_var = lambda name: {cc!r} "
+            "if name == 'CC' else get(name)\n"
+            "import dissim.wsolver as w\n"
+            "assert w._KERNEL is None and w._qp_passes is w._qp_python\n"
+        )
+        env = dict(src_env(), PYTHONPATH=str(tmp_path),
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert list((tmp_path / "dissim" / "__pycache__").iterdir()) == []

@@ -25,10 +25,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from ._kernel import ssd_samples
 from .errors import ConfigError, InputError
 from .model import (
     Dataset,
@@ -121,7 +123,8 @@ class _SetView:
     ``scoring.ungroup`` pads it.  ``solves`` is the baselines' store of
     solved convex subproblems on this set: keyed by (C, inner_tol), then
     by (anchors, refs) (see ``wsolver._cccp_loop``), it lives as long as
-    the view does.
+    the view does.  ``step_samples`` is what the compiled SSD steps read
+    of the views, built on first use.
 
     Each batched term makes the per-sample core's IEEE operations on each
     row: the products are the same BLAS kernels per row (``probs @
@@ -144,6 +147,12 @@ class _SetView:
             at_truth = by_label[np.arange(len(idx)), scoring.truth_labels[rows]]
             phi = np.stack([views[i].phi for i in idx])
             self.blocks.append(_Group(rows, phi, by_label, at_truth))
+
+    @cached_property
+    def step_samples(self):
+        """``_kernel.ssd_samples`` of the views, or None where the
+        compiled SSD steps do not take this set."""
+        return ssd_samples(self.views, self.d_theta)
 
     def posteriors(self, theta: np.ndarray) -> list[np.ndarray]:
         """Per group, every sample's latent conditional, (n_g, K)."""

@@ -21,6 +21,14 @@ vector v, the common building block is
 
 The slack gradient applies Danskin's rule: differentiate the expected
 loss at the current loss-augmented argmax (valid off tie points).
+
+The steps run in the compiled kernel (``_kernel.c``, loaded by
+``dissim._kernel``) where it loaded, else in the Python loop
+``_ssd_python``.  The kernel makes the loop's IEEE operations in the
+same order and calls the functions numpy calls (its BLAS's
+``cblas_dgemv`` and its float64 exp loop), so both return the same
+theta bit for bit.  A set with a latent space or d_theta of one runs
+the loop: numpy calls other BLAS routines for those shapes.
 """
 
 from __future__ import annotations
@@ -30,12 +38,14 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernel import SSD as _SSD, address
 from .errors import ConfigError
 from .losses import (  # noqa: F401  (expected_loss_table: perfbench wraps this binding)
     HyperParams,
     LossFunction,
     _loss_column,
     _SampleView,
+    _SetView,
     expected_loss_table,
     upper_bound,
 )
@@ -77,14 +87,14 @@ class SSDConfig:
 def _step_gradients(
     view: _SampleView,
     scores: Optional[np.ndarray],
-    probs: np.ndarray,
+    probs: Optional[np.ndarray],
     column: Optional[np.ndarray] = None,
 ) -> tuple[list[float], list[float]]:
     """The per-sample core: the gradients in theta of ``probs @ column``
     (the expected loss of one candidate; by default the loss-augmented
     argmax of ``scores``, which makes it the slack subgradient by
     Danskin's rule) and of the self diversity, as lists of floats.  Exact
-    zeros for a latent-independent loss.
+    zeros for a latent-independent loss, which reads no ``probs``.
 
     Each is the pull  sum_k v_k p_k (phi_k - pbar) = phi.T @ (p * v) -
     sum(p * v) * pbar.  Its last ``u - s * m`` runs on Python floats: the
@@ -158,17 +168,16 @@ def theta_objective(
 _INDEX_BLOCK = 4096
 
 
-def _step_indices(rng: np.random.Generator, n: int, steps: int):
-    """``steps`` uniform sample indices in [0, n), drawn at most
-    ``_INDEX_BLOCK`` at a time.
+def _index_blocks(rng: np.random.Generator, n: int, steps: int):
+    """``steps`` uniform sample indices in [0, n), as int64 arrays of at
+    most ``_INDEX_BLOCK``.
 
     One draw ``rng.integers(n, size=b)`` yields the same indices as b
     scalar draws ``rng.integers(n)`` (the tests pin this); drawing in
-    batches keeps the memory bounded for any budget.
+    blocks keeps the memory bounded for any budget.
     """
     for start in range(0, steps, _INDEX_BLOCK):
-        size = min(_INDEX_BLOCK, steps - start)
-        yield from rng.integers(n, size=size).tolist()
+        yield rng.integers(n, size=min(_INDEX_BLOCK, steps - start))
 
 
 def ssd_theta(
@@ -182,10 +191,10 @@ def ssd_theta(
     """Stochastic subgradient descent on the theta subproblem.
 
     Returns the final iterate.  Fully deterministic given the config
-    seed.  Each step calls ``_step_gradients``, the core that the public
-    gradients call too, on the loss's
-    cached per-sample views, with every score table at w sliced from one
-    product over ``loss.stack(dataset)``.
+    seed.  The steps run in the compiled kernel where it loaded, else in
+    the Python loop (``_ssd_loop``); both return the same theta bit for
+    bit.  Every score table at w is sliced from one product over
+    ``loss.stack(dataset)``.
     """
     n = len(dataset)
     steps = (
@@ -195,17 +204,32 @@ def ssd_theta(
     if not lam > 0:
         raise ConfigError(f"shrinkage weight must be positive, got {lam}")
     theta = _vector("theta", theta_init, dataset.d_theta)
-    beta = hyper.beta
     stack = loss.stack(dataset)
     scores = stack.scoring.scores(w)
+    blocks = _index_blocks(np.random.default_rng(config.seed), n, steps)
+    return _ssd_loop(stack, scores, theta, lam, hyper.beta, blocks)
+
+
+def _ssd_python(
+    stack: _SetView, scores: np.ndarray, theta: np.ndarray, lam: float,
+    beta: float, blocks,
+) -> np.ndarray:
+    """The steps of ``ssd_theta`` on the index blocks, in Python.
+
+    Each step calls ``_step_gradients``, the core that the public
+    gradients call too, on the loss's cached per-sample view.  A
+    latent-independent loss's gradients are exact zeros, so its steps
+    compute no posterior.
+    """
     views = [
         (view, scores[i, :, : len(view.phi)]) for i, view in enumerate(stack.views)
     ]
-    rng = np.random.default_rng(config.seed)
     current = theta.tolist()
-    for t, i in enumerate(_step_indices(rng, n, steps), 1):
+    indices = (i for block in blocks for i in block.tolist())
+    for t, i in enumerate(indices, 1):
         view, scores = views[i]
-        g_slack, g_selfdiv = _step_gradients(view, scores, _posterior(view.phi, theta))
+        probs = _posterior(view.phi, theta) if view.latent_dependent else None
+        g_slack, g_selfdiv = _step_gradients(view, scores, probs)
         # theta - (lam * theta + g_slack - beta * g_selfdiv) / (lam * t),
         # entry by entry, as numpy computes it elementwise
         rate = lam * t
@@ -215,3 +239,34 @@ def ssd_theta(
         ]
         theta = np.array(current)
     return theta
+
+
+def _ssd_kernel(
+    stack: _SetView, scores: np.ndarray, theta: np.ndarray, lam: float,
+    beta: float, blocks,
+) -> np.ndarray:
+    """``_ssd_python`` in the compiled kernel (``_kernel.c``), which makes
+    the same IEEE operations in the same order through the functions
+    numpy calls: its BLAS's ``cblas_dgemv`` and its float64 exp loop.  A
+    set that ``_kernel.ssd_samples`` does not take runs ``_ssd_python``."""
+    if stack.step_samples is None:
+        return _ssd_python(stack, scores, theta, lam, beta, blocks)
+    samples, _ = stack.step_samples
+    d = theta.size
+    theta = np.array(theta)
+    scores_at = address(scores, stack.scoring.shape, False, "SSD")
+    theta_at = address(theta, (d,), True, "SSD")
+    _, labels, Kmax = stack.scoring.shape
+    t = 1
+    for block in blocks:
+        count = block.size
+        if _SSD(samples, address(block, (count,), False, "SSD", np.int64),
+                count, t, scores_at, labels, Kmax, d, lam, beta,
+                stack.latent_dependent, theta_at):
+            raise MemoryError("the SSD kernel could not allocate its buffers")
+        t += count
+    return theta
+
+
+# one SSD path per platform: the kernel where it loaded, else the loop
+_ssd_loop = _ssd_python if _SSD is None else _ssd_kernel

@@ -1,5 +1,9 @@
 """Analytic theta gradients and the stochastic subgradient solver."""
 
+import dataclasses
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,12 +26,14 @@ from dissim import (
     theta_objective,
     upper_bound,
 )
+import dissim.thetasolver as thetasolver
 from helpers import (
     StubZeroLoss,
     make_dataset,
     make_sample,
     reference_score_tables,
     reference_ssd_theta,
+    src_env,
     stack_case,
 )
 
@@ -386,3 +392,192 @@ class TestSSDStackedScores:
         with pytest.raises(ConfigError, match="theta has shape"):
             ssd_theta(dset, np.zeros(dset.d_w), np.zeros(dset.d_theta + 2),
                       OverlapLoss(), HyperParams(), SSDConfig(steps=3))
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    monkeypatch.setattr(thetasolver, "_ssd_loop", thetasolver._ssd_python)
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestSSDOnPythonLoop(TestSSD):
+    """``TestSSD`` on the Python loop, the path where the SSD kernel did
+    not load."""
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestSSDMatchesReferenceOnPythonLoop(TestSSDMatchesReference):
+    """``TestSSDMatchesReference`` on the Python loop."""
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestSSDStepIsPublicGradientsOnPythonLoop(TestSSDStepIsPublicGradients):
+    """``TestSSDStepIsPublicGradients`` on the Python loop."""
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestSSDStackedScoresOnPythonLoop(TestSSDStackedScores):
+    """``TestSSDStackedScores`` on the Python loop."""
+
+    # the score slices are read before either loop runs
+    test_score_slices_bytes_equal_reference = None
+
+
+needs_kernel = pytest.mark.skipif(
+    thetasolver._SSD is None, reason="the SSD kernel did not load")
+
+
+def with_strided_phi(dset, pad):
+    """dset with every phi a read-only window whose rows lie ``pad``
+    doubles further apart than its width, as ``SampleRecord`` keeps it."""
+    samples = []
+    for s in dset:
+        K, d = s.phi.shape
+        buffer = np.zeros((K, d + pad))
+        buffer[:, :d] = s.phi
+        buffer.flags.writeable = False
+        samples.append(dataclasses.replace(s, phi=buffer[:, :d]))
+    return Dataset(dset.num_labels, dset.d_w, dset.d_theta, tuple(samples))
+
+
+class IntegerZeroOneLoss(ZeroOneLoss):
+    """The zero-one loss with an int64 table, which numpy casts per call."""
+
+    def pair_matrix(self, sample, y1, y2):
+        return super().pair_matrix(sample, y1, y2).astype(np.int64)
+
+
+def both_paths(dset, w, theta0, loss, hyper, config):
+    """ssd_theta's theta on the kernel and on the Python loop."""
+    got = ssd_theta(dset, w, theta0, loss, hyper, config)
+    blocks = thetasolver._index_blocks(
+        np.random.default_rng(config.seed), len(dset),
+        config.steps or config.steps_per_sample * len(dset))
+    stack = loss.stack(dset)
+    want = thetasolver._ssd_python(
+        stack, stack.scoring.scores(w), np.asarray(theta0, dtype=np.float64),
+        hyper.J / hyper.C, hyper.beta, blocks)
+    return got, want
+
+
+@needs_kernel
+class TestSSDKernel:
+    def case(self, seed=3, **shape):
+        dset = make_dataset(seed, **{**dict(n=4, num_labels=3, num_latents=5,
+                                            d_w=4, d_theta=6, geometric=True),
+                                     **shape})
+        rng = np.random.default_rng(seed)
+        return dset, rng.standard_normal(dset.d_w), rng.standard_normal(dset.d_theta)
+
+    def test_refuses_arrays_it_cannot_read_in_place(self):
+        # the kernel reads raw pointers, so every array is checked first
+        dset, w, theta = self.case()
+        stack = OverlapLoss().stack(dset)
+        scores = stack.scoring.scores(w)
+        good = np.zeros(3, dtype=np.int64)
+        bad = [
+            (np.asfortranarray(scores), good),
+            (scores.astype(np.float32), good),
+            (scores[:, :, :-1], good),
+            (scores, good.astype(np.int32)),
+            (scores, np.zeros(6, dtype=np.int64)[::2]),
+        ]
+        for bad_scores, block in bad:
+            with pytest.raises(ValueError, match="SSD kernel needs"):
+                thetasolver._ssd_kernel(stack, bad_scores, theta, 1.0, 0.1,
+                                        iter([block]))
+
+    def test_reads_phi_in_place_or_as_numpy_copies_it(self):
+        # a contiguous phi is read in place, its transpose column-major;
+        # a strided one as the contiguous copies numpy makes per call
+        dset, _, _ = self.case()
+        samples, copies = ZeroOneLoss().stack(dset).step_samples
+        for row, s in zip(samples, dset):
+            assert row.phi == row.phi_t == s.phi.ctypes.data
+            assert (row.phi_t_order, row.phi_t_ld) == (102, dset.d_theta)
+        assert copies == []
+        strided = with_strided_phi(dset, 3)
+        samples, copies = ZeroOneLoss().stack(strided).step_samples
+        assert len(copies) == 2 * len(strided)
+        for row, s in zip(samples, strided):
+            assert (row.phi_t_order, row.phi_t_ld) == (101, s.num_latents)
+            assert row.phi != s.phi.ctypes.data
+
+    @pytest.mark.parametrize("shape, loss_cls", [
+        (dict(num_latents=1), ZeroOneLoss),
+        (dict(d_theta=1), ZeroOneLoss),
+        ({}, IntegerZeroOneLoss),
+    ])
+    def test_sets_off_dgemv_run_the_python_loop(self, shape, loss_cls):
+        # numpy leaves dgemv for a product with a dimension of one, and
+        # casts an integer table per call: the loop runs those sets
+        dset, w, theta = self.case(**shape)
+        loss = loss_cls()
+        assert loss.stack(dset).step_samples is None
+        got, want = both_paths(dset, w, theta, loss, HyperParams(C=0.1),
+                               SSDConfig(steps=200, seed=1))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pad", [1, 4])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_strided_phi_gives_the_python_loops_bytes(self, pad, uniform):
+        dset, w, theta = self.case(n=6, num_latents=9, d_theta=11,
+                                   uniform_shapes=uniform)
+        dset = with_strided_phi(dset, pad)
+        for loss in (ZeroOneLoss(), OverlapLoss()):
+            got, want = both_paths(dset, w, theta, loss,
+                                   HyperParams(C=0.01, beta=0.4),
+                                   SSDConfig(steps=500, seed=pad))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e308, np.inf])
+    def test_nonfinite_theta_gives_the_python_loops_bytes(self, scale):
+        dset, w, _ = self.case()
+        theta = scale * np.ones(dset.d_theta)
+        for loss in (ZeroOneLoss(), OverlapLoss(), LabelOnlyZeroOneLoss()):
+            got, want = both_paths(dset, w, theta, loss, HyperParams(),
+                                   SSDConfig(steps=50, seed=2))
+            assert got.tobytes() == want.tobytes()
+            if loss.latent_dependent:
+                assert np.isnan(got).all()
+
+    def test_tied_candidates_break_to_the_first(self):
+        # candidates (0, 0) and (0, 1) tie in score and in expected loss,
+        # and their loss columns pull theta apart: the step follows the
+        # first, as ndarray.argmax takes it
+        psi = np.zeros((2, 3, 1))
+        psi[0, :2] = 5.0
+        phi = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        sample = SampleRecord("tie", 0, psi, phi)
+        dset = Dataset(2, 1, 2, (sample,))
+        theta = np.array([0.25, 0.25])
+        loss, hyper = ZeroOneLoss(), HyperParams()
+        got, want = both_paths(dset, np.ones(1), theta, loss, hyper,
+                               SSDConfig(steps=1))
+        first = grad_expected_loss(theta, sample, 0, 0, loss)
+        second = grad_expected_loss(theta, sample, 0, 1, loss)
+        assert first.tobytes() != second.tobytes()
+        lam = hyper.J / hyper.C
+        g = (lam * theta + first
+             - hyper.beta * grad_self_diversity(theta, sample, loss))
+        assert got.tobytes() == want.tobytes() == (theta - g / lam).tobytes()
+
+    def test_missing_dgemv_leaves_the_python_loop(self):
+        # where numpy's BLAS exports no ILP64 cblas_dgemv, the steps run
+        # in Python, silently, and the QP kernel still loads
+        code = (
+            "import ctypes\n"
+            "get = ctypes.CDLL.__getattr__\n"
+            "def hide(self, name):\n"
+            "    if name.endswith('cblas_dgemv64_'):\n"
+            "        raise AttributeError(name)\n"
+            "    return get(self, name)\n"
+            "ctypes.CDLL.__getattr__ = hide\n"
+            "import dissim.thetasolver as t, dissim.wsolver as w\n"
+            "assert t._SSD is None and t._ssd_loop is t._ssd_python\n"
+            "assert w._qp_passes is w._qp_kernel\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=src_env(), timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")

@@ -540,23 +540,53 @@ class TestQPKernel:
     @pytest.mark.parametrize("cc", ["/nonexistent/cc", "false"])
     def test_without_a_compiler_the_python_loop_runs_silently(self, cc,
                                                                tmp_path):
-        # a compiler that is missing, or that fails, leaves the Python
-        # loop, with nothing printed and no file left behind; the package
+        # a compiler that is missing, or that fails, leaves both Python
+        # loops, with nothing printed and no file left behind; the package
         # is imported from a copy with no built kernel
-        package = Path(wsolver.__file__).parent
-        shutil.copytree(package, tmp_path / "dissim",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        code = (
-            "import sysconfig\n"
+        proc, built = import_fresh_copy(
+            tmp_path,
             "get = sysconfig.get_config_var\n"
             f"sysconfig.get_config_var = lambda name: {cc!r} "
-            "if name == 'CC' else get(name)\n"
-            "import dissim.wsolver as w\n"
+            "if name == 'CC' else get(name)\n",
             "assert w._KERNEL is None and w._qp_passes is w._qp_python\n"
+            "assert t._ssd_loop is t._ssd_python\n",
         )
-        env = dict(src_env(), PYTHONPATH=str(tmp_path),
-                   PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, env=env, timeout=300)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
-        assert list((tmp_path / "dissim" / "__pycache__").iterdir()) == []
+        assert built == []
+
+    @pytest.mark.parametrize("hidden", ["numpy", "python"])
+    def test_without_headers_only_the_ssd_loop_falls_back(self, hidden,
+                                                          tmp_path):
+        # the SSD steps need numpy's and Python's headers; without either
+        # the QP kernel is built and loads all the same
+        hide = (
+            "numpy.get_include = lambda: '/nonexistent'\n" if hidden == "numpy"
+            else "get = sysconfig.get_path\n"
+                 "sysconfig.get_path = lambda name, *a, **k: '/nonexistent' "
+                 "if name == 'include' else get(name, *a, **k)\n"
+        )
+        proc, built = import_fresh_copy(
+            tmp_path, hide,
+            "assert w._qp_passes is w._qp_kernel\n"
+            "assert t._SSD is None and t._ssd_loop is t._ssd_python\n",
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert [p.suffix for p in built] == [".so"]
+
+
+def import_fresh_copy(tmp_path, patch: str, check: str):
+    """Run ``check`` after importing ``dissim.wsolver`` as w and
+    ``dissim.thetasolver`` as t from a copy of the package with no built
+    kernel, ``patch`` run first with numpy and sysconfig imported; the
+    finished process and the files left in the copy's ``__pycache__``."""
+    package = Path(wsolver.__file__).parent
+    shutil.copytree(package, tmp_path / "dissim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code = (
+        "import numpy, sysconfig\n" + patch
+        + "import dissim.wsolver as w, dissim.thetasolver as t\n" + check
+    )
+    env = dict(src_env(), PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, env=env, timeout=300)
+    return proc, list((tmp_path / "dissim" / "__pycache__").iterdir())

@@ -213,27 +213,25 @@ static long first_argmax(const double *a, long n)
     return best;
 }
 
-/* One sample as the steps read it.  phi is K x d, C-contiguous, for
-   phi.dot(theta); phi_t is what phi.T.dot(x) reads, with the order and
-   leading dimension numpy passes for it; table is T[j, y, k], K x labels
-   x K, C-contiguous. */
+/* One sample as the steps read it: phi is K x d and table is T[j, y, k],
+   K x labels x K, both C-contiguous and aligned. */
 struct dissim_ssd_sample {
     const double *phi;
-    const double *phi_t;
     const double *table;
-    int64_t K, truth, phi_t_order, phi_t_ld;
+    int64_t K, truth;
 };
 
-/* x = phi.T.dot(v): the gradient pulls' products */
+/* x = phi.T.dot(v): the gradient pulls' products.  phi.T is
+   F-contiguous, so numpy passes it column-major. */
 static void phi_t_dot(const struct dissim_ssd_sample *s, long d,
                       const double *v, double *x)
 {
-    dgemv((int)s->phi_t_order, NO_TRANS, d, s->K, 1.0, s->phi_t,
-          s->phi_t_ld, v, 1, 0.0, x, 1);
+    dgemv(COL_MAJOR, NO_TRANS, d, s->K, 1.0, s->phi, d, v, 1, 0.0, x, 1);
 }
 
 /* Steps t0, t0 + 1, ..., t0 + count - 1 of thetasolver._ssd_python on
-   theta (d doubles, updated in place); step t0 + i draws sample idx[i].
+   theta (d doubles, updated in place), for a latent-dependent loss; step
+   t0 + i draws sample idx[i].
    scores is the (n, labels, Kmax) score stack at w.  Every vector handed
    to dgemv has its own 64-byte-aligned buffer, as numpy hands each call
    a freshly allocated array: the alignment of x can change a kernel's
@@ -241,8 +239,7 @@ static void phi_t_dot(const struct dissim_ssd_sample *s, long d,
 int dissim_ssd_steps(const struct dissim_ssd_sample *samples,
                      const int64_t *idx, long count, long t0,
                      const double *scores, long labels, long Kmax, long d,
-                     double lam, double beta, int latent_dependent,
-                     double *theta_io)
+                     double lam, double beta, double *theta_io)
 {
     /* buffer sizes in doubles, each rounded up to 64 bytes */
     long kb = (Kmax + 7) / 8 * 8, db = (d + 7) / 8 * 8;
@@ -257,59 +254,54 @@ int dissim_ssd_steps(const struct dissim_ssd_sample *samples,
     double *probs = ex + kb, *pw_loss = probs + kb, *pw_self = pw_loss + kb;
     double *self_w = pw_self + kb, *expected = self_w + kb;
     double *augmented = expected + lb;
-    for (long i = 0; i < d; i++) {
+    for (long i = 0; i < d; i++)
         theta[i] = theta_io[i];
-        g_loss[i] = 0.0;
-        g_self[i] = 0.0;
-    }
     for (long step = 0; step < count; step++) {
         const struct dissim_ssd_sample *s = &samples[idx[step]];
-        if (latent_dependent) {
-            long K = s->K, LK = labels * K;
-            const double *T = s->table;
-            /* model._posterior: activations, then _log_sum_exp */
-            dgemv(ROW_MAJOR, NO_TRANS, K, d, 1.0, s->phi, d, theta, 1, 0.0,
-                  act, 1);
-            double shift = act[first_argmax(act, K)];
+        long K = s->K, LK = labels * K;
+        const double *T = s->table;
+        /* model._posterior: activations, then _log_sum_exp */
+        dgemv(ROW_MAJOR, NO_TRANS, K, d, 1.0, s->phi, d, theta, 1, 0.0,
+              act, 1);
+        double shift = act[first_argmax(act, K)];
+        for (long k = 0; k < K; k++)
+            shifted[k] = act[k] - shift;
+        numpy_exp(shifted, ex, K);
+        double total = dissim_qp_sum(ex, K);
+        /* math.log returns a NaN as it is; total is at least 1 else */
+        double lse = shift + (isnan(total) ? total : log(total));
+        for (long k = 0; k < K; k++)
+            shifted[k] = act[k] - lse;
+        numpy_exp(shifted, probs, K);
+        /* _step_gradients: expected = probs @ by_label, label by label */
+        for (long y = 0; y < labels; y++)
+            dgemv(ROW_MAJOR, TRANS, K, K, 1.0, T + y * K, LK, probs, 1,
+                  0.0, expected + y * K, 1);
+        /* (scores + expected).argmax(), the scores' rows Kmax apart */
+        const double *score = scores + idx[step] * labels * Kmax;
+        for (long y = 0; y < labels; y++)
             for (long k = 0; k < K; k++)
-                shifted[k] = act[k] - shift;
-            numpy_exp(shifted, ex, K);
-            double total = dissim_qp_sum(ex, K);
-            /* math.log returns a NaN as it is; total is at least 1 else */
-            double lse = shift + (isnan(total) ? total : log(total));
-            for (long k = 0; k < K; k++)
-                shifted[k] = act[k] - lse;
-            numpy_exp(shifted, probs, K);
-            /* _step_gradients: expected = probs @ by_label, label by label */
-            for (long y = 0; y < labels; y++)
-                dgemv(ROW_MAJOR, TRANS, K, K, 1.0, T + y * K, LK, probs, 1,
-                      0.0, expected + y * K, 1);
-            /* (scores + expected).argmax(), the scores' rows Kmax apart */
-            const double *score = scores + idx[step] * labels * Kmax;
-            for (long y = 0; y < labels; y++)
-                for (long k = 0; k < K; k++)
-                    augmented[y * K + k] =
-                        score[y * Kmax + k] + expected[y * K + k];
-            long pick = first_argmax(augmented, LK);
-            const double *column = T + pick;  /* T[:, y, k], LK apart */
-            phi_t_dot(s, d, probs, mean);
-            for (long j = 0; j < K; j++)
-                pw_loss[j] = probs[j] * column[j * LK];
-            double sum = dissim_qp_sum(pw_loss, K);
-            phi_t_dot(s, d, pw_loss, pull);
-            for (long i = 0; i < d; i++)
-                g_loss[i] = pull[i] - sum * mean[i];
-            /* at_truth.dot(probs), T[:, truth, :] read in place */
-            dgemv(ROW_MAJOR, NO_TRANS, K, K, 1.0, T + s->truth * K, LK,
-                  probs, 1, 0.0, self_w, 1);
-            const double *expected_truth = expected + s->truth * K;
-            for (long j = 0; j < K; j++)
-                pw_self[j] = probs[j] * (self_w[j] + expected_truth[j]);
-            sum = dissim_qp_sum(pw_self, K);
-            phi_t_dot(s, d, pw_self, pull);
-            for (long i = 0; i < d; i++)
-                g_self[i] = pull[i] - sum * mean[i];
-        }
+                augmented[y * K + k] =
+                    score[y * Kmax + k] + expected[y * K + k];
+        long pick = first_argmax(augmented, LK);
+        const double *column = T + pick;  /* T[:, y, k], LK apart */
+        phi_t_dot(s, d, probs, mean);
+        for (long j = 0; j < K; j++)
+            pw_loss[j] = probs[j] * column[j * LK];
+        double sum = dissim_qp_sum(pw_loss, K);
+        phi_t_dot(s, d, pw_loss, pull);
+        for (long i = 0; i < d; i++)
+            g_loss[i] = pull[i] - sum * mean[i];
+        /* at_truth.dot(probs), T[:, truth, :] read in place */
+        dgemv(ROW_MAJOR, NO_TRANS, K, K, 1.0, T + s->truth * K, LK,
+              probs, 1, 0.0, self_w, 1);
+        const double *expected_truth = expected + s->truth * K;
+        for (long j = 0; j < K; j++)
+            pw_self[j] = probs[j] * (self_w[j] + expected_truth[j]);
+        sum = dissim_qp_sum(pw_self, K);
+        phi_t_dot(s, d, pw_self, pull);
+        for (long i = 0; i < d; i++)
+            g_self[i] = pull[i] - sum * mean[i];
         double rate = lam * (double)(t0 + step);
         for (long i = 0; i < d; i++) {
             double th = theta[i];

@@ -7,16 +7,18 @@ Python.  ``SSD`` is the library's SSD step loop, bound to numpy's own
 ``cblas_dgemv`` and float64 exp loop, or None where either is missing or
 the library was built without numpy's and Python's headers;
 ``thetasolver`` then runs its steps in Python.  Each path is chosen
-once, here, and returns its Python loop's bits.
+once, here, and returns its Python loop's bits.  The SSD steps take
+only the sets ``ssd_samples`` accepts.
 
 The compiler is Python's own (``sysconfig``'s CC, else ``cc``) with
 ``_FLAGS``.  The library is built once per source, flags, numpy version
 and Python ABI into ``__pycache__/_kernel-<machine>-<crc32>.so``, written
 under a temporary name and moved into place, so concurrent first imports
-each see a whole file.  The compiler's output is captured, so a failed
-build prints nothing.  A cached library loads without importing
-``sysconfig`` or ``subprocess``, whose data would add 0.6 MB to every
-process's peak memory.
+each see a whole file (see ``_build`` for a build without the headers).
+The compiler's output is captured, so a failed build prints nothing.  A
+cached whole library loads without importing ``sysconfig`` or
+``subprocess``, whose data would add 0.6 MB to every process's peak
+memory.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # ILP64 names only: the kernel passes 64-bit integers
 _DGEMV_NAMES = ("scipy_cblas_dgemv64_", "cblas_dgemv64_")
-# the CBLAS orders, as dissim_ssd_sample.phi_t_order holds them
-_ROW_MAJOR, _COL_MAJOR = 101, 102
 
 
 def _library_path(source: bytes) -> Path:
@@ -52,28 +52,38 @@ def _library_path(source: bytes) -> Path:
     return _SOURCE.parent / "__pycache__" / f"_kernel-{platform.machine()}-{tag:08x}.so"
 
 
-def _build(path: Path) -> bool:
-    # imported here: only a build needs them
-    import shlex
-    import subprocess
+def _build(path: Path) -> Path | None:
+    """Build the library for ``path`` and return where it is; None where
+    the build fails.  Without numpy's or Python's headers the SSD half is
+    left out, and that library is built or found at ``<stem>-qp.so``, so
+    the first import after the headers appear builds the whole one."""
+    # imported here: only a library without the SSD half or a build needs it
     import sysconfig
 
+    numpy_include, python_include = np.get_include(), sysconfig.get_path("include")
+    if not (Path(numpy_include, "numpy", "ufuncobject.h").exists()
+            and Path(python_include, "Python.h").exists()):
+        path = path.with_name(f"{path.stem}-qp.so")
+        if path.exists():
+            return path
+    import shlex
+    import subprocess
+
     command = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    includes = ["-I", np.get_include(), "-I", sysconfig.get_path("include")]
     temporary = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(exist_ok=True)
         subprocess.run(
-            [*command, *_FLAGS, *includes, "-o", str(temporary), str(_SOURCE),
-             "-lm"],
+            [*command, *_FLAGS, "-I", numpy_include, "-I", python_include,
+             "-o", str(temporary), str(_SOURCE), "-lm"],
             capture_output=True, check=True, timeout=120,
         )
         os.replace(temporary, path)
     except (OSError, subprocess.SubprocessError):
-        return False
+        return None
     finally:
         temporary.unlink(missing_ok=True)
-    return True
+    return path
 
 
 def _load():
@@ -81,8 +91,10 @@ def _load():
         path = _library_path(_SOURCE.read_bytes())
     except OSError:
         return None
-    if not path.exists() and not _build(path):
-        return None
+    if not path.exists():
+        path = _build(path)
+        if path is None:
+            return None
     try:
         lib = ctypes.CDLL(str(path))
     except OSError:
@@ -102,12 +114,9 @@ class _Sample(ctypes.Structure):
 
     _fields_ = [
         ("phi", ctypes.c_void_p),
-        ("phi_t", ctypes.c_void_p),
         ("table", ctypes.c_void_p),
         ("K", ctypes.c_int64),
         ("truth", ctypes.c_int64),
-        ("phi_t_order", ctypes.c_int64),
-        ("phi_t_ld", ctypes.c_int64),
     ]
 
 
@@ -138,7 +147,7 @@ def _bind_ssd(lib):
     pointer, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     steps.argtypes = [
         ctypes.POINTER(_Sample), pointer, size, size, pointer, size, size,
-        size, real, real, ctypes.c_int, pointer,
+        size, real, real, pointer,
     ]
     steps.restype = ctypes.c_int
     return steps
@@ -148,39 +157,25 @@ LIB = _load()
 SSD = _bind_ssd(LIB)
 
 
-def ssd_samples(views, d_theta: int):
-    """The per-sample views as the SSD steps read them: a ctypes array of
-    ``_Sample``, with the copies it points to.  None where some product
-    of a step leaves ``cblas_dgemv`` in numpy (a latent space or d_theta
-    of one) or a loss table is not a C-contiguous float64 array; the
-    Python loop runs those sets.
-
-    Each pointer is to the array numpy's own call reads: phi and the
-    table in place, at the leading dimension numpy passes; a phi whose
-    rows are not contiguous as the contiguous copies that numpy makes of
-    it and of its transpose at every call.
+def ssd_samples(views):
+    """The per-sample views as the SSD steps read them, a ctypes array of
+    ``_Sample`` that points into the views' own phi and tables; None
+    unless every sample has a latent-dependent loss, a phi of at least
+    two rows and columns (numpy calls other BLAS routines for a dimension
+    of one), and phi and table C-contiguous, aligned float64 arrays.  The
+    Python loop runs every other set.  A strided phi is not copied for
+    the kernel: numpy's products on a copy round apart from its own.
     """
     rows = (_Sample * len(views))()
-    copies = []
     for row, view in zip(rows, views):
         phi, table = view.phi, view.table
-        K = phi.shape[0]
-        if (K < 2 or d_theta < 2 or table.dtype != np.float64
-                or not table.flags.c_contiguous):
+        if not (view.latent_dependent and min(phi.shape) >= 2
+                and all(a.dtype == np.float64 and a.flags.c_contiguous
+                        and a.flags.aligned for a in (phi, table))):
             return None
-        if phi.flags.c_contiguous and phi.flags.aligned:
-            # phi.T is F-contiguous: numpy passes it column-major
-            phi_t, order, ld = phi, _COL_MAJOR, d_theta
-        else:
-            phi = np.ascontiguousarray(phi)
-            phi_t = np.ascontiguousarray(view.phi_t)
-            order, ld = _ROW_MAJOR, K
-            copies += [phi, phi_t]
-        row.phi, row.phi_t, row.table = (
-            phi.ctypes.data, phi_t.ctypes.data, table.ctypes.data)
-        row.K, row.truth, row.phi_t_order, row.phi_t_ld = (
-            K, view.truth_label, order, ld)
-    return rows, copies
+        row.phi, row.table = phi.ctypes.data, table.ctypes.data
+        row.K, row.truth = phi.shape[0], view.truth_label
+    return rows
 
 
 def address(arr: np.ndarray, shape: tuple, writes: bool, kernel: str,

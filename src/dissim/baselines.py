@@ -44,13 +44,14 @@ def _latent_svm_train(
     references: Callable[[np.ndarray, list[int]], list[int]],
 ) -> tuple[ModelParams, WSolverReport]:
     """The CCCP run both baselines make: the loss is measured against
-    ``references(w, imputed)``, one latent index per sample, and a
-    subproblem is keyed by the anchors plus those references."""
+    ``references(scores, imputed)``, one latent index per sample from the
+    round's scores, and a subproblem is keyed by the anchors plus those
+    references."""
 
     stack = loss.stack(dataset)
 
-    def build(w, imputed):
-        refs = references(w, imputed)
+    def build(scores, imputed):
+        refs = references(scores, imputed)
         return stack.pointwise(refs), tuple(refs)
 
     solved = stack.solves.setdefault((C, inner_tol), {})
@@ -67,7 +68,7 @@ def lsvm_train(
 ) -> tuple[ModelParams, WSolverReport]:
     """Latent SVM: impute the latent by score, measure loss against it."""
     return _latent_svm_train(
-        dataset, loss, C, epsilon, inner_tol, lambda w, imputed: imputed
+        dataset, loss, C, epsilon, inner_tol, lambda scores, imputed: imputed
     )
 
 
@@ -91,10 +92,11 @@ def ilsvm_train(
     """Iterative latent SVM: estimate the latent reference by minimizing
     the loss against the prediction, then solve the convex problem with
     the loss measured against that reference."""
-    # the argmin never picks the higher of two rows with equal tables, so
-    # refs identify the tables for the repeat check; the estimates are
-    # looked up in this module each round, where a tracer may wrap them
+    # ilsvm_latent_estimates at the round's scores; the argmin never picks
+    # the higher of two rows with equal tables, so refs identify the
+    # tables for the repeat check
+    stack = loss.stack(dataset)
     return _latent_svm_train(
         dataset, loss, C, epsilon, inner_tol,
-        lambda w, imputed: ilsvm_latent_estimates(w, dataset, loss),
+        lambda scores, imputed: stack.closest_latents(*stack.scoring.predict(scores)),
     )

@@ -152,7 +152,7 @@ class _SetView:
     def step_samples(self):
         """``_kernel.ssd_samples`` of the views, or None where the
         compiled SSD steps do not take this set."""
-        return ssd_samples(self.views, self.d_theta)
+        return ssd_samples(self.views)
 
     def posteriors(self, theta: np.ndarray) -> list[np.ndarray]:
         """Per group, every sample's latent conditional, (n_g, K)."""

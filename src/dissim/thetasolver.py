@@ -27,8 +27,8 @@ The steps run in the compiled kernel (``_kernel.c``, loaded by
 ``_ssd_python``.  The kernel makes the loop's IEEE operations in the
 same order and calls the functions numpy calls (its BLAS's
 ``cblas_dgemv`` and its float64 exp loop), so both return the same
-theta bit for bit.  A set with a latent space or d_theta of one runs
-the loop: numpy calls other BLAS routines for those shapes.
+theta bit for bit.  The kernel takes the sets ``_kernel.ssd_samples``
+accepts, which every generated or loaded task is; the loop runs others.
 """
 
 from __future__ import annotations
@@ -249,9 +249,9 @@ def _ssd_kernel(
     the same IEEE operations in the same order through the functions
     numpy calls: its BLAS's ``cblas_dgemv`` and its float64 exp loop.  A
     set that ``_kernel.ssd_samples`` does not take runs ``_ssd_python``."""
-    if stack.step_samples is None:
+    samples = stack.step_samples
+    if samples is None:
         return _ssd_python(stack, scores, theta, lam, beta, blocks)
-    samples, _ = stack.step_samples
     d = theta.size
     theta = np.array(theta)
     scores_at = address(scores, stack.scoring.shape, False, "SSD")
@@ -261,8 +261,7 @@ def _ssd_kernel(
     for block in blocks:
         count = block.size
         if _SSD(samples, address(block, (count,), False, "SSD", np.int64),
-                count, t, scores_at, labels, Kmax, d, lam, beta,
-                stack.latent_dependent, theta_at):
+                count, t, scores_at, labels, Kmax, d, lam, beta, theta_at):
             raise MemoryError("the SSD kernel could not allocate its buffers")
         t += count
     return theta

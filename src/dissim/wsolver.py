@@ -373,11 +373,12 @@ def _cccp_loop(
     """Generic CCCP alternation shared by the dissimilarity solver and the
     latent-SVM style baselines.
 
-    ``build_round(w, imputed)`` returns ``(tables, refs)``: the
-    augmentation tables for the convex solve at the current iterate (see
-    ``_InnerData.set_round``), and a tuple of integers that, with the
-    anchors, determines those tables (empty when the tables are fixed
-    for the run).  A convex subproblem is keyed by the anchors plus refs.
+    ``build_round(scores, imputed)`` returns ``(tables, refs)``: the
+    augmentation tables for the convex solve at the iterate scored
+    ``scores`` (see ``_InnerData.set_round``), and a tuple of integers
+    that, with the anchors, determines those tables (empty when the
+    tables are fixed for the run).  A convex subproblem is keyed by the
+    anchors plus refs.
     ``solved`` maps such keys to their solutions; a subproblem found
     there is not solved again, and each new solution is added.  The
     baselines pass the store of their training set's
@@ -390,7 +391,7 @@ def _cccp_loop(
     SolverError once DEFAULT_CCCP_BUDGET rounds have not stopped it.
 
     Each iterate's scores are one product over the dataset's score stack,
-    read by both the imputation and the objective.
+    read by the imputation, ``build_round`` and the objective.
     """
 
     stack = dataset._score_stack
@@ -400,7 +401,7 @@ def _cccp_loop(
     solved = {} if solved is None else solved
     scores = stack.scores(w)
     imputed = stack.impute(scores)
-    tables, refs = build_round(w, imputed)
+    tables, refs = build_round(scores, imputed)
     data = _InnerData(dataset, tables, imputed)
     best_w = w
     best = data.true_objective(w, C, scores)
@@ -422,7 +423,7 @@ def _cccp_loop(
         iterations += 1
         scores = stack.scores(w_new)
         imputed_new = stack.impute(scores)
-        tables_new, refs = build_round(w_new, imputed_new)
+        tables_new, refs = build_round(scores, imputed_new)
         data.set_round(tables_new, imputed_new)
         obj_new = data.true_objective(w_new, C, scores)
         improvement = best - obj_new
@@ -459,7 +460,7 @@ def cccp_w(
     stack = loss.stack(dataset)
     tables = stack.expected_losses(stack.posteriors(theta))
 
-    def build(w, imputed):
+    def build(scores, imputed):
         return tables, ()
 
     return _cccp_loop(dataset, build, C, epsilon, inner_tol, w_init)

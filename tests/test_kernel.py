@@ -61,6 +61,9 @@ def test_cached_import_loads_no_build_tools():
     # this process imported dissim, so the library is cached: a later
     # import loads it without sysconfig's data or subprocess
     assert kernel.LIB is not None
+    if not hasattr(kernel.LIB, "dissim_ssd_bind"):
+        pytest.skip("a library built without the headers looks for them "
+                    "at every import")
     run = run_import()
     assert run["qp"]
     assert "sysconfig" not in run["modules"]

@@ -1,5 +1,6 @@
 """Analytic theta gradients and the stochastic subgradient solver."""
 
+import ctypes
 import dataclasses
 import subprocess
 import sys
@@ -15,11 +16,16 @@ from dissim import (
     OverlapLoss,
     SampleRecord,
     SSDConfig,
+    TaskSpec,
     ZeroOneLoss,
     expected_loss,
+    generate,
     grad_expected_loss,
     grad_self_diversity,
     grad_slack,
+    load_dataset,
+    make_loss,
+    save_dataset,
     self_diversity,
     slack,
     ssd_theta,
@@ -440,6 +446,19 @@ def with_strided_phi(dset, pad):
     return Dataset(dset.num_labels, dset.d_w, dset.d_theta, tuple(samples))
 
 
+def with_unaligned_phi(dset):
+    """dset with every phi a read-only window one byte into a buffer, so
+    its doubles are not aligned, as ``SampleRecord`` keeps it."""
+    samples = []
+    for s in dset:
+        raw = bytearray(s.phi.nbytes + 1)
+        phi = np.frombuffer(raw, np.float64, s.phi.size, 1).reshape(s.phi.shape)
+        phi[...] = s.phi
+        phi.flags.writeable = False
+        samples.append(dataclasses.replace(s, phi=phi))
+    return Dataset(dset.num_labels, dset.d_w, dset.d_theta, tuple(samples))
+
+
 class IntegerZeroOneLoss(ZeroOneLoss):
     """The zero-one loss with an int64 table, which numpy casts per call."""
 
@@ -487,48 +506,45 @@ class TestSSDKernel:
                 thetasolver._ssd_kernel(stack, bad_scores, theta, 1.0, 0.1,
                                         iter([block]))
 
-    def test_reads_phi_in_place_or_as_numpy_copies_it(self):
-        # a contiguous phi is read in place, its transpose column-major;
-        # a strided one as the contiguous copies numpy makes per call
-        dset, _, _ = self.case()
-        samples, copies = ZeroOneLoss().stack(dset).step_samples
-        for row, s in zip(samples, dset):
-            assert row.phi == row.phi_t == s.phi.ctypes.data
-            assert (row.phi_t_order, row.phi_t_ld) == (102, dset.d_theta)
-        assert copies == []
-        strided = with_strided_phi(dset, 3)
-        samples, copies = ZeroOneLoss().stack(strided).step_samples
-        assert len(copies) == 2 * len(strided)
-        for row, s in zip(samples, strided):
-            assert (row.phi_t_order, row.phi_t_ld) == (101, s.num_latents)
-            assert row.phi != s.phi.ctypes.data
+    def test_reads_phi_and_table_in_place(self):
+        # each row points at the arrays the Python loop reads, and the
+        # kernel gets nothing else: no copy is made for it
+        dset, _, _ = self.case(uniform_shapes=False)
+        stack = ZeroOneLoss().stack(dset)
+        samples = stack.step_samples
+        assert isinstance(samples, ctypes.Array)
+        assert len(samples) == len(dset)
+        for row, s, view in zip(samples, dset, stack.views):
+            assert row.phi == s.phi.ctypes.data == view.phi.ctypes.data
+            assert row.table == view.table.ctypes.data
+            assert (row.K, row.truth) == (s.num_latents, s.truth_label)
 
     @pytest.mark.parametrize("shape, loss_cls", [
         (dict(num_latents=1), ZeroOneLoss),
         (dict(d_theta=1), ZeroOneLoss),
         ({}, IntegerZeroOneLoss),
+        pytest.param(dict(phi="strided"), ZeroOneLoss, id="strided-phi"),
+        pytest.param(dict(phi="unaligned"), ZeroOneLoss, id="unaligned-phi"),
+        pytest.param({}, LabelOnlyZeroOneLoss, id="latent-independent"),
     ])
     def test_sets_off_dgemv_run_the_python_loop(self, shape, loss_cls):
-        # numpy leaves dgemv for a product with a dimension of one, and
-        # casts an integer table per call: the loop runs those sets
+        # numpy leaves dgemv for a product with a dimension of one, casts
+        # an integer table per call, and rounds a strided phi's products
+        # apart from a contiguous copy's; a latent-independent loss needs
+        # no posterior: the loop runs those sets
+        shape = dict(shape)
+        layout = shape.pop("phi", None)
         dset, w, theta = self.case(**shape)
+        if layout == "strided":
+            dset = with_strided_phi(dset, 3)
+        elif layout == "unaligned":
+            dset = with_unaligned_phi(dset)
+            assert not any(s.phi.flags.aligned for s in dset)
         loss = loss_cls()
         assert loss.stack(dset).step_samples is None
         got, want = both_paths(dset, w, theta, loss, HyperParams(C=0.1),
                                SSDConfig(steps=200, seed=1))
         assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("pad", [1, 4])
-    @pytest.mark.parametrize("uniform", [True, False])
-    def test_strided_phi_gives_the_python_loops_bytes(self, pad, uniform):
-        dset, w, theta = self.case(n=6, num_latents=9, d_theta=11,
-                                   uniform_shapes=uniform)
-        dset = with_strided_phi(dset, pad)
-        for loss in (ZeroOneLoss(), OverlapLoss()):
-            got, want = both_paths(dset, w, theta, loss,
-                                   HyperParams(C=0.01, beta=0.4),
-                                   SSDConfig(steps=500, seed=pad))
-            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e308, np.inf])
@@ -581,3 +597,19 @@ class TestSSDKernel:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               env=src_env(), timeout=300)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+
+
+@pytest.mark.parametrize("kind", ["zero_one", "overlap"])
+@pytest.mark.parametrize("spec", [
+    TaskSpec(per_class=3, seed=5),
+    TaskSpec(per_class=3, seed=5, noise=0.0, clutter=0.0),
+], ids=["noisy", "clean"])
+def test_every_generated_or_loaded_set_takes_the_kernel(kind, spec, tmp_path):
+    # the sets the workloads and the command line train on all reach the
+    # compiled steps, before and after a save and load round trip: a
+    # narrowing of _kernel.ssd_samples that sent them to the Python loop
+    # fails here
+    dset, _ = generate(spec)
+    save_dataset(dset, tmp_path / "task.txt")
+    for trained in (dset, load_dataset(tmp_path / "task.txt")):
+        assert make_loss(kind).stack(trained).step_samples is not None

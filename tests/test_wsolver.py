@@ -263,7 +263,7 @@ class TestCCCP:
         from dissim.wsolver import _cccp_loop
         from dissim.losses import expected_loss_table as elt
 
-        def build(w, imputed):
+        def build(scores, imputed):
             return pad_tables(dset, [elt(latent_posterior(theta, s), s,
                                          ZeroOneLoss()) for s in dset]), ()
 
@@ -559,28 +559,47 @@ class TestQPKernel:
                                                           tmp_path):
         # the SSD steps need numpy's and Python's headers; without either
         # the QP kernel is built and loads all the same
-        hide = (
-            "numpy.get_include = lambda: '/nonexistent'\n" if hidden == "numpy"
-            else "get = sysconfig.get_path\n"
-                 "sysconfig.get_path = lambda name, *a, **k: '/nonexistent' "
-                 "if name == 'include' else get(name, *a, **k)\n"
-        )
         proc, built = import_fresh_copy(
-            tmp_path, hide,
+            tmp_path, HIDE_HEADERS[hidden],
             "assert w._qp_passes is w._qp_kernel\n"
             "assert t._SSD is None and t._ssd_loop is t._ssd_python\n",
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
         assert [p.suffix for p in built] == [".so"]
 
+    @pytest.mark.parametrize("hidden", ["numpy", "python"])
+    def test_headers_found_later_build_the_ssd_steps(self, hidden, tmp_path):
+        # a library built while the headers were missing is not the one a
+        # later import loads once they are found
+        proc, _ = import_fresh_copy(
+            tmp_path, HIDE_HEADERS[hidden],
+            "assert t._ssd_loop is t._ssd_python\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        proc, built = import_fresh_copy(
+            tmp_path, "",
+            "assert w._qp_passes is w._qp_kernel\n"
+            "assert t._ssd_loop is t._ssd_kernel\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert len(built) == 2
+
+
+# the patches that hide numpy's or Python's include directory from the build
+HIDE_HEADERS = {
+    "numpy": "numpy.get_include = lambda: '/nonexistent'\n",
+    "python": "get = sysconfig.get_path\n"
+              "sysconfig.get_path = lambda name, *a, **k: '/nonexistent' "
+              "if name == 'include' else get(name, *a, **k)\n",
+}
+
 
 def import_fresh_copy(tmp_path, patch: str, check: str):
     """Run ``check`` after importing ``dissim.wsolver`` as w and
-    ``dissim.thetasolver`` as t from a copy of the package with no built
-    kernel, ``patch`` run first with numpy and sysconfig imported; the
-    finished process and the files left in the copy's ``__pycache__``."""
+    ``dissim.thetasolver`` as t from a copy of the package under
+    tmp_path, made with no built kernel on the first call, ``patch`` run
+    first with numpy and sysconfig imported; the finished process and
+    the files left in the copy's ``__pycache__``."""
     package = Path(wsolver.__file__).parent
-    shutil.copytree(package, tmp_path / "dissim",
+    shutil.copytree(package, tmp_path / "dissim", dirs_exist_ok=True,
                     ignore=shutil.ignore_patterns("__pycache__"))
     code = (
         "import numpy, sysconfig\n" + patch

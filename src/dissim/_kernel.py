@@ -8,7 +8,8 @@ Python.  ``SSD`` is the library's SSD step loop, bound to numpy's own
 the library was built without numpy's and Python's headers;
 ``thetasolver`` then runs its steps in Python.  Each path is chosen
 once, here, and returns its Python loop's bits.  The SSD steps take
-only the sets ``ssd_samples`` accepts.
+only the sets ``ssd_samples`` accepts.  ``one_blas_thread`` sets numpy's
+bundled OpenBLAS to one thread, for a forked pool worker.
 
 The compiler is Python's own (``sysconfig``'s CC, else ``cc``) with
 ``_FLAGS``.  The library is built once per source, flags, numpy version
@@ -120,21 +121,24 @@ class _Sample(ctypes.Structure):
     ]
 
 
-def _bind_ssd(lib):
-    """``lib``'s SSD step loop, bound to the ``cblas_dgemv`` that numpy
-    calls and to np.exp's float64 loop, or None.
-
-    The BLAS symbol is looked up on numpy's own ``_multiarray_umath``:
-    opening a loaded library again maps nothing new, and its handle
-    searches exactly the libraries numpy linked.
-    """
-    if lib is None or not hasattr(lib, "dissim_ssd_bind"):
-        return None
+def _numpy_library():
+    """numpy's own ``_multiarray_umath`` as a ctypes handle, or None.
+    Opening a loaded library again maps nothing new, and its handle
+    searches exactly the libraries numpy linked, so the BLAS symbols
+    found on it are the ones numpy calls."""
     umath = (sys.modules.get("numpy._core._multiarray_umath")
              or sys.modules.get("numpy.core._multiarray_umath"))
     try:
-        blas = ctypes.CDLL(umath.__file__)
+        return ctypes.CDLL(umath.__file__)
     except (AttributeError, OSError):
+        return None
+
+
+def _bind_ssd(lib, blas):
+    """``lib``'s SSD step loop, bound to the ``cblas_dgemv`` that numpy
+    calls (looked up on ``blas``, numpy's own library) and to np.exp's
+    float64 loop, or None."""
+    if lib is None or blas is None or not hasattr(lib, "dissim_ssd_bind"):
         return None
     dgemv = next((getattr(blas, name) for name in _DGEMV_NAMES
                   if hasattr(blas, name)), None)
@@ -154,7 +158,21 @@ def _bind_ssd(lib):
 
 
 LIB = _load()
-SSD = _bind_ssd(LIB)
+NUMPY = _numpy_library()
+SSD = _bind_ssd(LIB, NUMPY)
+# the thread count setter of the OpenBLAS that numpy bundles, or None
+_SET_BLAS_THREADS = getattr(NUMPY, "scipy_openblas_set_num_threads64_", None)
+if _SET_BLAS_THREADS is not None:
+    _SET_BLAS_THREADS.argtypes, _SET_BLAS_THREADS.restype = [ctypes.c_int], None
+
+
+def one_blas_thread() -> None:
+    """Run this process's BLAS calls on one thread, where numpy's BLAS is
+    its bundled OpenBLAS; do nothing under any other BLAS.  A forked pool
+    worker calls it first, so that workers do not each start a BLAS
+    thread pool on the same CPUs."""
+    if _SET_BLAS_THREADS is not None:
+        _SET_BLAS_THREADS(1)
 
 
 def ssd_samples(views):

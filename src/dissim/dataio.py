@@ -13,7 +13,11 @@ time, so beyond the dataset itself a save or a load holds one sample, not
 the file.  Every writer goes through ``write_atomic``, which writes a new
 file beside the target (an unnamed ``O_TMPFILE`` on Linux, where
 ``/proc`` is mounted) and replaces the target with it only once that file
-is complete.  A results file is csv with one column per ``ResultRow``
+is complete.  A dataset whose every psi is the block embedding of its
+phi (``model._block_embedding``) is written with the header line
+``joint block`` and no psi rows, and its loader rebuilds each psi as that
+embedding, a read-only window on the parsed phi's buffer, as ``generate``
+makes it.  A results file is csv with one column per ``ResultRow``
 field, in field order, so the record alone defines its layout.
 """
 
@@ -31,7 +35,9 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .model import BOX_COORD_LIMIT, Dataset, ModelParams, SampleRecord
+from .model import (
+    BOX_COORD_LIMIT, Dataset, ModelParams, SampleRecord, _block_embedding,
+)
 
 DATASET_MAGIC = "dissim-dataset 1"
 MODEL_MAGIC = "dissim-model 1"
@@ -248,18 +254,33 @@ def save_dataset(dataset: Dataset, path) -> None:
             raise ConfigError(
                 f"sample id {s.id!r} must be one token without whitespace"
             )
-    write_atomic(path, _dataset_chunks(dataset))
+    write_atomic(path, _dataset_chunks(dataset, _is_block(dataset)))
 
 
-def _dataset_chunks(dataset: Dataset) -> Iterator[str]:
-    """A dataset file's text: the header, then one chunk per sample."""
+def _is_block(dataset: Dataset) -> bool:
+    """Whether every sample's psi is the block embedding of its phi, bit
+    for bit: the bits are compared, so a -0.0 off the blocks keeps the
+    file dense.  Compared label by label: numpy compares a whole window,
+    whose labels overlap in memory, through dense copies of both sides."""
+    labels = dataset.num_labels
+    return dataset.d_w == labels * dataset.d_theta and all(
+        all(map(np.array_equal, s.psi.view(np.int64),
+                _block_embedding(s.phi, labels).view(np.int64)))
+        for s in dataset
+    )
+
+
+def _dataset_chunks(dataset: Dataset, block: bool) -> Iterator[str]:
+    """A dataset file's text: the header, then one chunk per sample.  A
+    block file holds no psi rows."""
     yield (
         f"{DATASET_MAGIC}\n"
         f"labels {dataset.num_labels}\n"
         f"dw {dataset.d_w}\n"
         f"dtheta {dataset.d_theta}\n"
         f"geometric {1 if dataset.geometric else 0}\n"
-        f"samples {len(dataset)}\n"
+        + ("joint block\n" if block else "")
+        + f"samples {len(dataset)}\n"
     )
     for s in dataset:
         out = [f"sample {s.id}", f"label {s.truth_label}"]
@@ -272,10 +293,13 @@ def _dataset_chunks(dataset: Dataset) -> Iterator[str]:
         else:
             out.extend(f"latent {k}" for k in range(s.num_latents))
         L, K, d_w = s.psi.shape
-        rows = iter(_float_rows(s.psi.reshape(L * K, d_w), s.phi))
-        for y in range(L):
-            for k in range(K):
-                out.append(f"psi {y} {k} {next(rows)}")
+        if block:
+            rows = iter(_float_rows(s.phi))
+        else:
+            rows = iter(_float_rows(s.psi.reshape(L * K, d_w), s.phi))
+            for y in range(L):
+                for k in range(K):
+                    out.append(f"psi {y} {k} {next(rows)}")
         for k in range(K):
             out.append(f"phi {k} {next(rows)}")
         yield "\n".join(out) + "\n"
@@ -299,6 +323,17 @@ def load_dataset(path) -> Dataset:
         if geometric not in (0, 1):
             raise reader.error(f"geometric must be 0 or 1, got {geometric}")
         latent_fields = 5 if geometric else 1
+        block = False
+        if (peeked := reader.peek()) is not None and peeked.startswith("joint"):
+            joint = reader.expect_one("joint")
+            if joint != "block":
+                raise reader.error(f"joint must be block, got {joint!r}")
+            if d_w != num_labels * d_theta:
+                raise reader.error(
+                    f"joint block needs dw = labels * dtheta = "
+                    f"{num_labels * d_theta}, got {d_w}"
+                )
+            block = True
         n = reader.expect_count("samples")
         if n < 1:
             raise reader.error("samples must be >= 1")
@@ -359,7 +394,7 @@ def load_dataset(path) -> Dataset:
             # never sizes an allocation; the memo holds this sample's fields
             memo: dict[str, float] = {}
             psi_values = []
-            for y in range(num_labels):
+            for y in range(0 if block else num_labels):  # block: no psi rows
                 for k in range(K):
                     parts = reader.expect("psi")
                     if len(parts) != 2 + d_w:
@@ -380,9 +415,13 @@ def load_dataset(path) -> Dataset:
                     raise reader.error("phi rows out of order")
                 phi_values += reader.parse_finite(parts[1:], memo)
             # frozen here, so SampleRecord keeps them without a copy
-            psi = np.array(psi_values).reshape(num_labels, K, d_w)
             phi = np.array(phi_values).reshape(K, d_theta)
-            psi.flags.writeable = phi.flags.writeable = False
+            phi.flags.writeable = False
+            if block:
+                psi = _block_embedding(phi, num_labels)
+            else:
+                psi = np.array(psi_values).reshape(num_labels, K, d_w)
+                psi.flags.writeable = False
             boxes = np.array(boxes, dtype=np.int64) if geometric else None
             if geometric:
                 boxes.flags.writeable = False

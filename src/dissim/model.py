@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, InputError
 
@@ -35,10 +36,10 @@ BOX_COORD_LIMIT = 2**25
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     """A read-only array of values.  A read-only array of this dtype whose
     innermost axis is contiguous is kept as is (a strided window such as
-    ``synth``'s psi included), so every vector is contiguous; anything else
-    becomes a contiguous array.  A writeable array of the caller's is
-    copied, not frozen under the caller's hands; an array built here from
-    other values is frozen as is."""
+    ``_block_embedding``'s psi included), so every vector is contiguous;
+    anything else becomes a contiguous array.  A writeable array of the
+    caller's is copied, not frozen under the caller's hands; an array
+    built here from other values is frozen as is."""
     if (
         isinstance(values, np.ndarray)
         and not values.flags.writeable
@@ -56,6 +57,29 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
         arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _block_embedding(phi: np.ndarray, labels: int) -> np.ndarray:
+    """psi of a sample with these pooled features: psi[y, k] is phi[k] in
+    block y of length d and zeros elsewhere, shape (labels, K, labels * d).
+
+    Returned as a read-only window on one buffer of (labels - 1) * d +
+    K * labels * d doubles: (labels - 1) * d zeros, then per latent k the
+    row phi[k] followed by (labels - 1) * d zeros.  Label y's view starts
+    y * d doubles before row 0, so its block y lands on phi and every
+    other block on zeros; the dense array would hold about labels times
+    more.
+    """
+    K, d = phi.shape
+    width = labels * d
+    buffer = np.zeros((labels - 1) * d + K * width)
+    start = (labels - 1) * d
+    buffer[start:].reshape(K, width)[:, :d] = phi
+    step = buffer.itemsize
+    return as_strided(
+        buffer[start:], (labels, K, width), (-d * step, width * step, step),
+        writeable=False,
+    )
 
 
 @dataclass(frozen=True, eq=False)

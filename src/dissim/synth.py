@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
-from .model import Dataset, SampleRecord, _frozen_array
+from .model import Dataset, SampleRecord, _block_embedding, _frozen_array
 
 GroundTruth = dict[str, int]
 
@@ -119,29 +119,6 @@ def _signatures(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
     q, _ = np.linalg.qr(raw)
     basis = q.T
     return basis[: spec.num_classes], basis[spec.num_classes]
-
-
-def _block_embedding(phi: np.ndarray, labels: int) -> np.ndarray:
-    """psi of a sample with these pooled features: psi[y, k] is phi[k] in
-    block y of length d and zeros elsewhere, shape (labels, K, labels * d).
-
-    Returned as a read-only window on one buffer of (labels - 1) * d +
-    K * labels * d doubles: (labels - 1) * d zeros, then per latent k the
-    row phi[k] followed by (labels - 1) * d zeros.  Label y's view starts
-    y * d doubles before row 0, so its block y lands on phi and every
-    other block on zeros; the dense array would hold about labels times
-    more.
-    """
-    K, d = phi.shape
-    width = labels * d
-    buffer = np.zeros((labels - 1) * d + K * width)
-    start = (labels - 1) * d
-    buffer[start:].reshape(K, width)[:, :d] = phi
-    step = buffer.itemsize
-    return as_strided(
-        buffer[start:], (labels, K, width), (-d * step, width * step, step),
-        writeable=False,
-    )
 
 
 def generate(spec: TaskSpec) -> tuple[Dataset, GroundTruth]:

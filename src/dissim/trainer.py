@@ -19,7 +19,10 @@ solved subproblems (see ``baselines``).  Cells are independent, so
 children started by ``os.fork``.  The parent writes the cell indices into
 one pipe, largest C first; each child reads them one at a time, fits its
 cells, and pickles its rows back through a pipe of its own, and the parent
-puts the rows back in order.  The parent starts no thread and imports no
+puts the rows back in order.  Each child first sets its BLAS to one
+thread (``_kernel.one_blas_thread``), so that the workers' BLAS calls do
+not contend for the CPUs the workers already fill; the parent keeps its
+own setting.  The parent starts no thread and imports no
 ``multiprocessing``.  The results are the same bit for bit for any number
 of workers, and each row's wallclock time is its fit's own, measured in
 its child.
@@ -37,6 +40,7 @@ from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
+from ._kernel import one_blas_thread
 from .baselines import ilsvm_train, lsvm_train
 from .dataio import ModelRecord, ResultRow
 from .errors import ConfigError, InputError, SolverError
@@ -373,6 +377,7 @@ def _map_cells(cells: _Cells, workers: int) -> list[list[ResultRow]]:
             if pid == 0:  # the child, which must never return from here
                 code = 1
                 try:
+                    one_blas_thread()
                     feed.close()  # else its queue never ends
                     _serve(cells, queue, answer)
                     code = 0

@@ -5,7 +5,8 @@ src definitions are checked against: each loss pair by pair
 (``scalar_loss``), the dissimilarity objective (a vectorized form and a
 brute-force one), its point-mass restriction, the synthetic task's
 analytic template model, the generator pooling one box at a time, the
-dataset and model files laid out value by value and row by row, the
+dataset and model files laid out value by value and row by row (in the
+block layout where psi is the class-block map of phi), the
 loaders reading a file's whole text at once, and what tests that start
 processes need: a check that no child is left, and a subprocess
 environment that imports this ``dissim``.
@@ -160,13 +161,38 @@ def reference_fmt_floats(values) -> str:
     return " ".join(repr(float(v)) for v in values)
 
 
-def reference_dataset_text(dataset: Dataset) -> str:
+def reference_is_block(dataset: Dataset) -> bool:
+    """Whether every sample's psi has the bits of the dense class-block
+    map of its phi: phi[k] in block y of psi[y, k], +0.0 elsewhere."""
+    L, d = dataset.num_labels, dataset.d_theta
+    if dataset.d_w != L * d:
+        return False
+    for s in dataset:
+        dense = np.zeros(s.psi.shape)
+        for y in range(L):
+            dense[y, :, y * d : (y + 1) * d] = s.phi
+        if np.ascontiguousarray(s.psi).tobytes() != dense.tobytes():
+            return False
+    return True
+
+
+def reference_header(dataset: Dataset, block: bool) -> list[str]:
+    """A dataset file's header lines; a block file declares ``joint
+    block``."""
+    return [DATASET_MAGIC, f"labels {dataset.num_labels}", f"dw {dataset.d_w}",
+            f"dtheta {dataset.d_theta}",
+            f"geometric {1 if dataset.geometric else 0}",
+            *(["joint block"] if block else []),
+            f"samples {len(dataset)}"]
+
+
+def reference_dataset_text(dataset: Dataset, dense: bool = False) -> str:
     """The text ``save_dataset`` writes, laid out value by value with
-    ``reference_fmt_floats``."""
-    out = [DATASET_MAGIC, f"labels {dataset.num_labels}", f"dw {dataset.d_w}",
-           f"dtheta {dataset.d_theta}",
-           f"geometric {1 if dataset.geometric else 0}",
-           f"samples {len(dataset)}"]
+    ``reference_fmt_floats``: without psi rows where every psi is the
+    block map of its phi, unless ``dense`` asks for the psi rows anyway
+    (the layout of every file before the block layout)."""
+    block = not dense and reference_is_block(dataset)
+    out = reference_header(dataset, block)
     for s in dataset:
         out += [f"sample {s.id}", f"label {s.truth_label}"]
         if s.truth_latent is not None:
@@ -175,7 +201,7 @@ def reference_dataset_text(dataset: Dataset) -> str:
         for k in range(s.num_latents):
             box = "".join(f" {c}" for c in s.boxes[k].tolist()) if s.geometric else ""
             out.append(f"latent {k}{box}")
-        for y in range(dataset.num_labels):
+        for y in range(0 if block else dataset.num_labels):
             for k in range(s.num_latents):
                 out.append(f"psi {y} {k} {reference_fmt_floats(s.psi[y, k])}")
         for k in range(s.num_latents):
@@ -217,11 +243,10 @@ def reference_float_rows(*tables: np.ndarray) -> list[str]:
 
 def reference_rows_dataset_text(dataset: Dataset) -> str:
     """The text ``save_dataset`` writes, laid out row by row with
-    ``reference_float_rows``, as the writer did before."""
-    out = [DATASET_MAGIC, f"labels {dataset.num_labels}", f"dw {dataset.d_w}",
-           f"dtheta {dataset.d_theta}",
-           f"geometric {1 if dataset.geometric else 0}",
-           f"samples {len(dataset)}"]
+    ``reference_float_rows``, as the writer did before, and without psi
+    rows where every psi is the block map of its phi."""
+    block = reference_is_block(dataset)
+    out = reference_header(dataset, block)
     for s in dataset:
         out += [f"sample {s.id}", f"label {s.truth_label}"]
         if s.truth_latent is not None:
@@ -233,8 +258,9 @@ def reference_rows_dataset_text(dataset: Dataset) -> str:
         else:
             out.extend(f"latent {k}" for k in range(s.num_latents))
         L, K, d_w = s.psi.shape
-        rows = iter(reference_float_rows(s.psi.reshape(L * K, d_w), s.phi))
-        for y in range(L):
+        tables = (s.phi,) if block else (s.psi.reshape(L * K, d_w), s.phi)
+        rows = iter(reference_float_rows(*tables))
+        for y in range(0 if block else L):
             for k in range(K):
                 out.append(f"psi {y} {k} {next(rows)}")
         for k in range(K):

@@ -35,6 +35,7 @@ from dissim import (
     save_model,
     save_results,
 )
+import dissim.cli as cli
 import dissim.dataio as dataio
 import dissim.model as model
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC, RESULTS_HEADER
@@ -215,7 +216,7 @@ class TestDatasetRoundTrip:
         names its own line."""
         dset, _ = generate(TaskSpec(num_classes=2, per_class=2, seed=1))
         path = tmp_path / "d.txt"
-        save_dataset(dset, path)
+        path.write_text(reference_dataset_text(dset, dense=True))
         lines = path.read_text().splitlines()
         first = next(i for i, l in enumerate(lines) if l.startswith("psi "))
         idx = first + 1
@@ -390,6 +391,103 @@ class TestFormatterMatchesReference:
                           "zero_one", "tolerance", [])
         save_model(rec, path)
         assert path.read_bytes() == reference_rows_model_text(rec).encode()
+
+
+class TestBlockLayout:
+    """A dataset whose every psi is the block embedding of its phi is
+    written with ``joint block`` and no psi rows, and loads back to the
+    same doubles, each psi a read-only window as ``generate`` makes it;
+    any other dataset is written dense, as before."""
+
+    SPEC = TaskSpec(num_classes=3, per_class=2, seed=7)
+
+    def test_synth_set_round_trips_byte_for_byte(self, tmp_path):
+        dset, _ = generate(self.SPEC)
+        path, again = tmp_path / "d.txt", tmp_path / "again.txt"
+        save_dataset(dset, path)
+        lines = path.read_text().splitlines()
+        assert lines[5] == "joint block"
+        assert not [l for l in lines if l.startswith("psi")]
+        back = load_dataset(path)
+        assert_same_doubles(dset, back)
+        for a, b in zip(dset, back):  # the window generate makes
+            assert not b.psi.flags.writeable and b.psi.strides == a.psi.strides
+        save_dataset(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("value", [-0.0, 1e-300])
+    def test_one_off_block_value_keeps_the_file_dense(self, tmp_path, value):
+        dset, _ = generate(self.SPEC)
+        first, *rest = dset.samples
+        psi = np.array(first.psi)
+        psi[1, 3, 0] = value  # block 0 of label 1's row: off its block
+        changed = Dataset(dset.num_labels, dset.d_w, dset.d_theta,
+                          (with_tables(first, psi, first.phi), *rest))
+        path = tmp_path / "d.txt"
+        save_dataset(changed, path)
+        text = path.read_text()
+        assert "joint" not in text
+        assert text == reference_dataset_text(changed)
+        assert text == reference_dataset_text(changed, dense=True)
+        assert_same_doubles(changed, load_dataset(path))
+
+    def test_dense_file_of_a_synth_set_fits_the_same(self, tmp_path):
+        """The old layout of a generated task loads to the block file's
+        doubles, and an experiment on either writes the same files."""
+        dset, _ = generate(TaskSpec(num_classes=2, per_class=4, grid=4,
+                                    boxes=4, box_cells=3, seed=3))
+        block, dense = tmp_path / "block.txt", tmp_path / "dense.txt"
+        save_dataset(dset, block)
+        dense.write_text(reference_dataset_text(dset, dense=True))
+        assert "joint" not in dense.read_text()
+        assert_same_doubles(load_dataset(block), load_dataset(dense))
+        for data in (block, dense):
+            out = tmp_path / data.stem
+            out.mkdir()
+            assert cli.main([
+                "experiment", "--data", str(data), "--methods",
+                "dissim,lsvm,ilsvm", "--losses", "zero_one,overlap",
+                "--C-grid", "0.1,10.0", "--folds", "2", "--max-rounds", "2",
+                "--ssd-factor", "2", "--workers", "1", "--no-timings",
+                "--out", str(out / "res.csv")]) == 0
+        names = sorted(p.name for p in (tmp_path / "block").iterdir())
+        assert len(names) == 8  # results, summary and 6 curves
+        assert names == sorted(p.name for p in (tmp_path / "dense").iterdir())
+        for name in names:
+            assert ((tmp_path / "block" / name).read_bytes()
+                    == (tmp_path / "dense" / name).read_bytes())
+
+    @pytest.mark.parametrize("keyword, bad, message", [
+        ("joint", "joint dense", "joint must be block, got 'dense'"),
+        ("joint", "joint", "joint takes one value"),
+        ("joint", "joint block block", "joint takes one value"),
+        ("dw", "dw 47", "joint block needs dw = labels \\* dtheta = 48, got 47"),
+        ("latent 15", None, "expected 'phi', got 'psi 0 0 "),
+    ])
+    def test_malformed_joint_names_its_line(self, tmp_path, capsys, keyword,
+                                            bad, message):
+        """Each error names the line that is wrong: the joint line, or a
+        psi line where a block file has phi rows; the CLI exits 2."""
+        dset, _ = generate(TaskSpec(per_class=1, seed=0))
+        path = tmp_path / "d.txt"
+        save_dataset(dset, path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines)
+                  if (l + " ").startswith(keyword + " "))
+        if bad is None:  # a dense sample's first psi row after its latents
+            dense = reference_dataset_text(dset, dense=True).splitlines()
+            lines.insert(at + 1, next(l for l in dense if l.startswith("psi")))
+            at += 1
+        else:
+            lines[at] = bad
+        path.write_text("\n".join(lines) + "\n")
+        # a dw that joint block cannot have is named at the joint line, 6
+        wrong = 6 if keyword == "dw" else at + 1
+        with pytest.raises(InputError, match=rf"line {wrong}: {message}"):
+            load_dataset(path)
+        capsys.readouterr()
+        assert cli.main(["gradcheck", "--data", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} line {wrong}:")
 
 
 class TestOnlyDeclaredRecords:
@@ -846,16 +944,22 @@ class TestStreamingReaders:
     the line the message names."""
 
     LOADERS = {"dataset": load_dataset, "model": load_model,
-               "results": load_results, "cli-dataset": load_dataset}
+               "results": load_results, "cli-dataset": load_dataset,
+               "block-dataset": load_dataset}
 
     @staticmethod
     def valid_lines(root, kind):
         """The valid files the mutation tests of this module and of
-        test_cli start from, as lines."""
+        test_cli start from, and a small generated task in the block
+        layout, as lines."""
         path = root / kind
         if kind == "cli-dataset":
             save_dataset(make_dataset(3, n=4, num_labels=2, num_latents=2,
                                       d_w=2, d_theta=2, geometric=True), path)
+        elif kind == "block-dataset":
+            save_dataset(generate(TaskSpec(
+                num_classes=2, per_class=1, grid=4, boxes=4, box_cells=3,
+                feature_dim=3))[0], path)
         else:
             TestMutatedFiles.valid_files(root)
         return path.read_text().splitlines()

@@ -38,6 +38,7 @@ from dissim import (
     stratified_split,
     train,
 )
+import dissim._kernel as kernel
 import dissim.trainer as trainer
 from dissim.trainer import DEFAULT_C_GRID, METHODS, _fit, run_protocols
 from helpers import (
@@ -483,6 +484,49 @@ print(*sorted(m for m in ("multiprocessing", "concurrent.futures")
                               text=True, env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["2 4", ""]
+
+    @pytest.mark.skipif(
+        not hasattr(kernel.NUMPY, "scipy_openblas_get_num_threads64_"),
+        reason="numpy's BLAS is not its bundled OpenBLAS")
+    def test_each_worker_runs_one_blas_thread(self, tmp_path):
+        """With no BLAS thread variable set and the parent at two BLAS
+        threads, each of two forked workers runs its BLAS on one thread,
+        as numpy's OpenBLAS reports it, and the parent keeps two."""
+        code = """
+import os, sys
+import dissim._kernel as kernel
+import dissim._kernel as kernel
+import dissim.trainer as trainer
+from dissim import TaskSpec, TrainConfig, ZeroOneLoss, generate
+from dissim.thetasolver import SSDConfig
+threads = kernel.NUMPY.scipy_openblas_get_num_threads64_
+kernel.NUMPY.scipy_openblas_set_num_threads64_(2)
+serve = trainer._serve
+def reporting(*args):
+    serve(*args)
+    with open(sys.argv[1], "a") as log:
+        log.write(f"{os.getpid()} {threads()}\\n")
+trainer._serve = reporting
+data, _ = generate(TaskSpec(num_classes=2, per_class=3, grid=4, boxes=4,
+                            box_cells=3, seed=0))
+config = TrainConfig(ssd=SSDConfig(steps_per_sample=2, seed=0),
+                     inner_tol=1e-2, max_outer_rounds=2, C_grid=(0.1, 1.0))
+trainer.run_protocols(data, [ZeroOneLoss()], config, n_folds=2,
+                      methods=("dissim", "lsvm"), workers=2)
+print(os.getpid(), threads())
+"""
+        env = {name: value for name, value in src_env().items()
+               if not name.endswith("_NUM_THREADS")}
+        log = tmp_path / "workers.txt"
+        proc = subprocess.run([sys.executable, "-c", code, str(log)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        parent, parent_threads = proc.stdout.split()
+        workers = [line.split() for line in log.read_text().splitlines()]
+        assert len({pid for pid, _ in workers} - {parent}) == 2
+        assert [n for _, n in workers] == ["1", "1"]
+        assert parent_threads == "2"
 
     def test_failed_fork_leaks_nothing(self, monkeypatch):
         """A fork that fails after one worker started: its error comes

@@ -124,7 +124,9 @@ class _SetView:
     solved convex subproblems on this set: keyed by (C, inner_tol), then
     by (anchors, refs) (see ``wsolver._cccp_loop``), it lives as long as
     the view does.  ``step_samples`` is what the compiled SSD steps read
-    of the views, built on first use.
+    of the views, built on first use.  ``posteriors`` and
+    ``expected_losses`` keep their last results while the view lives, so
+    one round's objective and the next w step compute each once.
 
     Each batched term makes the per-sample core's IEEE operations on each
     row: the products are the same BLAS kernels per row (``probs @
@@ -140,6 +142,7 @@ class _SetView:
         self.latent_dependent = loss.latent_dependent
         self.d_theta = dataset.d_theta
         self.solves: dict = {}
+        self._posteriors = self._tables = (None, None)
         self.blocks = []
         for _, rows in scoring.groups:
             idx = np.arange(len(views))[rows].tolist()
@@ -154,30 +157,44 @@ class _SetView:
         compiled SSD steps do not take this set."""
         return ssd_samples(self.views)
 
-    def posteriors(self, theta: np.ndarray) -> list[np.ndarray]:
-        """Per group, every sample's latent conditional, (n_g, K)."""
+    def posteriors(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per group, every sample's latent conditional, (n_g, K), as a
+        tuple of read-only arrays; the last is kept, keyed on theta's bytes."""
         theta = _vector("theta", theta, self.d_theta)
-        out = []
-        for g in self.blocks:
-            n_g, K, d = g.phi.shape
-            activations = (g.phi.reshape(n_g * K, d) @ theta).reshape(n_g, K)
-            shift = np.maximum.reduce(activations, axis=1)
-            sums = np.add.reduce(np.exp(activations - shift[:, None]), axis=1)
-            log_z = shift + np.array([math.log(x) for x in sums.tolist()])
-            out.append(np.exp(activations - log_z[:, None]))
-        return out
+        key = theta.tobytes()
+        cached, probs = self._posteriors
+        if key != cached:
+            out = []
+            for g in self.blocks:
+                n_g, K, d = g.phi.shape
+                activations = (g.phi.reshape(n_g * K, d) @ theta).reshape(n_g, K)
+                shift = np.maximum.reduce(activations, axis=1)
+                sums = np.add.reduce(np.exp(activations - shift[:, None]), axis=1)
+                log_z = shift + np.array([math.log(x) for x in sums.tolist()])
+                out.append(np.exp(activations - log_z[:, None]))
+                out[-1].setflags(write=False)
+            probs = tuple(out)
+            self._posteriors = (key, probs)
+        return probs
 
-    def expected_losses(self, probs: list[np.ndarray]) -> np.ndarray:
-        """Every sample's expected-loss table, one (n, labels, K) array in
-        dataset order, -inf at the padded candidates; the constant itself,
-        exactly, for a latent-independent loss."""
-        return self.scoring.ungroup([
-            (p[:, None, None, :] @ g.by_label)[:, :, 0, :] if self.latent_dependent
-            else g.by_label[:, :, 0, :]
-            for p, g in zip(probs, self.blocks)
-        ])
+    def expected_losses(self, probs: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Every sample's expected-loss table, one read-only (n, labels, K)
+        array in dataset order, -inf at the padded candidates; the constant
+        itself, exactly, for a latent-independent loss.  The tables of the
+        last ``posteriors`` result are kept, keyed on that tuple itself."""
+        cached, tables = self._tables
+        if probs is not cached:
+            tables = self.scoring.ungroup([
+                (p[:, None, None, :] @ g.by_label)[:, :, 0, :]
+                if self.latent_dependent else g.by_label[:, :, 0, :]
+                for p, g in zip(probs, self.blocks)
+            ])
+            tables.setflags(write=False)
+            if probs is self._posteriors[1]:
+                self._tables = (probs, tables)
+        return tables
 
-    def self_diversities(self, probs: list[np.ndarray]) -> np.ndarray:
+    def self_diversities(self, probs: tuple[np.ndarray, ...]) -> np.ndarray:
         """Every sample's self diversity, one (n,) array in dataset order."""
         if not self.latent_dependent:
             return np.zeros(self.scoring.shape[0])

@@ -308,6 +308,8 @@ class _ScoreStack:
     ``groups`` lists each latent-space size with the positions of its
     samples, in dataset order: a reduction over K runs per group,
     unpadded, and ``ungroup`` puts the per-group results back in order.
+    ``scores`` keeps its last product while the dataset lives, so the
+    callers of a round that score one w share its product.
     """
 
     def __init__(self, dataset: Dataset):
@@ -333,10 +335,19 @@ class _ScoreStack:
             if len(members) == 1
             else [(k, np.array(rows)) for k, rows in members.items()]
         )
+        self._scores = (None, None)  # (bytes of w, scores at w)
 
     def scores(self, w: np.ndarray) -> np.ndarray:
-        """All candidate scores, shape (n, labels, K)."""
-        return (self.psi_rows @ _vector("w", w, self.d_w)).reshape(self.shape)
+        """All candidate scores, shape (n, labels, K), read-only; the last
+        product is kept, keyed on the bytes of w (not on the object)."""
+        w = _vector("w", w, self.d_w)
+        key = w.tobytes()
+        cached, scores = self._scores  # read once: key and scores stay a pair
+        if key != cached:
+            scores = (self.psi_rows @ w).reshape(self.shape)
+            scores.setflags(write=False)
+            self._scores = (key, scores)
+        return scores
 
     def impute(self, scores: np.ndarray) -> list[int]:
         """Per sample, the best-scoring latent index at the truth label;

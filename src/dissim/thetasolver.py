@@ -193,8 +193,8 @@ def ssd_theta(
     Returns the final iterate.  Fully deterministic given the config
     seed.  The steps run in the compiled kernel where it loaded, else in
     the Python loop (``_ssd_loop``); both return the same theta bit for
-    bit.  Every score table at w is sliced from one product over
-    ``loss.stack(dataset)``.
+    bit.  Every score table at w is sliced from the score stack's kept
+    product at w, the one the w step ended on.
     """
     n = len(dataset)
     steps = (

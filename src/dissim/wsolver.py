@@ -75,12 +75,12 @@ class _InnerData:
     """The convex subproblem of one CCCP round: the set's score stack
     plus this round's augmentation tables and anchors.
 
-    Candidate scoring is one matrix product over all samples (the
-    dataset's ``model._ScoreStack``): padded candidates score 0 and carry
-    -inf augmentation entries, so they never win.  Ties break row-major
-    (smallest label, then latent).  ``set_round`` replaces the tables
-    and anchors.  The objective's slacks are the score stack's, the same
-    ones ``losses.upper_bound`` sums.
+    Candidate scoring is one matrix product over all samples, the
+    dataset's ``model._ScoreStack.scores``: padded candidates score 0
+    and carry -inf augmentation entries, so they never win.  Ties break
+    row-major (smallest label, then latent).  ``set_round`` replaces the
+    tables and anchors.  The objective's slacks are the score stack's,
+    the same ones ``losses.upper_bound`` sums.
     """
 
     def __init__(self, dataset: Dataset, tables: np.ndarray, anchors):
@@ -105,7 +105,7 @@ class _InnerData:
         """Most violated joint assignment at w: plane direction, offset,
         and a hashable assignment key."""
         n = len(self.aug_stack)
-        scores = (self.stack.psi_rows @ w).reshape(n, -1)
+        scores = self.stack.scores(w).reshape(n, -1)
         picks = np.argmax(scores + self.aug_stack, axis=1)
         rows = np.arange(n)
         direction = (self.anchor_rows - self.psi_stack[rows, picks]).mean(axis=0)
@@ -390,8 +390,9 @@ def _cccp_loop(
     C * epsilon, or once a subproblem repeats within the run, and raises
     SolverError once DEFAULT_CCCP_BUDGET rounds have not stopped it.
 
-    Each iterate's scores are one product over the dataset's score stack,
-    read by the imputation, ``build_round`` and the objective.
+    Each iterate's scores are the score stack's kept product, made by the
+    inner solve's last ``most_violated``, and read by the imputation,
+    ``build_round`` and the objective.
     """
 
     stack = dataset._score_stack

@@ -31,7 +31,7 @@ from dissim import (
     slack,
     upper_bound,
 )
-from dissim.losses import LOSS_KINDS
+from dissim.losses import LOSS_KINDS, _SetView
 from helpers import (
     StubZeroLoss,
     brute_distribution,
@@ -738,3 +738,66 @@ class TestStack:
             upper_bound(w, np.zeros((1, dset.d_theta)), dset, loss, 0.5)
         with pytest.raises(ConfigError, match="w has shape"):
             regularized_objective(np.zeros(2), theta, dset, loss, HyperParams())
+
+
+class TestSetViewCache:
+    """``_SetView.posteriors`` keeps its last result, keyed on the bytes of
+    theta, and ``expected_losses`` the tables of that result, keyed on the
+    tuple itself; a hit has the bytes a fresh view would compute and is
+    read-only.  The ragged sets have more than one K group."""
+
+    LOSSES = [ZeroOneLoss, OverlapLoss, LabelOnlyZeroOneLoss]
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_posteriors_tuple_cached_read_only(self, uniform):
+        dset = stack_case(4, uniform)
+        stack = ZeroOneLoss().stack(dset)
+        theta = np.random.default_rng(4).standard_normal(dset.d_theta)
+        probs = stack.posteriors(theta)
+        assert type(probs) is tuple and len(probs) == len(stack.blocks)
+        assert stack.posteriors(theta.copy()) is probs
+        fresh = _SetView(dset, ZeroOneLoss()).posteriors(theta)
+        for got, want in zip(probs, fresh):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
+    def test_posteriors_follow_in_place_edits_and_signed_zeros(self):
+        dset = stack_case(5, False)
+        stack = ZeroOneLoss().stack(dset)
+        theta = np.random.default_rng(5).standard_normal(dset.d_theta)
+        before = [p.copy() for p in stack.posteriors(theta)]
+        theta[0] += 1.0
+        after = stack.posteriors(theta)
+        fresh = _SetView(dset, ZeroOneLoss()).posteriors(theta)
+        assert [p.tobytes() for p in after] == [p.tobytes() for p in fresh]
+        assert [p.tobytes() for p in after] != [p.tobytes() for p in before]
+        zero = np.zeros(dset.d_theta)
+        at_zero = stack.posteriors(zero)
+        assert stack.posteriors(-zero) is not at_zero
+        assert stack.posteriors(zero) is not at_zero
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("loss_cls", LOSSES)
+    def test_expected_losses_cached_read_only(self, uniform, loss_cls):
+        dset = stack_case(6, uniform)
+        assert (len(dset._score_stack.groups) > 1) is not uniform
+        stack = loss_cls().stack(dset)
+        fresh = _SetView(dset, loss_cls())
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            theta = rng.standard_normal(dset.d_theta)
+            probs = stack.posteriors(theta)
+            tables = stack.expected_losses(probs)
+            assert stack.expected_losses(probs) is tables
+            assert not tables.flags.writeable
+            want = fresh.expected_losses(fresh.posteriors(theta))
+            assert tables.tobytes() == want.tobytes()
+        # tables of any other probabilities are computed, not looked up
+        stale = stack.posteriors(np.zeros(dset.d_theta))
+        stack.posteriors(np.ones(dset.d_theta))
+        want = fresh.expected_losses(fresh.posteriors(np.zeros(dset.d_theta)))
+        assert stack.expected_losses(stale).tobytes() == want.tobytes()
+        copies = [p.copy() for p in stale]
+        listed = stack.expected_losses(copies)
+        assert listed.tobytes() == want.tobytes()
+        assert stack.expected_losses(copies) is not listed

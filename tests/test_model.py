@@ -422,3 +422,44 @@ def test_dataset_iteration_and_geometry_flag():
     assert dset.geometric
     assert [s.id for s in dset] == ["s0", "s1", "s2"]
     assert not make_dataset(0, n=2).geometric
+
+
+class TestScoreStackCache:
+    """``_ScoreStack.scores`` keeps its last product, keyed on the bytes of
+    w: a hit is the product a fresh call would make, read-only."""
+
+    @staticmethod
+    def fresh(stack, w):
+        return (stack.psi_rows @ w).reshape(stack.shape)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_cached_product_is_fresh_and_read_only(self, uniform):
+        stack = make_dataset(5, n=6, uniform_shapes=uniform)._score_stack
+        w = np.random.default_rng(5).standard_normal(stack.d_w)
+        first = stack.scores(w)
+        again = stack.scores(w.copy())
+        assert again is first
+        assert not again.flags.writeable
+        assert again.tobytes() == self.fresh(stack, w).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            again[0, 0, 0] = 1.0
+
+    def test_in_place_edit_gets_a_new_product(self):
+        stack = make_dataset(6, n=6)._score_stack
+        w = np.random.default_rng(6).standard_normal(stack.d_w)
+        before = stack.scores(w).copy()
+        w[0] += 1.0
+        after = stack.scores(w)
+        assert after.tobytes() == self.fresh(stack, w).tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    def test_signed_zeros_are_separate_entries(self):
+        stack = make_dataset(7, n=6)._score_stack
+        zero = np.zeros(stack.d_w)
+        negative = -zero
+        assert zero.tobytes() != negative.tobytes()
+        at_zero = stack.scores(zero)
+        at_negative = stack.scores(negative)
+        assert at_negative is not at_zero
+        assert at_negative.tobytes() == self.fresh(stack, negative).tobytes()
+        assert stack.scores(zero) is not at_negative

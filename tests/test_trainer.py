@@ -25,9 +25,11 @@ from dissim import (
     SampleRecord,
     SolverError,
     SSDConfig,
+    TaskSpec,
     TrainConfig,
     ZeroOneLoss,
     evaluate,
+    generate,
     load_model,
     load_results,
     predict,
@@ -122,6 +124,50 @@ class TestTrain:
                           inner_tol=1e-8, max_outer_rounds=3)
         model = train(dset, LabelOnlyZeroOneLoss(), cfg)
         np.testing.assert_allclose(model.params.w, expect, atol=1e-9)
+
+
+class LoggedProducts:
+    """Stands in for a stacked matrix and logs the vector of every product
+    taken with it; ``reshape`` gives the bare array, or a logged stand-in
+    for it with ``log_reshapes``."""
+
+    def __init__(self, array, log, log_reshapes=False):
+        self.array, self.log, self.log_reshapes = array, log, log_reshapes
+        self.shape = array.shape
+
+    def reshape(self, *shape):
+        array = self.array.reshape(*shape)
+        return LoggedProducts(array, self.log) if self.log_reshapes else array
+
+    def __matmul__(self, vector):
+        self.log.append(np.array(vector))
+        return self.array @ vector
+
+
+class TestRoundQuantitiesOnce:
+    """A train call computes the posteriors once per theta and scores no
+    w twice in a row: the solved w's product serves the CCCP loop, the
+    theta step, the objective and the next round's start, and the
+    objective's posteriors and tables serve the next w step."""
+
+    @pytest.mark.parametrize("loss_cls", [ZeroOneLoss, OverlapLoss])
+    def test_no_product_repeats(self, loss_cls):
+        dset, _ = generate(TaskSpec(per_class=3, seed=0))
+        loss = loss_cls()
+        stack = loss.stack(dset)
+        ws, thetas = [], []
+        stack.scoring.psi_rows = LoggedProducts(stack.scoring.psi_rows, ws)
+        (group,) = stack.blocks
+        stack.blocks = [group._replace(phi=LoggedProducts(group.phi, thetas, True))]
+        config = TrainConfig(hyper=HyperParams(C=0.1),
+                             ssd=SSDConfig(steps_per_sample=10, seed=0),
+                             inner_tol=1e-2, max_outer_rounds=6)
+        record = train(dset, loss, config)
+        rounds = len(record.trace) - 1
+        assert rounds >= 2
+        assert len(thetas) == rounds + 1
+        for log in (ws, thetas):
+            assert all(a.tobytes() != b.tobytes() for a, b in zip(log, log[1:]))
 
 
 class TestEvaluate:

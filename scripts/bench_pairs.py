@@ -12,7 +12,10 @@ base tree and in the working tree, ``--pairs`` times per workload
 side that goes first alternates from pair to pair, so slow drift of the
 machine's speed falls on both sides alike.  Stdlib only.
 
-The output holds the ``machine`` line of the first run, every run's
+The output holds the ``machine`` line of the first run, the machine's
+``parallel_capacity`` (see ``parallel_capacity``: whether two processes
+really run at once here, which decides what a pool of forked workers
+can gain), every run's
 end-to-end metrics, and per metric the median and quartiles of each side
 and the number of pairs the working tree won (the direction of "better"
 is read from BENCHMARK.json).  Each end-to-end metric also gets two
@@ -28,12 +31,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
+import struct
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +93,54 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
+
+
+def spin(loop: int) -> float:
+    """Wall seconds of one fixed CPU-bound loop of ``loop`` additions."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(loop):
+        total += i
+    return time.perf_counter() - start
+
+
+def spin_children(count: int, loop: int) -> list[float]:
+    """``spin(loop)`` in ``count`` forked children started together, each
+    child's seconds as it timed them."""
+    children = []
+    try:
+        for _ in range(count):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read)
+                    os.write(write, struct.pack("d", spin(loop)))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+    finally:
+        seconds = []
+        for pid, read in children:
+            with os.fdopen(read, "rb") as pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            seconds.append(struct.unpack("d", data)[0] if data else None)
+    if None in seconds:
+        raise RuntimeError("a timing child reported nothing")
+    return seconds
+
+
+def parallel_capacity(loop: int = 3_000_000) -> dict:
+    """The same loop timed in one forked child alone, then in two at once.
+    ``speedup`` is the two loops' work per second against the one's: near
+    2 where two CPUs are free, near 1 where the two children share one, and
+    then a pool of two forked workers gains nothing."""
+    (alone,) = spin_children(1, loop)
+    two = spin_children(2, loop)
+    return {"loop": loop, "alone_s": alone, "two_children_s": two,
+            "speedup": 2 * alone / max(two)}
 
 
 def spread(values: list[float]) -> dict:
@@ -195,8 +249,10 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "pairs": args.pairs,
         "machine": None,
+        "parallel_capacity": parallel_capacity(),
         "workloads": {},
     }
+    print("parallel capacity " + json.dumps(report["parallel_capacity"]), flush=True)
     ok = True
     try:
         export_tree(base_rev, export_root)

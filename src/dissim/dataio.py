@@ -64,7 +64,7 @@ def _float_rows(*tables: np.ndarray) -> list[str]:
     first = np.empty(runs.size, dtype=bool)
     first[:1] = True
     np.not_equal(runs[1:], runs[:-1], out=first[1:])
-    ids[order] = np.cumsum(first)
+    ids[order] = first.cumsum()
     words = np.array(
         ["0.0", *map(repr, runs[first].view(np.float64).tolist())], dtype=object
     )

@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, InputError
 
@@ -76,10 +75,13 @@ def _block_embedding(phi: np.ndarray, labels: int) -> np.ndarray:
     start = (labels - 1) * d
     buffer[start:].reshape(K, width)[:, :d] = phi
     step = buffer.itemsize
-    return as_strided(
-        buffer[start:], (labels, K, width), (-d * step, width * step, step),
-        writeable=False,
-    )
+    # the ndarray constructor, not as_strided: every as_strided call left a
+    # block on CPython's free lists (it copies a dict), memory that a
+    # traced save went on counting
+    window = np.ndarray((labels, K, width), np.float64, buffer, start * step,
+                        (-d * step, width * step, step))
+    window.flags.writeable = False
+    return window
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +126,13 @@ class SampleRecord:
                 f"sample {self.id}: truth label {self.truth_label} outside "
                 f"[0, {self.psi.shape[0]})"
             )
-        if not np.all(np.isfinite(self.psi)) or not np.all(np.isfinite(self.phi)):
+        # each label's extremes (with 0.0, so an empty row passes): NaN and
+        # the infinities show in them, and a reduction along rows reads a
+        # block window in place, where an elementwise isfinite on its three
+        # axes would buffer a dense copy of it
+        rows = self.psi.reshape(self.psi.shape[0], -1)
+        extremes = (rows.max(axis=1, initial=0.0), rows.min(axis=1, initial=0.0))
+        if not np.isfinite(extremes).all() or not np.all(np.isfinite(self.phi)):
             raise InputError(f"sample {self.id}: feature tables must be finite")
         if self.truth_latent is not None and not (0 <= self.truth_latent < K):
             raise InputError(
@@ -309,7 +317,9 @@ class _ScoreStack:
     samples, in dataset order: a reduction over K runs per group,
     unpadded, and ``ungroup`` puts the per-group results back in order.
     ``scores`` keeps its last product while the dataset lives, so the
-    callers of a round that score one w share its product.
+    callers of a round that score one w share its product, and, in a slot
+    of its own, the product at the origin (the all-``+0.0`` w), where
+    every fit and every convex w step starts, so a set pays for it once.
     """
 
     def __init__(self, dataset: Dataset):
@@ -336,17 +346,28 @@ class _ScoreStack:
             else [(k, np.array(rows)) for k, rows in members.items()]
         )
         self._scores = (None, None)  # (bytes of w, scores at w)
+        self._origin_key = bytes(8 * d)  # the bytes of the all-+0.0 w
+        self._origin = None  # scores at the origin, built on first use
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         """All candidate scores, shape (n, labels, K), read-only; the last
-        product is kept, keyed on the bytes of w (not on the object)."""
+        product is kept, keyed on the bytes of w (not on the object), and
+        the origin's in a slot that no other w evicts."""
         w = _vector("w", w, self.d_w)
         key = w.tobytes()
+        if key == self._origin_key:
+            if self._origin is None:
+                self._origin = self._product(w)
+            return self._origin
         cached, scores = self._scores  # read once: key and scores stay a pair
         if key != cached:
-            scores = (self.psi_rows @ w).reshape(self.shape)
-            scores.setflags(write=False)
+            scores = self._product(w)
             self._scores = (key, scores)
+        return scores
+
+    def _product(self, w: np.ndarray) -> np.ndarray:
+        scores = (self.psi_rows @ w).reshape(self.shape)
+        scores.setflags(write=False)
         return scores
 
     def impute(self, scores: np.ndarray) -> list[int]:

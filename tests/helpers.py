@@ -7,9 +7,10 @@ brute-force one), its point-mass restriction, the synthetic task's
 analytic template model, the generator pooling one box at a time, the
 dataset and model files laid out value by value and row by row (in the
 block layout where psi is the class-block map of phi), the
-loaders reading a file's whole text at once, and what tests that start
-processes need: a check that no child is left, and a subprocess
-environment that imports this ``dissim``.
+loaders reading a file's whole text at once, a stand-in for a stacked
+matrix that logs its products, and what tests that start processes need:
+a check that no child is left, and a subprocess environment that imports
+this ``dissim``.
 
 Instances come in two flavours: abstract (no boxes, suitable for the
 zero-one losses) and geometric (one box per latent value, suitable for
@@ -44,6 +45,7 @@ from dissim import (
     SolverError,
     SSDConfig,
     TaskSpec,
+    TrainConfig,
     ZeroOneLoss,
     expected_loss_table,
     latent_posterior,
@@ -51,6 +53,7 @@ from dissim import (
     score_table,
     self_diversity,
     slack,
+    train,
 )
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC
 from dissim.model import _frozen_array, _log_sum_exp, _vector
@@ -683,6 +686,50 @@ def stack_case(seed: int, uniform: bool, n: int = 8) -> Dataset:
     ragged ones of 2 to 9."""
     return make_dataset(seed, n=n, num_labels=3, num_latents=9, d_w=6,
                         d_theta=4, geometric=True, uniform_shapes=uniform)
+
+
+class LoggedProducts:
+    """Stands in for a stacked matrix and logs the vector of every product
+    taken with it; ``reshape`` gives the bare array, or a logged stand-in
+    for it with ``log_reshapes``."""
+
+    def __init__(self, array, log, log_reshapes=False):
+        self.array, self.log, self.log_reshapes = array, log, log_reshapes
+        self.shape = array.shape
+
+    def reshape(self, *shape):
+        array = self.array.reshape(*shape)
+        return LoggedProducts(array, self.log) if self.log_reshapes else array
+
+    def __matmul__(self, vector):
+        self.log.append(np.array(vector))
+        return self.array @ vector
+
+
+def origin_products(dataset: Dataset, loss_classes, C_grid) -> tuple[int, dict]:
+    """Fit ``dataset`` with ``dissim`` at every C of ``C_grid`` under each
+    loss, logging every product with the score stack's ``psi_rows`` and
+    each loss's stacked phi; the number of products at the all-``+0.0``
+    w, and per loss class the number at the all-``+0.0`` theta."""
+    ws, thetas = [], {}
+    scoring = dataset._score_stack
+    scoring.psi_rows = LoggedProducts(scoring.psi_rows, ws)
+    for loss_cls in loss_classes:
+        loss = loss_cls()
+        stack = loss.stack(dataset)
+        (group,) = stack.blocks
+        thetas[loss_cls] = []
+        stack.blocks = [group._replace(
+            phi=LoggedProducts(group.phi, thetas[loss_cls], True))]
+        for C in C_grid:
+            train(dataset, loss, TrainConfig(
+                hyper=HyperParams(C=C), ssd=SSDConfig(steps_per_sample=10, seed=0),
+                inner_tol=1e-2, max_outer_rounds=4))
+
+    def at_origin(log):
+        return sum(v.tobytes() == bytes(v.nbytes) for v in log)
+
+    return at_origin(ws), {k: at_origin(log) for k, log in thetas.items()}
 
 
 class StubZeroLoss(ZeroOneLoss):

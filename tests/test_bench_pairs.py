@@ -1,9 +1,12 @@
-"""Verdicts of ``scripts/bench_pairs.py``'s ``summarize`` on synthetic runs."""
+"""Verdicts of ``scripts/bench_pairs.py``'s ``summarize`` on synthetic runs,
+and its measure of the machine's parallel capacity."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from helpers import no_child_left
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -119,3 +122,22 @@ def test_verdicts_need_both_sides(name):
     s = bench_pairs.summarize(runs, SPEC)[name]
     assert s["change_wins"] == 0
     assert "claim_met" not in s and "regression" not in s
+
+
+def test_parallel_capacity_times_one_child_then_two():
+    cap = bench_pairs.parallel_capacity(loop=200_000)
+    assert cap["loop"] == 200_000
+    assert cap["alone_s"] > 0 and len(cap["two_children_s"]) == 2
+    assert all(s > 0 for s in cap["two_children_s"])
+    assert cap["speedup"] == 2 * cap["alone_s"] / max(cap["two_children_s"])
+    assert no_child_left()
+
+
+def test_a_silent_child_is_an_error(monkeypatch):
+    def crash(loop):
+        raise RuntimeError("no timing")
+
+    monkeypatch.setattr(bench_pairs, "spin", crash)
+    with pytest.raises(RuntimeError, match="reported nothing"):
+        bench_pairs.spin_children(2, 10)
+    assert no_child_left()

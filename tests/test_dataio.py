@@ -1130,17 +1130,32 @@ class TestLoadMemo:
             assert memo is None or bad not in memo
 
 
-def traced(fn):
-    """fn's result, and the traced memory it allocated at its peak and
-    still holds at its end, in bytes."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak - start, current - start
+def traced(fn, runs=3):
+    """fn's result, and the traced memory one call of fn allocated at its
+    peak, and at its peak above what it still held at its end, in bytes:
+    each the least over ``runs`` calls, with the cyclic collector paused.
+
+    CPython and numpy keep some freed blocks for reuse (free lists, small
+    caches), and tracemalloc counts the blocks they hold.  How many a call
+    draws from them or adds to them depends on what ran before it, and a
+    full collection empties CPython's free lists, so one call's peak moves
+    by a kilobyte or more from run to run.  The least of a few calls is
+    the call's own need."""
+    peaks, above_end = [], []
+    for _ in range(runs):
+        result = None
+        gc.disable()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        peaks.append(peak - start)
+        above_end.append(peak - current)
+    return result, min(peaks), min(above_end)
 
 
 class TestMemoryBound:
@@ -1154,10 +1169,9 @@ class TestMemoryBound:
             path = tmp_path / f"{per_class}.txt"
             _, save_peak[per_class], _ = traced(lambda: save_dataset(dset,
                                                                      path))
-            back, peak, kept = traced(lambda: load_dataset(path))
+            # the load's peak above what the returned dataset holds
+            back, _, load_peak[per_class] = traced(lambda: load_dataset(path))
             assert len(back) == len(dset)
-            # the peak above what the returned dataset holds
-            load_peak[per_class] = peak - kept
         sample_text = path.stat().st_size / len(dset)
         assert save_peak[8] - save_peak[2] < sample_text
         assert load_peak[8] - load_peak[2] < sample_text

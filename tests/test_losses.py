@@ -18,11 +18,13 @@ from dissim import (
     LabelOnlyZeroOneLoss,
     OverlapLoss,
     SampleRecord,
+    TaskSpec,
     ZeroOneLoss,
     dissimilarity,
     diversity,
     expected_loss,
     expected_loss_table,
+    generate,
     iou_matrix,
     latent_posterior,
     make_loss,
@@ -38,6 +40,7 @@ from helpers import (
     dissimilarity_objective,
     make_dataset,
     make_sample,
+    origin_products,
     overlap_ratio,
     reference_upper_bound,
     scalar_loss,
@@ -774,7 +777,7 @@ class TestSetViewCache:
         zero = np.zeros(dset.d_theta)
         at_zero = stack.posteriors(zero)
         assert stack.posteriors(-zero) is not at_zero
-        assert stack.posteriors(zero) is not at_zero
+        assert stack.posteriors(zero) is at_zero
 
     @pytest.mark.parametrize("uniform", [True, False])
     @pytest.mark.parametrize("loss_cls", LOSSES)
@@ -801,3 +804,52 @@ class TestSetViewCache:
         listed = stack.expected_losses(copies)
         assert listed.tobytes() == want.tobytes()
         assert stack.expected_losses(copies) is not listed
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("loss_cls", LOSSES)
+    def test_origin_hit_is_fresh_and_read_only(self, uniform, loss_cls):
+        dset = stack_case(7, uniform)
+        stack = loss_cls().stack(dset)
+        zero = np.zeros(dset.d_theta)
+        probs = stack.posteriors(zero)
+        tables = stack.expected_losses(probs)
+        other = stack.posteriors(np.random.default_rng(7).standard_normal(dset.d_theta))
+        stack.expected_losses(other)
+        assert stack.posteriors(np.zeros(dset.d_theta)) is probs
+        assert stack.expected_losses(probs) is tables
+        fresh = _SetView(dset, loss_cls())
+        want = fresh.posteriors(zero)
+        for got, p in zip(probs, want):
+            assert not got.flags.writeable
+            assert got.tobytes() == p.tobytes()
+        assert not tables.flags.writeable
+        assert tables.tobytes() == fresh.expected_losses(want).tobytes()
+
+    def test_negative_zero_misses_the_origin(self):
+        dset = stack_case(8, False)
+        stack = ZeroOneLoss().stack(dset)
+        zero = np.zeros(dset.d_theta)
+        origin = stack.posteriors(zero)
+        negative = zero.copy()
+        negative[-1] = -0.0
+        at_negative = stack.posteriors(negative)
+        assert at_negative is not origin
+        fresh = _SetView(dset, ZeroOneLoss()).posteriors(negative)
+        assert [p.tobytes() for p in at_negative] == [p.tobytes() for p in fresh]
+        assert stack.posteriors(zero) is origin
+
+    def test_origin_lookup_keeps_the_last_result(self):
+        dset = stack_case(9, False)
+        stack = OverlapLoss().stack(dset)
+        theta = np.random.default_rng(9).standard_normal(dset.d_theta)
+        probs = stack.posteriors(theta)
+        tables = stack.expected_losses(probs)
+        stack.expected_losses(stack.posteriors(np.zeros(dset.d_theta)))
+        assert stack.posteriors(theta.copy()) is probs
+        assert stack.expected_losses(probs) is tables
+
+    def test_one_origin_posterior_per_set_and_loss_over_a_C_grid(self):
+        dset, _ = generate(TaskSpec(per_class=3, seed=0))
+        _, at_theta = origin_products(dset, (ZeroOneLoss, OverlapLoss),
+                                      (1e-4, 1e-2, 1.0))
+        assert at_theta == {ZeroOneLoss: 1, OverlapLoss: 1}

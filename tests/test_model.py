@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,16 @@ from dissim import (
     FiniteDistribution,
     InputError,
     ModelParams,
+    OverlapLoss,
     SampleRecord,
+    TaskSpec,
+    ZeroOneLoss,
+    generate,
     latent_posterior,
     predict,
     score_table,
 )
-from dissim.model import _frozen_array, _log_sum_exp
+from dissim.model import _block_embedding, _frozen_array, _log_sum_exp
 from helpers import (
     _reference_log_sum_exp,
     _reference_posterior,
@@ -31,6 +36,7 @@ from helpers import (
     log_partition,
     make_dataset,
     make_sample,
+    origin_products,
     score,
 )
 
@@ -106,6 +112,40 @@ class TestValidation:
                 psi=psi,
                 phi=np.zeros((2, 2)),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_nonfinite_psi_value_rejected(self, bad):
+        phi = np.random.default_rng(3).standard_normal((4, 3))
+        window = _block_embedding(phi, 3)
+        for where in np.ndindex(window.shape):
+            for psi in (np.array(window), np.array(-window)):
+                psi[where] = bad
+                with pytest.raises(InputError, match="^sample bad: feature "
+                                                     "tables must be finite$"):
+                    SampleRecord(id="bad", truth_label=0, psi=psi, phi=phi)
+        # no value, nothing to reject
+        SampleRecord(id="ok", truth_label=0, psi=np.zeros((2, 4, 0)), phi=phi)
+
+    def test_window_record_allocates_no_psi_sized_buffer(self):
+        dset, _ = generate(TaskSpec(per_class=1, seed=0))
+        sample = dset.samples[0]
+        window = sample.psi
+        assert not window.flags.c_contiguous
+
+        def build():
+            return SampleRecord(id=sample.id, truth_label=sample.truth_label,
+                                psi=window, phi=sample.phi)
+
+        build()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            record = build()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert record.psi is window
+        assert peak < window.nbytes // 4
 
     def test_psi_shape_mismatch_rejected(self):
         with pytest.raises((InputError, ConfigError)):
@@ -463,3 +503,37 @@ class TestScoreStackCache:
         assert at_negative is not at_zero
         assert at_negative.tobytes() == self.fresh(stack, negative).tobytes()
         assert stack.scores(zero) is not at_negative
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_origin_hit_is_fresh_and_read_only(self, uniform):
+        stack = make_dataset(8, n=6, uniform_shapes=uniform)._score_stack
+        zero = np.zeros(stack.d_w)
+        origin = stack.scores(zero)
+        stack.scores(np.random.default_rng(8).standard_normal(stack.d_w))
+        assert stack.scores(np.zeros(stack.d_w)) is origin
+        assert not origin.flags.writeable
+        assert origin.tobytes() == self.fresh(stack, zero).tobytes()
+
+    def test_negative_zero_misses_the_origin(self):
+        stack = make_dataset(9, n=6)._score_stack
+        zero = np.zeros(stack.d_w)
+        origin = stack.scores(zero)
+        negative = zero.copy()
+        negative[-1] = -0.0
+        at_negative = stack.scores(negative)
+        assert at_negative is not origin
+        assert at_negative.tobytes() == self.fresh(stack, negative).tobytes()
+        assert stack.scores(zero) is origin
+
+    def test_origin_lookup_keeps_the_last_product(self):
+        stack = make_dataset(10, n=6)._score_stack
+        w = np.random.default_rng(10).standard_normal(stack.d_w)
+        last = stack.scores(w)
+        stack.scores(np.zeros(stack.d_w))
+        assert stack.scores(w.copy()) is last
+
+    def test_one_origin_product_per_dataset_over_a_C_grid(self):
+        dset, _ = generate(TaskSpec(per_class=3, seed=0))
+        at_w, _ = origin_products(dset, (ZeroOneLoss, OverlapLoss),
+                                  (1e-4, 1e-2, 1.0))
+        assert at_w == 1

@@ -44,6 +44,7 @@ import dissim._kernel as kernel
 import dissim.trainer as trainer
 from dissim.trainer import DEFAULT_C_GRID, METHODS, _fit, run_protocols
 from helpers import (
+    LoggedProducts,
     make_dataset,
     make_sample,
     no_child_left,
@@ -124,24 +125,6 @@ class TestTrain:
                           inner_tol=1e-8, max_outer_rounds=3)
         model = train(dset, LabelOnlyZeroOneLoss(), cfg)
         np.testing.assert_allclose(model.params.w, expect, atol=1e-9)
-
-
-class LoggedProducts:
-    """Stands in for a stacked matrix and logs the vector of every product
-    taken with it; ``reshape`` gives the bare array, or a logged stand-in
-    for it with ``log_reshapes``."""
-
-    def __init__(self, array, log, log_reshapes=False):
-        self.array, self.log, self.log_reshapes = array, log, log_reshapes
-        self.shape = array.shape
-
-    def reshape(self, *shape):
-        array = self.array.reshape(*shape)
-        return LoggedProducts(array, self.log) if self.log_reshapes else array
-
-    def __matmul__(self, vector):
-        self.log.append(np.array(vector))
-        return self.array @ vector
 
 
 class TestRoundQuantitiesOnce:

@@ -259,15 +259,19 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def _is_block(dataset: Dataset) -> bool:
     """Whether every sample's psi is the block embedding of its phi, bit
-    for bit: the bits are compared, so a -0.0 off the blocks keeps the
-    file dense.  Compared label by label: numpy compares a whole window,
-    whose labels overlap in memory, through dense copies of both sides."""
-    labels = dataset.num_labels
-    return dataset.d_w == labels * dataset.d_theta and all(
-        all(map(np.array_equal, s.psi.view(np.int64),
-                _block_embedding(s.phi, labels).view(np.int64)))
-        for s in dataset
-    )
+    for bit, read in place: each label's block holds phi's bits, and psi
+    no other set bit (a -0.0 off the blocks keeps the file dense)."""
+    labels, d = dataset.num_labels, dataset.d_theta
+    if dataset.d_w != labels * d:
+        return False
+    for s in dataset:
+        phi, psi = s.phi.view(np.int64), s.psi.view(np.int64)
+        # (K, d, labels): block y of label y in column y
+        blocks = psi.reshape(labels, len(phi), labels, d).diagonal(axis1=0, axis2=2)
+        if not ((blocks == phi[:, :, None]).all()
+                and np.count_nonzero(psi) == labels * np.count_nonzero(phi)):
+            return False
+    return True
 
 
 def _dataset_chunks(dataset: Dataset, block: bool) -> Iterator[str]:

@@ -36,6 +36,7 @@ from .model import (
     Dataset,
     FiniteDistribution,
     SampleRecord,
+    _Kept,
     _vector,
     latent_posterior,
     score_table,
@@ -125,10 +126,10 @@ class _SetView:
     by (anchors, refs) (see ``wsolver._cccp_loop``), it lives as long as
     the view does.  ``step_samples`` is what the compiled SSD steps read
     of the views, built on first use.  ``posteriors`` and
-    ``expected_losses`` keep their last results while the view lives, so
-    one round's objective and the next w step compute each once, and, in
-    slots of their own, the results at the origin (the all-``+0.0``
-    theta), where every fit starts, so a set pays for them once per loss.
+    ``expected_losses`` read one ``model._Kept`` memo of both at theta
+    (``_terms_at``) while the view lives: the last pair, so one round's
+    objective and the next w step compute them once, and the pair at the
+    origin, where every fit starts, so a set pays for it once per loss.
 
     Each batched term makes the per-sample core's IEEE operations on each
     row: the products are the same BLAS kernels per row (``probs @
@@ -144,9 +145,7 @@ class _SetView:
         self.latent_dependent = loss.latent_dependent
         self.d_theta = dataset.d_theta
         self.solves: dict = {}
-        self._posteriors = self._tables = (None, None)
-        self._origin_key = bytes(8 * self.d_theta)  # the all-+0.0 theta
-        self._origin_probs = self._origin_tables = None  # built on first use
+        self._kept = _Kept(self.d_theta)
         self.blocks = []
         for _, rows in scoring.groups:
             idx = np.arange(len(views))[rows].tolist()
@@ -163,57 +162,34 @@ class _SetView:
 
     def posteriors(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per group, every sample's latent conditional, (n_g, K), as a
-        tuple of read-only arrays; the last is kept, keyed on theta's bytes,
-        and the origin's in a slot that no other theta evicts."""
-        theta = _vector("theta", theta, self.d_theta)
-        key = theta.tobytes()
-        if key == self._origin_key:
-            if self._origin_probs is None:
-                self._origin_probs = self._posteriors_at(theta)
-            return self._origin_probs
-        cached, probs = self._posteriors
-        if key != cached:
-            probs = self._posteriors_at(theta)
-            self._posteriors = (key, probs)
-        return probs
+        tuple of read-only arrays."""
+        return self._kept.get(_vector("theta", theta, self.d_theta), self._terms_at)[0]
 
-    def _posteriors_at(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
-        out = []
+    def expected_losses(self, theta: np.ndarray) -> np.ndarray:
+        """Every sample's expected-loss table at theta, one read-only (n,
+        labels, K) array in dataset order, -inf at the padded candidates;
+        the constant itself, exactly, for a latent-independent loss."""
+        return self._kept.get(_vector("theta", theta, self.d_theta), self._terms_at)[1]
+
+    def _terms_at(self, theta: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """``(posteriors, expected_losses)`` at theta, computed together:
+        every caller in a round needs both."""
+        probs = []
         for g in self.blocks:
             n_g, K, d = g.phi.shape
             activations = (g.phi.reshape(n_g * K, d) @ theta).reshape(n_g, K)
             shift = np.maximum.reduce(activations, axis=1)
             sums = np.add.reduce(np.exp(activations - shift[:, None]), axis=1)
             log_z = shift + np.array([math.log(x) for x in sums.tolist()])
-            out.append(np.exp(activations - log_z[:, None]))
-            out[-1].setflags(write=False)
-        return tuple(out)
-
-    def expected_losses(self, probs: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Every sample's expected-loss table, one read-only (n, labels, K)
-        array in dataset order, -inf at the padded candidates; the constant
-        itself, exactly, for a latent-independent loss.  The tables of the
-        last ``posteriors`` result and of the origin's are kept, keyed on
-        that tuple itself."""
-        if probs is self._origin_probs:
-            if self._origin_tables is None:
-                self._origin_tables = self._tables_of(probs)
-            return self._origin_tables
-        cached, tables = self._tables
-        if probs is not cached:
-            tables = self._tables_of(probs)
-            if probs is self._posteriors[1]:
-                self._tables = (probs, tables)
-        return tables
-
-    def _tables_of(self, probs: tuple[np.ndarray, ...]) -> np.ndarray:
+            probs.append(np.exp(activations - log_z[:, None]))
+            probs[-1].setflags(write=False)
         tables = self.scoring.ungroup([
             (p[:, None, None, :] @ g.by_label)[:, :, 0, :]
             if self.latent_dependent else g.by_label[:, :, 0, :]
             for p, g in zip(probs, self.blocks)
         ])
         tables.setflags(write=False)
-        return tables
+        return tuple(probs), tables
 
     def self_diversities(self, probs: tuple[np.ndarray, ...]) -> np.ndarray:
         """Every sample's self diversity, one (n,) array in dataset order."""
@@ -510,7 +486,7 @@ def upper_bound(
     stack = loss.stack(dataset)
     probs = stack.posteriors(theta)
     scores = stack.scoring.scores(w)
-    terms = stack.scoring.slacks(scores, stack.expected_losses(probs))
+    terms = stack.scoring.slacks(scores, stack.expected_losses(theta))
     total = 0.0
     # a sequential sum, in dataset order
     for term in (terms - beta * stack.self_diversities(probs)).tolist():

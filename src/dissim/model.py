@@ -305,6 +305,32 @@ def predict(w: np.ndarray, sample: SampleRecord) -> tuple[int, int]:
     return y, k
 
 
+class _Kept:
+    """A memo of a function of one float64 vector: the last result, keyed
+    on the vector's bytes (so an in-place edit misses, and -0.0 is not
+    0.0), and the result at the all-``+0.0`` origin, which no other key
+    evicts.  The function comes with each call: a bound method kept here
+    would be a cycle that keeps its owner until a cyclic collection."""
+
+    def __init__(self, size: int):
+        self._origin_key = bytes(8 * size)
+        self._origin = None  # built on first use
+        self._last = (None, None)  # (key, result)
+
+    def get(self, vector: np.ndarray, compute):
+        """``compute(vector)``, or the kept result for these bytes."""
+        key = vector.tobytes()
+        if key == self._origin_key:
+            if self._origin is None:
+                self._origin = compute(vector)
+            return self._origin
+        cached, result = self._last  # read once: key and result stay a pair
+        if key != cached:
+            result = compute(vector)
+            self._last = (key, result)
+        return result
+
+
 class _ScoreStack:
     """Every sample's candidates stacked for one score product.
 
@@ -316,10 +342,10 @@ class _ScoreStack:
     ``groups`` lists each latent-space size with the positions of its
     samples, in dataset order: a reduction over K runs per group,
     unpadded, and ``ungroup`` puts the per-group results back in order.
-    ``scores`` keeps its last product while the dataset lives, so the
-    callers of a round that score one w share its product, and, in a slot
-    of its own, the product at the origin (the all-``+0.0`` w), where
-    every fit and every convex w step starts, so a set pays for it once.
+    ``scores`` keeps its products in a ``_Kept`` memo while the dataset
+    lives: the last one, so the callers of a round that score one w share
+    it, and the one at the origin, where every fit and every convex w step
+    starts, so a set pays for it once.
     """
 
     def __init__(self, dataset: Dataset):
@@ -345,25 +371,12 @@ class _ScoreStack:
             if len(members) == 1
             else [(k, np.array(rows)) for k, rows in members.items()]
         )
-        self._scores = (None, None)  # (bytes of w, scores at w)
-        self._origin_key = bytes(8 * d)  # the bytes of the all-+0.0 w
-        self._origin = None  # scores at the origin, built on first use
+        self._kept = _Kept(d)
 
     def scores(self, w: np.ndarray) -> np.ndarray:
-        """All candidate scores, shape (n, labels, K), read-only; the last
-        product is kept, keyed on the bytes of w (not on the object), and
-        the origin's in a slot that no other w evicts."""
-        w = _vector("w", w, self.d_w)
-        key = w.tobytes()
-        if key == self._origin_key:
-            if self._origin is None:
-                self._origin = self._product(w)
-            return self._origin
-        cached, scores = self._scores  # read once: key and scores stay a pair
-        if key != cached:
-            scores = self._product(w)
-            self._scores = (key, scores)
-        return scores
+        """All candidate scores, shape (n, labels, K), read-only and kept
+        as ``_Kept`` keeps them."""
+        return self._kept.get(_vector("w", w, self.d_w), self._product)
 
     def _product(self, w: np.ndarray) -> np.ndarray:
         scores = (self.psi_rows @ w).reshape(self.shape)

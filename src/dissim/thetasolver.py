@@ -191,10 +191,11 @@ def ssd_theta(
     """Stochastic subgradient descent on the theta subproblem.
 
     Returns the final iterate.  Fully deterministic given the config
-    seed.  The steps run in the compiled kernel where it loaded, else in
-    the Python loop (``_ssd_loop``); both return the same theta bit for
-    bit.  Every score table at w is sliced from the score stack's kept
-    product at w, the one the w step ended on.
+    seed.  The steps run on ``_ssd_loop``, the path selected at import:
+    the compiled kernel where it loaded, else the Python loop
+    (``_ssd_python``); both return the same theta bit for bit.  Every
+    score table at w is sliced from the product that the score stack's
+    memo kept at w, the one the w step ended on.
     """
     n = len(dataset)
     steps = (

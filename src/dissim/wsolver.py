@@ -36,7 +36,7 @@ import numpy as np
 from ._kernel import LIB as _KERNEL, address
 from .errors import SolverError
 from .losses import HyperParams, LossFunction
-from .model import Dataset, SampleRecord, score_table
+from .model import Dataset, SampleRecord, _ScoreStack, score_table
 
 # Budgets of the dual QP's passes, the cutting planes of one convex
 # solve, and the CCCP rounds of one run; each is read at call time.
@@ -71,53 +71,18 @@ def latent_impute(w: np.ndarray, sample: SampleRecord) -> int:
     return int(np.argmax(score_table(w, sample)[sample.truth_label]))
 
 
-class _InnerData:
-    """The convex subproblem of one CCCP round: the set's score stack
-    plus this round's augmentation tables and anchors.
-
-    Candidate scoring is one matrix product over all samples, the
-    dataset's ``model._ScoreStack.scores``: padded candidates score 0
-    and carry -inf augmentation entries, so they never win.  Ties break
-    row-major (smallest label, then latent).  ``set_round`` replaces the
-    tables and anchors.  The objective's slacks are the score stack's,
-    the same ones ``losses.upper_bound`` sums.
-    """
-
-    def __init__(self, dataset: Dataset, tables: np.ndarray, anchors):
-        self.stack = dataset._score_stack
-        n, L, K = self.stack.shape
-        self.psi_stack = self.stack.psi_rows.reshape(n, L * K, -1)
-        self.set_round(tables, anchors)
-
-    def set_round(self, tables: np.ndarray, anchors) -> None:
-        """Use these augmentation tables, one (n, labels, K) array with
-        -inf at the padded candidates as ``loss.stack(dataset)`` returns
-        them, and anchor latent indices."""
-        n, L, K = self.stack.shape
-        self.tables = tables
-        self.aug_stack = tables.reshape(n, L * K)
-        rows = np.arange(n)
-        self.anchor_rows = self.psi_stack[
-            rows, self.stack.truth_labels * K + np.asarray(anchors)
-        ]
-
-    def most_violated(self, w: np.ndarray):
-        """Most violated joint assignment at w: plane direction, offset,
-        and a hashable assignment key."""
-        n = len(self.aug_stack)
-        scores = self.stack.scores(w).reshape(n, -1)
-        picks = np.argmax(scores + self.aug_stack, axis=1)
-        rows = np.arange(n)
-        direction = (self.anchor_rows - self.psi_stack[rows, picks]).mean(axis=0)
-        offset = float(self.aug_stack[rows, picks].mean())
-        return direction, offset, picks.tobytes()
-
-    def true_objective(self, w: np.ndarray, C: float, scores: np.ndarray) -> float:
-        """Value of the unconvexified problem at w with these tables:
-        regularizer plus C times the mean of (loss-augmented max minus
-        the best truth-label score); ``scores`` is ``stack.scores(w)``."""
-        reg = 0.5 * float(w @ w)
-        return reg + C * float(self.stack.slacks(scores, self.tables).mean())
+def _most_violated(stack: _ScoreStack, aug: np.ndarray, anchor_rows, w):
+    """Most violated joint assignment at w under the (n, labels * K)
+    tables ``aug``: plane direction, offset, and a hashable key.  Padded
+    candidates carry -inf, and ties break row-major, as in ``predict``."""
+    n = len(aug)
+    scores = stack.scores(w).reshape(n, -1)
+    picks = np.argmax(scores + aug, axis=1)
+    rows = np.arange(n)
+    psi = stack.psi_rows.reshape(n, aug.shape[1], -1)
+    direction = (anchor_rows - psi[rows, picks]).mean(axis=0)
+    offset = float(aug[rows, picks].mean())
+    return direction, offset, picks.tobytes()
 
 
 def _qp_coordinate_ascent(
@@ -314,11 +279,15 @@ def _pairwise_sum(a: list, lo: int, n: int) -> float:
 
 
 def _solve_inner(
-    data: _InnerData,
+    stack: _ScoreStack,
+    tables: np.ndarray,
+    anchor_rows: np.ndarray,
     C: float,
     inner_tol: float,
 ):
-    """Cutting-plane loop for the one-slack convex problem.
+    """Cutting-plane loop for the one-slack convex problem with these
+    (n, labels, K) tables, padded as ``loss.stack(dataset)`` pads them,
+    and each sample's psi row at its truth label and anchor.
 
     Returns w.  Every plane in the working set was violated by more than
     inner_tol when added, and no assignment is added twice.  On return
@@ -326,16 +295,16 @@ def _solve_inner(
     inner_tol.  Raises SolverError once DEFAULT_PLANE_BUDGET planes are not
     enough, or when the planes' Gram matrix overflows.
     """
-    d_w = data.stack.d_w
-    w = np.zeros(d_w)
-    directions = np.empty((0, d_w))
+    aug = tables.reshape(len(tables), -1)
+    w = np.zeros(stack.d_w)
+    directions = np.empty((0, stack.d_w))
     offsets = np.empty(0)
     alpha = np.empty(0)
     seen = set()
     xi = 0.0
     qp_tol = 1e-13 * max(1.0, C)
     while True:
-        direction, offset, key = data.most_violated(w)
+        direction, offset, key = _most_violated(stack, aug, anchor_rows, w)
         violation = offset - float(direction @ w)
         if violation <= xi + inner_tol or key in seen:
             return w
@@ -375,7 +344,7 @@ def _cccp_loop(
 
     ``build_round(scores, imputed)`` returns ``(tables, refs)``: the
     augmentation tables for the convex solve at the iterate scored
-    ``scores`` (see ``_InnerData.set_round``), and a tuple of integers
+    ``scores`` (as ``_solve_inner`` takes them), and a tuple of integers
     that, with the anchors, determines those tables (empty when the
     tables are fixed for the run).  A convex subproblem is keyed by the
     anchors plus refs.
@@ -391,8 +360,9 @@ def _cccp_loop(
     SolverError once DEFAULT_CCCP_BUDGET rounds have not stopped it.
 
     Each iterate's scores are the score stack's kept product, made by the
-    inner solve's last ``most_violated``, and read by the imputation,
-    ``build_round`` and the objective.
+    inner solve's last ``_most_violated``, and read by the imputation,
+    ``build_round`` and the objective, ``||w||^2 / 2 + C * mean`` of the
+    slacks that ``losses.upper_bound`` sums.
     """
 
     stack = dataset._score_stack
@@ -403,9 +373,8 @@ def _cccp_loop(
     scores = stack.scores(w)
     imputed = stack.impute(scores)
     tables, refs = build_round(scores, imputed)
-    data = _InnerData(dataset, tables, imputed)
     best_w = w
-    best = data.true_objective(w, C, scores)
+    best = 0.5 * float(w @ w) + C * float(stack.slacks(scores, tables).mean())
     trace = [best]
     iterates = [w]
     key = (tuple(imputed), refs)
@@ -418,15 +387,18 @@ def _cccp_loop(
             )
         w_new = solved.get(key)
         if w_new is None:
-            w_new = _solve_inner(data, C, inner_tol)
+            n, L, K = stack.shape
+            anchor_rows = stack.psi_rows.reshape(n, L * K, -1)[
+                np.arange(n), stack.truth_labels * K + np.asarray(imputed)]
+            w_new = _solve_inner(stack, tables, anchor_rows, C, inner_tol)
             w_new.flags.writeable = False  # later runs read it too
             solved[key] = w_new
         iterations += 1
         scores = stack.scores(w_new)
-        imputed_new = stack.impute(scores)
-        tables_new, refs = build_round(scores, imputed_new)
-        data.set_round(tables_new, imputed_new)
-        obj_new = data.true_objective(w_new, C, scores)
+        imputed = stack.impute(scores)
+        tables, refs = build_round(scores, imputed)
+        obj_new = 0.5 * float(w_new @ w_new) + C * float(
+            stack.slacks(scores, tables).mean())
         improvement = best - obj_new
         if obj_new < best:
             best_w, best = w_new, obj_new
@@ -435,7 +407,7 @@ def _cccp_loop(
         if 0.0 <= improvement < C * epsilon:
             termination = "tolerance"
             break
-        key = (tuple(imputed_new), refs)
+        key = (tuple(imputed), refs)
         if key in seen:
             termination = "repeat"
             break
@@ -458,8 +430,7 @@ def cccp_w(
     which does not depend on w, so the tables are computed once, batched
     over ``loss.stack(dataset)``.
     """
-    stack = loss.stack(dataset)
-    tables = stack.expected_losses(stack.posteriors(theta))
+    tables = loss.stack(dataset).expected_losses(theta)
 
     def build(scores, imputed):
         return tables, ()

@@ -451,13 +451,19 @@ def solve_inner_convex(
     tables = [
         expected_loss_table(latent_posterior(theta, s), s, loss) for s in dataset
     ]
-    data = wsolver._InnerData(dataset, pad_tables(dataset, tables), imputed)
-    return wsolver._solve_inner(data, C, inner_tol)
+    return wsolver._solve_inner(dataset._score_stack, pad_tables(dataset, tables),
+                                anchor_rows(dataset, imputed), C, inner_tol)
+
+
+def anchor_rows(dataset: Dataset, anchors) -> np.ndarray:
+    """Each sample's psi row at its truth label and anchor latent, as the
+    (n, d_w) array ``wsolver._solve_inner`` takes."""
+    return np.array([s.psi[s.truth_label, k] for s, k in zip(dataset, anchors)])
 
 
 def pad_tables(dataset: Dataset, tables) -> np.ndarray:
     """One (labels, K_i) table per sample as the (n, labels, K) array
-    ``wsolver._InnerData`` takes: -inf at the padded candidates."""
+    ``wsolver._solve_inner`` takes: -inf at the padded candidates."""
     K = max(s.num_latents for s in dataset)
     out = np.full((len(dataset), dataset.num_labels, K), -np.inf)
     for i, table in enumerate(tables):

@@ -317,13 +317,13 @@ def same_fit(a, b):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The (anchors, tables) bytes of every convex subproblem solved."""
+    """The (anchor rows, tables) bytes of every convex subproblem solved."""
     calls = []
     solve = wsolver._solve_inner
 
-    def counted(data, *args, **kwargs):
-        calls.append((data.anchor_rows.tobytes(), data.aug_stack.tobytes()))
-        return solve(data, *args, **kwargs)
+    def counted(stack, tables, anchor_rows, *args, **kwargs):
+        calls.append((anchor_rows.tobytes(), tables.tobytes()))
+        return solve(stack, tables, anchor_rows, *args, **kwargs)
 
     monkeypatch.setattr(wsolver, "_solve_inner", counted)
     return calls
@@ -386,8 +386,8 @@ class TestSharedSolves:
         loss = ZeroOneLoss()
         solve = wsolver._solve_inner
 
-        def failing(data, C, inner_tol):
-            w = solve(data, C, inner_tol)
+        def failing(stack, tables, anchor_rows, C, inner_tol):
+            w = solve(stack, tables, anchor_rows, C, inner_tol)
             raise SolverError("refused", last_iterate=w)
 
         monkeypatch.setattr(wsolver, "_solve_inner", failing)

@@ -1,5 +1,6 @@
 """Block-coordinate trainer, evaluation, splits, and the fold protocol."""
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +34,7 @@ from dissim import (
     generate,
     load_model,
     load_results,
+    lsvm_train,
     predict,
     regularized_objective,
     run_protocol,
@@ -151,6 +154,26 @@ class TestRoundQuantitiesOnce:
         assert len(thetas) == rounds + 1
         for log in (ws, thetas):
             assert all(a.tobytes() != b.tobytes() for a, b in zip(log, log[1:]))
+
+    def test_caches_freed_with_the_set_without_the_collector(self):
+        # a memo that kept a bound method of its owner would make a cycle:
+        # the score stack and the stacked view would then outlive the set
+        # until a cyclic collection
+        dset, _ = generate(TaskSpec(per_class=3, seed=0))
+        loss = OverlapLoss()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(dset, loss, TrainConfig(
+                hyper=HyperParams(C=0.1), ssd=SSDConfig(steps_per_sample=5, seed=0),
+                inner_tol=1e-2, max_outer_rounds=3))
+            lsvm_train(dset, loss, 0.1, inner_tol=1e-2)
+            refs = [weakref.ref(dset._score_stack), weakref.ref(loss.stack(dset))]
+            del dset
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestEvaluate:

@@ -27,9 +27,10 @@ from dissim import (
     slack,
 )
 import dissim.wsolver as wsolver
-from dissim.wsolver import _InnerData
+from dissim.wsolver import _most_violated
 from helpers import (
     StubZeroLoss,
+    anchor_rows,
     loss_augmented_argmax,
     make_dataset,
     make_sample,
@@ -54,6 +55,12 @@ def convex_objective(dataset, theta, imputed, loss, C, w):
         ref = float(table[s.truth_label * s.num_latents + anchor])
         total += hinge - ref
     return 0.5 * float(w @ w) + C * total / len(dataset)
+
+
+def round_objective(stack, w, C, scores, tables):
+    """``_cccp_loop``'s objective at w with these tables: the regularizer
+    plus C times the mean of the score stack's slacks."""
+    return 0.5 * float(w @ w) + C * float(stack.slacks(scores, tables).mean())
 
 
 def projected_subgradient_oracle(dataset, theta, imputed, loss, C, steps=8000):
@@ -402,7 +409,7 @@ class TestDualQPMatchesReference:
                 assert np.float64(replica(x)).tobytes() == expect, n
 
 
-class TestInnerData:
+class TestMostViolated:
     def test_padded_ragged_k_matches_per_sample_evaluation(self):
         dset = make_dataset(7, n=6, num_labels=3, num_latents=5, d_w=4,
                             d_theta=2, uniform_shapes=False)
@@ -410,7 +417,9 @@ class TestInnerData:
         rng = np.random.default_rng(7)
         tables = [rng.random((3, s.num_latents)) for s in dset]
         anchors = [int(rng.integers(s.num_latents)) for s in dset]
-        data = _InnerData(dset, pad_tables(dset, tables), anchors)
+        stack = dset._score_stack
+        padded = pad_tables(dset, tables)
+        aug, rows = padded.reshape(len(dset), -1), anchor_rows(dset, anchors)
         C = 2.0
         for _ in range(20):
             w = rng.standard_normal(4)
@@ -423,12 +432,12 @@ class TestInnerData:
                 offset += table.ravel()[j]
                 best_truth = flat.reshape(3, -1)[s.truth_label].max()
                 slack_total += (flat + table.ravel()).max() - best_truth
-            got_direction, got_offset, _ = data.most_violated(w)
+            got_direction, got_offset, _ = _most_violated(stack, aug, rows, w)
             np.testing.assert_allclose(got_direction, direction / len(dset),
                                        rtol=0, atol=1e-12)
             assert got_offset == pytest.approx(offset / len(dset), abs=1e-12)
             expect = 0.5 * float(w @ w) + C * slack_total / len(dset)
-            got = data.true_objective(w, C, data.stack.scores(w))
+            got = round_objective(stack, w, C, stack.scores(w), padded)
             assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -462,8 +471,7 @@ class TestStackedRound:
         rng = np.random.default_rng(seed)
         for scale in (0.1, 1.0, 10.0):
             theta = scale * rng.standard_normal(dset.d_theta)
-            probs = stack.posteriors(theta)
-            tables = stack.expected_losses(probs)
+            tables = stack.expected_losses(theta)
             assert tables.shape == stack.scoring.shape
             want = reference_cccp_tables(theta, dset, loss)
             for i, (s, table) in enumerate(zip(dset, want)):
@@ -481,17 +489,33 @@ class TestStackedRound:
         rng = np.random.default_rng(seed)
         theta = rng.standard_normal(dset.d_theta)
         w = rng.standard_normal(dset.d_w)
-        per_sample = _InnerData(
-            dset, pad_tables(dset, reference_cccp_tables(theta, dset, loss)),
-            reference_impute(w, dset))
-        tables = stack.expected_losses(stack.posteriors(theta))
-        stacked = _InnerData(dset, tables, scoring.impute(scoring.scores(w)))
-        assert stacked.aug_stack.tobytes() == per_sample.aug_stack.tobytes()
-        assert stacked.anchor_rows.tobytes() == per_sample.anchor_rows.tobytes()
+        per_sample = pad_tables(dset, reference_cccp_tables(theta, dset, loss))
+        per_sample_rows = anchor_rows(dset, reference_impute(w, dset))
+        tables = stack.expected_losses(theta)
+        stacked_rows = anchor_rows(dset, scoring.impute(scoring.scores(w)))
+        assert tables.tobytes() == per_sample.tobytes()
+        assert stacked_rows.tobytes() == per_sample_rows.tobytes()
+        scores = scoring.scores(w)
         for C in (1e-3, 1.0, 10.0):
-            got = stacked.true_objective(w, C, scoring.scores(w))
-            scores = per_sample.stack.scores(w)
-            assert got == per_sample.true_objective(w, C, scores)
+            got = round_objective(scoring, w, C, scores, tables)
+            assert got == round_objective(scoring, w, C, scores, per_sample)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_solved_anchor_rows_equal_reference(self, uniform, monkeypatch):
+        dset = stack_case(1, uniform)
+        rng = np.random.default_rng(1)
+        theta, w = rng.standard_normal(dset.d_theta), rng.standard_normal(dset.d_w)
+        solved = []
+        solve = wsolver._solve_inner
+
+        def logged(stack, tables, rows, C, inner_tol):
+            solved.append(rows)
+            return solve(stack, tables, rows, C, inner_tol)
+
+        monkeypatch.setattr(wsolver, "_solve_inner", logged)
+        cccp_w(dset, theta, w, OverlapLoss(), C=1.0)
+        want = anchor_rows(dset, reference_impute(w, dset))
+        assert solved[0].tobytes() == want.tobytes()
 
     def test_wrong_shapes_raise_config_error(self):
         dset = stack_case(0, False)

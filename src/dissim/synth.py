@@ -83,8 +83,8 @@ class TaskSpec:
             )
         if not 0.0 <= self.clutter <= 1.0:
             raise ConfigError(f"clutter must lie in [0, 1], got {self.clutter}")
-        if self.noise < 0.0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
 
     @property
     def stride(self) -> int:

@@ -294,12 +294,20 @@ def _solve_inner(
     the true aggregate slack exceeds the QP slack variable by less than
     inner_tol.  Raises SolverError once DEFAULT_PLANE_BUDGET planes are not
     enough, or when the planes' Gram matrix overflows.
+
+    The planes live in one store per call: buffers of directions, offsets
+    and plane weights whose capacity doubles from 8 rows, with the working
+    set as their filled prefix.  A new plane is written into the next row,
+    and its weight starts at the buffer's zero.  Each round takes the full
+    Gram matrix over the prefix, the same product on the same row layout as
+    a freshly stacked array, and the QP updates the weights in place.
     """
     aug = tables.reshape(len(tables), -1)
     w = np.zeros(stack.d_w)
-    directions = np.empty((0, stack.d_w))
-    offsets = np.empty(0)
-    alpha = np.empty(0)
+    store_directions = np.empty((8, stack.d_w))
+    store_offsets = np.empty(8)
+    store_alpha = np.zeros(8)
+    m = 0
     seen = set()
     xi = 0.0
     qp_tol = 1e-13 * max(1.0, C)
@@ -308,16 +316,24 @@ def _solve_inner(
         violation = offset - float(direction @ w)
         if violation <= xi + inner_tol or key in seen:
             return w
-        if offsets.size >= DEFAULT_PLANE_BUDGET:
+        if m >= DEFAULT_PLANE_BUDGET:
             raise SolverError(
                 f"cutting-plane budget {DEFAULT_PLANE_BUDGET} exhausted "
                 f"(violation still {violation - xi:.3e} above slack)",
                 last_iterate=w,
             )
         seen.add(key)
-        directions = np.vstack([directions, direction[None, :]])
-        offsets = np.append(offsets, offset)
-        alpha = np.append(alpha, 0.0)
+        if m == store_offsets.size:
+            store_directions = np.concatenate(
+                [store_directions, np.empty_like(store_directions)])
+            store_offsets = np.concatenate(
+                [store_offsets, np.empty_like(store_offsets)])
+            store_alpha = np.concatenate([store_alpha, np.zeros_like(store_alpha)])
+        store_directions[m] = direction
+        store_offsets[m] = offset
+        m += 1
+        directions, offsets, alpha = (
+            store_directions[:m], store_offsets[:m], store_alpha[:m])
         gram = directions @ directions.T
         if not np.all(np.isfinite(gram)):
             raise SolverError(
@@ -325,7 +341,7 @@ def _solve_inner(
                 "too large)",
                 last_iterate=w,
             )
-        alpha = _qp_coordinate_ascent(gram, offsets, C, alpha, qp_tol)
+        _qp_coordinate_ascent(gram, offsets, C, alpha, qp_tol)
         w = alpha @ directions
         xi = max(0.0, float((offsets - directions @ w).max()))
 

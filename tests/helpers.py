@@ -1,6 +1,7 @@
 """Shared builders for randomized test instances, plus reference forms
 of scoring, the latent conditional, the w-step's convex subproblem, its
-dual QP and the theta step that only the tests use, and the oracles the
+cutting-plane loop with a freshly stacked working set, its dual QP and
+the theta step that only the tests use, and the oracles the
 src definitions are checked against: each loss pair by pair
 (``scalar_loss``), the dissimilarity objective (a vectorized form and a
 brute-force one), its point-mass restriction, the synthetic task's
@@ -453,6 +454,52 @@ def solve_inner_convex(
     ]
     return wsolver._solve_inner(dataset._score_stack, pad_tables(dataset, tables),
                                 anchor_rows(dataset, imputed), C, inner_tol)
+
+
+def reference_solve_inner(
+    stack,
+    tables: np.ndarray,
+    anchor_rows: np.ndarray,
+    C: float,
+    inner_tol: float,
+):
+    """``wsolver._solve_inner`` with the working set stacked afresh for
+    every plane (``np.vstack`` and ``np.append``), kept as the reference
+    its plane store must match bit for bit.  The plane budget is read
+    from ``wsolver`` at call time."""
+    aug = tables.reshape(len(tables), -1)
+    w = np.zeros(stack.d_w)
+    directions = np.empty((0, stack.d_w))
+    offsets = np.empty(0)
+    alpha = np.empty(0)
+    seen = set()
+    xi = 0.0
+    qp_tol = 1e-13 * max(1.0, C)
+    while True:
+        direction, offset, key = wsolver._most_violated(stack, aug, anchor_rows, w)
+        violation = offset - float(direction @ w)
+        if violation <= xi + inner_tol or key in seen:
+            return w
+        if offsets.size >= wsolver.DEFAULT_PLANE_BUDGET:
+            raise SolverError(
+                f"cutting-plane budget {wsolver.DEFAULT_PLANE_BUDGET} exhausted "
+                f"(violation still {violation - xi:.3e} above slack)",
+                last_iterate=w,
+            )
+        seen.add(key)
+        directions = np.vstack([directions, direction[None, :]])
+        offsets = np.append(offsets, offset)
+        alpha = np.append(alpha, 0.0)
+        gram = directions @ directions.T
+        if not np.all(np.isfinite(gram)):
+            raise SolverError(
+                "cutting-plane Gram matrix is not finite (feature values "
+                "too large)",
+                last_iterate=w,
+            )
+        alpha = wsolver._qp_coordinate_ascent(gram, offsets, C, alpha, qp_tol)
+        w = alpha @ directions
+        xi = max(0.0, float((offsets - directions @ w).max()))
 
 
 def anchor_rows(dataset: Dataset, anchors) -> np.ndarray:

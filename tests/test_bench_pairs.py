@@ -1,5 +1,6 @@
 """Verdicts of ``scripts/bench_pairs.py``'s ``summarize`` on synthetic runs,
-and its measure of the machine's parallel capacity."""
+the memory it reads per thousand fits, and its measure of the machine's
+parallel capacity."""
 
 import importlib.util
 from pathlib import Path
@@ -122,6 +123,30 @@ def test_verdicts_need_both_sides(name):
     s = bench_pairs.summarize(runs, SPEC)[name]
     assert s["change_wins"] == 0
     assert "claim_met" not in s and "regression" not in s
+
+
+def test_records_memory_per_thousand_fits():
+    # the change fits 2,000 more per run in the median and peaks 1.2 MB
+    # higher: 0.6 MB per thousand fits
+    runs = []
+    for pair, (fits, mb) in enumerate([(10_000, 50.0), (10_200, 50.4),
+                                       (9_800, 49.6)]):
+        for side, extra in (("base", 0), ("change", 1)):
+            runs.append({"pair": pair, "side": side,
+                         "attempted": fits + 2_000 * extra,
+                         "metrics": {"peak_rss_mb": mb + 1.2 * extra}})
+    memory = bench_pairs.records_memory(runs)
+    assert memory["attempted"]["base"]["median"] == 10_000
+    assert memory["attempted"]["change"]["median"] == 12_000
+    assert memory["peak_rss_mb_per_1000_fits"] == pytest.approx(0.6)
+    # equal medians of attempted leave it undefined
+    for run in runs:
+        run["attempted"] = 10_000
+    assert bench_pairs.records_memory(runs)["peak_rss_mb_per_1000_fits"] is None
+    # one side alone has its attempted spread and no ratio
+    alone = bench_pairs.records_memory([r for r in runs if r["side"] == "base"])
+    assert set(alone["attempted"]) == {"base"}
+    assert alone["peak_rss_mb_per_1000_fits"] is None
 
 
 def test_parallel_capacity_times_one_child_then_two():

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ class TestGenerate:
                              "--out", str(tmp_path / "x.txt")])
             assert code == 2, boxes
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "x.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["generate", *TINY, f"--noise={value}",
+                             "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: noise must be finite and >= 0, got {value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("message", [
         "Unable to allocate 74.5 TiB for an array with shape (100000, 100000)",

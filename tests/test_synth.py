@@ -56,6 +56,11 @@ class TestTaskSpec:
         with pytest.raises(ConfigError):
             TaskSpec(noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_noise_is_a_config_error(self, noise):
+        with pytest.raises(ConfigError, match="noise must be finite"):
+            TaskSpec(noise=noise)
+
     def test_candidate_boxes_cover_grid(self):
         boxes = TaskSpec().candidate_boxes()
         assert len(boxes) == 16

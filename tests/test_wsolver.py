@@ -38,6 +38,7 @@ from helpers import (
     reference_cccp_tables,
     reference_impute,
     reference_qp_coordinate_ascent,
+    reference_solve_inner,
     solve_inner_convex,
     src_env,
     stack_case,
@@ -194,6 +195,62 @@ class TestInnerSolver:
             solve_inner_convex(dset, np.zeros(3), imputed, ZeroOneLoss(),
                                C=100.0, inner_tol=1e-10)
         assert info.value.last_iterate is not None
+
+
+def plane_case(seed, n, uniform, C, inner_tol):
+    """``_solve_inner``'s arguments for a zero-one loss solve on a random
+    set of n samples (3 labels, 4 latents, ragged unless uniform), anchored
+    at latent 0, with tables at a seeded theta."""
+    dset = make_dataset(seed, n=n, num_labels=3, num_latents=4, d_w=5,
+                        d_theta=3, uniform_shapes=uniform)
+    theta = np.random.default_rng(seed).standard_normal(3)
+    tables = [expected_loss_table(latent_posterior(theta, s), s, ZeroOneLoss())
+              for s in dset]
+    return (dset._score_stack, pad_tables(dset, tables),
+            anchor_rows(dset, [0] * n), C, inner_tol)
+
+
+class TestPlaneStore:
+    """The plane store, whose capacity doubles from 8 rows, gives the w of
+    the loop that stacks its working set afresh for every plane, bit for
+    bit; the Python QP loop is covered in ``TestPlaneStoreOnPythonLoop``."""
+
+    @pytest.mark.parametrize("planes, case", [
+        pytest.param(1, (6, 16, True, 0.01, 1e-2), id="1"),
+        pytest.param(8, (0, 4, True, 1.0, 1e-2), id="8"),
+        pytest.param(9, (0, 4, False, 1.0, 1e-2), id="9-ragged"),
+        pytest.param(16, (0, 4, False, 10.0, 1e-4), id="16-ragged"),
+        pytest.param(17, (3, 8, True, 1.0, 1e-4), id="17"),
+        pytest.param(35, (24, 16, False, 4.0, 1e-5), id="35-ragged"),
+    ])
+    def test_w_bytes_equal_reference(self, planes, case, monkeypatch):
+        args = plane_case(*case)
+        sizes = []
+        qp = wsolver._qp_coordinate_ascent
+
+        def counted(G, b, C, alpha, tol):
+            sizes.append(b.size)
+            return qp(G, b, C, alpha, tol)
+
+        monkeypatch.setattr(wsolver, "_qp_coordinate_ascent", counted)
+        w = wsolver._solve_inner(*args)
+        assert sizes == list(range(1, planes + 1))
+        assert w.tobytes() == reference_solve_inner(*args).tobytes()
+
+    @pytest.mark.parametrize("budget", [8, 9])
+    def test_plane_budget_error_equals_reference(self, budget, monkeypatch):
+        # the 17-plane solve stops at a full store of 8 rows, and at 9
+        # planes once the store has grown to 16
+        args = plane_case(3, 8, True, 1.0, 1e-4)
+        monkeypatch.setattr(wsolver, "DEFAULT_PLANE_BUDGET", budget)
+        with pytest.raises(SolverError) as want:
+            reference_solve_inner(*args)
+        with pytest.raises(SolverError) as got:
+            wsolver._solve_inner(*args)
+        assert f"budget {budget} exhausted" in str(want.value)
+        assert str(got.value) == str(want.value)
+        assert (got.value.last_iterate.tobytes()
+                == want.value.last_iterate.tobytes())
 
 
 class TestCCCP:
@@ -540,6 +597,11 @@ class TestDualQPOnPythonLoop(TestDualQP):
 @pytest.mark.usefixtures("python_loop")
 class TestDualQPMatchesReferenceOnPythonLoop(TestDualQPMatchesReference):
     """``TestDualQPMatchesReference`` on the Python loop."""
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestPlaneStoreOnPythonLoop(TestPlaneStore):
+    """``TestPlaneStore`` on the Python QP loop."""
 
 
 class TestQPKernel:

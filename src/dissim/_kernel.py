@@ -105,8 +105,6 @@ def _load():
         size, pointer, pointer, real, pointer, pointer, real, size,
     ]
     lib.dissim_qp_ascent.restype = ctypes.c_int
-    lib.dissim_qp_sum.argtypes = [pointer, size]
-    lib.dissim_qp_sum.restype = real
     return lib
 
 

@@ -266,16 +266,6 @@ class FiniteDistribution:
         if abs(total - 1.0) > 1e-10:
             raise InputError(f"probabilities sum to {total}, expected 1 within 1e-10")
 
-    @classmethod
-    def uniform(cls, size: int) -> "FiniteDistribution":
-        return cls(np.full(size, 1.0 / size))
-
-    @classmethod
-    def point_mass(cls, size: int, index: int) -> "FiniteDistribution":
-        probs = np.zeros(size)
-        probs[index] = 1.0
-        return cls(probs)
-
     def __len__(self) -> int:
         return self.probs.size
 
@@ -346,6 +336,10 @@ class _ScoreStack:
     lives: the last one, so the callers of a round that score one w share
     it, and the one at the origin, where every fit and every convex w step
     starts, so a set pays for it once.
+
+    The padded psi is private: a solver reads candidate rows only through
+    ``rows`` and ``anchor_rows``, indexed as ``scores`` lays candidates
+    out, so candidate (y, k) of a sample is its flat index y * K + k.
     """
 
     def __init__(self, dataset: Dataset):
@@ -360,7 +354,10 @@ class _ScoreStack:
             psi[i, :, : sizes[i]] = s.psi
             self.mask[i, sizes[i] :] = -np.inf
             members.setdefault(sizes[i], []).append(i)
-        self.psi_rows = psi.reshape(n * L * K, d)
+        # two views of one buffer: every candidate a row of the product,
+        # and each sample's candidates a block of the gathers
+        self._psi_rows = psi.reshape(n * L * K, d)
+        self._candidates = psi.reshape(n, L * K, d)
         self.shape = (n, L, K)
         self.d_w = d
         self.truth_labels = np.array([s.truth_label for s in samples])
@@ -379,9 +376,19 @@ class _ScoreStack:
         return self._kept.get(_vector("w", w, self.d_w), self._product)
 
     def _product(self, w: np.ndarray) -> np.ndarray:
-        scores = (self.psi_rows @ w).reshape(self.shape)
+        scores = (self._psi_rows @ w).reshape(self.shape)
         scores.setflags(write=False)
         return scores
+
+    def rows(self, flat: np.ndarray) -> np.ndarray:
+        """Per sample i, the psi row of its candidate ``flat[i]``, indexed
+        as ``scores.reshape(n, -1)`` lays out its candidates: a new (n, d_w)
+        array."""
+        return self._candidates[np.arange(self.shape[0]), flat]
+
+    def anchor_rows(self, imputed) -> np.ndarray:
+        """Per sample, the psi row at its truth label and imputed latent."""
+        return self.rows(self.truth_labels * self.shape[2] + np.asarray(imputed))
 
     def impute(self, scores: np.ndarray) -> list[int]:
         """Per sample, the best-scoring latent index at the truth label;

@@ -164,13 +164,18 @@ def train(dataset: Dataset, loss: LossFunction, config: TrainConfig) -> ModelRec
                        termination, trace)
 
 
-def evaluate(params: ModelParams, dataset: Dataset, loss: LossFunction) -> float:
-    """Mean prediction loss against ground-truth annotations, on [0, 100]."""
+def _check_annotated(dataset: Dataset) -> None:
+    """InputError naming the first sample without a ground-truth latent."""
     for sample in dataset:
         if sample.truth_latent is None:
             raise InputError(
                 f"sample {sample.id} has no ground-truth latent annotation"
             )
+
+
+def evaluate(params: ModelParams, dataset: Dataset, loss: LossFunction) -> float:
+    """Mean prediction loss against ground-truth annotations, on [0, 100]."""
+    _check_annotated(dataset)
     scoring = dataset._score_stack
     labels, latents = scoring.predict(scoring.scores(params.w))
     total = 0.0
@@ -316,7 +321,8 @@ def run_protocols(
 class _Cells:
     """The (loss, fold, C) cells of a protocol run, fitted by index.
 
-    A cell splits its fold with the fold's seed, then fits every method at
+    A cell splits its fold with the fold's seed, refuses a test split
+    without ground-truth latents before any fit, then fits every method at
     its C on that training set in the order of ``methods``, so ilsvm
     reuses lsvm's solves (the store is keyed by C).  A forked worker
     inherits this object, so only a cell's index is sent to it, and only
@@ -336,6 +342,7 @@ class _Cells:
             np.random.SeedSequence(entropy=(self.config.split_seed, fold))
         )
         train_ds, test_ds = stratified_split(self.dataset, self.split, rng)
+        _check_annotated(test_ds)  # evaluate's check, before any fit
         cfg = replace(self.config, hyper=replace(self.config.hyper, C=C))
         rows = []
         for method in self.methods:

@@ -78,10 +78,8 @@ def _most_violated(stack: _ScoreStack, aug: np.ndarray, anchor_rows, w):
     n = len(aug)
     scores = stack.scores(w).reshape(n, -1)
     picks = np.argmax(scores + aug, axis=1)
-    rows = np.arange(n)
-    psi = stack.psi_rows.reshape(n, aug.shape[1], -1)
-    direction = (anchor_rows - psi[rows, picks]).mean(axis=0)
-    offset = float(aug[rows, picks].mean())
+    direction = (anchor_rows - stack.rows(picks)).mean(axis=0)
+    offset = float(aug[np.arange(n), picks].mean())
     return direction, offset, picks.tobytes()
 
 
@@ -403,10 +401,8 @@ def _cccp_loop(
             )
         w_new = solved.get(key)
         if w_new is None:
-            n, L, K = stack.shape
-            anchor_rows = stack.psi_rows.reshape(n, L * K, -1)[
-                np.arange(n), stack.truth_labels * K + np.asarray(imputed)]
-            w_new = _solve_inner(stack, tables, anchor_rows, C, inner_tol)
+            w_new = _solve_inner(
+                stack, tables, stack.anchor_rows(imputed), C, inner_tol)
             w_new.flags.writeable = False  # later runs read it too
             solved[key] = w_new
         iterations += 1

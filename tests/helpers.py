@@ -412,6 +412,16 @@ def score(w: np.ndarray, sample: SampleRecord, y: int, k: int) -> float:
     return float(sample.psi[y, k] @ w)
 
 
+def uniform_distribution(size: int) -> FiniteDistribution:
+    return FiniteDistribution(np.full(size, 1.0 / size))
+
+
+def point_mass(size: int, index: int) -> FiniteDistribution:
+    probs = np.zeros(size)
+    probs[index] = 1.0
+    return FiniteDistribution(probs)
+
+
 def conditional_distribution(
     theta: np.ndarray, sample: SampleRecord
 ) -> FiniteDistribution:
@@ -761,12 +771,12 @@ class LoggedProducts:
 
 def origin_products(dataset: Dataset, loss_classes, C_grid) -> tuple[int, dict]:
     """Fit ``dataset`` with ``dissim`` at every C of ``C_grid`` under each
-    loss, logging every product with the score stack's ``psi_rows`` and
+    loss, logging every product with the score stack's ``_psi_rows`` and
     each loss's stacked phi; the number of products at the all-``+0.0``
     w, and per loss class the number at the all-``+0.0`` theta."""
     ws, thetas = [], {}
     scoring = dataset._score_stack
-    scoring.psi_rows = LoggedProducts(scoring.psi_rows, ws)
+    scoring._psi_rows = LoggedProducts(scoring._psi_rows, ws)
     for loss_cls in loss_classes:
         loss = loss_cls()
         stack = loss.stack(dataset)

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import multiprocessing
+import re
 import warnings
 
 import numpy as np
@@ -582,6 +583,30 @@ class TestErrorsExit2:
         assert cli.main(argv) == 2
         self.assert_one_error_line(capsys)
         assert not (tmp_path / "out").exists()
+
+    def test_experiment_without_truth_latents(self, tmp_path, capsys,
+                                              monkeypatch):
+        """A set without ground-truth latents is refused in each worker's
+        first cell, before it fits a model."""
+        data = generate_tiny(tmp_path)
+        data.write_text("".join(
+            line for line in data.read_text().splitlines(keepends=True)
+            if not line.startswith("truth_latent ")))
+        capsys.readouterr()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the annotations were checked")
+
+        monkeypatch.setattr(trainer, "_fit", no_fit)
+        argv = ["experiment", "--data", str(data), "--workers", "2",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            "error: sample c[01]s00[0-2] has no ground-truth latent annotation",
+            line), line
+        assert not (tmp_path / "out").exists()
+        assert no_child_left()
 
     @pytest.mark.parametrize("out", ["missing/x", "."])
     @pytest.mark.parametrize("command", ["generate", "train", "experiment"])

@@ -42,9 +42,11 @@ from helpers import (
     make_sample,
     origin_products,
     overlap_ratio,
+    point_mass,
     reference_upper_bound,
     scalar_loss,
     stack_case,
+    uniform_distribution,
 )
 
 
@@ -253,16 +255,16 @@ class TestExpectedLoss:
 
 class TestDiversity:
     def test_same_delta_is_zero(self):
-        p = FiniteDistribution.point_mass(4, 1)
+        p = point_mass(4, 1)
         assert diversity(p, p, 1.0 - np.eye(4)) == 0.0
 
     def test_distinct_deltas_cost_one(self):
-        p = FiniteDistribution.point_mass(4, 1)
-        q = FiniteDistribution.point_mass(4, 3)
+        p = point_mass(4, 1)
+        q = point_mass(4, 3)
         assert diversity(p, q, 1.0 - np.eye(4)) == 1.0
 
     def test_uniform_pair(self):
-        u = FiniteDistribution.uniform(4)
+        u = uniform_distribution(4)
         assert diversity(u, u, 1.0 - np.eye(4)) == pytest.approx(0.75)
 
     def test_callable_matches_matrix(self):
@@ -279,8 +281,8 @@ class TestDiversity:
         )
 
     def test_size_mismatch_rejected(self):
-        p = FiniteDistribution.uniform(3)
-        q = FiniteDistribution.uniform(4)
+        p = uniform_distribution(3)
+        q = uniform_distribution(4)
         with pytest.raises(InputError):
             diversity(p, q, np.zeros((3, 3)))
 
@@ -298,13 +300,13 @@ class TestDissimilarity:
         assert abs(dissimilarity(p, p, mat, beta)) < 1e-12
 
     def test_distinct_deltas(self):
-        p = FiniteDistribution.point_mass(3, 0)
-        q = FiniteDistribution.point_mass(3, 2)
+        p = point_mass(3, 0)
+        q = point_mass(3, 2)
         assert dissimilarity(p, q, 1.0 - np.eye(3), 0.3) == 1.0
 
     def test_delta_versus_uniform_hand_value(self):
-        p = FiniteDistribution.point_mass(2, 0)
-        q = FiniteDistribution.uniform(2)
+        p = point_mass(2, 0)
+        q = uniform_distribution(2)
         v = dissimilarity(p, q, 1.0 - np.eye(2), 0.1)
         assert v == pytest.approx(0.05, abs=1e-15)
 

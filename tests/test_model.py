@@ -38,7 +38,9 @@ from helpers import (
     make_sample,
     origin_products,
     score,
+    stack_case,
 )
+from helpers import anchor_rows as reference_anchor_rows
 
 
 def tiny_sample(num_labels=2, num_latents=2, d_w=2, d_theta=2, psi=None, phi=None):
@@ -470,7 +472,7 @@ class TestScoreStackCache:
 
     @staticmethod
     def fresh(stack, w):
-        return (stack.psi_rows @ w).reshape(stack.shape)
+        return (stack._psi_rows @ w).reshape(stack.shape)
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_cached_product_is_fresh_and_read_only(self, uniform):
@@ -537,3 +539,42 @@ class TestScoreStackCache:
         at_w, _ = origin_products(dset, (ZeroOneLoss, OverlapLoss),
                                   (1e-4, 1e-2, 1.0))
         assert at_w == 1
+
+
+class TestScoreStackRows:
+    """``_ScoreStack.rows`` and ``anchor_rows`` gather the candidates' psi
+    rows as ``scores`` lays them out, into arrays of their own."""
+
+    @staticmethod
+    def assert_fresh(rows, stack):
+        assert rows.flags.writeable and rows.flags.owndata
+        assert not np.may_share_memory(rows, stack._psi_rows)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_rows_are_the_candidates_psi(self, uniform):
+        dset = stack_case(11, uniform)
+        stack = dset._score_stack
+        K = stack.shape[2]
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            pairs = [(int(rng.integers(dset.num_labels)),
+                      int(rng.integers(s.num_latents))) for s in dset]
+            flat = np.array([y * K + k for y, k in pairs])
+            rows = stack.rows(flat)
+            expect = np.array([s.psi[y, k] for s, (y, k) in zip(dset, pairs)])
+            assert rows.shape == (len(dset), stack.d_w)
+            assert rows.tobytes() == expect.tobytes()
+            self.assert_fresh(rows, stack)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_anchor_rows_are_the_reference(self, uniform):
+        dset = stack_case(12, uniform)
+        stack = dset._score_stack
+        w = np.random.default_rng(12).standard_normal(stack.d_w)
+        imputed = stack.impute(stack.scores(w))
+        rows = stack.anchor_rows(imputed)
+        assert rows.tobytes() == reference_anchor_rows(dset, imputed).tobytes()
+        self.assert_fresh(rows, stack)
+        rows[:] = np.nan
+        again = stack.anchor_rows(imputed)
+        assert again.tobytes() == reference_anchor_rows(dset, imputed).tobytes()

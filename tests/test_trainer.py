@@ -142,7 +142,7 @@ class TestRoundQuantitiesOnce:
         loss = loss_cls()
         stack = loss.stack(dset)
         ws, thetas = [], []
-        stack.scoring.psi_rows = LoggedProducts(stack.scoring.psi_rows, ws)
+        stack.scoring._psi_rows = LoggedProducts(stack.scoring._psi_rows, ws)
         (group,) = stack.blocks
         stack.blocks = [group._replace(phi=LoggedProducts(group.phi, thetas, True))]
         config = TrainConfig(hyper=HyperParams(C=0.1),
@@ -450,6 +450,26 @@ class TestRunProtocol:
         assert len(list(tmp_path.iterdir())) <= 8
         assert multiprocessing.active_children() == []
         assert no_child_left()
+
+    def test_unannotated_set_is_refused_before_any_fit(self, monkeypatch):
+        """A test split without ground-truth latents is refused with the
+        message evaluate gives, before any method is fitted."""
+        dset = self.small_dataset()
+        stripped = Dataset(dset.num_labels, dset.d_w, dset.d_theta, tuple(
+            SampleRecord(id=s.id, truth_label=s.truth_label, psi=s.psi,
+                         phi=s.phi) for s in dset))
+        fits = []
+
+        def stub(method, dataset, loss, config):
+            fits.append(method)
+            raise AssertionError("fitted a cell with an unannotated test split")
+
+        monkeypatch.setattr(trainer, "_fit", stub)
+        with pytest.raises(InputError,
+                           match="^sample s[0-9]+ has no ground-truth latent"):
+            run_protocol(stripped, ZeroOneLoss(), self.small_config(),
+                         n_folds=2, methods=METHODS, workers=1)
+        assert fits == []
 
     def test_first_out_error_wins(self, tmp_path, monkeypatch):
         """Two cells fail, each in its own worker.  The cell that went out

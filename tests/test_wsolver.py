@@ -1,5 +1,6 @@
 """Cutting-plane inner solver and the CCCP outer loop."""
 
+import ctypes
 import shutil
 import subprocess
 import sys
@@ -456,8 +457,10 @@ class TestDualQPMatchesReference:
         # the Python loop's replica, and the kernel's where it loaded
         replicas = [lambda x: wsolver._numpy_sum(x.tolist())]
         if wsolver._KERNEL is not None:
-            replicas.append(
-                lambda x: wsolver._KERNEL.dissim_qp_sum(x.ctypes.data, x.size))
+            qp_sum = wsolver._KERNEL.dissim_qp_sum
+            qp_sum.argtypes = [ctypes.c_void_p, ctypes.c_long]
+            qp_sum.restype = ctypes.c_double
+            replicas.append(lambda x: qp_sum(x.ctypes.data, x.size))
         rng = np.random.default_rng(300)
         for n in range(301):
             x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)

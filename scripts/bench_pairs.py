@@ -19,7 +19,8 @@ can gain), every run's
 end-to-end metrics, and per metric the median and quartiles of each side
 and the number of pairs the working tree won (the direction of "better"
 is read from BENCHMARK.json), and each side's median ``attempted`` fits
-with the memory each thousand more of them cost (see
+with the memory each thousand more of them cost and the rise in fits
+at which ``peak_rss_mb`` would cross its bound (see
 ``records_memory``).  Each end-to-end metric also gets two verdicts (see
 ``summarize``): ``claim_met``, whether the working tree's gain could be
 claimed, and ``regression``, ``no``, ``yes`` or ``unresolved`` against
@@ -196,25 +197,34 @@ def summarize(runs: list[dict], end_to_end: dict[str, dict]) -> dict:
     return out
 
 
-def records_memory(runs: list[dict]) -> dict:
+def records_memory(runs: list[dict], rss_bound: float) -> dict:
     """Each side's ``spread`` of ``attempted``, the fits a run completed,
     and ``peak_rss_mb_per_1000_fits``: the change in median
     ``peak_rss_mb`` over the change in median ``attempted``, times 1,000,
     or None when the two medians of ``attempted`` are equal.  perfbench
     keeps a record per completed fit, so a run that fits more reads as
-    more memory; this is what each thousand more fits cost."""
+    more memory; this is what each thousand more fits cost.
+
+    ``fits_gain_at_rss_bound`` is the headroom that cost leaves: the
+    relative rise in the base's median ``attempted`` at which the base's
+    median ``peak_rss_mb`` would grow by ``rss_bound`` (a fraction of it,
+    as BENCHMARK.json bounds it), or None unless the cost is positive."""
     attempted, rss = {}, {}
     for side in ("base", "change"):
         mine = [r for r in runs if r["side"] == side]
         if mine:
             attempted[side] = spread([r["attempted"] for r in mine])
             rss[side] = statistics.median(r["metrics"]["peak_rss_mb"] for r in mine)
-    per_1000 = None
+    per_1000 = gain = None
     if len(attempted) == 2:
         fits = attempted["change"]["median"] - attempted["base"]["median"]
         if fits != 0:
             per_1000 = 1000.0 * (rss["change"] - rss["base"]) / fits
-    return {"attempted": attempted, "peak_rss_mb_per_1000_fits": per_1000}
+    if per_1000 is not None and per_1000 > 0:
+        headroom_fits = 1000.0 * rss_bound * rss["base"] / per_1000
+        gain = headroom_fits / attempted["base"]["median"]
+    return {"attempted": attempted, "peak_rss_mb_per_1000_fits": per_1000,
+            "fits_gain_at_rss_bound": gain}
 
 
 def verdicts(entry: dict, sides: dict, sign: float, pairs: int, bound: float) -> dict:
@@ -309,11 +319,13 @@ def main(argv=None) -> int:
                           f"change {s['change']['median']:.6g} "
                           f"wins {s['change_wins']} claim_met {s['claim_met']} "
                           f"regression {s['regression']}")
-            memory = records_memory(entry["runs"])
+            memory = records_memory(
+                entry["runs"], end_to_end["peak_rss_mb"]["bound"])
             entry["summary"].update(memory)
             print(f"{workload} attempted: " + " ".join(
                 f"{side} {a['median']:.6g}" for side, a in memory["attempted"].items())
-                + f" peak_rss_mb_per_1000_fits {memory['peak_rss_mb_per_1000_fits']}")
+                + f" peak_rss_mb_per_1000_fits {memory['peak_rss_mb_per_1000_fits']}"
+                + f" fits_gain_at_rss_bound {memory['fits_gain_at_rss_bound']}")
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

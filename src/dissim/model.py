@@ -340,6 +340,8 @@ class _ScoreStack:
     The padded psi is private: a solver reads candidate rows only through
     ``rows`` and ``anchor_rows``, indexed as ``scores`` lays candidates
     out, so candidate (y, k) of a sample is its flat index y * K + k.
+    ``index`` is the read-only ``np.arange(n)`` that pairs each sample
+    with its own entry in the per-sample gathers.
     """
 
     def __init__(self, dataset: Dataset):
@@ -354,10 +356,15 @@ class _ScoreStack:
             psi[i, :, : sizes[i]] = s.psi
             self.mask[i, sizes[i] :] = -np.inf
             members.setdefault(sizes[i], []).append(i)
-        # two views of one buffer: every candidate a row of the product,
-        # and each sample's candidates a block of the gathers
+        # two views of one buffer, every candidate a row: the product's,
+        # and the gathers', where sample i's candidates start at row
+        # _first[i]; as separate objects, either can be stood in for
+        # (to log products, say) without touching the other
         self._psi_rows = psi.reshape(n * L * K, d)
-        self._candidates = psi.reshape(n, L * K, d)
+        self._candidates = psi.reshape(n * L * K, d)
+        self.index = np.arange(n)
+        self.index.flags.writeable = False
+        self._first = self.index * (L * K)
         self.shape = (n, L, K)
         self.d_w = d
         self.truth_labels = np.array([s.truth_label for s in samples])
@@ -384,7 +391,7 @@ class _ScoreStack:
         """Per sample i, the psi row of its candidate ``flat[i]``, indexed
         as ``scores.reshape(n, -1)`` lays out its candidates: a new (n, d_w)
         array."""
-        return self._candidates[np.arange(self.shape[0]), flat]
+        return self._candidates.take(self._first + flat, axis=0)
 
     def anchor_rows(self, imputed) -> np.ndarray:
         """Per sample, the psi row at its truth label and imputed latent."""
@@ -393,7 +400,7 @@ class _ScoreStack:
     def impute(self, scores: np.ndarray) -> list[int]:
         """Per sample, the best-scoring latent index at the truth label;
         ties break low."""
-        truth = scores[np.arange(self.shape[0]), self.truth_labels]
+        truth = scores[self.index, self.truth_labels]
         return np.argmax(truth + self.mask, axis=1).tolist()
 
     def predict(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,7 +416,7 @@ class _ScoreStack:
         exact in any layout, so each equals its per-sample form."""
         n = self.shape[0]
         hinge = (scores + tables).reshape(n, -1).max(axis=1)
-        truth = scores[np.arange(n), self.truth_labels]
+        truth = scores[self.index, self.truth_labels]
         return hinge - (truth + self.mask).max(axis=1)
 
     def ungroup(self, parts: list[np.ndarray]) -> np.ndarray:

@@ -74,12 +74,15 @@ def latent_impute(w: np.ndarray, sample: SampleRecord) -> int:
 def _most_violated(stack: _ScoreStack, aug: np.ndarray, anchor_rows, w):
     """Most violated joint assignment at w under the (n, labels * K)
     tables ``aug``: plane direction, offset, and a hashable key.  Padded
-    candidates carry -inf, and ties break row-major, as in ``predict``."""
+    candidates carry -inf, and ties break row-major, as in ``predict``.
+    Both means are ``np.add.reduce`` over the samples, divided by n: the
+    reduction and the division ``ndarray.mean`` makes, without its
+    Python wrapper."""
     n = len(aug)
     scores = stack.scores(w).reshape(n, -1)
     picks = np.argmax(scores + aug, axis=1)
-    direction = (anchor_rows - stack.rows(picks)).mean(axis=0)
-    offset = float(aug[np.arange(n), picks].mean())
+    direction = np.add.reduce(anchor_rows - stack.rows(picks), axis=0) / n
+    offset = float(np.add.reduce(aug[stack.index, picks])) / n
     return direction, offset, picks.tobytes()
 
 

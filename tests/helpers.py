@@ -1,6 +1,7 @@
 """Shared builders for randomized test instances, plus reference forms
 of scoring, the latent conditional, the w-step's convex subproblem, its
-cutting-plane loop with a freshly stacked working set, its dual QP and
+cutting-plane loop with a freshly stacked working set, its most
+violated assignment with ``ndarray.mean``, its dual QP and
 the theta step that only the tests use, and the oracles the
 src definitions are checked against: each loss pair by pair
 (``scalar_loss``), the dissimilarity objective (a vectorized form and a
@@ -510,6 +511,20 @@ def reference_solve_inner(
         alpha = wsolver._qp_coordinate_ascent(gram, offsets, C, alpha, qp_tol)
         w = alpha @ directions
         xi = max(0.0, float((offsets - directions @ w).max()))
+
+
+def reference_most_violated(stack, aug: np.ndarray, anchor_rows, w):
+    """``wsolver._most_violated`` with its means taken by ``ndarray.mean``
+    and the picked rows gathered by 2-D fancy indexing on a reshape of
+    the stack's psi, kept as the reference its bare reductions and
+    ``take`` must match bit for bit."""
+    n = len(aug)
+    scores = stack.scores(w).reshape(n, -1)
+    picks = np.argmax(scores + aug, axis=1)
+    picked = stack._psi_rows.reshape(n, aug.shape[1], -1)[np.arange(n), picks]
+    direction = (anchor_rows - picked).mean(axis=0)
+    offset = float(aug[np.arange(n), picks].mean())
+    return direction, offset, picks.tobytes()
 
 
 def anchor_rows(dataset: Dataset, anchors) -> np.ndarray:

@@ -135,18 +135,57 @@ def test_records_memory_per_thousand_fits():
             runs.append({"pair": pair, "side": side,
                          "attempted": fits + 2_000 * extra,
                          "metrics": {"peak_rss_mb": mb + 1.2 * extra}})
-    memory = bench_pairs.records_memory(runs)
+    memory = bench_pairs.records_memory(runs, 0.05)
     assert memory["attempted"]["base"]["median"] == 10_000
     assert memory["attempted"]["change"]["median"] == 12_000
     assert memory["peak_rss_mb_per_1000_fits"] == pytest.approx(0.6)
     # equal medians of attempted leave it undefined
     for run in runs:
         run["attempted"] = 10_000
-    assert bench_pairs.records_memory(runs)["peak_rss_mb_per_1000_fits"] is None
+    assert bench_pairs.records_memory(runs, 0.05)["peak_rss_mb_per_1000_fits"] is None
     # one side alone has its attempted spread and no ratio
-    alone = bench_pairs.records_memory([r for r in runs if r["side"] == "base"])
+    alone = bench_pairs.records_memory([r for r in runs if r["side"] == "base"], 0.05)
     assert set(alone["attempted"]) == {"base"}
     assert alone["peak_rss_mb_per_1000_fits"] is None
+
+
+def memory_runs(change_fits, change_mb):
+    """Three pairs whose base runs fit 10,000 and peak at 50 MB in the
+    median, with the change's medians as given."""
+    runs = []
+    for pair, (fits, mb) in enumerate([(10_000, 50.0), (10_200, 50.4),
+                                       (9_800, 49.6)]):
+        runs.append({"pair": pair, "side": "base", "attempted": fits,
+                     "metrics": {"peak_rss_mb": mb}})
+        runs.append({"pair": pair, "side": "change",
+                     "attempted": fits - 10_000 + change_fits,
+                     "metrics": {"peak_rss_mb": mb - 50.0 + change_mb}})
+    return runs
+
+
+def test_fits_gain_at_rss_bound():
+    # 0.6 MB per thousand fits: a 5 % bound on the base's 50 MB is 2.5 MB
+    # of headroom, 4,166.7 fits, a rise of 41.7 % on its 10,000
+    memory = bench_pairs.records_memory(memory_runs(12_000, 51.2), 0.05)
+    assert memory["peak_rss_mb_per_1000_fits"] == pytest.approx(0.6)
+    assert memory["fits_gain_at_rss_bound"] == pytest.approx(2.5 / 0.6 / 10)
+    # the crossing point: that many more fits read exactly the bound
+    gain = memory["fits_gain_at_rss_bound"]
+    rise = 10_000 * gain * memory["peak_rss_mb_per_1000_fits"] / 1000
+    assert rise == pytest.approx(0.05 * 50.0)
+    # a bound twice as wide leaves twice the headroom
+    wide = bench_pairs.records_memory(memory_runs(12_000, 51.2), 0.10)
+    assert wide["fits_gain_at_rss_bound"] == pytest.approx(2 * gain)
+    # fewer fits for less memory is a positive cost too
+    fewer = bench_pairs.records_memory(memory_runs(8_000, 48.8), 0.05)
+    assert fewer["fits_gain_at_rss_bound"] == pytest.approx(gain)
+    # null unless the cost is positive: memory that falls as fits rise,
+    # memory that stays flat, and no change in fits
+    for change_fits, change_mb in ((12_000, 49.0), (12_000, 50.0), (10_000, 51.0)):
+        memory = bench_pairs.records_memory(memory_runs(change_fits, change_mb), 0.05)
+        assert memory["fits_gain_at_rss_bound"] is None
+    alone = [r for r in memory_runs(12_000, 51.2) if r["side"] == "base"]
+    assert bench_pairs.records_memory(alone, 0.05)["fits_gain_at_rss_bound"] is None
 
 
 def test_parallel_capacity_times_one_child_then_two():

@@ -543,12 +543,23 @@ class TestScoreStackCache:
 
 class TestScoreStackRows:
     """``_ScoreStack.rows`` and ``anchor_rows`` gather the candidates' psi
-    rows as ``scores`` lays them out, into arrays of their own."""
+    rows as ``scores`` lays them out, into C-contiguous float64 (n, d_w)
+    arrays of their own; ``index`` is a read-only ``np.arange(n)``."""
 
     @staticmethod
     def assert_fresh(rows, stack):
+        assert rows.shape == (stack.shape[0], stack.d_w)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
         assert rows.flags.writeable and rows.flags.owndata
         assert not np.may_share_memory(rows, stack._psi_rows)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_index_is_read_only(self, uniform):
+        stack = stack_case(13, uniform)._score_stack
+        assert stack.index.tobytes() == np.arange(stack.shape[0]).tobytes()
+        assert not stack.index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack.index[0] = 1
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_rows_are_the_candidates_psi(self, uniform):
@@ -562,7 +573,6 @@ class TestScoreStackRows:
             flat = np.array([y * K + k for y, k in pairs])
             rows = stack.rows(flat)
             expect = np.array([s.psi[y, k] for s, (y, k) in zip(dset, pairs)])
-            assert rows.shape == (len(dset), stack.d_w)
             assert rows.tobytes() == expect.tobytes()
             self.assert_fresh(rows, stack)
 

@@ -38,6 +38,7 @@ from helpers import (
     pad_tables,
     reference_cccp_tables,
     reference_impute,
+    reference_most_violated,
     reference_qp_coordinate_ascent,
     reference_solve_inner,
     solve_inner_convex,
@@ -196,6 +197,17 @@ class TestInnerSolver:
             solve_inner_convex(dset, np.zeros(3), imputed, ZeroOneLoss(),
                                C=100.0, inner_tol=1e-10)
         assert info.value.last_iterate is not None
+
+    @pytest.mark.xfail(strict=True, raises=SolverError, reason=(
+        "the dual QP stops at its pass cap with a duality gap of 8.0e-6 on "
+        "this well-posed solve; ROADMAP item 2's QP rewrite must mend it"))
+    def test_small_set_at_unit_c_converges(self):
+        dset = make_dataset(3, n=16, num_labels=3, num_latents=4, d_w=5,
+                            d_theta=3)
+        theta = np.random.default_rng(3).normal(size=3)
+        w = solve_inner_convex(dset, theta, [0] * len(dset), ZeroOneLoss(),
+                               C=1.0, inner_tol=1e-4)
+        assert np.all(np.isfinite(w))
 
 
 def plane_case(seed, n, uniform, C, inner_tol):
@@ -499,6 +511,34 @@ class TestMostViolated:
             expect = 0.5 * float(w @ w) + C * slack_total / len(dset)
             got = round_objective(stack, w, C, stack.scores(w), padded)
             assert got == pytest.approx(expect, abs=1e-12)
+
+
+class TestMostViolatedReductions:
+    """``_most_violated``'s bare ``np.add.reduce`` means and ``take``
+    gather give the direction, offset and key of its ``ndarray.mean``
+    form bit for bit, on both sides of numpy's pairwise blocking of the
+    offset's 1-D sum (a plain loop below 8 terms, 8 accumulators up to
+    128, halves above)."""
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 130])
+    def test_bytes_equal_mean_form(self, n, uniform):
+        dset = stack_case(n, uniform, n=n)
+        stack = dset._score_stack
+        rng = np.random.default_rng(n)
+        tables = [rng.exponential(size=(dset.num_labels, s.num_latents))
+                  for s in dset]
+        aug = pad_tables(dset, tables).reshape(n, -1)
+        rows = anchor_rows(dset, [int(rng.integers(s.num_latents)) for s in dset])
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            w = scale * rng.standard_normal(dset.d_w)
+            direction, offset, key = _most_violated(stack, aug, rows, w)
+            want = reference_most_violated(stack, aug, rows, w)
+            assert direction.shape == want[0].shape == (dset.d_w,)
+            assert direction.tobytes() == want[0].tobytes()
+            assert type(offset) is float
+            assert np.float64(offset).tobytes() == np.float64(want[1]).tobytes()
+            assert key == want[2]
 
 
 class TestStackedRound:

@@ -4,8 +4,6 @@ All formats are line-based and self-describing, with a magic first line
 and integer counts up front, so files are validated while streaming.
 Floats are written with ``repr``, which round-trips every finite double
 exactly; loading a saved dataset reproduces the original bit for bit.
-Each distinct double of a sample (or of a model) is formatted once and its
-word reused, which writes the same bytes as formatting every value.
 
 Files stream in both directions.  ``save_dataset`` hands the writer one
 sample's text at a time, and the loaders decode and parse one line at a
@@ -45,35 +43,9 @@ MODEL_MAGIC = "dissim-model 1"
 TERMINATIONS = ("tolerance", "round_budget", "repeat")
 
 
-def _float_rows(*tables: np.ndarray) -> list[str]:
-    """Every row of the 2-d tables, in order, as the ``repr`` words of its
-    values joined by spaces.
-
-    Each distinct double is formatted once; values are told apart by bit
-    pattern, so -0.0 and 0.0 keep their own words.  The values' bits turn
-    in place into token ids: the +0.0s (all bits clear), most of a psi
-    table, keep token 0 where they lie; only the other values are sorted,
-    so that equal bits sit side by side and each run gets the next token.
-    The text is then one gather from the table of words, and one join per
-    row."""
-    tables = [np.asarray(t, dtype=np.float64) for t in tables]
-    ids = np.concatenate([t.ravel() for t in tables]).view(np.int64)
-    order = ids.nonzero()[0]
-    order = order[ids[order].argsort()]
-    runs = ids[order]
-    first = np.empty(runs.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(runs[1:], runs[:-1], out=first[1:])
-    ids[order] = first.cumsum()
-    words = np.array(
-        ["0.0", *map(repr, runs[first].view(np.float64).tolist())], dtype=object
-    )
-    flat = words[ids]
-    rows, start = [], 0
-    for t in tables:
-        rows += map(" ".join, flat[start : start + t.size].reshape(t.shape).tolist())
-        start += t.size
-    return rows
+def _words(values: Iterable[float]) -> str:
+    """The ``repr`` words of the values, joined by spaces."""
+    return " ".join(map(repr, values))
 
 
 def _decoded_lines(handle, path: Path) -> Iterator[str]:
@@ -163,24 +135,12 @@ class _LineReader:
         except ValueError as err:
             raise self.error(f"bad {kind.__name__} field ({err})") from err
 
-    def parse_finite(
-        self, fields: Sequence[str], memo: dict[str, float] | None = None
-    ) -> list[float]:
+    def parse_finite(self, fields: Sequence[str]) -> list[float]:
         """Float fields of the current line; a value that is not finite is
-        an InputError naming the line.  With a memo (field -> value), a line
-        whose fields are all in it is read from it; any other line is
-        converted in full, so the memo never changes which error a line
-        raises, and its fields are remembered."""
-        if memo:
-            try:
-                return list(map(memo.__getitem__, fields))
-            except KeyError:
-                pass
+        an InputError naming the line."""
         values = self.parse(fields)
         if not all(map(math.isfinite, values)):
             raise self.error("values must be finite")
-        if memo is not None:
-            memo.update(zip(fields, values))
         return values
 
 
@@ -296,16 +256,11 @@ def _dataset_chunks(dataset: Dataset, block: bool) -> Iterator[str]:
                 out.append(f"latent {k} {x0} {y0} {x1} {y1}")
         else:
             out.extend(f"latent {k}" for k in range(s.num_latents))
-        L, K, d_w = s.psi.shape
-        if block:
-            rows = iter(_float_rows(s.phi))
-        else:
-            rows = iter(_float_rows(s.psi.reshape(L * K, d_w), s.phi))
-            for y in range(L):
-                for k in range(K):
-                    out.append(f"psi {y} {k} {next(rows)}")
-        for k in range(K):
-            out.append(f"phi {k} {next(rows)}")
+        if not block:
+            out.extend(f"psi {y} {k} {_words(row)}"
+                       for y, rows in enumerate(s.psi.tolist())
+                       for k, row in enumerate(rows))
+        out.extend(f"phi {k} {_words(row)}" for k, row in enumerate(s.phi.tolist()))
         yield "\n".join(out) + "\n"
 
 
@@ -395,8 +350,7 @@ def load_dataset(path) -> Dataset:
                         )
                 boxes.append(box)
             # the arrays are built from the parsed rows, so a corrupt count
-            # never sizes an allocation; the memo holds this sample's fields
-            memo: dict[str, float] = {}
+            # never sizes an allocation
             psi_values = []
             for y in range(0 if block else num_labels):  # block: no psi rows
                 for k in range(K):
@@ -407,7 +361,7 @@ def load_dataset(path) -> Dataset:
                         )
                     if reader.parse(parts[:2], int) != [y, k]:
                         raise reader.error("psi rows out of order")
-                    psi_values += reader.parse_finite(parts[2:], memo)
+                    psi_values += reader.parse_finite(parts[2:])
             phi_values = []
             for k in range(K):
                 parts = reader.expect("phi")
@@ -417,7 +371,7 @@ def load_dataset(path) -> Dataset:
                     )
                 if reader.parse(parts[:1], int) != [k]:
                     raise reader.error("phi rows out of order")
-                phi_values += reader.parse_finite(parts[1:], memo)
+                phi_values += reader.parse_finite(parts[1:])
             # frozen here, so SampleRecord keeps them without a copy
             phi = np.array(phi_values).reshape(K, d_theta)
             phi.flags.writeable = False
@@ -468,14 +422,10 @@ def save_model(record: ModelRecord, path) -> None:
     out.append(f"dw {record.params.w.size}")
     out.append(f"dtheta {record.params.theta.size}")
     out.append(f"termination {record.termination}")
-    w, theta, *trace = _float_rows(
-        record.params.w[None], record.params.theta[None],
-        np.reshape(record.trace, (-1, 1)),
-    )
-    out.append(f"w {w}")
-    out.append(f"theta {theta}")
-    out.append(f"trace {len(trace)}")
-    out.extend(trace)
+    out.append(f"w {_words(record.params.w.tolist())}")
+    out.append(f"theta {_words(record.params.theta.tolist())}")
+    out.append(f"trace {len(record.trace)}")
+    out.extend(map(repr, map(float, record.trace)))
     write_atomic(path, ["\n".join(out) + "\n"])
 
 

@@ -161,8 +161,7 @@ def write_mutated(path, lines, op, where, token, replacement, sep=" "):
 
 
 def reference_fmt_floats(values) -> str:
-    """The per-value float formatter the file writers used before they
-    formatted each distinct double once."""
+    """The per-value float formatter, one ``repr`` per value."""
     return " ".join(repr(float(v)) for v in values)
 
 

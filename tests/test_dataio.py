@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import io
 import os
 import re
 import signal
@@ -1108,6 +1109,34 @@ def test_loaded_sample_keeps_the_loader_arrays(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "_frozen_array", spy)
     load_dataset(tmp_path / "d.txt")
     assert kept == [True] * 3 * len(dataset)
+
+
+class TestParseFinite:
+    """The reader's float parse of one line, which the dataset and model
+    loaders share: a field that is not finite, or not a float, is an
+    InputError naming the line, wherever on the line it stands."""
+
+    @staticmethod
+    def reader():
+        reader = dataio._LineReader(Path("f.txt"), io.BytesIO(b"w 0.0 0.5\n"))
+        reader.next()
+        return reader
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "values must be finite"), ("1e999", "values must be finite"),
+        ("x", "bad float field"),
+    ])
+    def test_bad_field_names_the_line(self, bad, message):
+        for at in range(3):
+            fields = ["0.0", "0.5"]
+            fields.insert(at, bad)
+            with pytest.raises(InputError, match=f"f.txt line 1: {message}"):
+                self.reader().parse_finite(fields)
+
+    def test_values_round_trip(self):
+        values = [0.0, -0.0, 0.5, 5e-324, -1.7976931348623157e308]
+        got = self.reader().parse_finite(list(map(repr, values)))
+        assert np.array(got).tobytes() == np.array(values).tobytes()
 
 
 def traced(fn, runs=3):

@@ -16,7 +16,6 @@ from .model import (
     ModelParams,
     SampleRecord,
     latent_posterior,
-    predict,
     score_table,
 )
 from .losses import (
@@ -37,24 +36,15 @@ from .losses import (
     slack,
     upper_bound,
 )
-from .wsolver import (
-    WSolverReport,
-    cccp_w,
-    latent_impute,
-)
+from .wsolver import WSolverReport, cccp_w
 from .thetasolver import (
     SSDConfig,
     grad_expected_loss,
     grad_self_diversity,
     grad_slack,
     ssd_theta,
-    theta_objective,
 )
-from .baselines import (
-    ilsvm_latent_estimates,
-    ilsvm_train,
-    lsvm_train,
-)
+from .baselines import ilsvm_train, lsvm_train
 from .trainer import (
     DEFAULT_C_GRID,
     METHODS,

@@ -229,15 +229,15 @@ static void phi_t_dot(const struct dissim_ssd_sample *s, long d,
     dgemv(COL_MAJOR, NO_TRANS, d, s->K, 1.0, s->phi, d, v, 1, 0.0, x, 1);
 }
 
-/* Steps t0, t0 + 1, ..., t0 + count - 1 of thetasolver._ssd_python on
-   theta (d doubles, updated in place), for a latent-dependent loss; step
-   t0 + i draws sample idx[i].
+/* Steps 1, 2, ..., count of thetasolver._ssd_python on theta (d doubles,
+   updated in place), for a latent-dependent loss; step 1 + i draws sample
+   idx[i].
    scores is the (n, labels, Kmax) score stack at w.  Every vector handed
    to dgemv has its own 64-byte-aligned buffer, as numpy hands each call
    a freshly allocated array: the alignment of x can change a kernel's
    rounding.  Returns 0, or -1 when the buffers cannot be allocated. */
 int dissim_ssd_steps(const struct dissim_ssd_sample *samples,
-                     const int64_t *idx, long count, long t0,
+                     const int64_t *idx, long count,
                      const double *scores, long labels, long Kmax, long d,
                      double lam, double beta, double *theta_io)
 {
@@ -302,7 +302,7 @@ int dissim_ssd_steps(const struct dissim_ssd_sample *samples,
         phi_t_dot(s, d, pw_self, pull);
         for (long i = 0; i < d; i++)
             g_self[i] = pull[i] - sum * mean[i];
-        double rate = lam * (double)(t0 + step);
+        double rate = lam * (double)(1 + step);
         for (long i = 0; i < d; i++) {
             double th = theta[i];
             theta[i] = th - (lam * th + g_loss[i] - beta * g_self[i]) / rate;

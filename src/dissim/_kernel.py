@@ -148,8 +148,8 @@ def _bind_ssd(lib, blas):
     steps = lib.dissim_ssd_steps
     pointer, size, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     steps.argtypes = [
-        ctypes.POINTER(_Sample), pointer, size, size, pointer, size, size,
-        size, real, real, pointer,
+        ctypes.POINTER(_Sample), pointer, size, pointer, size, size, size,
+        real, real, pointer,
     ]
     steps.restype = ctypes.c_int
     return steps

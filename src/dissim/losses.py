@@ -107,7 +107,7 @@ class _SampleView(NamedTuple):
 class _Group(NamedTuple):
     """The samples of one latent-space size K, stacked."""
 
-    rows: object  # their positions in the set: a slice or an index array
+    rows: np.ndarray  # their positions in the set, an index array
     phi: np.ndarray  # (n_g, K, d_theta)
     by_label: np.ndarray  # (n_g, labels, K, K): each sample's view.by_label
     at_truth: np.ndarray  # (n_g, K, K): each sample's view.at_truth
@@ -148,7 +148,7 @@ class _SetView:
         self._kept = _Kept(self.d_theta)
         self.blocks = []
         for _, rows in scoring.groups:
-            idx = np.arange(len(views))[rows].tolist()
+            idx = rows.tolist()
             by_label = np.stack([views[i].by_label for i in idx])
             at_truth = by_label[np.arange(len(idx)), scoring.truth_labels[rows]]
             phi = np.stack([views[i].phi for i in idx])
@@ -248,9 +248,15 @@ class LossFunction:
     kind: str = "custom"
     latent_dependent: bool = True
 
-    def __init__(self):
-        self._views = weakref.WeakKeyDictionary()
-        self._stacks = weakref.WeakKeyDictionary()
+    # built on first use, so a subclass's own __init__ need not call this
+    # class's
+    @cached_property
+    def _views(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
+
+    @cached_property
+    def _stacks(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
 
     def pair_matrix(self, sample: SampleRecord, y1: int, y2: int) -> np.ndarray:
         """Loss values for all latent pairs at fixed labels, shape (K, K):

@@ -368,13 +368,7 @@ class _ScoreStack:
         self.shape = (n, L, K)
         self.d_w = d
         self.truth_labels = np.array([s.truth_label for s in samples])
-        # one group is the whole set, indexed by a slice so that reading
-        # it makes no copy
-        self.groups = (
-            [(K, slice(None))]
-            if len(members) == 1
-            else [(k, np.array(rows)) for k, rows in members.items()]
-        )
+        self.groups = [(k, np.array(rows)) for k, rows in members.items()]
         self._kept = _Kept(d)
 
     def scores(self, w: np.ndarray) -> np.ndarray:

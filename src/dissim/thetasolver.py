@@ -165,21 +165,6 @@ def theta_objective(
     return reg + hyper.C * upper_bound(w, theta, dataset, loss, hyper.beta)
 
 
-_INDEX_BLOCK = 4096
-
-
-def _index_blocks(rng: np.random.Generator, n: int, steps: int):
-    """``steps`` uniform sample indices in [0, n), as int64 arrays of at
-    most ``_INDEX_BLOCK``.
-
-    One draw ``rng.integers(n, size=b)`` yields the same indices as b
-    scalar draws ``rng.integers(n)`` (the tests pin this); drawing in
-    blocks keeps the memory bounded for any budget.
-    """
-    for start in range(0, steps, _INDEX_BLOCK):
-        yield rng.integers(n, size=min(_INDEX_BLOCK, steps - start))
-
-
 def ssd_theta(
     dataset: Dataset,
     w: np.ndarray,
@@ -207,15 +192,16 @@ def ssd_theta(
     theta = _vector("theta", theta_init, dataset.d_theta)
     stack = loss.stack(dataset)
     scores = stack.scoring.scores(w)
-    blocks = _index_blocks(np.random.default_rng(config.seed), n, steps)
-    return _ssd_loop(stack, scores, theta, lam, hyper.beta, blocks)
+    # one draw of size b gives the indices of b scalar draws
+    indices = np.random.default_rng(config.seed).integers(n, size=steps)
+    return _ssd_loop(stack, scores, theta, lam, hyper.beta, indices)
 
 
 def _ssd_python(
     stack: _SetView, scores: np.ndarray, theta: np.ndarray, lam: float,
-    beta: float, blocks,
+    beta: float, indices: np.ndarray,
 ) -> np.ndarray:
-    """The steps of ``ssd_theta`` on the index blocks, in Python.
+    """The steps of ``ssd_theta`` on the sample indices, in Python.
 
     Each step calls ``_step_gradients``, the core that the public
     gradients call too, on the loss's cached per-sample view.  A
@@ -226,8 +212,7 @@ def _ssd_python(
         (view, scores[i, :, : len(view.phi)]) for i, view in enumerate(stack.views)
     ]
     current = theta.tolist()
-    indices = (i for block in blocks for i in block.tolist())
-    for t, i in enumerate(indices, 1):
+    for t, i in enumerate(indices.tolist(), 1):
         view, scores = views[i]
         probs = _posterior(view.phi, theta) if view.latent_dependent else None
         g_slack, g_selfdiv = _step_gradients(view, scores, probs)
@@ -244,7 +229,7 @@ def _ssd_python(
 
 def _ssd_kernel(
     stack: _SetView, scores: np.ndarray, theta: np.ndarray, lam: float,
-    beta: float, blocks,
+    beta: float, indices: np.ndarray,
 ) -> np.ndarray:
     """``_ssd_python`` in the compiled kernel (``_kernel.c``), which makes
     the same IEEE operations in the same order through the functions
@@ -252,19 +237,16 @@ def _ssd_kernel(
     set that ``_kernel.ssd_samples`` does not take runs ``_ssd_python``."""
     samples = stack.step_samples
     if samples is None:
-        return _ssd_python(stack, scores, theta, lam, beta, blocks)
+        return _ssd_python(stack, scores, theta, lam, beta, indices)
     d = theta.size
     theta = np.array(theta)
     scores_at = address(scores, stack.scoring.shape, False, "SSD")
     theta_at = address(theta, (d,), True, "SSD")
     _, labels, Kmax = stack.scoring.shape
-    t = 1
-    for block in blocks:
-        count = block.size
-        if _SSD(samples, address(block, (count,), False, "SSD", np.int64),
-                count, t, scores_at, labels, Kmax, d, lam, beta, theta_at):
-            raise MemoryError("the SSD kernel could not allocate its buffers")
-        t += count
+    count = indices.size
+    if _SSD(samples, address(indices, (count,), False, "SSD", np.int64),
+            count, scores_at, labels, Kmax, d, lam, beta, theta_at):
+        raise MemoryError("the SSD kernel could not allocate its buffers")
     return theta
 
 

@@ -24,8 +24,8 @@ thread (``_kernel.one_blas_thread``), so that the workers' BLAS calls do
 not contend for the CPUs the workers already fill; the parent keeps its
 own setting.  The parent starts no thread and imports no
 ``multiprocessing``.  The results are the same bit for bit for any number
-of workers, and each row's wallclock time is its fit's own, measured in
-its child.
+of workers, and so is the error a failing cell raises; each row's
+wallclock time is its fit's own, measured in its child.
 """
 
 from __future__ import annotations
@@ -357,18 +357,21 @@ class _Cells:
 
 
 def _map_cells(cells: _Cells, workers: int) -> list[list[ResultRow]]:
-    """Every cell's rows, in cell order.  More than one worker forks that
-    many children, which inherit ``cells`` (losses cannot be pickled) and
-    read cell indices from one pipe, largest C first.  A cell's error
-    drains the queue, so the cells still queued never run; once the
-    running cells have ended, the error of the failing cell that went out
-    first is re-raised here.  A child that dies without replying, as one
-    killed by the kernel's out-of-memory killer does, is a MemoryError.
-    Every child is reaped before this returns or raises."""
+    """Every cell's rows, in cell order.  The cells go out largest C
+    first, and the error raised is that of the failing cell that went out
+    first, for any number of workers; one worker fits the cells here.
+    More than one worker forks that many children, which inherit
+    ``cells`` (losses cannot be pickled) and read cell indices from one
+    pipe.  A cell's error drains the queue, so the cells still queued
+    never run; once the running cells have ended, that error is re-raised
+    here.  A child that dies without replying, as one killed by the
+    kernel's out-of-memory killer does, is a MemoryError.  Every child is
+    reaped before this returns or raises."""
     n = len(cells.keys)
-    if workers <= 1:
-        return [cells.fit(i) for i in range(n)]
     largest_first = sorted(range(n), key=lambda i: -cells.keys[i][2])
+    if workers <= 1:
+        rows = {i: cells.fit(i) for i in largest_first}
+        return [rows[i] for i in range(n)]
     read_end, write_end = os.pipe()
     queue, feed = open(read_end, "rb", 0), open(write_end, "wb", 0)
     children = {}  # pid -> the read end of its reply pipe

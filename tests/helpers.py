@@ -7,7 +7,7 @@ src definitions are checked against: each loss pair by pair
 (``scalar_loss``), the dissimilarity objective (a vectorized form and a
 brute-force one), its point-mass restriction, the synthetic task's
 analytic template model, the generator pooling one box at a time, the
-dataset and model files laid out value by value and row by row (in the
+dataset and model files laid out value by value (in the
 block layout where psi is the class-block map of phi), the
 loaders reading a file's whole text at once, a stand-in for a stacked
 matrix that logs its products, and what tests that start processes need:
@@ -51,14 +51,13 @@ from dissim import (
     ZeroOneLoss,
     expected_loss_table,
     latent_posterior,
-    predict,
     score_table,
     self_diversity,
     slack,
     train,
 )
 from dissim.dataio import DATASET_MAGIC, MODEL_MAGIC
-from dissim.model import _frozen_array, _log_sum_exp, _vector
+from dissim.model import _frozen_array, _log_sum_exp, _vector, predict
 from dissim.synth import _signatures
 
 
@@ -223,66 +222,6 @@ def reference_model_text(record: ModelRecord) -> str:
            f"theta {reference_fmt_floats(record.params.theta)}",
            f"trace {len(record.trace)}"]
     out += [repr(float(v)) for v in record.trace]
-    return "\n".join(out) + "\n"
-
-
-def reference_float_rows(*tables: np.ndarray) -> list[str]:
-    """Every row of the 2-d tables, in order, as the ``repr`` words of its
-    values joined by spaces: the float formatter of the file writers
-    before they laid out a sample's rows as one array of token ids."""
-    tables = [np.asarray(t, dtype=np.float64) for t in tables]
-    bits = np.concatenate([t.ravel() for t in tables]).view(np.uint64)
-    distinct, index = np.unique(bits, return_inverse=True)
-    words = np.array(
-        [repr(v) for v in distinct.view(np.float64).tolist()], dtype=object
-    )
-    flat = words[index].tolist()
-    rows, start = [], 0
-    for t in tables:
-        n, d = t.shape
-        rows += [" ".join(flat[start + r * d : start + (r + 1) * d]) for r in range(n)]
-        start += n * d
-    return rows
-
-
-def reference_rows_dataset_text(dataset: Dataset) -> str:
-    """The text ``save_dataset`` writes, laid out row by row with
-    ``reference_float_rows``, as the writer did before, and without psi
-    rows where every psi is the block map of its phi."""
-    block = reference_is_block(dataset)
-    out = reference_header(dataset, block)
-    for s in dataset:
-        out += [f"sample {s.id}", f"label {s.truth_label}"]
-        if s.truth_latent is not None:
-            out.append(f"truth_latent {s.truth_latent}")
-        out.append(f"latents {s.num_latents}")
-        if s.geometric:
-            for k, (x0, y0, x1, y1) in enumerate(s.boxes.tolist()):
-                out.append(f"latent {k} {x0} {y0} {x1} {y1}")
-        else:
-            out.extend(f"latent {k}" for k in range(s.num_latents))
-        L, K, d_w = s.psi.shape
-        tables = (s.phi,) if block else (s.psi.reshape(L * K, d_w), s.phi)
-        rows = iter(reference_float_rows(*tables))
-        for y in range(0 if block else L):
-            for k in range(K):
-                out.append(f"psi {y} {k} {next(rows)}")
-        for k in range(K):
-            out.append(f"phi {k} {next(rows)}")
-    return "\n".join(out) + "\n"
-
-
-def reference_rows_model_text(record: ModelRecord) -> str:
-    """The text ``save_model`` writes, laid out row by row with
-    ``reference_float_rows``, as the writer did before."""
-    out = [MODEL_MAGIC, f"method {record.method}", f"loss {record.loss_kind}",
-           f"dw {record.params.w.size}", f"dtheta {record.params.theta.size}",
-           f"termination {record.termination}"]
-    w, theta, *trace = reference_float_rows(
-        record.params.w[None], record.params.theta[None],
-        np.reshape(record.trace, (-1, 1)),
-    )
-    out += [f"w {w}", f"theta {theta}", f"trace {len(trace)}", *trace]
     return "\n".join(out) + "\n"
 
 

@@ -24,7 +24,6 @@ from dissim import (
     dissimilarity,
     expected_loss,
     generate,
-    ilsvm_latent_estimates,
     ilsvm_train,
     load_dataset,
     lsvm_train,
@@ -33,11 +32,11 @@ from dissim import (
     save_dataset,
     self_diversity,
     ssd_theta,
-    theta_objective,
     upper_bound,
 )
+from dissim.baselines import ilsvm_latent_estimates
 from dissim.model import FiniteDistribution, latent_posterior
-from dissim.thetasolver import grad_self_diversity, grad_slack
+from dissim.thetasolver import grad_self_diversity, grad_slack, theta_objective
 from helpers import (
     delta_restricted_objective,
     dissimilarity_objective,

@@ -22,15 +22,15 @@ from dissim import (
     ZeroOneLoss,
     cccp_w,
     generate,
-    ilsvm_latent_estimates,
     ilsvm_train,
     load_dataset,
     lsvm_train,
     make_loss,
-    predict,
     save_dataset,
     stratified_split,
 )
+from dissim.baselines import ilsvm_latent_estimates
+from dissim.model import predict
 from helpers import (
     delta_restricted_objective,
     dissimilarity_objective,

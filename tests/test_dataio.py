@@ -46,8 +46,6 @@ from helpers import (
     reference_dataset_text,
     reference_load,
     reference_model_text,
-    reference_rows_dataset_text,
-    reference_rows_model_text,
     src_env,
     write_mutated,
 )
@@ -351,9 +349,8 @@ def drawn_datasets(draw):
 
 
 class TestFormatterMatchesReference:
-    """save_dataset and save_model write the bytes of the row-by-row
-    writer in helpers (one np.unique per sample, one join per row) and of
-    the value-by-value layout, on drawn tables."""
+    """save_dataset and save_model write the bytes of the value-by-value
+    layout in helpers, on drawn tables."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -361,7 +358,6 @@ class TestFormatterMatchesReference:
     def test_dataset(self, tmp_path, dset):
         path = tmp_path / "d.txt"
         save_dataset(dset, path)
-        assert path.read_bytes() == reference_rows_dataset_text(dset).encode()
         assert path.read_bytes() == reference_dataset_text(dset).encode()
         assert_same_doubles(dset, load_dataset(path))
 
@@ -376,22 +372,21 @@ class TestFormatterMatchesReference:
                           values[d_w + d_theta:].tolist())
         path = tmp_path / "m.txt"
         save_model(rec, path)
-        assert path.read_bytes() == reference_rows_model_text(rec).encode()
         assert path.read_bytes() == reference_model_text(rec).encode()
 
     def test_rows_without_values(self, tmp_path):
         """A table with no columns writes its labels with the space after
-        them, as the row-by-row writer does."""
+        them, as the value-by-value layout does."""
         sample = SampleRecord(id="a", truth_label=0, psi=np.zeros((2, 3, 0)),
                               phi=np.zeros((3, 0)))
         dset = Dataset(2, 0, 0, (sample,))
         path = tmp_path / "d.txt"
         save_dataset(dset, path)
-        assert path.read_bytes() == reference_rows_dataset_text(dset).encode()
+        assert path.read_bytes() == reference_dataset_text(dset).encode()
         rec = ModelRecord(ModelParams(np.zeros(0), np.zeros(0)), "dissim",
                           "zero_one", "tolerance", [])
         save_model(rec, path)
-        assert path.read_bytes() == reference_rows_model_text(rec).encode()
+        assert path.read_bytes() == reference_model_text(rec).encode()
 
 
 class TestBlockLayout:

@@ -363,7 +363,7 @@ class TestSlack:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_dominates_expected_loss_at_prediction(self, seed):
-        from dissim import predict
+        from dissim.model import predict
 
         rng = np.random.default_rng(seed)
         sample = abstract_sample(rng)

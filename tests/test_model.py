@@ -24,10 +24,9 @@ from dissim import (
     ZeroOneLoss,
     generate,
     latent_posterior,
-    predict,
     score_table,
 )
-from dissim.model import _block_embedding, _frozen_array, _log_sum_exp
+from dissim.model import _block_embedding, _frozen_array, _log_sum_exp, predict
 from helpers import (
     _reference_log_sum_exp,
     _reference_posterior,

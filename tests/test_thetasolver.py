@@ -29,10 +29,10 @@ from dissim import (
     self_diversity,
     slack,
     ssd_theta,
-    theta_objective,
     upper_bound,
 )
 import dissim.thetasolver as thetasolver
+from dissim.thetasolver import theta_objective
 from helpers import (
     StubZeroLoss,
     make_dataset,
@@ -469,13 +469,12 @@ class IntegerZeroOneLoss(ZeroOneLoss):
 def both_paths(dset, w, theta0, loss, hyper, config):
     """ssd_theta's theta on the kernel and on the Python loop."""
     got = ssd_theta(dset, w, theta0, loss, hyper, config)
-    blocks = thetasolver._index_blocks(
-        np.random.default_rng(config.seed), len(dset),
-        config.steps or config.steps_per_sample * len(dset))
+    indices = np.random.default_rng(config.seed).integers(
+        len(dset), size=config.steps or config.steps_per_sample * len(dset))
     stack = loss.stack(dset)
     want = thetasolver._ssd_python(
         stack, stack.scoring.scores(w), np.asarray(theta0, dtype=np.float64),
-        hyper.J / hyper.C, hyper.beta, blocks)
+        hyper.J / hyper.C, hyper.beta, indices)
     return got, want
 
 
@@ -501,10 +500,10 @@ class TestSSDKernel:
             (scores, good.astype(np.int32)),
             (scores, np.zeros(6, dtype=np.int64)[::2]),
         ]
-        for bad_scores, block in bad:
+        for bad_scores, indices in bad:
             with pytest.raises(ValueError, match="SSD kernel needs"):
                 thetasolver._ssd_kernel(stack, bad_scores, theta, 1.0, 0.1,
-                                        iter([block]))
+                                        indices)
 
     def test_reads_phi_and_table_in_place(self):
         # each row points at the arrays the Python loop reads, and the

@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -35,7 +35,6 @@ from dissim import (
     load_model,
     load_results,
     lsvm_train,
-    predict,
     regularized_objective,
     run_protocol,
     save_model,
@@ -45,6 +44,7 @@ from dissim import (
 )
 import dissim._kernel as kernel
 import dissim.trainer as trainer
+from dissim.model import predict
 from dissim.trainer import DEFAULT_C_GRID, METHODS, _fit, run_protocols
 from helpers import (
     LoggedProducts,
@@ -520,6 +520,30 @@ class TestRunProtocol:
         assert started.exists()
         assert no_child_left()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_cell_is_the_same_for_any_worker_count(self, monkeypatch,
+                                                            workers):
+        """Two cells fail with different errors.  Whether one worker fits
+        the cells or two do, the error raised is that of the cell that
+        goes out first, the one at the larger C, though the other one
+        comes first in cell order."""
+        fit = trainer._Cells.fit
+
+        def stub(cells, index):
+            _, fold, C = cells.keys[index]
+            if (fold, C) == (0, 0.1):
+                raise InputError("first in cell order")
+            if (fold, C) == (1, 10.0):
+                raise SolverError("first out")
+            return fit(cells, index)
+
+        monkeypatch.setattr(trainer._Cells, "fit", stub)
+        config = replace(self.small_config(), C_grid=(0.1, 10.0))
+        with pytest.raises(SolverError, match="^first out$"):
+            run_protocol(self.small_dataset(), ZeroOneLoss(), config,
+                         n_folds=2, methods=("lsvm",), workers=workers)
+        assert no_child_left()
+
     def test_unpicklable_error_keeps_its_name(self, monkeypatch):
         """A cell's error that cannot be pickled comes back from a worker
         as a RuntimeError naming it, not as a lost worker."""
@@ -693,6 +717,20 @@ class NamelessLoss(LossFunction):
         return np.ones((K, K)) - (y1 == y2) * np.eye(K)
 
 
+class BareInitLoss(ZeroOneLoss):
+    """The zero-one loss with an ``__init__`` of its own that does not
+    call ``LossFunction``'s."""
+
+    def __init__(self):
+        pass
+
+
+@dataclass
+class DataclassLoss(ZeroOneLoss):
+    """The zero-one loss as a dataclass, whose generated ``__init__``
+    calls no base class's."""
+
+
 class TestRecords:
     """A fit is a ModelRecord and a protocol row a ResultRow, each named by
     its loss's kind, and each comes back equal from its file."""
@@ -723,6 +761,16 @@ class TestRecords:
         assert back.params.w.tobytes() == record.params.w.tobytes()
         assert back.params.theta.tobytes() == record.params.theta.tobytes()
         assert replace(back, params=record.params) == record
+
+    @pytest.mark.parametrize("loss_cls", [BareInitLoss, DataclassLoss])
+    def test_own_init_trains_as_the_stock_loss(self, tmp_path, loss_cls):
+        """A loss needs only ``pair_matrix``: one whose own ``__init__``
+        skips ``LossFunction``'s trains to the stock loss's model file."""
+        for name, loss in (("stock", ZeroOneLoss()), ("own", loss_cls())):
+            record = train(self.dataset(), loss, self.config())
+            save_model(record, tmp_path / f"{name}.txt")
+        assert ((tmp_path / "own.txt").read_bytes()
+                == (tmp_path / "stock.txt").read_bytes())
 
     def test_protocol_rows_round_trip(self, tmp_path):
         results = run_protocols(self.dataset(), self.LOSSES, self.config(),

@@ -22,13 +22,12 @@ from dissim import (
     ZeroOneLoss,
     cccp_w,
     expected_loss_table,
-    latent_impute,
     latent_posterior,
     regularized_objective,
     slack,
 )
 import dissim.wsolver as wsolver
-from dissim.wsolver import _most_violated
+from dissim.wsolver import _most_violated, latent_impute
 from helpers import (
     StubZeroLoss,
     anchor_rows,
@@ -126,7 +125,7 @@ class TestLossAugmentedArgmax:
         assert got == (expect_label, 0)
 
     def test_zero_loss_reduces_to_score_argmax(self):
-        from dissim import predict
+        from dissim.model import predict
 
         rng = np.random.default_rng(3)
         sample = make_sample(rng, "s", 3, 4, 5, 2)
